@@ -16,6 +16,7 @@ from .holo import (
     Contour,
     HoloDomainError,
     HoloFn,
+    UnstableQuadrature,
     contour_integrate,
     default_contour,
     holo_eval,

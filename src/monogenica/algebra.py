@@ -149,6 +149,23 @@ class AlgebraSpec:
                 M[s - 1, r - 1, k - 1] = value
         return M
 
+    @cached_property
+    def radical_products(self) -> np.ndarray:
+        """Y[r, s, p] = coefficient of I_p in I_r I_s over the radical (0-based from m).
+
+        Entries with r >= p or s >= p are zeroed, so only products that the
+        Cartan form allows (p > max(r, s)) enter the B coefficients.
+        """
+        d = self.n - self.m
+        idx = np.arange(d)
+        allowed = (idx[:, None, None] < idx) & (idx[None, :, None] < idx)
+        return np.where(allowed, self.mult_tensor[self.m :, self.m :, self.m :], 0.0)
+
+    @cached_property
+    def report(self) -> "ValidationReport":
+        """validate_algebra(self), run once per algebra."""
+        return validate_algebra(self)
+
     def unit(self) -> Element:
         e = np.zeros(self.n, dtype=np.complex128)
         e[: self.m] = 1.0
@@ -290,7 +307,7 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
     spec = AlgebraSpec.create(n, m, upsilon, u_map)
-    validate_algebra(spec).raise_if_invalid()
+    spec.report.raise_if_invalid()
     return spec
 
 

@@ -31,6 +31,10 @@ class CoincidentSpectrum(Exception):
     """Two spectrum points too close to separate by a contour."""
 
 
+class UnstableQuadrature(RuntimeWarning):
+    """Contour quadrature did not converge within the node limit."""
+
+
 @dataclass(frozen=True)
 class HoloFn:
     """f(xi) = amp * g(scale * xi + shift) with g a stock holomorphic variant."""
@@ -212,8 +216,8 @@ def contour_integrate(g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int
 
     g is called with an ndarray of nodes t_j and must return an array whose
     last axis runs over the nodes.  The node count doubles until two
-    successive quadratures agree to tol or max_nodes is reached (a warning
-    is emitted in the latter case).
+    successive quadratures agree to tol or max_nodes is reached (an
+    UnstableQuadrature warning is emitted in the latter case).
     """
 
     def quad(nn: int):
@@ -233,7 +237,7 @@ def contour_integrate(g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int
         prev = cur
     warnings.warn(
         f"contour quadrature did not stabilize to {tol:g} at {max_nodes} nodes",
-        RuntimeWarning,
+        UnstableQuadrature,
         stacklevel=2,
     )
     return prev

@@ -125,37 +125,55 @@ def extract_components(v: Element) -> list[complex]:
 # -- explicit evaluation -------------------------------------------------------
 
 
-def eval_explicit(ms: MonogenicSpec, p: Point) -> Element:
-    """Partial-fraction representation: exact holomorphic derivatives, no quadrature."""
-    spec, triad = ms.algebra, ms.triad
-    x, y, z = p
-    xi_v = xi_all(spec, triad, p)
-    T = rsv.t_coeffs(spec, triad, y, z)
-    Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
+def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
+    """Partial-fraction representation: exact holomorphic derivatives, no quadrature.
 
-    out = np.zeros(spec.n, dtype=np.complex128)
-    for u in range(1, spec.m + 1):
-        out[u - 1] += ms.F[u - 1].eval(0, xi_v[u - 1])
-    for s in range(spec.m + 1, spec.n + 1):
-        si = s - spec.m - 1
-        xi_us = xi_v[spec.u_map[s] - 1]
-        acc = 0.0 + 0.0j
-        for k in range(2, s - spec.m + 2):
-            acc += Q[k, si] / math.factorial(k - 1) * ms.F[spec.u_map[s] - 1].eval(k - 1, xi_us)
-        out[s - 1] += acc
-    for q in range(spec.m + 1, spec.n + 1):
-        xi_uq = xi_v[spec.u_map[q] - 1]
-        g = ms.G[q - spec.m - 1]
-        out[q - 1] += g.eval(0, xi_uq)
-        for s in range(spec.m + 1, spec.n + 1):
-            si = s - spec.m - 1
-            prod = spec.mult_tensor[q - 1, s - 1, :]  # I_q * I_s over the basis
-            if not np.any(prod):
-                continue
-            for k in range(2, s - spec.m + 2):
-                coef = Q[k, si] / math.factorial(k - 1) * g.eval(k - 1, xi_uq)
-                out += coef * prod
-    return out
+    p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
+    points, giving an (N, n) array with one row per point.  The whole batch
+    goes through one pass: the Q-table is built for every point at once and
+    each F_u and G_q is evaluated once per derivative order.
+    """
+    spec = ms.algebra
+    m, d = spec.m, spec.n - spec.m
+    shape = np.shape(p)[:-1]
+    # One point is a batch of one, so it takes the same arithmetic (and the
+    # same rounding) as a row of a larger batch.
+    pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    x, y, z = pts.T
+    xi_v = rsv.spectrum(ms.triad, m, x, y, z)
+    T = rsv.t_coeffs(spec, ms.triad, y, z)
+    Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
+    # Row j holds Q_{j+2} / (j+1)!, the weight of the derivative of order j + 1.
+    fact = np.array([math.factorial(k) for k in range(1, d + 2)], dtype=float)
+    Qf = Q[:, 2:, :] / fact[:, None]
+    u_rad = [spec.u_map[s] - 1 for s in range(m + 1, spec.n + 1)]
+    Y = spec.mult_tensor[m:, m:, m:]  # I_q * I_s over the radical
+
+    out = np.zeros((len(pts), spec.n), dtype=np.complex128)
+    for u, f in enumerate(ms.F):
+        out[:, u] = f.eval(0, xi_v[:, u])
+        cols = [si for si in range(d) if u_rad[si] == u]
+        if cols:
+            terms = _derivative_terms(f, xi_v[:, u], Qf, cols[-1] + 1)
+            out[:, [m + si for si in cols]] += terms[:, cols]
+    for qi, g in enumerate(ms.G):
+        w = xi_v[:, u_rad[qi]]
+        out[:, m + qi] += g.eval(0, w)
+        cols = np.flatnonzero(Y[qi].any(axis=-1))
+        if cols.size:
+            K = int(cols[-1]) + 1
+            out[:, m:] += np.einsum("ns,sk->nk", _derivative_terms(g, w, Qf, K), Y[qi, :K])
+    return out.reshape(shape + (spec.n,))
+
+
+def _derivative_terms(f, w, Qf: np.ndarray, K: int) -> np.ndarray:
+    """sum_j Qf[:, j, s] * f^(j+1)(w) for the radical columns s < K, shape (N, K).
+
+    Column s needs derivatives up to order s + 1 <= K; each order is one
+    vectorised call over the batch.
+    """
+    D = np.stack([f.eval(j, w) for j in range(1, K + 1)], axis=-1)
+    return np.einsum("njs,nj->ns", Qf[:, :K, :K], D)
 
 
 # -- integral evaluation -------------------------------------------------------
@@ -272,16 +290,24 @@ def cr_residual(
 ) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).
 
-    Central differences of the explicit evaluation; near-zero certifies
+    Central differences of the explicit evaluation (one batched call on the
+    six stencil points) or of a pointwise evaluator; near-zero certifies
     monogenicity at the point, a large value is a broken-data signal.
     """
     spec = ms.algebra
-    if evaluator is None:
-        evaluator = lambda q: eval_explicit(ms, q)
     x, y, z = p
-    dx = (evaluator((x + h, y, z)) - evaluator((x - h, y, z))) / (2 * h)
-    dy = (evaluator((x, y + h, z)) - evaluator((x, y - h, z))) / (2 * h)
-    dz = (evaluator((x, y, z + h)) - evaluator((x, y, z - h))) / (2 * h)
+    stencil = [
+        (x + h, y, z), (x - h, y, z),
+        (x, y + h, z), (x, y - h, z),
+        (x, y, z + h), (x, y, z - h),
+    ]
+    if evaluator is None:
+        v = eval_explicit(ms, np.array(stencil))
+    else:
+        v = [evaluator(q) for q in stencil]
+    dx = (v[0] - v[1]) / (2 * h)
+    dy = (v[2] - v[3]) / (2 * h)
+    dz = (v[4] - v[5]) / (2 * h)
     e2 = ms.triad.a_vec
     e3 = ms.triad.b_vec
     return dy - spec.multiply(dx, e2), dz - spec.multiply(dx, e3)

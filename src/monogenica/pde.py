@@ -146,41 +146,60 @@ def central_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, coeffs
 
 
-def apply_operator(
-    fn: Callable[[Point], Element], pde: PdeSpec, p: Point, h: float
-) -> Element:
-    """L_N applied to fn at p by tensor products of 1-D central stencils."""
-    x, y, z = p
-    cache: dict[tuple[int, int, int], Element] = {}
+def _operator_stencil(pde: PdeSpec, p: Point, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sample points (K, 3) of discrete L_N at p, and weights (terms, K).
 
-    def sample(i: int, j: int, k: int) -> Element:
-        key = (i, j, k)
-        if key not in cache:
-            cache[key] = np.asarray(fn((x + i * h, y + j * h, z + k * h)))
-        return cache[key]
-
-    total = None
-    for alpha, beta, gamma, c in pde.terms:
+    Row t of the weights is the tensor product of 1-D central stencils of
+    term t, without its coefficient or 1/h^N; a point shared by several
+    terms is sampled once.
+    """
+    index: dict[tuple[int, int, int], int] = {}
+    rows = []
+    for alpha, beta, gamma, _ in pde.terms:
         ox, wx = central_stencil(alpha)
         oy, wy = central_stencil(beta)
         oz, wz = central_stencil(gamma)
-        acc = None
+        row = {}
         for i, cx in zip(ox, wx):
             for j, cy in zip(oy, wy):
                 for k, cz in zip(oz, wz):
                     w = cx * cy * cz
-                    if w == 0.0:
-                        continue
-                    term = w * sample(int(i), int(j), int(k))
-                    acc = term if acc is None else acc + term
-        contrib = c * acc / h**pde.N
-        total = contrib if total is None else total + contrib
-    return total
+                    if w != 0.0:
+                        row[index.setdefault((int(i), int(j), int(k)), len(index))] = w
+        rows.append(row)
+    weights = np.zeros((len(rows), len(index)))
+    for t, row in enumerate(rows):
+        weights[t, list(row)] = list(row.values())
+    points = np.asarray(p, dtype=float) + h * np.array(list(index), dtype=float)
+    return points, weights
+
+
+def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) -> Element:
+    """sum_t C_t * (stencil of term t applied to values) / h^N.
+
+    Each term's stencil is summed on its own first, so its differences of
+    nearby samples cancel before the 1/h^N scaling.
+    """
+    coeffs = np.array([c for *_, c in pde.terms])
+    return coeffs @ (weights @ values) / h**pde.N
+
+
+def apply_operator(
+    fn: Callable[[Point], Element], pde: PdeSpec, p: Point, h: float
+) -> Element:
+    """L_N applied to a pointwise fn at p by tensor products of 1-D central stencils."""
+    points, weights = _operator_stencil(pde, p, h)
+    values = np.array([np.asarray(fn(tuple(q))) for q in points])
+    return _combine(pde, weights, values, h)
 
 
 def pde_residual(ms: MonogenicSpec, pde: PdeSpec, p: Point, h: float = 1e-3) -> Element:
-    """Discrete L_N applied to the components of the monogenic function."""
-    return apply_operator(lambda q: eval_explicit(ms, q), pde, p, h)
+    """Discrete L_N applied to the components of the monogenic function.
+
+    The distinct stencil points go through eval_explicit in one batched call.
+    """
+    points, weights = _operator_stencil(pde, p, h)
+    return _combine(pde, weights, eval_explicit(ms, points), h)
 
 
 def operator_identity_check(

@@ -27,52 +27,44 @@ class OnSpectrum(Exception):
     """t coincides (to relative tolerance) with a spectrum point xi_u."""
 
 
-def spectrum(triad: "TriadSpec", m: int, x: float, y: float, z: float) -> np.ndarray:
-    """xi_u = x + y*a_u + z*b_u for u = 1..m."""
-    a = np.asarray(triad.a, dtype=np.complex128)[:m]
-    b = np.asarray(triad.b, dtype=np.complex128)[:m]
-    return x + y * a + z * b
+def spectrum(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
+    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis.
+
+    x, y, z are scalars or arrays of one shape (a batch of points).
+    """
+    x, y, z = (np.asarray(v)[..., None] for v in (x, y, z))
+    return x + y * triad.a_vec[:m] + z * triad.b_vec[:m]
 
 
-def t_coeffs(spec: AlgebraSpec, triad: "TriadSpec", y: float, z: float) -> np.ndarray:
-    """T_s = y*a_s + z*b_s for the radical indices s = m+1..n."""
-    a = np.asarray(triad.a, dtype=np.complex128)[spec.m :]
-    b = np.asarray(triad.b, dtype=np.complex128)[spec.m :]
-    return y * a + z * b
+def t_coeffs(spec: AlgebraSpec, triad: "TriadSpec", y, z) -> np.ndarray:
+    """T_s = y*a_s + z*b_s for the radical indices s = m+1..n, along a new last axis."""
+    y, z = (np.asarray(v)[..., None] for v in (y, z))
+    return y * triad.a_vec[spec.m :] + z * triad.b_vec[spec.m :]
 
 
 def b_coeffs(spec: AlgebraSpec, T: np.ndarray) -> np.ndarray:
-    """B[r, p] = sum_s T_s * Y[r, p -> s]; indices offset by m+1.
+    """B[..., r, p] = sum_{s < p} T_s * Y[r, s -> p] for r < p; indices offset by m+1.
 
-    Stored as a dense (n-m) x (n-m) array; entries outside the defined
-    range (r < p required) stay zero.
+    T may carry leading batch axes.  The last two axes form a dense
+    (n-m) x (n-m) array whose entries outside r < p stay zero.
     """
-    d = spec.n - spec.m
-    B = np.zeros((d, d), dtype=np.complex128)
-    for p in range(spec.m + 2, spec.n + 1):
-        for r in range(spec.m + 1, p):
-            acc = 0.0 + 0.0j
-            for s in range(spec.m + 1, p):
-                v = spec.upsilon.get((min(r, s), max(r, s), p))
-                if v is not None:
-                    acc += T[s - spec.m - 1] * v
-            B[r - spec.m - 1, p - spec.m - 1] = acc
-    return B
+    return np.einsum("...s,rsp->...rp", T, spec.radical_products)
 
 
 def q_table(spec: AlgebraSpec, T: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Q[k, s - m - 1] for k = 2..s-m+1; Q_{2,s} = T_s, higher k by recurrence."""
+    """Q[..., k, s - m - 1] for k = 2..s-m+1; Q_{2,s} = T_s, higher k by recurrence.
+
+    Q_{k,s} = sum_{r < s} Q_{k-1,r} * B_{r,s}; column s needs only the
+    columns before it, so the table fills one column at a time over the
+    whole batch.
+    """
     d = spec.n - spec.m
-    Q = np.zeros((d + 3, d), dtype=np.complex128)
-    Q[2, :d] = T
-    for s in range(spec.m + 2, spec.n + 1):
-        si = s - spec.m - 1
-        for k in range(3, s - spec.m + 2):
-            acc = 0.0 + 0.0j
-            for r in range(spec.m + 1, s):
-                ri = r - spec.m - 1
-                acc += Q[k - 1, ri] * B[ri, si]
-            Q[k, si] = acc
+    Q = np.zeros(T.shape[:-1] + (d + 3, d), dtype=np.complex128)
+    Q[..., 2, :] = T
+    for si in range(1, d):
+        Q[..., 3 : si + 3, si] = np.einsum(
+            "...kr,...r->...k", Q[..., 2 : si + 2, :si], B[..., :si, si]
+        )
     return Q
 
 

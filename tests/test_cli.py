@@ -109,6 +109,36 @@ class TestEval:
         assert "error:" in err
 
 
+    def test_unconverged_quadrature_fails(self, capsys):
+        # xi_2 - xi_1 = 1e-6 i: the third derivative's contour does not converge.
+        code, out, err = run(
+            capsys, "eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3"
+        )
+        assert code == 1
+        assert "error:" in err and "did not stabilize" in err
+        assert "U_1" not in out
+
+    def test_domain_overrun_exit_code(self, capsys, tmp_path):
+        # A series F of radius 1 centred on xi: the integral route's contour
+        # leaves the series' safe disc.
+        point = (0.2, 0.3, -0.1)
+        xi = point[0] + point[1] * 1j + point[2] * complex(0.3, 0.2)
+        job = {
+            "algebra": "alg_d2.json",
+            "triad": {"a": [[0.0, 1.0], [1.0, 0.0]], "b": [[0.3, 0.2], [0.5, 0.0]]},
+            "F": [{"kind": "series", "center": [xi.real, xi.imag], "radius": 1.0,
+                   "coeffs": [1.0, 0.5, 0.25, 0.125]}],
+            "G": [{"kind": "exp"}],
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = ["eval", str(path), "--point"] + [str(v) for v in point]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--method", "integral")
+        assert code == 3
+        assert "error:" in err and "series" in err
+
+
 class TestGrid:
     def test_grid_csv(self, capsys, tmp_path):
         out_file = tmp_path / "grid.csv"
@@ -196,3 +226,30 @@ class TestErrors:
         path.write_text(json.dumps(job))
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
+
+    def test_bad_holomorphic_data(self, capsys, tmp_path):
+        for bad in ({"kind": "tan"}, {"kind": "series", "coeffs": [1.0], "radius": 0.0}):
+            job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+            job["F"][0] = bad
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(job))
+            code, _, err = run(capsys, "eval", str(path), "--point", "0.3", "0.4", "-0.2")
+            assert code == 2, bad
+            assert "bad job spec" in err
+
+
+def test_check_validates_algebra_once(capsys, monkeypatch):
+    from monogenica import algebra, cli
+
+    calls = []
+    validate = algebra.validate_algebra
+
+    def counting(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(algebra, "validate_algebra", counting)
+    monkeypatch.setattr(cli, "validate_algebra", counting)
+    code, out, _ = run(capsys, "check", JOB_OK)
+    assert code == 0 and "PASS algebra axioms" in out
+    assert len(calls) == 1

@@ -19,6 +19,7 @@ from monogenica import (
     xi,
     xi_all,
 )
+from monogenica import monogenic
 from monogenica.algebra import AlgebraSpec
 
 from conftest import fixture_triad, random_triad
@@ -132,6 +133,34 @@ class TestExplicit:
         p = tuple(rng.uniform(-1, 1, 3))
         total = eval_explicit(ms1, p) + eval_explicit(ms2, p)
         assert np.max(np.abs(eval_explicit(ms12, p) - total)) < 1e-12
+
+
+class TestBatchedExplicit:
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    def test_batch_equals_rows(self, all_monospecs, rng, count):
+        for name, ms in all_monospecs.items():
+            pts = rng.uniform(-1.5, 1.5, (count, 3))
+            got = eval_explicit(ms, pts)
+            rows = np.array([eval_explicit(ms, tuple(p)) for p in pts])
+            assert got.shape == (count, ms.algebra.n), name
+            assert np.max(np.abs(got - rows)) <= 1e-14 * np.max(np.abs(rows)), name
+
+    def test_cr_residual_default_path_is_one_batch(self, all_monospecs, monkeypatch):
+        calls = []
+        pointwise = monogenic.eval_explicit
+
+        def recording(ms, p):
+            calls.append(np.shape(p))
+            return pointwise(ms, p)
+
+        monkeypatch.setattr(monogenic, "eval_explicit", recording)
+        for name, ms in all_monospecs.items():
+            p = (0.35, -0.2, 0.45)
+            calls.clear()
+            ry, rz = cr_residual(ms, p)
+            assert calls == [(6, 3)], name
+            ey, ez = cr_residual(ms, p, evaluator=lambda q: pointwise(ms, q))
+            assert max(np.max(np.abs(ry - ey)), np.max(np.abs(rz - ez))) <= 1e-12, name
 
 
 class TestIntegral:

@@ -23,6 +23,8 @@ from monogenica import (
     xi,
 )
 
+from monogenica import pde as pde_mod
+
 from conftest import fixture_triad
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
@@ -186,6 +188,27 @@ class TestPdeResidual:
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.exp()])
         res = pde_residual(ms, LAPLACE, (0.2, 0.1, 0.3))
         assert np.max(np.abs(res)) > 1e-2
+
+
+    def test_batched_default_path(self, all_monospecs, monkeypatch):
+        # One eval_explicit call on the distinct stencil points, agreeing
+        # with the pointwise operator.
+        calls = []
+        pointwise = pde_mod.eval_explicit
+
+        def recording(ms, p):
+            calls.append(np.shape(p))
+            return pointwise(ms, p)
+
+        monkeypatch.setattr(pde_mod, "eval_explicit", recording)
+        for name, ms in all_monospecs.items():
+            p = (0.3, 0.5, -0.4)
+            for pde, distinct in ((LAPLACE, 7), (ORDER3, 12)):
+                calls.clear()
+                res = pde_residual(ms, pde, p)
+                assert calls == [(distinct, 3)], name
+                ref = apply_operator(lambda q: pointwise(ms, q), pde, p, 1e-3)
+                assert np.max(np.abs(res - ref)) <= 1e-12, name
 
 
 class TestOperatorIdentity:

@@ -98,6 +98,51 @@ class TestQTable:
                     assert Q[k, si] == 0.0
 
 
+def loop_b_coeffs(spec, T):
+    """Reference B table by the scalar loops over the upsilon dict."""
+    d = spec.n - spec.m
+    B = np.zeros((d, d), dtype=np.complex128)
+    for p in range(spec.m + 2, spec.n + 1):
+        for r in range(spec.m + 1, p):
+            for s in range(spec.m + 1, p):
+                v = spec.upsilon.get((min(r, s), max(r, s), p))
+                if v is not None:
+                    B[r - spec.m - 1, p - spec.m - 1] += T[s - spec.m - 1] * v
+    return B
+
+
+def loop_q_table(spec, T, B):
+    """Reference Q table by the scalar recurrence loops."""
+    d = spec.n - spec.m
+    Q = np.zeros((d + 3, d), dtype=np.complex128)
+    Q[2, :d] = T
+    for si in range(1, d):
+        for k in range(3, si + 3):
+            Q[k, si] = sum(Q[k - 1, ri] * B[ri, si] for ri in range(si))
+    return Q
+
+
+class TestBatchedTables:
+    def test_batch_matches_scalar_loops(self, all_algebras, rng):
+        # B and Q for a batch of points at once equal the scalar loops row by row.
+        algebras = list(all_algebras.values()) + [direct_sum_truncated(5, 7)]
+        for spec in algebras:
+            triad = random_triad(spec, rng)
+            y, z = rng.uniform(-1.5, 1.5, (2, 9))
+            T = t_coeffs(spec, triad, y, z)
+            B = b_coeffs(spec, T)
+            Q = q_table(spec, T, B)
+            d = spec.n - spec.m
+            assert T.shape == (9, d) and B.shape == (9, d, d) and Q.shape == (9, d + 3, d)
+            for i in range(9):
+                assert np.array_equal(T[i], t_coeffs(spec, triad, y[i], z[i]))
+                ref_b = loop_b_coeffs(spec, T[i])
+                ref_q = loop_q_table(spec, T[i], ref_b)
+                scale = 1.0 + np.max(np.abs(ref_q), initial=0.0)
+                assert np.max(np.abs(B[i] - ref_b), initial=0.0) <= 1e-14 * scale
+                assert np.max(np.abs(Q[i] - ref_q), initial=0.0) <= 1e-14 * scale
+
+
 class TestResolvent:
     def test_semisimple_explicit(self, alg_ss2):
         triad = fixture_triad("alg_ss2")
