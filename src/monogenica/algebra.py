@@ -162,6 +162,11 @@ class AlgebraSpec:
         return np.where(allowed, self.mult_tensor[self.m :, self.m :, self.m :], 0.0)
 
     @cached_property
+    def radical_owner(self) -> np.ndarray:
+        """0-based index u_s - 1 of the idempotent acting on each radical I_s."""
+        return np.array([self.u_map[s] - 1 for s in range(self.m + 1, self.n + 1)], dtype=int)
+
+    @cached_property
     def report(self) -> "ValidationReport":
         """validate_algebra(self), run once per algebra."""
         return validate_algebra(self)
@@ -195,6 +200,19 @@ class AlgebraSpec:
         if b.tobytes() < a.tobytes():
             a, b = b, a
         return np.einsum("i,j,ijk->k", a, b, self.mult_tensor)
+
+    def multiply_columns(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of matching columns of two (n, N) arrays, shape (n, N).
+
+        a is contracted with the product tensor in one BLAS matmul,
+        (n*n, n) @ (n, N), then b over the second factor's index; the
+        temporaries are O(n^2 N).
+        """
+        n = self.n
+        if a.shape[0] != n or a.shape != b.shape:
+            raise AlgebraError("dimension mismatch in multiply_columns")
+        ab = (self.mult_tensor.reshape(n, n * n).T @ a).reshape(n, n, -1)  # [j, k, t]
+        return np.einsum("jkt,jt->kt", ab, b)
 
     def power(self, a: Element, k: int) -> Element:
         if k < 0:

@@ -142,7 +142,8 @@ def holo_eval(f, k: int, xi):
 # -- JSON form ---------------------------------------------------------------
 
 
-def _c(pair) -> complex:
+def parse_complex(pair) -> complex:
+    """A JSON complex number: a real number or a [re, im] pair."""
     if isinstance(pair, (int, float)):
         return complex(pair)
     return complex(pair[0], pair[1])
@@ -151,17 +152,17 @@ def _c(pair) -> complex:
 def holo_from_dict(data: Mapping) -> HoloFn:
     kw = {}
     if "coeffs" in data:
-        kw["coeffs"] = tuple(_c(p) for p in data["coeffs"])
+        kw["coeffs"] = tuple(parse_complex(p) for p in data["coeffs"])
     if "center" in data:
-        kw["center"] = _c(data["center"])
+        kw["center"] = parse_complex(data["center"])
     if "radius" in data:
         kw["radius"] = float(data["radius"])
     if "amp" in data:
-        kw["amp"] = _c(data["amp"])
+        kw["amp"] = parse_complex(data["amp"])
     if "scale" in data:
-        kw["scale"] = _c(data["scale"])
+        kw["scale"] = parse_complex(data["scale"])
     if "shift" in data:
-        kw["shift"] = _c(data["shift"])
+        kw["shift"] = parse_complex(data["shift"])
     return HoloFn(data["kind"], **kw)
 
 
@@ -207,8 +208,7 @@ def default_contour(xi_u: complex, others: Sequence[complex], nodes: int = 256) 
         raise CoincidentSpectrum(
             f"spectrum point within {dmin:.3g} of {xi_u}; cannot separate contours"
         )
-    radius = min(0.5 * dmin, max(0.1, 0.5 * dmin))
-    return Contour(xi_u, radius, nodes)
+    return Contour(xi_u, 0.5 * dmin, nodes)
 
 
 def contour_integrate(g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int = MAX_NODES):
@@ -220,18 +220,20 @@ def contour_integrate(g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int
     UnstableQuadrature warning is emitted in the latter case).
     """
 
-    def quad(nn: int):
-        theta = 2.0 * np.pi * np.arange(nn) / nn
-        w = np.exp(1j * theta)
-        t = contour.center + contour.radius * w
-        vals = np.asarray(g(t), dtype=np.complex128)
-        return contour.radius / nn * vals @ w
+    def node_sum(nn: int, offset: float):
+        w = np.exp(2j * np.pi * (np.arange(nn) + offset) / nn)
+        vals = np.asarray(g(contour.center + contour.radius * w), dtype=np.complex128)
+        return vals @ w
 
+    # The 2n-node rule is the n-node rule plus the n nodes halfway between
+    # its nodes, so each doubling evaluates g only at the new nodes.
     n = contour.nodes
-    prev = quad(n)
+    acc = node_sum(n, 0.0)
+    prev = contour.radius / n * acc
     while n < max_nodes:
+        acc = acc + node_sum(n, 0.5)
         n *= 2
-        cur = quad(n)
+        cur = contour.radius / n * acc
         if np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
             return cur
         prev = cur

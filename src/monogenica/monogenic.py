@@ -26,7 +26,7 @@ from .algebra import (
     algebra_from_dict,
     load_algebra,
 )
-from .holo import contour_integrate, default_contour, holo_from_dict
+from .holo import contour_integrate, default_contour, holo_from_dict, parse_complex
 
 Point = tuple[float, float, float]
 
@@ -146,7 +146,7 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
     # Row j holds Q_{j+2} / (j+1)!, the weight of the derivative of order j + 1.
     fact = np.array([math.factorial(k) for k in range(1, d + 2)], dtype=float)
     Qf = Q[:, 2:, :] / fact[:, None]
-    u_rad = [spec.u_map[s] - 1 for s in range(m + 1, spec.n + 1)]
+    u_rad = spec.radical_owner
     Y = spec.mult_tensor[m:, m:, m:]  # I_q * I_s over the radical
 
     out = np.zeros((len(pts), spec.n), dtype=np.complex128)
@@ -204,7 +204,7 @@ def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> E
     xi_v = xi_all(spec, triad, p)
     T = rsv.t_coeffs(spec, triad, y, z)
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    M = spec.mult_tensor
+    owner = spec.radical_owner
 
     total = np.zeros(spec.n, dtype=np.complex128)
     clusters = _clusters(xi_v)
@@ -214,17 +214,14 @@ def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> E
         contour = default_contour(centers[ci], others, nodes)
 
         def integrand(t: np.ndarray) -> np.ndarray:
-            R = rsv.assemble_closed(spec, xi_v, Q, t)  # (n, N)
-            P = R
-            for _ in range(power - 1):
-                P = np.einsum("it,jt,ijk->kt", P, R, M)
             W = np.zeros((spec.n, len(t)), dtype=np.complex128)
             for u in cluster:
                 W[u] = ms.F[u].eval(0, t)
-            for s in range(spec.m + 1, spec.n + 1):
-                if spec.u_map[s] - 1 in cluster:
-                    W[s - 1] = ms.G[s - spec.m - 1].eval(0, t)
-            return np.einsum("it,jt,ijk->kt", P, W, M)
+            for si, u in enumerate(owner):
+                if u in cluster:
+                    W[spec.m + si] = ms.G[si].eval(0, t)
+            Rp = rsv.assemble_closed(spec, xi_v, Q, t, power)  # (n, N)
+            return spec.multiply_columns(W, Rp)
 
         total += contour_integrate(integrand, contour)
     return total
@@ -326,15 +323,9 @@ def monogenic_from_dict(data: Mapping, base_dir: Union[str, Path, None] = None) 
     else:
         algebra = algebra_from_dict(alg)
     triad = TriadSpec.create(
-        [_cnum(v) for v in data["triad"]["a"]],
-        [_cnum(v) for v in data["triad"]["b"]],
+        [parse_complex(v) for v in data["triad"]["a"]],
+        [parse_complex(v) for v in data["triad"]["b"]],
     )
     F = [holo_from_dict(d) for d in data.get("F", [])]
     G = [holo_from_dict(d) for d in data.get("G", [])]
     return MonogenicSpec.create(algebra, triad, F, G)
-
-
-def _cnum(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])

@@ -10,6 +10,7 @@ inversion in the algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -128,23 +129,30 @@ def resolvent_closed(
 
 
 def assemble_closed(
-    spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t
+    spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1
 ) -> np.ndarray:
-    """Evaluate the closed form from precomputed (xi, Q); t may be an array.
+    """R(t)^power from precomputed (xi, Q); t may be an array.
 
-    Returns shape (n,) for scalar t, or (n, N) for an array of N nodes.
+    dR/dt = -R^2 gives R^p = (-1)^(p-1)/(p-1)! * d^(p-1)R/dt^(p-1), so the
+    idempotent coefficient 1/(t - xi_u) becomes (t - xi_u)^(-p) and each
+    term Q_k/(t - xi)^k becomes C(k+p-2, p-1) * Q_k/(t - xi)^(k+p-1).  One
+    table of inverse powers per idempotent feeds one matrix product over
+    the radical columns it acts on.  Returns shape (n,) for scalar t, or
+    (n, N) for an array of N nodes.
     """
+    m, d = spec.m, spec.n - spec.m
     t = np.asarray(t, dtype=np.complex128)
-    out = np.zeros((spec.n,) + t.shape, dtype=np.complex128)
-    for u in range(spec.m):
-        out[u] = 1.0 / (t - xi[u])
-    for s in range(spec.m + 1, spec.n + 1):
-        si = s - spec.m - 1
-        denom_base = t - xi[spec.u_map[s] - 1]
-        acc = np.zeros_like(t)
-        for k in range(2, s - spec.m + 2):
-            acc = acc + Q[k, si] / denom_base**k
-        out[s - 1] = acc
+    inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))  # (m, ...)
+    # pw[u, j] = (t - xi_u)^(-(power + j)) for j = 0..d
+    pw = np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
+    # coef[s, j - 1] weighs pw[u_s, j], j = 1..d, i.e. the term k = j + 1.
+    binom = np.array([math.comb(j + power - 1, power - 1) for j in range(1, d + 1)])
+    coef = (binom[:, None] * Q[2 : d + 2]).T
+    out = np.empty((spec.n,) + t.shape, dtype=np.complex128)
+    out[:m] = pw[:, 0]
+    for u in range(m):
+        cols = spec.radical_owner == u
+        out[m:][cols] = coef[cols] @ pw[u, 1:]
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from monogenica.cli import main
 from monogenica.fixtures import fixture_path
@@ -197,6 +198,18 @@ class TestCheck:
         assert code == 1
         assert "FAIL Cauchy-Riemann" in out
 
+    def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
+        # xi_2 - xi_1 = 1e-7 i: Phi'' from the contour route does not converge,
+        # and the characteristic sum (about 1e-16) would hide any value of it.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["points"] = [[0.3, 1e-7, 0.0]]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert "FAIL operator identity  (quadrature did not converge)" in out
+        assert "PASS operator identity" not in out
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -226,6 +239,22 @@ class TestErrors:
         path.write_text(json.dumps(job))
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "points",
+        [[], [[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [[0.1, float("nan"), 0.3]],
+         [[0.1, "y", 0.3]], [0.1, 0.2, 0.3]],
+        ids=["empty", "two-coords", "four-coords", "nan", "not-a-number", "flat-list"],
+    )
+    def test_bad_points(self, capsys, tmp_path, points):
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["points"] = points
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "error: bad point" in err
+        assert "Traceback" not in err
 
     def test_bad_holomorphic_data(self, capsys, tmp_path):
         for bad in ({"kind": "tan"}, {"kind": "series", "coeffs": [1.0], "radius": 0.0}):

@@ -138,6 +138,30 @@ class TestQuadrature:
         val = contour_integrate(g, c)
         assert np.max(np.abs(val - np.array([1.0, 0.0]))) < 1e-13
 
+    def test_each_node_evaluated_once(self):
+        # A smooth integrand converges at the first doubling: the 512-node
+        # rule reuses the 256 nodes and adds the 256 halfway between them.
+        c = Contour(0.1 + 0.2j, 0.5, nodes=256)
+        calls = []
+
+        def g(t):
+            calls.append(np.array(t))
+            return np.exp(t) / (t - c.center) ** 2
+
+        val = contour_integrate(g, c)
+        assert [len(t) for t in calls] == [256, 256]
+        theta = np.angle((np.concatenate(calls) - c.center) / c.radius)
+        slots = np.round(theta / (2 * np.pi) * 512).astype(int) % 512
+        assert sorted(slots) == list(range(512))
+        assert abs(val - np.exp(c.center)) < 1e-13
+
+    def test_nested_doubling_equals_fresh_rule(self):
+        c = Contour(0.1 + 0.2j, 0.5, nodes=256)
+        g = lambda t: np.exp(t) / (t - c.center) ** 2
+        w = np.exp(2j * np.pi * np.arange(512) / 512)
+        fresh = c.radius / 512 * g(c.center + c.radius * w) @ w
+        assert abs(contour_integrate(g, c) - fresh) <= 1e-15
+
     def test_warning_when_not_stabilized(self):
         # A pole sitting almost on the circle defeats the trapezoid rule.
         c = Contour(0.0, 1.0, nodes=16)

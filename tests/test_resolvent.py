@@ -15,6 +15,8 @@ from monogenica import (
     xi_all,
 )
 
+from monogenica.resolvent import assemble_closed
+
 from conftest import fixture_triad, random_triad
 from test_algebra import direct_sum_truncated
 
@@ -195,6 +197,32 @@ class TestResolvent:
         for s in range(3, 5):
             expect = T[s - 3] / (t - xi[alg_p2.u_map[s] - 1]) ** 2
             assert abs(got[s - 1] - expect) < 1e-14
+
+
+class TestClosedPower:
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_power_matches_dense_solve(self, all_algebras, power):
+        # R(t)^p from the Q-table against the p-th power of a dense-solve
+        # inverse, which shares no code with the Q-table route.
+        p = (0.3, 0.4, -0.2)
+        ts = np.array([2.0 + 1.5j, -1.5 + 0.3j, 0.1 - 2.2j, 3.0j])
+        for name, spec in all_algebras.items():
+            triad = fixture_triad(name)
+            xi = xi_all(spec, triad, p)
+            assert np.min(np.abs(ts[:, None] - xi)) > 0.3
+            T = t_coeffs(spec, triad, p[1], p[2])
+            Q = q_table(spec, T, b_coeffs(spec, T))
+            zeta = embed(spec, triad, p)
+            oracle = np.stack(
+                [spec.power(spec.invert(t * spec.unit() - zeta), power) for t in ts], axis=-1
+            )
+            got = assemble_closed(spec, xi, Q, ts, power=power)
+            assert got.shape == (spec.n, len(ts))
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle)), name
+            for j, t in enumerate(ts):
+                one = assemble_closed(spec, xi, Q, t, power=power)
+                assert one.shape == (spec.n,)
+                assert np.max(np.abs(one - oracle[:, j])) <= 1e-12 * np.max(np.abs(oracle[:, j])), name
 
 
 class TestLemma2:
