@@ -298,8 +298,11 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
         1.0, max((abs(v) for v in spec.upsilon.values()), default=0.0)
     )
     # (I_i I_j) I_p vs I_i (I_j I_p), coefficientwise over all basis triples.
-    left = np.einsum("ijq,qpk->ijpk", M, M)
-    right = np.einsum("jpq,iqk->ijpk", M, M)
+    # P[i, j, p, k] = sum_q M[i, j, q] M[q, p, k] is the left side, one BLAS
+    # matmul; M is symmetric in its first two indices by construction, so the
+    # right side sum_q M[j, p, q] M[q, i, k] is P[j, p, i, k].
+    P = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
+    left, right = P, P.transpose(2, 0, 1, 3)
     bad = np.argwhere(np.abs(left - right) > ASSOC_TOL * scale)
     seen = set()
     for i, j, p, _ in bad:

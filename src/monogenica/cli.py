@@ -6,15 +6,18 @@ optional PDE; subcommands run validations (validate), point evaluations
 
 Exit codes: 0 success; 1 failed checks (in check, contour quadrature that
 did not converge fails the operator identity), or contour quadrature that
-did not converge in eval; 2 parse/spec errors, holomorphic data and job
-points included; 3 spectrum separation errors and evaluation outside a
-holomorphic function's domain; 4 output I/O errors.
+did not converge in eval; 2 parse/spec errors, holomorphic data, job points
+and numeric options (--nodes below 16, a negative --order, a non-finite
+--point, a --h that is not a positive finite number) included; 3 spectrum
+separation errors and evaluation outside a holomorphic function's domain;
+4 output I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -24,7 +27,7 @@ import numpy as np
 from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra
 from .fixtures import fixture_path
-from .holo import CoincidentSpectrum, HoloDomainError, UnstableQuadrature
+from .holo import MIN_NODES, CoincidentSpectrum, HoloDomainError, UnstableQuadrature
 from .monogenic import MonogenicSpec, validate_triad
 from .resolvent import OnSpectrum
 
@@ -91,6 +94,18 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
         if len(p) != 3 or not np.all(np.isfinite(p)):
             raise JobError(f"bad point {list(p)}: need exactly 3 finite numbers")
     return out
+
+
+def check_options(args) -> None:
+    """JobError for a numeric option outside its domain."""
+    if args.nodes < MIN_NODES:
+        raise JobError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
+    if args.h is not None and not (math.isfinite(args.h) and args.h > 0):
+        raise JobError(f"--h must be a positive finite number, got {args.h}")
+    if getattr(args, "order", 0) < 0:
+        raise JobError(f"--order must be >= 0, got {args.order}")
+    if not all(math.isfinite(v) for v in getattr(args, "point", None) or ()):
+        raise JobError(f"--point needs 3 finite numbers, got {args.point}")
 
 
 def _fmt_c(c: complex) -> str:
@@ -218,12 +233,13 @@ def cmd_check(args) -> int:
     treport = validate_triad(ms.algebra, ms.triad)
     ok &= _status(treport.ok, "triad")
 
-    # 1 + max |Phi(p)| scales every tolerance at p.
-    values = monogenic.eval_explicit(ms, np.reshape(points, (-1, 3)))
-    scales = [1.0 + float(s) for s in np.max(np.abs(values), axis=-1)]
-    for p, scale in zip(points, scales):
-        ry, rz = monogenic.cr_residual(ms, p, h=args.h if args.h else 1e-5)
-        res = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
+    # One batched call each for the values, the CR residuals and the PDE
+    # residuals of all points; 1 + max |Phi(p)| scales every tolerance at p.
+    pts = np.array(points)
+    scales = 1.0 + np.max(np.abs(monogenic.eval_explicit(ms, pts)), axis=-1)
+    ry, rz = monogenic.cr_residual(ms, pts, h=args.h or 1e-5)
+    cr = np.maximum(np.max(np.abs(ry), axis=-1), np.max(np.abs(rz), axis=-1))
+    for p, scale, res in zip(points, scales, cr):
         ok &= _status(res <= tol_cr * scale, f"Cauchy-Riemann at {p}", f"residual {res:.3e}")
 
     if pde is not None:
@@ -237,17 +253,18 @@ def cmd_check(args) -> int:
         else:
             print("P(a,b) scan: NoZeroFound")
 
-        h = args.h if args.h else 1e-3
+        h = args.h or 1e-3
         if cres <= 1e-10:
-            for p, scale in zip(points, scales):
-                r = pde_mod.pde_residual(ms, pde, p, h=h)
-                rmax = float(np.max(np.abs(r)))
+            r = pde_mod.pde_residual(ms, pde, pts, h=h)
+            for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
             try:
                 with warnings.catch_warnings():
                     # A Gateaux derivative from unconverged quadrature proves nothing.
                     warnings.simplefilter("error", UnstableQuadrature)
-                    d = pde_mod.operator_identity_check(ms, pde, points[0], h=h, nodes=args.nodes)
+                    d = pde_mod.operator_identity_check(
+                        ms, pde, points[0], h=h, nodes=args.nodes, discrete=r[0]
+                    )
                 dmax = float(np.max(np.abs(d)))
                 ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
             except UnstableQuadrature:
@@ -295,6 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_options(args)
         return args.func(args)
     except (JobError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)

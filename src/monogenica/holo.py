@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 QUAD_TOL = 1e-10
+MIN_NODES = 16
 MAX_NODES = 4096
 
 _KINDS = ("poly", "exp", "sin", "cos", "series")
@@ -89,33 +91,44 @@ class HoloFn:
 
     # -- evaluation ------------------------------------------------------
 
+    def _series_arg(self, w):
+        """w - center, after checking that w stays inside the safe radius."""
+        v = np.asarray(w) - self.center
+        dist = np.max(np.abs(v))
+        if dist > 0.9 * self.radius:
+            raise HoloDomainError(
+                f"series evaluated at distance {dist:.3g} from its center; "
+                f"safe radius is {0.9 * self.radius:.3g}"
+            )
+        return v
+
+    @cached_property
+    def _coeff_table(self) -> np.ndarray:
+        """table[j, k]: coefficient of w^j in the k-th derivative of a poly/series.
+
+        Derivatives of order >= len(coeffs) vanish and have no column; the
+        zero entries at the top of a column leave Horner's rule exact.
+        """
+        L = len(self.coeffs)
+        table = np.zeros((L, L), dtype=np.complex128)
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        for k in range(L):
+            table[: len(c), k] = c
+            c = c[1:] * np.arange(1, len(c))
+        return table
+
     def _g_derivative(self, k: int, w):
-        if self.kind == "poly":
-            c = np.asarray(self.coeffs, dtype=np.complex128)
-            for _ in range(k):
-                c = c[1:] * np.arange(1, len(c))
-            if len(c) == 0:
-                return np.zeros_like(np.asarray(w, dtype=np.complex128))
-            return np.polynomial.polynomial.polyval(w, c)
         if self.kind == "exp":
             return np.exp(w)
         if self.kind == "sin":
             return (np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))[k % 4](w)
         if self.kind == "cos":
             return (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin)[k % 4](w)
-        # series
-        dist = np.max(np.abs(np.asarray(w) - self.center))
-        if dist > 0.9 * self.radius:
-            raise HoloDomainError(
-                f"series evaluated at distance {dist:.3g} from its center; "
-                f"safe radius is {0.9 * self.radius:.3g}"
-            )
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        for _ in range(k):
-            c = c[1:] * np.arange(1, len(c))
-        if len(c) == 0:
+        if self.kind == "series":
+            w = self._series_arg(w)
+        if k >= len(self.coeffs):
             return np.zeros_like(np.asarray(w, dtype=np.complex128))
-        return np.polynomial.polynomial.polyval(np.asarray(w) - self.center, c)
+        return np.polynomial.polynomial.polyval(w, self._coeff_table[:, k])
 
     def eval(self, k: int, xi):
         """k-th derivative of f at xi; xi may be a scalar or ndarray."""
@@ -123,6 +136,39 @@ class HoloFn:
             raise HoloDomainError("negative derivative order")
         w = self.scale * np.asarray(xi, dtype=np.complex128) + self.shift
         return self.amp * self.scale**k * self._g_derivative(k, w)
+
+    def derivatives(self, K: int, xi) -> np.ndarray:
+        """f, f', ..., f^(K) at xi, stacked on a new first axis.
+
+        One pass for all orders: exp is evaluated once, sin and cos once
+        each and cycled, polynomials and series by one Horner sweep over the
+        table of derivative coefficients.  Row k equals eval(k, xi).
+        """
+        if K < 1:
+            # Order 0 alone is eval itself; it also rejects K < 0.
+            return self.eval(K, xi)[None]
+        w = self.scale * np.asarray(xi, dtype=np.complex128) + self.shift
+        if self.kind == "exp":
+            D = np.repeat(np.exp(w)[None], K + 1, axis=0)
+        elif self.kind in ("sin", "cos"):
+            # g, g', -g, -g', ...
+            g0, g1 = (np.sin(w), np.cos(w)) if self.kind == "sin" else (np.cos(w), -np.sin(w))
+            D = np.stack([(g0, g1, -g0, -g1)[k % 4] for k in range(K + 1)])
+        else:
+            if self.kind == "series":
+                w = self._series_arg(w)
+            # Horner as in polyval, all orders at once.  w is repeated to
+            # the full shape, so no product broadcasts a single point.
+            rows = min(K + 1, len(self.coeffs))
+            table = self._coeff_table[:, :rows].reshape((len(self.coeffs), rows) + (1,) * w.ndim)
+            wk = np.repeat(w[None], rows, axis=0)
+            acc = np.zeros_like(wk)
+            for c in table[::-1]:
+                acc = c + acc * wk
+            D = np.zeros((K + 1,) + w.shape, dtype=np.complex128)
+            D[:rows] = acc
+        fac = np.array([self.amp * self.scale**k for k in range(K + 1)])
+        return fac.reshape((K + 1,) + (1,) * w.ndim) * D
 
 
 @dataclass(frozen=True)
@@ -133,6 +179,9 @@ class HoloSum:
 
     def eval(self, k: int, xi):
         return sum(p.eval(k, xi) for p in self.parts)
+
+    def derivatives(self, K: int, xi) -> np.ndarray:
+        return sum(p.derivatives(K, xi) for p in self.parts)
 
 
 def holo_eval(f, k: int, xi):
@@ -194,8 +243,8 @@ class Contour:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("contour radius must be positive")
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
+        if self.nodes < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
 
 
 def default_contour(xi_u: complex, others: Sequence[complex], nodes: int = 256) -> Contour:

@@ -130,8 +130,9 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
 
     p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
     points, giving an (N, n) array with one row per point.  The whole batch
-    goes through one pass: the Q-table is built for every point at once and
-    each F_u and G_q is evaluated once per derivative order.
+    goes through one pass: the Q-table is built for every point at once,
+    each F_u and G_q gives all the derivative orders it needs in one
+    `derivatives` call, and the G_q of one idempotent are combined together.
     """
     spec = ms.algebra
     m, d = spec.m, spec.n - spec.m
@@ -143,37 +144,56 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
     xi_v = rsv.spectrum(ms.triad, m, x, y, z)
     T = rsv.t_coeffs(spec, ms.triad, y, z)
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    # Row j holds Q_{j+2} / (j+1)!, the weight of the derivative of order j + 1.
-    fact = np.array([math.factorial(k) for k in range(1, d + 2)], dtype=float)
-    Qf = Q[:, 2:, :] / fact[:, None]
+    # Qf[j, s, n] = Q_{j+2,s} / (j+1)!, the weight of the derivative of order
+    # j + 1 (j <= s < d); the batch runs along the last axis, as in the
+    # derivative stacks.
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(1, d + 1)])
+    Qf = np.multiply(Q[:, 2 : d + 2].transpose(1, 2, 0), inv_fact[:, None, None], order="C")
     u_rad = spec.radical_owner
     Y = spec.mult_tensor[m:, m:, m:]  # I_q * I_s over the radical
 
-    out = np.zeros((len(pts), spec.n), dtype=np.complex128)
+    out = np.zeros((spec.n, len(pts)), dtype=np.complex128)
     for u, f in enumerate(ms.F):
-        out[:, u] = f.eval(0, xi_v[:, u])
-        cols = [si for si in range(d) if u_rad[si] == u]
-        if cols:
-            terms = _derivative_terms(f, xi_v[:, u], Qf, cols[-1] + 1)
-            out[:, [m + si for si in cols]] += terms[:, cols]
-    for qi, g in enumerate(ms.G):
-        w = xi_v[:, u_rad[qi]]
-        out[:, m + qi] += g.eval(0, w)
-        cols = np.flatnonzero(Y[qi].any(axis=-1))
-        if cols.size:
-            K = int(cols[-1]) + 1
-            out[:, m:] += np.einsum("ns,sk->nk", _derivative_terms(g, w, Qf, K), Y[qi, :K])
-    return out.reshape(shape + (spec.n,))
+        w = xi_v[:, u]
+        cols = np.flatnonzero(u_rad == u)
+        # Radical column s needs the derivatives of orders 1..s + 1.
+        K = int(cols[-1]) + 1 if cols.size else 0
+        D = f.derivatives(K, w)  # (K + 1, N)
+        out[u] = D[0]
+        if not K:
+            continue
+        out[m + cols] += _sum_orders(Qf[:K, cols], D[1:, None])
+        # The G_q of the radical indices owned by u share the argument xi_u.
+        # Each nonzero I_q I_s -> I_k adds sum_j Qf[j, s] G_q^(j+1) I_k, so
+        # G_q needs the orders up to its last such s, plus one.
+        Yu = Y[cols]
+        q, s, k = np.nonzero(Yu)
+        Kq = np.zeros(len(cols), dtype=int)
+        np.maximum.at(Kq, q, s + 1)
+        DG = np.zeros((Kq.max() + 1, len(cols), len(pts)), dtype=np.complex128)
+        for i, qi in enumerate(cols):
+            DG[: Kq[i] + 1, i] = ms.G[qi].derivatives(Kq[i], w)
+        out[m + cols] += DG[0]
+        if q.size:
+            # One term per nonzero I_q I_s -> I_k, summed into I_k in order.
+            by_k = np.argsort(k, kind="stable")
+            q, s, k = q[by_k], s[by_k], k[by_k]
+            terms = Yu[q, s, k][:, None] * _sum_orders(Qf[: len(DG) - 1, s], DG[1:, q])
+            ks, starts = np.unique(k, return_index=True)
+            out[m + ks] += np.add.reduceat(terms, starts, axis=0)
+    return out.T.reshape(shape + (spec.n,))
 
 
-def _derivative_terms(f, w, Qf: np.ndarray, K: int) -> np.ndarray:
-    """sum_j Qf[:, j, s] * f^(j+1)(w) for the radical columns s < K, shape (N, K).
+def _sum_orders(W: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """sum_j W[j] * D[j], elementwise and in order of j.
 
-    Column s needs derivatives up to order s + 1 <= K; each order is one
-    vectorised call over the batch.
+    No BLAS contraction here: its rounding depends on the batch size, and
+    a row of a batch must equal the same point evaluated on its own.
     """
-    D = np.stack([f.eval(j, w) for j in range(1, K + 1)], axis=-1)
-    return np.einsum("njs,nj->ns", Qf[:, :K, :K], D)
+    acc = W[0] * D[0]
+    for j in range(1, len(W)):
+        acc += W[j] * D[j]
+    return acc
 
 
 # -- integral evaluation -------------------------------------------------------
@@ -279,35 +299,43 @@ def eval_special(ms: MonogenicSpec, p: Point) -> Element:
 # -- differential checks ---------------------------------------------------------
 
 
+_CR_OFFSETS = np.array([
+    (1, 0, 0), (-1, 0, 0),
+    (0, 1, 0), (0, -1, 0),
+    (0, 0, 1), (0, 0, -1),
+], dtype=float)
+
+
 def cr_residual(
     ms: MonogenicSpec,
-    p: Point,
+    p: Union[Point, np.ndarray],
     h: float = 1e-5,
     evaluator: Callable[[Point], Element] | None = None,
 ) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).
 
     Central differences of the explicit evaluation (one batched call on the
-    six stencil points) or of a pointwise evaluator; near-zero certifies
-    monogenicity at the point, a large value is a broken-data signal.
+    six stencil points of every point) or of a pointwise evaluator.  p is
+    one point, giving two (n,) residuals, or an (N, 3) array, giving two
+    (N, n) arrays.  Near-zero certifies monogenicity at the point, a large
+    value is a broken-data signal.
     """
     spec = ms.algebra
-    x, y, z = p
-    stencil = [
-        (x + h, y, z), (x - h, y, z),
-        (x, y + h, z), (x, y - h, z),
-        (x, y, z + h), (x, y, z - h),
-    ]
+    shape = np.shape(p)[:-1]
+    pts = np.asarray(p, dtype=float).reshape(-1, 1, 3)
+    stencil = (pts + h * _CR_OFFSETS).reshape(-1, 3)  # six rows per point
     if evaluator is None:
-        v = eval_explicit(ms, np.array(stencil))
+        v = eval_explicit(ms, stencil)
     else:
-        v = [evaluator(q) for q in stencil]
-    dx = (v[0] - v[1]) / (2 * h)
-    dy = (v[2] - v[3]) / (2 * h)
-    dz = (v[4] - v[5]) / (2 * h)
-    e2 = ms.triad.a_vec
-    e3 = ms.triad.b_vec
-    return dy - spec.multiply(dx, e2), dz - spec.multiply(dx, e3)
+        v = np.array([evaluator(tuple(q)) for q in stencil])
+    v = v.reshape(-1, 6, spec.n)
+    dx = (v[:, 0] - v[:, 1]) / (2 * h)
+    dy = (v[:, 2] - v[:, 3]) / (2 * h)
+    dz = (v[:, 4] - v[:, 5]) / (2 * h)
+    # Row-wise products dx * e2 and dx * e3 by the multiplication matrices.
+    ry = dy - dx @ spec.mult_matrix(ms.triad.a_vec).T
+    rz = dz - dx @ spec.mult_matrix(ms.triad.b_vec).T
+    return ry.reshape(shape + (spec.n,)), rz.reshape(shape + (spec.n,))
 
 
 # -- JSON form ---------------------------------------------------------------

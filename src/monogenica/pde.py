@@ -146,12 +146,12 @@ def central_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, coeffs
 
 
-def _operator_stencil(pde: PdeSpec, p: Point, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sample points (K, 3) of discrete L_N at p, and weights (terms, K).
+def _operator_stencil(pde: PdeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct grid offsets (K, 3) of discrete L_N, and weights (terms, K).
 
     Row t of the weights is the tensor product of 1-D central stencils of
-    term t, without its coefficient or 1/h^N; a point shared by several
-    terms is sampled once.
+    term t, without its coefficient or 1/h^N; an offset shared by several
+    terms is sampled once.  The sample points are p + h * offsets.
     """
     index: dict[tuple[int, int, int], int] = {}
     rows = []
@@ -170,15 +170,15 @@ def _operator_stencil(pde: PdeSpec, p: Point, h: float) -> tuple[np.ndarray, np.
     weights = np.zeros((len(rows), len(index)))
     for t, row in enumerate(rows):
         weights[t, list(row)] = list(row.values())
-    points = np.asarray(p, dtype=float) + h * np.array(list(index), dtype=float)
-    return points, weights
+    return np.array(list(index), dtype=float), weights
 
 
 def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) -> Element:
     """sum_t C_t * (stencil of term t applied to values) / h^N.
 
-    Each term's stencil is summed on its own first, so its differences of
-    nearby samples cancel before the 1/h^N scaling.
+    values is (..., K, n), one stencil per leading index.  Each term's
+    stencil is summed on its own first, so its differences of nearby
+    samples cancel before the 1/h^N scaling.
     """
     coeffs = np.array([c for *_, c in pde.terms])
     return coeffs @ (weights @ values) / h**pde.N
@@ -188,28 +188,45 @@ def apply_operator(
     fn: Callable[[Point], Element], pde: PdeSpec, p: Point, h: float
 ) -> Element:
     """L_N applied to a pointwise fn at p by tensor products of 1-D central stencils."""
-    points, weights = _operator_stencil(pde, p, h)
+    offsets, weights = _operator_stencil(pde)
+    points = np.asarray(p, dtype=float) + h * offsets
     values = np.array([np.asarray(fn(tuple(q))) for q in points])
     return _combine(pde, weights, values, h)
 
 
-def pde_residual(ms: MonogenicSpec, pde: PdeSpec, p: Point, h: float = 1e-3) -> Element:
+def pde_residual(
+    ms: MonogenicSpec, pde: PdeSpec, p: Union[Point, np.ndarray], h: float = 1e-3
+) -> Element:
     """Discrete L_N applied to the components of the monogenic function.
 
-    The distinct stencil points go through eval_explicit in one batched call.
+    p is one point, giving an (n,) residual, or an (N, 3) array, giving
+    (N, n).  The distinct stencil points of all of them go through
+    eval_explicit in one batched call.
     """
-    points, weights = _operator_stencil(pde, p, h)
-    return _combine(pde, weights, eval_explicit(ms, points), h)
+    offsets, weights = _operator_stencil(pde)
+    shape = np.shape(p)[:-1]
+    points = np.asarray(p, dtype=float).reshape(-1, 1, 3) + h * offsets  # (N, K, 3)
+    values = eval_explicit(ms, points.reshape(-1, 3)).reshape(points.shape[:2] + (-1,))
+    return _combine(pde, weights, values, h).reshape(shape + (ms.algebra.n,))
 
 
 def operator_identity_check(
-    ms: MonogenicSpec, pde: PdeSpec, p: Point, h: float = 1e-3, nodes: int = 256
+    ms: MonogenicSpec,
+    pde: PdeSpec,
+    p: Point,
+    h: float = 1e-3,
+    nodes: int = 256,
+    discrete: Element | None = None,
 ) -> Element:
-    """Difference Phi^(N) * (sum C e2^b e3^g) - discrete L_N(Phi); near zero on valid data."""
+    """Difference Phi^(N) * (sum C e2^b e3^g) - discrete L_N(Phi); near zero on valid data.
+
+    discrete is pde_residual(ms, pde, p, h) if the caller already has it.
+    """
     spec = ms.algebra
     char = characteristic_residual(spec, ms.triad, pde)
     analytic = spec.multiply(gateaux_derivative(ms, p, pde.N, nodes=nodes), char)
-    discrete = pde_residual(ms, pde, p, h)
+    if discrete is None:
+        discrete = pde_residual(ms, pde, p, h)
     return analytic - discrete
 
 

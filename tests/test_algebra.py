@@ -12,6 +12,8 @@ from monogenica import (
     validate_algebra,
 )
 
+from monogenica.algebra import ASSOC_TOL
+
 from conftest import random_element
 
 
@@ -88,6 +90,56 @@ class TestValidation:
     def test_loader_rejects_invalid(self):
         with pytest.raises(AlgebraError):
             algebra_from_dict({"n": 2, "m": 1, "upsilon": [], "u_map": {}})
+
+
+def brute_force_assoc(spec):
+    """(kind, triple) of every basis triple that breaks associativity, by plain products."""
+    scale = max(1.0, max((abs(v) for v in spec.upsilon.values()), default=0.0))
+    bad = set()
+    for i in range(1, spec.n + 1):
+        for j in range(1, spec.n + 1):
+            for p in range(1, spec.n + 1):
+                I, J, P = spec.basis(i), spec.basis(j), spec.basis(p)
+                lhs = spec.multiply(spec.multiply(I, J), P)
+                rhs = spec.multiply(I, spec.multiply(J, P))
+                if np.max(np.abs(lhs - rhs)) > ASSOC_TOL * scale:
+                    bad.add(("assoc-A1" if min(i, j, p) > spec.m else "assoc-A2", (i, j, p)))
+    return bad
+
+
+def mutated(spec, extra, replace=()):
+    """spec with extra upsilon entries added and the keys in replace re-valued."""
+    upsilon = {**spec.upsilon, **dict(replace)}
+    entries = [(r, s, k, v) for (r, s, k), v in upsilon.items()] + list(extra)
+    return AlgebraSpec.create(spec.n, spec.m, entries, spec.u_map)
+
+
+class TestAssociativityTensor:
+    def test_fixtures_match_brute_force(self, all_algebras):
+        for name, spec in all_algebras.items():
+            assert brute_force_assoc(spec) == set(), name
+            assert validate_algebra(spec).ok, name
+
+    @pytest.mark.parametrize(
+        "name, extra, replace, kind",
+        [
+            ("alg_r5", (), {(3, 3, 5): 2.0}, "assoc-A1"),
+            ("alg_t4", [(3, 3, 4, 1.5)], {}, "assoc-A1"),
+            ("alg_t4", (), {(2, 3, 4): 0.5 - 1j}, None),
+            ("alg_p2", [(3, 3, 4, 1.0)], {}, "assoc-A2"),
+            ("alg_d2", (), {}, None),
+        ],
+        ids=["r5-A1", "t4-A1", "t4-rescaled", "p2-A2", "d2-unchanged"],
+    )
+    def test_mutations_match_brute_force(self, all_algebras, name, extra, replace, kind):
+        spec = mutated(all_algebras[name], extra, replace)
+        report = validate_algebra(spec)
+        found = {(v.kind, v.where) for v in report.violations if v.kind.startswith("assoc")}
+        assert found == brute_force_assoc(spec)
+        if kind is None:
+            assert report.ok
+        else:
+            assert any(k == kind for k, _ in found)
 
 
 class TestArithmetic:

@@ -282,3 +282,56 @@ def test_check_validates_algebra_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", JOB_OK)
     assert code == 0 and "PASS algebra axioms" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "1", "--nodes", "8"],
+        ["check", JOB_OK, "--nodes", "8"],
+        ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "-1"],
+        ["eval", JOB_OK, "--point", "nan", "0.4", "0.1"],
+        ["eval", JOB_OK, "--point", "0.3", "inf", "0.1"],
+        ["check", JOB_OK, "--h", "nan"],
+        ["check", JOB_OK, "--h", "0"],
+        ["check", JOB_OK, "--h=-1e-3"],
+    ],
+    ids=["eval-nodes", "check-nodes", "negative-order", "nan-point", "inf-point",
+         "nan-h", "zero-h", "negative-h"],
+)
+def test_bad_numeric_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "U_1" not in out
+
+
+@pytest.mark.parametrize(
+    "job, points, calls",
+    [(JOB_OK, None, 3), (JOB_OK, [[0.3, 0.4, -0.2]], 3),
+     (JOB_OK, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 3),
+     (JOB_T4, None, 2), (JOB_T4, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 2)],
+    ids=["ss2", "ss2-1pt", "ss2-5pt", "t4", "t4-5pt"],
+)
+def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, calls):
+    # Values, CR residuals and (with a pde) PDE residuals: one call each.
+    from monogenica import monogenic, pde
+
+    seen = []
+    explicit = monogenic.eval_explicit
+
+    def counting(ms, p):
+        seen.append(np.shape(p))
+        return explicit(ms, p)
+
+    monkeypatch.setattr(monogenic, "eval_explicit", counting)
+    monkeypatch.setattr(pde, "eval_explicit", counting)
+    if points is not None:
+        data = json.loads(open(job).read())
+        data["points"] = points
+        data["algebra"] = str(fixture_path(data["algebra"]))
+        job = str(tmp_path / "job.json")
+        open(job, "w").write(json.dumps(data))
+    code, out, _ = run(capsys, "check", job)
+    assert code == 0 and "FAIL" not in out
+    assert len(seen) == calls

@@ -12,6 +12,16 @@ from monogenica import (
     default_contour,
     holo_eval,
 )
+from monogenica.holo import HoloSum
+
+STACK_FNS = {
+    "exp": HoloFn.exp(amp=0.5 - 1j, scale=1.3 + 0.2j, shift=0.1j),
+    "sin": HoloFn.sin(scale=-0.7 + 0.4j, shift=0.3),
+    "cos": HoloFn.cos(amp=2.0, scale=0.9j),
+    "poly": HoloFn.poly([1.0, -2.0, 0.5j, 1.0, 0.25 - 0.5j], scale=1.1, shift=-0.2),
+    "series": HoloFn.series(0.5, [1.0, 2.0, -1.0, 0.25, 1j, -0.3], radius=10.0, amp=1j),
+    "sum": HoloSum((HoloFn.exp(scale=0.5), HoloFn.poly([0.0, 1.0, 3.0]), HoloFn.cos())),
+}
 
 
 class TestHoloEval:
@@ -75,6 +85,35 @@ class TestHoloEval:
         f = HoloFn.exp()
         xs = np.array([0.0, 1.0, 1j])
         assert np.allclose(holo_eval(f, 0, xs), np.exp(xs))
+
+
+class TestDerivativeStack:
+    @pytest.mark.parametrize("name", sorted(STACK_FNS))
+    @pytest.mark.parametrize("K", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "xi", [0.3 - 0.4j, np.array([0.0, 1.2 + 0.8j, -0.7 - 0.1j, 2.0])], ids=["scalar", "array"]
+    )
+    def test_matches_eval_per_order(self, name, K, xi):
+        f = STACK_FNS[name]
+        got = f.derivatives(K, xi)
+        ref = np.stack([f.eval(k, xi) for k in range(K + 1)])
+        assert got.shape == (K + 1,) + np.shape(xi)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_zero_polynomial(self):
+        got = HoloFn.zero().derivatives(3, np.array([0.5, 1j]))
+        assert got.shape == (4, 2) and not np.any(got)
+
+    def test_series_overrun_raises_from_both(self):
+        f = HoloFn.series(0.0, [1.0, 1.0], radius=1.0)
+        with pytest.raises(HoloDomainError):
+            f.eval(0, np.array([0.1, 0.95]))
+        with pytest.raises(HoloDomainError):
+            f.derivatives(2, np.array([0.1, 0.95]))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(HoloDomainError):
+            HoloFn.exp().derivatives(-1, 0.0)
 
 
 class TestDefaultContour:

@@ -162,6 +162,16 @@ class TestBatchedExplicit:
             ey, ez = cr_residual(ms, p, evaluator=lambda q: pointwise(ms, q))
             assert max(np.max(np.abs(ry - ey)), np.max(np.abs(rz - ez))) <= 1e-12, name
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_cr_residual_rows_match_points(self, all_monospecs, rng, count):
+        for name, ms in all_monospecs.items():
+            pts = rng.uniform(-1.2, 1.2, (count, 3))
+            ry, rz = cr_residual(ms, pts)
+            assert ry.shape == rz.shape == (count, ms.algebra.n), name
+            for p, gy, gz in zip(pts, ry, rz):
+                ey, ez = cr_residual(ms, tuple(p))
+                assert max(np.max(np.abs(gy - ey)), np.max(np.abs(gz - ez))) <= 1e-12, name
+
 
 class TestIntegral:
     def test_three_way_agreement(self, all_monospecs, rng):

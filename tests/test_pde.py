@@ -210,6 +210,15 @@ class TestPdeResidual:
                 ref = apply_operator(lambda q: pointwise(ms, q), pde, p, 1e-3)
                 assert np.max(np.abs(res - ref)) <= 1e-12, name
 
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_rows_match_points(self, all_monospecs, rng, count):
+        for name, ms in all_monospecs.items():
+            pts = rng.uniform(-1.2, 1.2, (count, 3))
+            res = pde_residual(ms, LAPLACE, pts)
+            assert res.shape == (count, ms.algebra.n), name
+            for p, row in zip(pts, res):
+                assert np.max(np.abs(row - pde_residual(ms, LAPLACE, tuple(p)))) <= 1e-12, name
+
 
 class TestOperatorIdentity:
     def test_characteristic_case_near_zero(self, all_monospecs):
