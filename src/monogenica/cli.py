@@ -4,13 +4,19 @@ A single JSON job file describes the algebra, triad, holomorphic data and
 optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
-Exit codes: 0 success; 1 failed checks (in check, contour quadrature that
-did not converge fails the operator identity), or contour quadrature that
-did not converge in eval; 2 parse/spec errors, holomorphic data, job points
-and numeric options (--nodes below 16, a negative --order, a non-finite
---point, a --h that is not a positive finite number) included; 3 spectrum
-separation errors and evaluation outside a holomorphic function's domain;
-4 output I/O errors.
+eval --order r gives the r-th Gateaux derivative by the route --method
+names: explicit (the default) shifts every derivative stack by r, integral
+integrates W R^(r+1) r! over contours; special has no derivative form and
+is order 0 only.  --compare prints the largest explicit-vs-integral
+deviation of the value at any order.
+
+Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
+converge in eval; 2 parse/spec errors, holomorphic data, job points,
+numeric options (--nodes below 16, a negative --order, a non-finite
+--point, a --h that is not a positive finite number) and --method special
+at --order above 0 or on an algebra with no special form included;
+3 spectrum separation errors and evaluation outside a holomorphic
+function's domain; 4 output I/O errors.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra
 from .fixtures import fixture_path
 from .holo import MIN_NODES, CoincidentSpectrum, HoloDomainError, UnstableQuadrature
-from .monogenic import MonogenicSpec, validate_triad
+from .monogenic import MonogenicSpec, NotSpecial, validate_triad
 from .resolvent import OnSpectrum
 
 EXIT_OK = 0
@@ -104,6 +110,8 @@ def check_options(args) -> None:
         raise JobError(f"--h must be a positive finite number, got {args.h}")
     if getattr(args, "order", 0) < 0:
         raise JobError(f"--order must be >= 0, got {args.order}")
+    if getattr(args, "method", None) == "special" and args.order > 0:
+        raise JobError("--method special has no derivative form; use explicit or integral")
     if not all(math.isfinite(v) for v in getattr(args, "point", None) or ()):
         raise JobError(f"--point needs 3 finite numbers, got {args.point}")
 
@@ -150,30 +158,29 @@ def cmd_eval(args) -> int:
     point = tuple(args.point)
 
     def run(method: str):
-        if args.order > 0:
-            return monogenic.gateaux_derivative(ms, point, args.order, nodes=args.nodes)
         if method == "explicit":
-            return monogenic.eval_explicit(ms, point)
-        if method == "integral":
-            return monogenic.eval_integral(ms, point, nodes=args.nodes)
-        return monogenic.eval_special(ms, point)
+            return monogenic.eval_explicit(ms, point, order=args.order)
+        if method == "special":  # order 0, see check_options
+            return monogenic.eval_special(ms, point)
+        if args.order > 0:
+            return monogenic.gateaux_derivative(
+                ms, point, args.order, nodes=args.nodes, method="integral"
+            )
+        return monogenic.eval_integral(ms, point, nodes=args.nodes)
 
-    compare = args.compare and args.order == 0
     with warnings.catch_warnings():
         # A quadrature that did not converge gives no value to print.
         warnings.simplefilter("error", UnstableQuadrature)
         try:
             value = run(args.method)
-            if compare:
-                explicit = monogenic.eval_explicit(ms, point)
-                integral = monogenic.eval_integral(ms, point, nodes=args.nodes)
+            if args.compare:
+                dev = float(np.max(np.abs(run("explicit") - run("integral"))))
         except UnstableQuadrature as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
     for k, c in enumerate(monogenic.extract_components(value), start=1):
         print(f"U_{k} = {_fmt_c(c)}")
-    if compare:
-        dev = float(np.max(np.abs(explicit - integral)))
+    if args.compare:
         print(f"max cross-method deviation = {dev:.3e}")
     return EXIT_OK
 
@@ -258,17 +265,9 @@ def cmd_check(args) -> int:
             r = pde_mod.pde_residual(ms, pde, pts, h=h)
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
-            try:
-                with warnings.catch_warnings():
-                    # A Gateaux derivative from unconverged quadrature proves nothing.
-                    warnings.simplefilter("error", UnstableQuadrature)
-                    d = pde_mod.operator_identity_check(
-                        ms, pde, points[0], h=h, nodes=args.nodes, discrete=r[0]
-                    )
-                dmax = float(np.max(np.abs(d)))
-                ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
-            except UnstableQuadrature:
-                ok &= _status(False, "operator identity", "quadrature did not converge")
+            d = pde_mod.operator_identity_check(ms, pde, points[0], h=h, discrete=r[0])
+            dmax = float(np.max(np.abs(d)))
+            ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
     try:
         check_options(args)
         return args.func(args)
-    except (JobError, AlgebraError) as exc:
+    except (JobError, AlgebraError, NotSpecial) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OnSpectrum, CoincidentSpectrum, HoloDomainError) as exc:

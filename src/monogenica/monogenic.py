@@ -125,7 +125,7 @@ def extract_components(v: Element) -> list[complex]:
 # -- explicit evaluation -------------------------------------------------------
 
 
-def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
+def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0) -> Element:
     """Partial-fraction representation: exact holomorphic derivatives, no quadrature.
 
     p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
@@ -133,7 +133,15 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
     goes through one pass: the Q-table is built for every point at once,
     each F_u and G_q gives all the derivative orders it needs in one
     `derivatives` call, and the G_q of one idempotent are combined together.
+
+    order = r gives the r-th Gateaux derivative Phi^(r), the monogenic
+    function with data F_u^(r) and G_q^(r): differentiating the Cauchy-type
+    integral r times and integrating by parts on its closed contour turns
+    the integral of W R^(r+1) r! into that of W^(r) R.  So every derivative
+    stack starts at order r and the arithmetic is otherwise unchanged.
     """
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
     spec = ms.algebra
     m, d = spec.m, spec.n - spec.m
     shape = np.shape(p)[:-1]
@@ -158,7 +166,7 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
         cols = np.flatnonzero(u_rad == u)
         # Radical column s needs the derivatives of orders 1..s + 1.
         K = int(cols[-1]) + 1 if cols.size else 0
-        D = f.derivatives(K, w)  # (K + 1, N)
+        D = f.derivatives(K + order, w)[order:]  # (K + 1, N)
         out[u] = D[0]
         if not K:
             continue
@@ -172,7 +180,7 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray]) -> Element:
         np.maximum.at(Kq, q, s + 1)
         DG = np.zeros((Kq.max() + 1, len(cols), len(pts)), dtype=np.complex128)
         for i, qi in enumerate(cols):
-            DG[: Kq[i] + 1, i] = ms.G[qi].derivatives(Kq[i], w)
+            DG[: Kq[i] + 1, i] = ms.G[qi].derivatives(Kq[i] + order, w)[order:]
         out[m + cols] += DG[0]
         if q.size:
             # One term per nonzero I_q I_s -> I_k, summed into I_k in order.
@@ -252,11 +260,26 @@ def eval_integral(ms: MonogenicSpec, p: Point, nodes: int = 256) -> Element:
     return _integral_assembly(ms, p, power=1, nodes=nodes)
 
 
-def gateaux_derivative(ms: MonogenicSpec, p: Point, r: int, nodes: int = 256) -> Element:
-    """r-th Gateaux derivative via contour quadrature of W(t) * R(t)^(r+1) * r!."""
+def gateaux_derivative(
+    ms: MonogenicSpec,
+    p: Union[Point, np.ndarray],
+    r: int,
+    nodes: int = 256,
+    method: str = "explicit",
+) -> Element:
+    """r-th Gateaux derivative Phi^(r).
+
+    method "explicit" is eval_explicit(ms, p, order=r): no quadrature, and p
+    may be an (N, 3) array.  "integral" is the contour quadrature of
+    W(t) * R(t)^(r+1) * r! at one point, kept as the cross-check.
+    """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    return math.factorial(r) * _integral_assembly(ms, p, power=r + 1, nodes=nodes)
+    if method == "explicit":
+        return eval_explicit(ms, p, order=r)
+    if method == "integral":
+        return math.factorial(r) * _integral_assembly(ms, p, power=r + 1, nodes=nodes)
+    raise ValueError(f"unknown method {method!r}: use 'explicit' or 'integral'")
 
 
 # -- special-case evaluation ---------------------------------------------------

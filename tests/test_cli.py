@@ -14,6 +14,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def values(text):
+    """The U_k values printed by eval."""
+    return [complex(float(a), float(b)) for a, b in re.findall(r"U_\d+ = (\S+) (\S+)i", text)]
+
+
 JOB_OK = str(fixture_path("job_laplace_ss2.json"))
 JOB_BAD = str(fixture_path("job_broken_triad.json"))
 JOB_T4 = str(fixture_path("job_square_t4.json"))
@@ -113,10 +118,60 @@ class TestEval:
     def test_unconverged_quadrature_fails(self, capsys):
         # xi_2 - xi_1 = 1e-6 i: the third derivative's contour does not converge.
         code, out, err = run(
-            capsys, "eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3"
+            capsys, "eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3",
+            "--method", "integral",
         )
         assert code == 1
         assert "error:" in err and "did not stabilize" in err
+        assert "U_1" not in out
+
+    @pytest.mark.parametrize("y", ["1e-6", "1e-7"])
+    def test_order_follows_method(self, capsys, y):
+        # The explicit route (the default) needs no contour, so it gives
+        # Phi^(3) = exp(xi_u) where the integral route does not converge.
+        code, out, err = run(capsys, "eval", JOB_OK, "--point", "0.3", y, "0", "--order", "3")
+        assert code == 0 and not err
+        expect = np.exp(0.3 + float(y) * np.array([2j, 1j]))
+        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
+        code, out, err = run(
+            capsys, "eval", JOB_OK, "--point", "0.3", y, "0", "--order", "3",
+            "--method", "integral",
+        )
+        assert code == 1 and "did not stabilize" in err and "U_1" not in out
+
+    def test_compare_at_order(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--order", "2", "--compare"
+        )
+        assert code == 0
+        match = re.search(r"max cross-method deviation = (\S+)", out)
+        assert match and float(match.group(1)) < 1e-8
+
+    def test_special_has_no_derivative(self, capsys):
+        code, out, err = run(
+            capsys, "eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "1",
+            "--method", "special",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "special" in err
+        assert "U_1" not in out
+
+    def test_special_on_general_algebra(self, capsys, tmp_path):
+        job = {
+            "algebra": {"n": 5, "m": 2, "u_map": {"3": 1, "4": 1, "5": 2}},
+            "triad": {"a": [[0.0, 1.0], [0.3, 2.0], 1.0, 0.0, 0.5],
+                      "b": [0.4, 0.7, 0.0, 1.0, 0.2]},
+            "F": [{"kind": "exp"}, {"kind": "sin"}],
+            "G": [{"kind": "cos"}, {"kind": "exp"}, {"kind": "sin"}],
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = ["eval", str(path), "--point", "0.1", "0.2", "0.3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(values(out)) == 5
+        code, out, err = run(capsys, *argv, "--method", "special")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
         assert "U_1" not in out
 
     def test_domain_overrun_exit_code(self, capsys, tmp_path):
@@ -199,16 +254,24 @@ class TestCheck:
         assert "FAIL Cauchy-Riemann" in out
 
     def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
-        # xi_2 - xi_1 = 1e-7 i: Phi'' from the contour route does not converge,
-        # and the characteristic sum (about 1e-16) would hide any value of it.
+        # xi_2 - xi_1 = 1e-7 i, where the contour route's Phi'' does not
+        # converge.  check takes Phi'' from the explicit route, which needs no
+        # contour: the identity passes, and Phi'' = exp(xi_u) componentwise.
         job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
         job["points"] = [[0.3, 1e-7, 0.0]]
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
         code, out, _ = run(capsys, "check", str(path))
-        assert code == 1
-        assert "FAIL operator identity  (quadrature did not converge)" in out
-        assert "PASS operator identity" not in out
+        assert code == 0
+        assert "PASS operator identity" in out
+        code, out, _ = run(
+            capsys, "eval", str(path), "--point", "0.3", "1e-7", "0", "--order", "2"
+        )
+        assert code == 0
+        # xi_u = x + y*a_u + z*b_u with a = (2i, i): not e^0.3, which is
+        # about 2.7e-7 away at this y.
+        expect = np.exp(0.3 + 1e-7 * np.array([2j, 1j]))
+        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
 
 
 class TestErrors:
@@ -320,9 +383,9 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
     seen = []
     explicit = monogenic.eval_explicit
 
-    def counting(ms, p):
-        seen.append(np.shape(p))
-        return explicit(ms, p)
+    def counting(ms, p, order=0):
+        seen.append((np.shape(p), order))
+        return explicit(ms, p, order=order)
 
     monkeypatch.setattr(monogenic, "eval_explicit", counting)
     monkeypatch.setattr(pde, "eval_explicit", counting)
@@ -334,4 +397,7 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
         open(job, "w").write(json.dumps(data))
     code, out, _ = run(capsys, "check", job)
     assert code == 0 and "FAIL" not in out
-    assert len(seen) == calls
+    # Plus, with a pde, one call for Phi^(N) of the operator identity.
+    batched = [shape for shape, order in seen if order == 0]
+    assert len(batched) == calls and all(len(shape) == 2 for shape in batched)
+    assert [order for _, order in seen if order] == ([2] if calls == 3 else [])

@@ -240,21 +240,28 @@ class TestSpecial:
             eval_special(ms, (0.1, 0.2, 0.3))
 
 
+# Each Gateaux test runs on both routes, so the contour route keeps its
+# coverage as the cross-check of the explicit one.
+METHODS = ("explicit", "integral")
+
+
 class TestGateaux:
     def test_semisimple_square_derivative(self, alg_ss2):
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.square(), HoloFn.square()])
         p = (0.6, 0.3, -0.2)
         xi_v = xi_all(alg_ss2, triad, p)
-        got = gateaux_derivative(ms, p, 1)
-        assert np.max(np.abs(got - 2 * xi_v)) < 1e-10
+        for method in METHODS:
+            got = gateaux_derivative(ms, p, 1, method=method)
+            assert np.max(np.abs(got - 2 * xi_v)) < 1e-10, method
 
     def test_d2_exp_reproduces(self, alg_d2):
         triad = fixture_triad("alg_d2")
         ms = MonogenicSpec.create(alg_d2, triad, [HoloFn.exp()], [HoloFn.zero()])
         p = (0.1, 0.5, -0.3)
-        got = gateaux_derivative(ms, p, 1)
-        assert np.max(np.abs(got - eval_explicit(ms, p))) < 1e-10
+        for method in METHODS:
+            got = gateaux_derivative(ms, p, 1, method=method)
+            assert np.max(np.abs(got - eval_explicit(ms, p))) < 1e-10, method
 
     def test_directional_definition(self, all_monospecs):
         eps = 1e-6
@@ -262,41 +269,78 @@ class TestGateaux:
             spec, triad = ms.algebra, ms.triad
             p = (0.25, 0.4, -0.15)
             base = eval_explicit(ms, p)
-            deriv = gateaux_derivative(ms, p, 1)
             dirs = {
                 "e1": (spec.unit(), (1.0, 0.0, 0.0)),
                 "e2": (triad.a_vec, (0.0, 1.0, 0.0)),
                 "e3": (triad.b_vec, (0.0, 0.0, 1.0)),
             }
             scale = 1.0 + float(np.max(np.abs(base)))
-            for h_vec, h_dir in dirs.values():
-                q = tuple(c + eps * d for c, d in zip(p, h_dir))
-                quotient = (eval_explicit(ms, q) - base) / eps
-                expect = spec.multiply(h_vec, deriv)
-                assert np.max(np.abs(quotient - expect)) < 1e-5 * scale, name
+            for method in METHODS:
+                deriv = gateaux_derivative(ms, p, 1, method=method)
+                for h_vec, h_dir in dirs.values():
+                    q = tuple(c + eps * d for c, d in zip(p, h_dir))
+                    quotient = (eval_explicit(ms, q) - base) / eps
+                    expect = spec.multiply(h_vec, deriv)
+                    assert np.max(np.abs(quotient - expect)) < 1e-5 * scale, (name, method)
 
     def test_derivative_tower(self, all_monospecs):
         # Second derivative equals a finite difference of the first.
         h = 1e-4
         for name, ms in all_monospecs.items():
             p = (0.2, 0.3, -0.1)
-            d2 = gateaux_derivative(ms, p, 2)
-            up = gateaux_derivative(ms, (p[0] + h, p[1], p[2]), 1)
-            dn = gateaux_derivative(ms, (p[0] - h, p[1], p[2]), 1)
-            fd = (up - dn) / (2 * h)  # d/dx Phi' = e1 * Phi'' = Phi''
-            assert np.max(np.abs(d2 - fd)) < 1e-4, name
+            for method in METHODS:
+                d2 = gateaux_derivative(ms, p, 2, method=method)
+                up = gateaux_derivative(ms, (p[0] + h, p[1], p[2]), 1, method=method)
+                dn = gateaux_derivative(ms, (p[0] - h, p[1], p[2]), 1, method=method)
+                fd = (up - dn) / (2 * h)  # d/dx Phi' = e1 * Phi'' = Phi''
+                assert np.max(np.abs(d2 - fd)) < 1e-4, (name, method)
 
     def test_derivative_is_monogenic(self, all_monospecs):
         for name, ms in all_monospecs.items():
             p = (0.35, -0.2, 0.45)
-            deriv_at = lambda q: gateaux_derivative(ms, q, 1)
-            ry, rz = cr_residual(ms, p, h=1e-4, evaluator=deriv_at)
-            scale = 1.0 + float(np.max(np.abs(deriv_at(p))))
-            assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, name
+            for method in METHODS:
+                deriv_at = lambda q: gateaux_derivative(ms, q, 1, method=method)
+                ry, rz = cr_residual(ms, p, h=1e-4, evaluator=deriv_at)
+                scale = 1.0 + float(np.max(np.abs(deriv_at(p))))
+                assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, (name, method)
 
     def test_order_must_be_positive(self, all_monospecs):
-        with pytest.raises(ValueError):
-            gateaux_derivative(all_monospecs["alg_d2"], (0, 0, 0), 0)
+        for method in METHODS:
+            with pytest.raises(ValueError):
+                gateaux_derivative(all_monospecs["alg_d2"], (0, 0, 0), 0, method=method)
+
+    def test_unknown_method(self, all_monospecs):
+        with pytest.raises(ValueError, match="unknown method"):
+            gateaux_derivative(all_monospecs["alg_d2"], (0.1, 0.2, 0.3), 1, method="special")
+
+    def test_routes_agree(self, all_monospecs):
+        for name, ms in all_monospecs.items():
+            for p in ((0.25, 0.4, -0.15), (-0.4, 0.6, 0.3)):
+                for r in (1, 2, 3):
+                    ex = gateaux_derivative(ms, p, r)
+                    dev = np.max(np.abs(gateaux_derivative(ms, p, r, method="integral") - ex))
+                    assert dev < 1e-10 * (1.0 + np.max(np.abs(ex))), (name, p, r, dev)
+
+    @pytest.mark.parametrize("y", [1e-6, 1e-7])
+    def test_near_coincident_closed_form(self, alg_ss2, y):
+        # xi_1 - xi_2 = i y: the integral route does not converge here for
+        # r >= 2, while exp data give Phi^(r) = exp(xi_u) in every component.
+        triad = fixture_triad("alg_ss2")
+        ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.exp()])
+        p = (0.3, y, 0.0)
+        expect = np.exp(xi_all(alg_ss2, triad, p))
+        for r in (1, 2, 3):
+            assert np.max(np.abs(gateaux_derivative(ms, p, r) - expect)) < 1e-12, r
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_order_batch_rows_match_points(self, all_monospecs, rng, count):
+        for name, ms in all_monospecs.items():
+            pts = rng.uniform(-1.2, 1.2, (count, 3))
+            for r in (1, 2, 3):
+                batch = eval_explicit(ms, pts, order=r)
+                assert batch.shape == (count, ms.algebra.n), name
+                for p, row in zip(pts, batch):
+                    assert np.array_equal(row, eval_explicit(ms, tuple(p), order=r)), (name, r)
 
 
 class TestCauchyRiemann:
