@@ -13,6 +13,7 @@ All basis indices in the public API are 1-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -167,6 +168,40 @@ class AlgebraSpec:
         return np.array([self.u_map[s] - 1 for s in range(self.m + 1, self.n + 1)], dtype=int)
 
     @cached_property
+    def owner_columns(self) -> tuple[np.ndarray, ...]:
+        """Per idempotent u (0-based), the radical indices s - m - 1 with u_s = u + 1."""
+        return tuple(np.flatnonzero(self.radical_owner == u) for u in range(self.m))
+
+    @cached_property
+    def b_terms(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The nonzero radical_products Y[r, s, p] in levels (s, Y, r * d + p).
+
+        Level l holds the l-th s, in increasing order, of every (r, p)
+        that has more than l of them, so summing the levels in order sums
+        each B[r, p] in a fixed order.
+        """
+        d = self.n - self.m
+        Y = self.radical_products
+        levels: list = []
+        count: dict = {}
+        # np.nonzero runs in C order, so the s of one (r, p) come in increasing order.
+        for r, s, p in zip(*(i.tolist() for i in np.nonzero(Y))):
+            level = count[r, p] = count.get((r, p), -1) + 1
+            if level == len(levels):
+                levels.append(([], [], []))
+            for column, value in zip(levels[level], (s, Y[r, s, p], r * d + p)):
+                column.append(value)
+        return [
+            (np.array(s, dtype=int), np.array(y, dtype=np.complex128), np.array(cells, dtype=int))
+            for s, y, cells in levels
+        ]
+
+    @cached_property
+    def explicit_plan(self) -> "ExplicitPlan":
+        """The term list of the explicit formula, built on first use."""
+        return ExplicitPlan.build(self)
+
+    @cached_property
     def report(self) -> "ValidationReport":
         """validate_algebra(self), run once per algebra."""
         return validate_algebra(self)
@@ -267,6 +302,69 @@ class AlgebraSpec:
         if len(set(u_vals)) == 1:
             return SpecialCase.PROP1
         return SpecialCase.GENERAL
+
+
+@dataclass(frozen=True)
+class ExplicitPlan:
+    """Term list of the explicit formula; it depends only on the structure.
+
+    Rows 0..n-1 of the derivative table are F_1..F_m, then G_{m+1}..G_n.
+    Row i is evaluated at xi of idempotent owner[i] and needs the orders
+    0..orders[i]; the rows follow one another, row i from entry offsets[i]
+    on, so entry offsets[i] is the value of row i.  A term is a nonzero
+    product I_q I_s -> I_k with s radical: q = u_s, for I_{u_s} I_s = I_s,
+    or q radical.  It adds Y[q, s, k] * sum_j Q_{j+2,s} / (j+1)! *
+    row_q^(j+1) to component k, for j = 0..s - m - 1.  The terms are
+    listed one product per (term, j), sorted by k: entries[t] is the table
+    entry of row q at order j + 1, cells[t] the index of Q_{j+2,s} in the
+    flattened (d+3, d) Q-table and weights[t] = Y[q, s, k] / (j+1)!.  The
+    products of component targets[c] start at starts[c].
+    """
+
+    owner: np.ndarray
+    orders: np.ndarray
+    offsets: np.ndarray
+    entries: np.ndarray
+    cells: np.ndarray
+    weights: np.ndarray  # (products, 1)
+    targets: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, spec: AlgebraSpec) -> "ExplicitPlan":
+        m, d = spec.m, spec.n - spec.m
+        Y = spec.mult_tensor[m:, m:, m:]
+        owner = spec.radical_owner.tolist()
+        # (k, q, s, Y[q, s, k]) by k, then q and s.
+        terms = [(s, owner[s], s, 1.0) for s in range(d)]
+        terms += [(k, m + q, s, Y[q, s, k]) for q, s, k in zip(*(i.tolist() for i in np.nonzero(Y)))]
+        terms.sort(key=lambda t: t[:3])
+        orders = [0] * spec.n
+        targets, starts = [], []  # each component k, and its first term
+        for i, (k, q, s, _) in enumerate(terms):
+            orders[q] = max(orders[q], s + 1)
+            if not targets or targets[-1] != m + k:
+                targets.append(m + k)
+                starts.append(i)
+        counts = np.array(orders) + 1
+        offsets = np.cumsum(counts) - counts
+        q, s = (np.array([t[i] for t in terms], dtype=int) for i in (1, 2))
+        y = np.array([t[3] for t in terms], dtype=np.complex128)
+        # One product per (term, j), j = 0..s.
+        first = np.cumsum(s + 1) - (s + 1)
+        term = np.repeat(np.arange(len(terms)), s + 1)
+        j = np.arange(len(term)) - first[term]
+        inv_fact = np.array([1.0 / math.factorial(i) for i in range(1, d + 1)])
+        return cls(
+            owner=np.concatenate([np.arange(m), spec.radical_owner]),
+            orders=np.array(orders),
+            offsets=offsets,
+            entries=offsets[q][term] + j + 1,
+            cells=(j + 2) * d + s[term],
+            weights=(y[term] * inv_fact[j]).reshape(-1, 1),
+            targets=np.array(targets, dtype=int),
+            starts=first[starts],
+        )
 
 
 def validate_algebra(spec: AlgebraSpec) -> ValidationReport:

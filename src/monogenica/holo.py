@@ -140,35 +140,9 @@ class HoloFn:
     def derivatives(self, K: int, xi) -> np.ndarray:
         """f, f', ..., f^(K) at xi, stacked on a new first axis.
 
-        One pass for all orders: exp is evaluated once, sin and cos once
-        each and cycled, polynomials and series by one Horner sweep over the
-        table of derivative coefficients.  Row k equals eval(k, xi).
+        The one-row case of DerivativeStack; row k equals eval(k, xi).
         """
-        if K < 1:
-            # Order 0 alone is eval itself; it also rejects K < 0.
-            return self.eval(K, xi)[None]
-        w = self.scale * np.asarray(xi, dtype=np.complex128) + self.shift
-        if self.kind == "exp":
-            D = np.repeat(np.exp(w)[None], K + 1, axis=0)
-        elif self.kind in ("sin", "cos"):
-            # g, g', -g, -g', ...
-            g0, g1 = (np.sin(w), np.cos(w)) if self.kind == "sin" else (np.cos(w), -np.sin(w))
-            D = np.stack([(g0, g1, -g0, -g1)[k % 4] for k in range(K + 1)])
-        else:
-            if self.kind == "series":
-                w = self._series_arg(w)
-            # Horner as in polyval, all orders at once.  w is repeated to
-            # the full shape, so no product broadcasts a single point.
-            rows = min(K + 1, len(self.coeffs))
-            table = self._coeff_table[:, :rows].reshape((len(self.coeffs), rows) + (1,) * w.ndim)
-            wk = np.repeat(w[None], rows, axis=0)
-            acc = np.zeros_like(wk)
-            for c in table[::-1]:
-                acc = c + acc * wk
-            D = np.zeros((K + 1,) + w.shape, dtype=np.complex128)
-            D[:rows] = acc
-        fac = np.array([self.amp * self.scale**k for k in range(K + 1)])
-        return fac.reshape((K + 1,) + (1,) * w.ndim) * D
+        return _one_row(self, K, xi)
 
 
 @dataclass(frozen=True)
@@ -181,11 +155,178 @@ class HoloSum:
         return sum(p.eval(k, xi) for p in self.parts)
 
     def derivatives(self, K: int, xi) -> np.ndarray:
-        return sum(p.derivatives(K, xi) for p in self.parts)
+        return _one_row(self, K, xi)
 
 
 def holo_eval(f, k: int, xi):
     return f.eval(k, xi)
+
+
+# -- stacked derivatives -------------------------------------------------------
+
+
+def _leaves(f) -> list:
+    """The HoloFn terms of f, the parts of a HoloSum expanded in order."""
+    if isinstance(f, HoloSum):
+        return [leaf for part in f.parts for leaf in _leaves(part)]
+    return [f]
+
+
+class _Gather:
+    """Table entries filled from one base function at the leaves' arguments.
+
+    out[entries] = fac * base(w[leaves])[src], each leaf evaluated once.
+    """
+
+    def __init__(self):
+        self.loc: dict[int, int] = {}
+        self.entries: list = []
+        self.src: list = []
+        self.fac: list = []
+
+    def add(self, leaf: int, entry: int, fac: complex) -> None:
+        self.src.append(self.loc.setdefault(leaf, len(self.loc)))
+        self.entries.append(entry)
+        self.fac.append(fac)
+
+    def freeze(self) -> "_Gather":
+        self.leaves = np.array(list(self.loc), dtype=int)
+        self.entries = np.array(self.entries, dtype=int)
+        self.src = np.array(self.src, dtype=int)
+        self.fac = np.array(self.fac, dtype=np.complex128).reshape(-1, 1)
+        return self
+
+
+class DerivativeStack:
+    """Derivatives of a sequence of holomorphic functions in one pass.
+
+    Row i holds f_i^(lo), ..., f_i^(lo + K_i) at its own arguments xi[i].
+    The rows follow one another in one flat table, row i from entry
+    offsets[i] = sum_{i' < i} (K_i' + 1) on.  All functions of one kind go
+    together, however many there are: one exp; one sin and one cos, cycled
+    with signs; one Horner sweep over a padded table of derivative
+    coefficients for every polynomial and series, after one domain check
+    for all series.  A HoloSum row adds up the rows of its parts.  The
+    constants (amp * scale^k, the tables, the index arrays) are built here,
+    once.  Every operation is elementwise over the points, so a column of
+    the table does not depend on the other columns.
+    """
+
+    def __init__(self, fns: Sequence, K: Sequence[int], lo: int = 0):
+        K = [int(k) for k in K]
+        if lo < 0 or min(K, default=0) < 0:
+            raise HoloDomainError("negative derivative order")
+        counts = np.array(K, dtype=int) + 1
+        self.offsets = np.cumsum(counts) - counts
+        self.size = int(counts.sum())
+        leaves = [(i, leaf) for i, f in enumerate(fns) for leaf in _leaves(f)]
+        rows = [i for i, _ in leaves]
+        self._leaf_row = None if rows == list(range(len(fns))) else np.array(rows, dtype=int)
+        self._scale = np.array([[f.scale] for _, f in leaves], dtype=np.complex128)
+        self._shift = np.array([[f.shift] for _, f in leaves], dtype=np.complex128)
+
+        bases = {np.exp: _Gather(), np.sin: _Gather(), np.cos: _Gather()}
+        poly = []  # (terms, entry, leaf, fac, coefficients) of nonzero poly/series entries
+        centers, radii = {}, {}  # of the poly/series leaves; radii of the series
+        first = self.offsets.tolist()
+        targets = []  # the row entry of each leaf entry
+        for li, (i, f) in enumerate(leaves):
+            if f.kind == "poly":
+                centers[li] = 0.0
+            elif f.kind == "series":
+                centers[li], radii[li] = f.center, f.radius
+            for k in range(lo, lo + K[i] + 1):
+                entry, fac = len(targets), f.amp * f.scale**k
+                targets.append(first[i] + k - lo)
+                if f.kind == "exp":
+                    bases[np.exp].add(li, entry, fac)
+                elif f.kind in ("sin", "cos"):
+                    # sin, cos, -sin, -cos, ... from phase p on.
+                    p = k + (f.kind == "cos")
+                    bases[np.cos if p % 2 else np.sin].add(li, entry, -fac if p % 4 >= 2 else fac)
+                elif k < len(f.coeffs):
+                    # Derivatives of order >= len(coeffs) vanish: no entry.
+                    poly.append((len(f.coeffs) - k, entry, li, fac, f._coeff_table[:, k]))
+        self._leaf_size = len(targets)
+        self._bases = [(fn, g.freeze()) for fn, g in bases.items() if g.entries]
+        self._poly = None
+        if centers:
+            # Longest first, so step j of the sweep runs over a prefix: the
+            # entries with a coefficient of w^j or above.
+            poly.sort(key=lambda t: -t[0])
+            g = _Gather()
+            for leaf in centers:
+                g.loc[leaf] = len(g.loc)
+            for _, entry, leaf, fac, _ in poly:
+                g.add(leaf, entry, fac)
+            terms = np.array([t[0] for t in poly], dtype=int)
+            L = int(terms.max(initial=0))
+            table = np.zeros((L, len(poly), 1), dtype=np.complex128)
+            for col, (n, *_, c) in enumerate(poly):
+                table[:n, col, 0] = c[:n]
+            active = (terms > np.arange(L)[:, None]).sum(axis=1).tolist()
+            self._poly = (
+                g.freeze(),
+                np.array(list(centers.values()), dtype=np.complex128).reshape(-1, 1),
+                np.array([g.loc[leaf] for leaf in radii], dtype=int),
+                np.array(list(radii.values())),
+                list(zip(table[::-1], active[::-1])),
+            )
+        self._sum = None
+        if self._leaf_row is not None:
+            # Leaf entries ordered by the row entry they add to, parts in order.
+            targets = np.array(targets, dtype=int)
+            order = np.argsort(targets, kind="stable")
+            sums, starts = np.unique(targets[order], return_index=True)
+            self._sum = (order, starts, sums)
+
+    def __call__(self, xi) -> np.ndarray:
+        """The flat table, shape (size, N), for arguments xi of shape (rows, N)."""
+        xi = np.asarray(xi, dtype=np.complex128)
+        X = xi if self._leaf_row is None else xi[self._leaf_row]
+        # Constants on the left of every product, as in eval: numpy's complex
+        # multiply is not bitwise commutative, and `a * b` on a large
+        # temporary b may be computed as b * a, so np.multiply is explicit.
+        w = np.multiply(self._scale, X)
+        w += self._shift
+        out = np.zeros((self._leaf_size, w.shape[1]), dtype=np.complex128)
+        for fn, g in self._bases:
+            out[g.entries] = np.multiply(g.fac, fn(w[g.leaves])[g.src])
+        if self._poly is not None:
+            g, center, series, radius, sweep = self._poly
+            v = w[g.leaves]
+            v -= center
+            if series.size:
+                dist = np.max(np.abs(v[series]), axis=1, initial=0.0)
+                over = np.flatnonzero(dist > 0.9 * radius)
+                if over.size:
+                    i = over[0]
+                    raise HoloDomainError(
+                        f"series evaluated at distance {dist[i]:.3g} from its center; "
+                        f"safe radius is {0.9 * radius[i]:.3g}"
+                    )
+            if g.entries.size:
+                # Horner as in polyval; an entry joins at its top coefficient,
+                # where 0 * w + c = c.
+                v = v[g.src]
+                acc = np.zeros_like(v)
+                for c, n in sweep:
+                    a = acc[:n]
+                    a *= v[:n]
+                    a += c[:n]
+                out[g.entries] = np.multiply(g.fac, acc)
+        if self._sum is None:
+            return out
+        order, starts, sums = self._sum
+        total = np.zeros((self.size, out.shape[1]), dtype=np.complex128)
+        total[sums] = np.add.reduceat(out[order], starts, axis=0)
+        return total
+
+
+def _one_row(f, K: int, xi) -> np.ndarray:
+    """f, ..., f^(K) at xi (any shape), stacked on a new first axis."""
+    x = np.asarray(xi, dtype=np.complex128)
+    return DerivativeStack([f], [K])(x.reshape(1, -1)).reshape((K + 1,) + x.shape)
 
 
 # -- JSON form ---------------------------------------------------------------

@@ -26,7 +26,7 @@ from .algebra import (
     algebra_from_dict,
     load_algebra,
 )
-from .holo import contour_integrate, default_contour, holo_from_dict, parse_complex
+from .holo import DerivativeStack, contour_integrate, default_contour, holo_from_dict, parse_complex
 
 Point = tuple[float, float, float]
 
@@ -116,6 +116,18 @@ class MonogenicSpec:
     def validate(self) -> ValidationReport:
         return validate_triad(self.algebra, self.triad)
 
+    @cached_property
+    def _stacks(self) -> dict:
+        return {}
+
+    def derivative_stack(self, order: int = 0) -> DerivativeStack:
+        """F_u then G_q as rows, with the orders order.. that the term list needs."""
+        stack = self._stacks.get(order)
+        if stack is None:
+            orders = self.algebra.explicit_plan.orders
+            stack = self._stacks[order] = DerivativeStack(self.F + self.G, orders, order)
+        return stack
+
 
 def extract_components(v: Element) -> list[complex]:
     """Coordinates U_k of v over the basis; Re/Im are the PDE-facing fields."""
@@ -129,10 +141,19 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0
     """Partial-fraction representation: exact holomorphic derivatives, no quadrature.
 
     p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
-    points, giving an (N, n) array with one row per point.  The whole batch
-    goes through one pass: the Q-table is built for every point at once,
-    each F_u and G_q gives all the derivative orders it needs in one
-    `derivatives` call, and the G_q of one idempotent are combined together.
+    points, giving an (N, n) array with one row per point.  A call costs a
+    fixed number of numpy calls whatever n is, each over the whole batch:
+
+    1. the spectrum xi_u, T, B and the Q-table for every point;
+    2. one DerivativeStack call: every F_u and G_q with the derivative
+       orders the algebra's term list needs, at its own xi_u;
+    3. the values F_u(xi_u) and G_q(xi_{u_q}) as the first estimate;
+    4. one elementwise product per (term, order) of the term list
+       (`AlgebraSpec.explicit_plan`): weight * Q-table cell * derivative;
+    5. one reduceat that sums the products into their components.
+
+    The term list and the stack's constants are built on the first call
+    and kept on the algebra and on ms.
 
     order = r gives the r-th Gateaux derivative Phi^(r), the monogenic
     function with data F_u^(r) and G_q^(r): differentiating the Cauchy-type
@@ -143,65 +164,28 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     spec = ms.algebra
-    m, d = spec.m, spec.n - spec.m
+    plan = spec.explicit_plan
     shape = np.shape(p)[:-1]
     # One point is a batch of one, so it takes the same arithmetic (and the
     # same rounding) as a row of a larger batch.
     pts = np.asarray(p, dtype=float).reshape(-1, 3)
     x, y, z = pts.T
-    xi_v = rsv.spectrum(ms.triad, m, x, y, z)
+    xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
     T = rsv.t_coeffs(spec, ms.triad, y, z)
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    # Qf[j, s, n] = Q_{j+2,s} / (j+1)!, the weight of the derivative of order
-    # j + 1 (j <= s < d); the batch runs along the last axis, as in the
-    # derivative stacks.
-    inv_fact = np.array([1.0 / math.factorial(k) for k in range(1, d + 1)])
-    Qf = np.multiply(Q[:, 2 : d + 2].transpose(1, 2, 0), inv_fact[:, None, None], order="C")
-    u_rad = spec.radical_owner
-    Y = spec.mult_tensor[m:, m:, m:]  # I_q * I_s over the radical
-
-    out = np.zeros((spec.n, len(pts)), dtype=np.complex128)
-    for u, f in enumerate(ms.F):
-        w = xi_v[:, u]
-        cols = np.flatnonzero(u_rad == u)
-        # Radical column s needs the derivatives of orders 1..s + 1.
-        K = int(cols[-1]) + 1 if cols.size else 0
-        D = f.derivatives(K + order, w)[order:]  # (K + 1, N)
-        out[u] = D[0]
-        if not K:
-            continue
-        out[m + cols] += _sum_orders(Qf[:K, cols], D[1:, None])
-        # The G_q of the radical indices owned by u share the argument xi_u.
-        # Each nonzero I_q I_s -> I_k adds sum_j Qf[j, s] G_q^(j+1) I_k, so
-        # G_q needs the orders up to its last such s, plus one.
-        Yu = Y[cols]
-        q, s, k = np.nonzero(Yu)
-        Kq = np.zeros(len(cols), dtype=int)
-        np.maximum.at(Kq, q, s + 1)
-        DG = np.zeros((Kq.max() + 1, len(cols), len(pts)), dtype=np.complex128)
-        for i, qi in enumerate(cols):
-            DG[: Kq[i] + 1, i] = ms.G[qi].derivatives(Kq[i] + order, w)[order:]
-        out[m + cols] += DG[0]
-        if q.size:
-            # One term per nonzero I_q I_s -> I_k, summed into I_k in order.
-            by_k = np.argsort(k, kind="stable")
-            q, s, k = q[by_k], s[by_k], k[by_k]
-            terms = Yu[q, s, k][:, None] * _sum_orders(Qf[: len(DG) - 1, s], DG[1:, q])
-            ks, starts = np.unique(k, return_index=True)
-            out[m + ks] += np.add.reduceat(terms, starts, axis=0)
+    D = ms.derivative_stack(order)(xi_v.T[plan.owner])  # (entries, N)
+    out = D[plan.offsets]
+    if plan.starts.size:
+        # No BLAS contraction here: its rounding depends on the batch size,
+        # and a row of a batch must equal the same point evaluated alone.
+        # The products are taken in place because numpy's complex multiply
+        # is not bitwise commutative, and `a * b` on a large temporary b
+        # may be computed as b * a.
+        terms = Q.reshape(len(pts), Q.shape[1] * Q.shape[2]).T[plan.cells]
+        terms *= plan.weights
+        terms *= D[plan.entries]
+        out[plan.targets] += np.add.reduceat(terms, plan.starts, axis=0)
     return out.T.reshape(shape + (spec.n,))
-
-
-def _sum_orders(W: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """sum_j W[j] * D[j], elementwise and in order of j.
-
-    No BLAS contraction here: its rounding depends on the batch size, and
-    a row of a batch must equal the same point evaluated on its own.
-    """
-    acc = W[0] * D[0]
-    for j in range(1, len(W)):
-        acc += W[j] * D[j]
-    return acc
 
 
 # -- integral evaluation -------------------------------------------------------
@@ -232,7 +216,9 @@ def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> E
     xi_v = xi_all(spec, triad, p)
     T = rsv.t_coeffs(spec, triad, y, z)
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    owner = spec.radical_owner
+    # Everything but W(t) and the powers of 1/(t - xi_u) is the same at
+    # every node, so it is computed once per point.
+    weights = rsv.closed_weights(spec, Q, power)
 
     total = np.zeros(spec.n, dtype=np.complex128)
     clusters = _clusters(xi_v)
@@ -240,15 +226,15 @@ def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> E
     for ci, cluster in enumerate(clusters):
         others = [centers[j] for j in range(len(clusters)) if j != ci]
         contour = default_contour(centers[ci], others, nodes)
+        # F_u for u in the cluster, and G_s for the radical indices they own.
+        parts = [(u, ms.F[u]) for u in cluster]
+        parts += [(spec.m + si, ms.G[si]) for si, u in enumerate(spec.radical_owner) if u in cluster]
 
         def integrand(t: np.ndarray) -> np.ndarray:
             W = np.zeros((spec.n, len(t)), dtype=np.complex128)
-            for u in cluster:
-                W[u] = ms.F[u].eval(0, t)
-            for si, u in enumerate(owner):
-                if u in cluster:
-                    W[spec.m + si] = ms.G[si].eval(0, t)
-            Rp = rsv.assemble_closed(spec, xi_v, Q, t, power)  # (n, N)
+            for i, f in parts:
+                W[i] = f.eval(0, t)
+            Rp = rsv.assemble_closed(spec, xi_v, Q, t, power, weights)  # (n, N)
             return spec.multiply_columns(W, Rp)
 
         total += contour_integrate(integrand, contour)

@@ -47,9 +47,17 @@ def b_coeffs(spec: AlgebraSpec, T: np.ndarray) -> np.ndarray:
     """B[..., r, p] = sum_{s < p} T_s * Y[r, s -> p] for r < p; indices offset by m+1.
 
     T may carry leading batch axes.  The last two axes form a dense
-    (n-m) x (n-m) array whose entries outside r < p stay zero.
+    (n-m) x (n-m) array whose entries outside r < p stay zero.  The sum runs
+    over the nonzero Y only, elementwise and in a fixed order: a BLAS
+    matmul would round a row differently with the batch size wherever
+    several s feed one B[r, p].
     """
-    return np.einsum("...s,rsp->...rp", T, spec.radical_products)
+    d = spec.n - spec.m
+    T = np.asarray(T)
+    B = np.zeros(T.shape[:-1] + (d * d,), dtype=np.complex128)
+    for s, y, cells in spec.b_terms:
+        B[..., cells] += T[..., s] * y
+    return B.reshape(T.shape[:-1] + (d, d))
 
 
 def q_table(spec: AlgebraSpec, T: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -128,8 +136,20 @@ def resolvent_closed(
     return assemble_closed(spec, xi, Q, t)
 
 
+def closed_weights(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> list:
+    """The t-independent part of R(t)^power, one (columns, block) per idempotent.
+
+    block[i, j - 1] = C(j + power - 1, power - 1) * Q_{j+1,s} for the i-th
+    radical column s that idempotent u owns, j = 1..d.
+    """
+    d = spec.n - spec.m
+    binom = np.array([math.comb(j + power - 1, power - 1) for j in range(1, d + 1)])
+    coef = (binom[:, None] * Q[2 : d + 2]).T
+    return [(cols, coef[cols]) for cols in spec.owner_columns]
+
+
 def assemble_closed(
-    spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1
+    spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1, weights=None
 ) -> np.ndarray:
     """R(t)^power from precomputed (xi, Q); t may be an array.
 
@@ -137,22 +157,21 @@ def assemble_closed(
     idempotent coefficient 1/(t - xi_u) becomes (t - xi_u)^(-p) and each
     term Q_k/(t - xi)^k becomes C(k+p-2, p-1) * Q_k/(t - xi)^(k+p-1).  One
     table of inverse powers per idempotent feeds one matrix product over
-    the radical columns it acts on.  Returns shape (n,) for scalar t, or
-    (n, N) for an array of N nodes.
+    the radical columns it owns.  weights = closed_weights(spec, Q, power)
+    may be passed in when one point is assembled at many batches of t.
+    Returns shape (n,) for scalar t, or (n, N) for an array of N nodes.
     """
     m, d = spec.m, spec.n - spec.m
+    if weights is None:
+        weights = closed_weights(spec, Q, power)
     t = np.asarray(t, dtype=np.complex128)
     inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))  # (m, ...)
     # pw[u, j] = (t - xi_u)^(-(power + j)) for j = 0..d
     pw = np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
-    # coef[s, j - 1] weighs pw[u_s, j], j = 1..d, i.e. the term k = j + 1.
-    binom = np.array([math.comb(j + power - 1, power - 1) for j in range(1, d + 1)])
-    coef = (binom[:, None] * Q[2 : d + 2]).T
     out = np.empty((spec.n,) + t.shape, dtype=np.complex128)
     out[:m] = pw[:, 0]
-    for u in range(m):
-        cols = spec.radical_owner == u
-        out[m:][cols] = coef[cols] @ pw[u, 1:]
+    for u, (cols, block) in enumerate(weights):
+        out[m + cols] = block @ pw[u, 1:]
     return out
 
 

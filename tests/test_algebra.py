@@ -296,3 +296,31 @@ def direct_sum_truncated(k1, k2):
     u_map = {m + i: 1 for i in range(1, k1)}
     u_map.update({m + off + i: 2 for i in range(1, k2)})
     return AlgebraSpec.create(n, m, upsilon, u_map)
+
+
+def skewed_basis(spec, rng):
+    """The same algebra in the radical basis J_a = I_a + sum_{b > a} P[b, a] I_b.
+
+    P couples radical indices of one idempotent only, with complex entries,
+    so a product J_r J_s has components on several J_k and several s feed
+    one B[r, p].  The entries of P are multiples of 1/4 and P^-1 is the
+    finite series sum_k (I - P)^k, so the structure constants stay exact
+    while they fit in a double.
+    """
+    n, m = spec.n, spec.m
+    P = np.eye(n, dtype=np.complex128)
+    for a in range(m, n):
+        for b in range(a + 1, n):
+            if spec.u_map[a + 1] == spec.u_map[b + 1]:
+                P[b, a] = complex(*rng.integers(-4, 5, 2)) / 4
+    N = np.eye(n) - P
+    P_inv = sum(np.linalg.matrix_power(N, k) for k in range(n))
+    MJ = np.einsum("ai,bj,abc,kc->ijk", P, P, spec.mult_tensor, P_inv)
+    upsilon = [
+        (r + 1, s + 1, k + 1, MJ[r, s, k])
+        for r in range(m, n)
+        for s in range(r, n)
+        for k in range(n)
+        if MJ[r, s, k] != 0
+    ]
+    return AlgebraSpec.create(n, m, upsilon, spec.u_map)

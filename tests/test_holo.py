@@ -12,7 +12,7 @@ from monogenica import (
     default_contour,
     holo_eval,
 )
-from monogenica.holo import HoloSum
+from monogenica.holo import DerivativeStack, HoloSum
 
 STACK_FNS = {
     "exp": HoloFn.exp(amp=0.5 - 1j, scale=1.3 + 0.2j, shift=0.1j),
@@ -114,6 +114,69 @@ class TestDerivativeStack:
     def test_negative_order_rejected(self):
         with pytest.raises(HoloDomainError):
             HoloFn.exp().derivatives(-1, 0.0)
+
+
+class TestStackedKernel:
+    """One DerivativeStack call over many functions, each at its own points."""
+
+    ROWS = [
+        STACK_FNS["exp"],
+        STACK_FNS["sin"],
+        STACK_FNS["poly"],
+        STACK_FNS["cos"],
+        STACK_FNS["series"],
+        STACK_FNS["sum"],
+        HoloFn.zero(),
+        STACK_FNS["exp"],
+        HoloSum((STACK_FNS["series"], HoloSum((HoloFn.sin(), STACK_FNS["cos"])))),
+    ]
+
+    @pytest.mark.parametrize("lo", [0, 2])
+    @pytest.mark.parametrize("N", [1, 6])
+    def test_rows_match_eval(self, rng, lo, N):
+        K = [3, 0, 6, 5, 7, 2, 1, 4, 9]
+        xi = rng.uniform(-2, 2, (len(K), N)) + 1j * rng.uniform(-2, 2, (len(K), N))
+        stack = DerivativeStack(self.ROWS, K, lo)
+        got = stack(xi)
+        assert got.shape == (sum(K) + len(K), N) == (stack.size, N)
+        for i, f in enumerate(self.ROWS):
+            rows = got[stack.offsets[i] : stack.offsets[i] + K[i] + 1]
+            ref = np.stack([f.eval(lo + k, xi[i]) for k in range(K[i] + 1)])
+            assert np.max(np.abs(rows - ref)) <= 1e-15 * np.max(np.abs(ref)), i
+
+    def test_columns_do_not_depend_on_each_other(self, rng):
+        K = [3, 0, 6, 5, 7, 2, 1, 4, 9]
+        xi = rng.uniform(-2, 2, (len(K), 40)) + 1j * rng.uniform(-2, 2, (len(K), 40))
+        stack = DerivativeStack(self.ROWS, K, 1)
+        got = stack(xi)
+        for j in range(40):
+            assert np.array_equal(got[:, j], stack(xi[:, j : j + 1])[:, 0])
+
+    @pytest.mark.parametrize(
+        "row, lo",
+        [
+            (HoloFn.series(0.0, [1.0, 1.0], radius=1.0), 0),
+            (HoloFn.series(0.0, [1.0, 1.0], radius=1.0, scale=2.0), 0),
+            (HoloSum((HoloFn.exp(), HoloFn.series(0.0, [1.0, 1.0], radius=1.0))), 0),
+            # Orders 2.. of a linear series vanish; the domain still counts.
+            (HoloFn.series(0.0, [1.0, 1.0], radius=1.0), 2),
+        ],
+        ids=["plain", "scaled", "in-sum", "vanishing-orders"],
+    )
+    def test_series_out_of_domain_raises(self, row, lo):
+        ok = HoloFn.series(0.0, [1.0, 2.0, 3.0], radius=10.0)
+        xi = np.array([[0.1, 0.2], [0.3, 0.95], [0.1, 0.2]], dtype=np.complex128)
+        stack = DerivativeStack([ok, row, HoloFn.exp()], [2, 3, 1], lo)
+        with pytest.raises(HoloDomainError):
+            stack(xi)
+        # The same rows inside the domain evaluate.
+        assert np.all(np.isfinite(stack(xi * 0.3)))
+
+    def test_negative_orders_rejected(self):
+        with pytest.raises(HoloDomainError):
+            DerivativeStack([HoloFn.exp()], [-1])
+        with pytest.raises(HoloDomainError):
+            DerivativeStack([HoloFn.exp()], [2], -1)
 
 
 class TestDefaultContour:

@@ -20,9 +20,11 @@ from monogenica import (
     xi_all,
 )
 from monogenica import monogenic
-from monogenica.algebra import AlgebraSpec
+from monogenica.algebra import AlgebraSpec, SpecialCase
+from monogenica.holo import HoloSum
 
 from conftest import fixture_triad, random_triad
+from test_algebra import direct_sum_truncated, skewed_basis
 
 
 def exp_series_oracle(spec, zeta, terms=40):
@@ -144,6 +146,11 @@ class TestBatchedExplicit:
             rows = np.array([eval_explicit(ms, tuple(p)) for p in pts])
             assert got.shape == (count, ms.algebra.n), name
             assert np.max(np.abs(got - rows)) <= 1e-14 * np.max(np.abs(rows)), name
+
+    def test_empty_batch(self, all_monospecs):
+        for name, ms in all_monospecs.items():
+            for r in (0, 2):
+                assert eval_explicit(ms, np.zeros((0, 3)), order=r).shape == (0, ms.algebra.n), name
 
     def test_cr_residual_default_path_is_one_batch(self, all_monospecs, monkeypatch):
         calls = []
@@ -409,3 +416,72 @@ class TestComponents:
         T = t_coeffs(alg_d2, triad, p[1], p[2])
         assert abs(comps[0] - np.exp(xi1)) < 1e-14
         assert abs(comps[1] - T[0] * np.exp(xi1)) < 1e-14
+
+
+def truncated_poly(n):
+    """C[eps]/(eps^n) with I_k = eps^(k-1): m = 1, every product is one I_k."""
+    upsilon = [(r, s, r + s - 1, 1.0) for r in range(2, n + 1) for s in range(r, n + 2 - r)]
+    return AlgebraSpec.create(n, 1, upsilon, {s: 1 for s in range(2, n + 1)})
+
+
+def general_cartan(rng):
+    """C[rho]/rho^6 (+) C[rho]/rho^5 in a skewed radical basis: m = 2, General."""
+    return skewed_basis(direct_sum_truncated(6, 5), rng)
+
+
+def mixed_data(spec):
+    """F and G cycling through every kind, one G a HoloSum."""
+    kinds = [
+        HoloFn.poly([1.0, -0.5j, 0.25, 0.1 + 0.2j], scale=0.9 + 0.1j),
+        HoloFn.exp(amp=0.8 - 0.2j, scale=0.7 + 0.2j, shift=0.1),
+        HoloFn.sin(scale=0.6 - 0.3j),
+        HoloFn.cos(amp=1.2j, shift=-0.2j),
+        HoloFn.series(0.1j, [1.0, 0.5, -0.25j, 0.125, 0.1, -0.05j], radius=50.0, amp=0.7),
+        HoloSum((HoloFn.exp(scale=0.5), HoloFn.poly([0.0, 1.0, 0.5j]))),
+    ]
+    fns = [kinds[i % len(kinds)] for i in range(spec.n)]
+    return fns[: spec.m], fns[spec.m :]
+
+
+class TestRowsAtHigherOrder:
+    """Rows of a batch equal pointwise calls beyond the fixtures' n <= 5."""
+
+    def test_general_algebra_is_general(self, rng):
+        spec = general_cartan(rng)
+        assert spec.report.ok
+        assert spec.classify_special_case() is SpecialCase.GENERAL
+        assert np.iscomplexobj(spec.radical_products)
+        assert np.any(np.imag(list(spec.upsilon.values())))
+        # Some B[r, p] sums several T_s.
+        assert np.max(np.count_nonzero(spec.radical_products, axis=1)) >= 3
+
+    @pytest.mark.parametrize("name", ["trunc8", "trunc16", "general"])
+    def test_order_batch_rows_match_points(self, rng, name):
+        spec = {
+            "trunc8": lambda: truncated_poly(8),
+            "trunc16": lambda: truncated_poly(16),
+            "general": lambda: general_cartan(rng),
+        }[name]()
+        assert spec.report.ok
+        F, G = mixed_data(spec)
+        ms = MonogenicSpec.create(spec, random_triad(spec, rng), F, G)
+        for count in (1, 7, 40):
+            pts = rng.uniform(-1.0, 1.0, (count, 3))
+            for r in range(4):
+                batch = eval_explicit(ms, pts, order=r)
+                assert batch.shape == (count, spec.n)
+                assert np.all(np.isfinite(batch))
+                for p, row in zip(pts, batch):
+                    assert np.array_equal(row, eval_explicit(ms, tuple(p), order=r)), (name, count, r)
+
+    def test_general_algebra_against_integral(self, rng):
+        spec = general_cartan(rng)
+        F, G = mixed_data(spec)
+        ms = MonogenicSpec.create(spec, random_triad(spec, rng), F, G)
+        p = (0.2, 0.6, -0.3)
+        ex = eval_explicit(ms, p)
+        assert np.max(np.abs(eval_integral(ms, p) - ex)) < 1e-10 * (1 + np.max(np.abs(ex)))
+        for r in (1, 2):
+            ex = eval_explicit(ms, p, order=r)
+            dev = np.max(np.abs(gateaux_derivative(ms, p, r, method="integral") - ex))
+            assert dev < 1e-9 * (1 + np.max(np.abs(ex))), r

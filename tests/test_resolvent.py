@@ -18,7 +18,7 @@ from monogenica import (
 from monogenica.resolvent import assemble_closed
 
 from conftest import fixture_triad, random_triad
-from test_algebra import direct_sum_truncated
+from test_algebra import direct_sum_truncated, skewed_basis
 
 
 def geometric_series_resolvent(t, x, T):
@@ -143,6 +143,25 @@ class TestBatchedTables:
                 scale = 1.0 + np.max(np.abs(ref_q), initial=0.0)
                 assert np.max(np.abs(B[i] - ref_b), initial=0.0) <= 1e-14 * scale
                 assert np.max(np.abs(Q[i] - ref_q), initial=0.0) <= 1e-14 * scale
+
+
+    @pytest.mark.parametrize("k1, k2", [(16, 1), (9, 8)])
+    def test_rows_match_points_when_several_s_feed_one_b(self, rng, k1, k2):
+        # Up to 14 T_s feed one B[r, p] here; a BLAS contraction rounds a row
+        # differently with the batch size, the fixed-order sum does not.
+        spec = skewed_basis(direct_sum_truncated(k1, k2), rng)
+        d = spec.n - spec.m
+        assert np.max(np.count_nonzero(spec.radical_products, axis=1)) >= 7
+        for count in (7, 40):
+            T = rng.uniform(-1, 1, (count, d)) + 1j * rng.uniform(-1, 1, (count, d))
+            B = b_coeffs(spec, T)
+            Q = q_table(spec, T, B)
+            for i in range(count):
+                assert np.array_equal(B[i], b_coeffs(spec, T[i]))
+                assert np.array_equal(B[i], b_coeffs(spec, T[i : i + 1])[0])
+                assert np.array_equal(Q[i], q_table(spec, T[i], B[i]))
+            ref_b = loop_b_coeffs(spec, T[0])
+            assert np.max(np.abs(B[0] - ref_b)) <= 1e-13 * np.max(np.abs(ref_b))
 
 
 class TestResolvent:
