@@ -12,14 +12,12 @@ from .algebra import (
     validate_algebra,
 )
 from .holo import (
-    CoincidentSpectrum,
     Contour,
     HoloDomainError,
     HoloFn,
     UnstableQuadrature,
     contour_integrate,
-    default_contour,
-    holo_eval,
+    enclosing_contour,
 )
 from .monogenic import (
     MonogenicSpec,

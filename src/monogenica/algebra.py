@@ -168,11 +168,6 @@ class AlgebraSpec:
         return np.array([self.u_map[s] - 1 for s in range(self.m + 1, self.n + 1)], dtype=int)
 
     @cached_property
-    def owner_columns(self) -> tuple[np.ndarray, ...]:
-        """Per idempotent u (0-based), the radical indices s - m - 1 with u_s = u + 1."""
-        return tuple(np.flatnonzero(self.radical_owner == u) for u in range(self.m))
-
-    @cached_property
     def b_terms(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The nonzero radical_products Y[r, s, p] in levels (s, Y, r * d + p).
 
@@ -235,19 +230,6 @@ class AlgebraSpec:
         if b.tobytes() < a.tobytes():
             a, b = b, a
         return np.einsum("i,j,ijk->k", a, b, self.mult_tensor)
-
-    def multiply_columns(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of matching columns of two (n, N) arrays, shape (n, N).
-
-        a is contracted with the product tensor in one BLAS matmul,
-        (n*n, n) @ (n, N), then b over the second factor's index; the
-        temporaries are O(n^2 N).
-        """
-        n = self.n
-        if a.shape[0] != n or a.shape != b.shape:
-            raise AlgebraError("dimension mismatch in multiply_columns")
-        ab = (self.mult_tensor.reshape(n, n * n).T @ a).reshape(n, n, -1)  # [j, k, t]
-        return np.einsum("jkt,jt->kt", ab, b)
 
     def power(self, a: Element, k: int) -> Element:
         if k < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,16 +21,13 @@ import numpy as np
 QUAD_TOL = 1e-10
 MIN_NODES = 16
 MAX_NODES = 4096
+SAFE_FRACTION = 0.9  # a series is evaluated within this fraction of its radius
 
 _KINDS = ("poly", "exp", "sin", "cos", "series")
 
 
 class HoloDomainError(Exception):
     """Evaluation outside the declared domain or derivative cap."""
-
-
-class CoincidentSpectrum(Exception):
-    """Two spectrum points too close to separate by a contour."""
 
 
 class UnstableQuadrature(RuntimeWarning):
@@ -95,10 +92,10 @@ class HoloFn:
         """w - center, after checking that w stays inside the safe radius."""
         v = np.asarray(w) - self.center
         dist = np.max(np.abs(v))
-        if dist > 0.9 * self.radius:
+        if dist > SAFE_FRACTION * self.radius:
             raise HoloDomainError(
                 f"series evaluated at distance {dist:.3g} from its center; "
-                f"safe radius is {0.9 * self.radius:.3g}"
+                f"safe radius is {SAFE_FRACTION * self.radius:.3g}"
             )
         return v
 
@@ -156,10 +153,6 @@ class HoloSum:
 
     def derivatives(self, K: int, xi) -> np.ndarray:
         return _one_row(self, K, xi)
-
-
-def holo_eval(f, k: int, xi):
-    return f.eval(k, xi)
 
 
 # -- stacked derivatives -------------------------------------------------------
@@ -298,12 +291,12 @@ class DerivativeStack:
             v -= center
             if series.size:
                 dist = np.max(np.abs(v[series]), axis=1, initial=0.0)
-                over = np.flatnonzero(dist > 0.9 * radius)
+                over = np.flatnonzero(dist > SAFE_FRACTION * radius)
                 if over.size:
                     i = over[0]
                     raise HoloDomainError(
                         f"series evaluated at distance {dist[i]:.3g} from its center; "
-                        f"safe radius is {0.9 * radius[i]:.3g}"
+                        f"safe radius is {SAFE_FRACTION * radius[i]:.3g}"
                     )
             if g.entries.size:
                 # Horner as in polyval; an entry joins at its top coefficient,
@@ -388,48 +381,90 @@ class Contour:
             raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
 
 
-def default_contour(xi_u: complex, others: Sequence[complex], nodes: int = 256) -> Contour:
-    """Circle around xi_u avoiding every other spectrum point."""
-    others = [o for o in others]
-    if not others:
-        return Contour(xi_u, 1.0, nodes)
-    dmin = min(abs(complex(o) - xi_u) for o in others)
-    if dmin <= 1e-10:
-        raise CoincidentSpectrum(
-            f"spectrum point within {dmin:.3g} of {xi_u}; cannot separate contours"
+def enclosing_contour(xi, fns: Sequence, nodes: int = 256) -> Contour:
+    """One circle around every point of xi, inside every series' safe disc.
+
+    The centre is the mean of the points and the radius max(2 delta, 1),
+    delta the largest distance of a point from the centre.  The radius is
+    capped so that the circle stays inside the disc where each series leaf
+    of fns (HoloSum parts included) may be evaluated: radius
+    SAFE_FRACTION * radius / |scale| about (center - shift) / scale, less a
+    rounding margin.  If the cap leaves no radius above 1.1 delta, too
+    little room between the circle and the points for the trapezoid rule,
+    HoloDomainError is raised.
+    """
+    points = [complex(v) for v in np.ravel(xi)]
+    center = sum(points) / len(points)
+    delta = max(abs(v - center) for v in points)
+    radius = max(2.0 * delta, 1.0)
+    for leaf in (leaf for f in fns for leaf in _leaves(f)):
+        if leaf.kind != "series" or leaf.scale == 0 or not math.isfinite(leaf.radius):
+            continue
+        size = abs(leaf.scale)
+        reach = SAFE_FRACTION * leaf.radius / size
+        disc = (leaf.center - leaf.shift) / leaf.scale
+        # Rounding in scale * t + shift - center, in units of t.
+        slack = 1e-13 * (abs(center) + reach + (abs(leaf.center) + abs(leaf.shift)) / size)
+        radius = min(radius, reach - abs(center - disc) - slack)
+    if not radius > 1.1 * delta:
+        raise HoloDomainError(
+            f"no circle around the spectrum points (within {delta:.3g} of {center:.6g}) "
+            f"fits inside every series' safe disc"
         )
-    return Contour(xi_u, 0.5 * dmin, nodes)
+    return Contour(center, radius, nodes)
 
 
-def contour_integrate(g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int = MAX_NODES):
+@lru_cache(maxsize=32)
+def _unit_roots(nn: int, offset: float) -> np.ndarray:
+    """exp(2 pi i (j + offset) / nn) for j < nn, read-only: the nodes on the unit circle."""
+    w = np.exp(2j * np.pi * (np.arange(nn) + offset) / nn)
+    w.flags.writeable = False
+    return w
+
+
+def contour_integrate(
+    g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int = MAX_NODES, contract=None
+):
     """(1 / 2*pi*i) * integral of g over the circle, adaptive trapezoid rule.
 
     g is called with an ndarray of nodes t_j and must return an array whose
-    last axis runs over the nodes.  The node count doubles until two
-    successive quadratures agree to tol or max_nodes is reached (an
-    UnstableQuadrature warning is emitted in the latter case).
+    last axis runs over the nodes.  contract, if given, maps each
+    quadrature of g to the value that is tested and returned (for example
+    the algebra arithmetic that turns integrated moments into an element).
+    The first call evaluates g on the 2n nodes of the 2n-node rule,
+    n = contour.nodes: the n-node rule's nodes (the even ones) first, then
+    the n halfway between them.  The node count then doubles, each time
+    evaluating g only at the new nodes halfway between the old ones, until
+    two successive rules agree to tol or the rule has max_nodes nodes (an
+    UnstableQuadrature warning is emitted in the latter case, and the last
+    rule returned).
     """
+    finish = contract or (lambda v: v)
 
-    def node_sum(nn: int, offset: float):
-        w = np.exp(2j * np.pi * (np.arange(nn) + offset) / nn)
-        vals = np.asarray(g(contour.center + contour.radius * w), dtype=np.complex128)
-        return vals @ w
+    def values(w: np.ndarray) -> np.ndarray:
+        return np.asarray(g(contour.center + contour.radius * w), dtype=np.complex128)
 
-    # The 2n-node rule is the n-node rule plus the n nodes halfway between
-    # its nodes, so each doubling evaluates g only at the new nodes.
+    # Each rule's sum runs over a contiguous slice of the first call.
     n = contour.nodes
-    acc = node_sum(n, 0.0)
-    prev = contour.radius / n * acc
-    while n < max_nodes:
-        acc = acc + node_sum(n, 0.5)
-        n *= 2
-        cur = contour.radius / n * acc
+    w0, w1 = _unit_roots(n, 0.0), _unit_roots(n, 0.5)
+    vals = values(np.concatenate([w0, w1]))
+    acc = vals[..., :n] @ w0
+    prev = finish(contour.radius / n * acc)
+    acc = acc + vals[..., n:] @ w1
+    n *= 2
+    while True:
+        cur = finish(contour.radius / n * acc)
         if np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
             return cur
+        if n >= max_nodes:
+            break
+        w = _unit_roots(n, 0.5)
+        acc = acc + values(w) @ w
+        n *= 2
         prev = cur
     warnings.warn(
-        f"contour quadrature did not stabilize to {tol:g} at {max_nodes} nodes",
+        f"contour quadrature did not stabilize to {tol:g} at {n} nodes",
         UnstableQuadrature,
         stacklevel=2,
     )
-    return prev
+    return cur

@@ -26,7 +26,13 @@ from .algebra import (
     algebra_from_dict,
     load_algebra,
 )
-from .holo import DerivativeStack, contour_integrate, default_contour, holo_from_dict, parse_complex
+from .holo import (
+    DerivativeStack,
+    contour_integrate,
+    enclosing_contour,
+    holo_from_dict,
+    parse_complex,
+)
 
 Point = tuple[float, float, float]
 
@@ -128,6 +134,11 @@ class MonogenicSpec:
             stack = self._stacks[order] = DerivativeStack(self.F + self.G, orders, order)
         return stack
 
+    @cached_property
+    def value_stack(self) -> DerivativeStack:
+        """F_u then G_q as rows, order 0 only: W(t) at the contour nodes."""
+        return DerivativeStack(self.F + self.G, [0] * self.algebra.n)
+
 
 def extract_components(v: Element) -> list[complex]:
     """Coordinates U_k of v over the basis; Re/Im are the PDE-facing fields."""
@@ -191,58 +202,43 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0
 # -- integral evaluation -------------------------------------------------------
 
 
-def _clusters(xi_v: np.ndarray) -> list[list[int]]:
-    """Group 0-based idempotent indices whose xi values coincide exactly.
-
-    Distinct clusters separated by <= 1e-10 are rejected upstream by
-    default_contour (CoincidentSpectrum).
-    """
-    groups: dict[complex, list[int]] = {}
-    for u, val in enumerate(xi_v):
-        groups.setdefault(complex(val), []).append(u)
-    return list(groups.values())
-
-
 def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> Element:
-    """Sum of cluster contour integrals of W(t) * R(t)^power.
+    """(1/2 pi i) * contour integral of W(t) * R(t)^power over one circle.
 
-    W collects F_u on the cluster's idempotents and G_s on the radical
-    indices attached to them; power = 1 gives the function itself,
+    W = sum_u I_u F_u + sum_s I_s G_s; power = 1 gives the function itself,
     power = r + 1 (with an r! factor applied by the caller) the r-th
-    Gateaux derivative.
+    Gateaux derivative.  The circle (enclosing_contour) goes around every
+    xi_u at once: W cancels R's poles idempotent by idempotent, so they
+    need no separate contours.  R^power is sum_{u,l} C[:, u, l] *
+    (t - xi_u)^(-(power + l)) (resolvent.closed_coeffs), so the quadrature
+    integrates the scalar moments W_i(t) * (t - xi_u)^(-(power + l)), one
+    product per batch of nodes, and the algebra arithmetic runs once per
+    rule: A[i, j] = sum_{u,l} moment[i, u, l] * C[j, u, l], then the
+    product tensor, Phi_k = sum_{i,j} A[i, j] * M[i, j, k].
     """
-    spec, triad = ms.algebra, ms.triad
+    spec = ms.algebra
+    n, d = spec.n, spec.n - spec.m
     x, y, z = p
-    xi_v = xi_all(spec, triad, p)
-    T = rsv.t_coeffs(spec, triad, y, z)
-    Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    # Everything but W(t) and the powers of 1/(t - xi_u) is the same at
-    # every node, so it is computed once per point.
-    weights = rsv.closed_weights(spec, Q, power)
+    xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
+    T = rsv.t_coeffs(spec, ms.triad, y, z)
+    C = rsv.closed_coeffs(spec, rsv.q_table(spec, T, rsv.b_coeffs(spec, T)), power).reshape(n, -1)
+    M = spec.mult_tensor.reshape(n * n, n)
+    contour = enclosing_contour(xi_v, ms.F + ms.G, nodes)
+    stack = ms.value_stack
 
-    total = np.zeros(spec.n, dtype=np.complex128)
-    clusters = _clusters(xi_v)
-    centers = [xi_v[c[0]] for c in clusters]
-    for ci, cluster in enumerate(clusters):
-        others = [centers[j] for j in range(len(clusters)) if j != ci]
-        contour = default_contour(centers[ci], others, nodes)
-        # F_u for u in the cluster, and G_s for the radical indices they own.
-        parts = [(u, ms.F[u]) for u in cluster]
-        parts += [(spec.m + si, ms.G[si]) for si, u in enumerate(spec.radical_owner) if u in cluster]
+    def moments(t: np.ndarray) -> np.ndarray:
+        W = stack(np.broadcast_to(t, (n, len(t))))  # (n, N)
+        pw = rsv.inverse_powers(xi_v, t, power, d)  # (m, d + 1, N)
+        return (W[:, None, None] * pw).reshape(-1, len(t))
 
-        def integrand(t: np.ndarray) -> np.ndarray:
-            W = np.zeros((spec.n, len(t)), dtype=np.complex128)
-            for i, f in parts:
-                W[i] = f.eval(0, t)
-            Rp = rsv.assemble_closed(spec, xi_v, Q, t, power, weights)  # (n, N)
-            return spec.multiply_columns(W, Rp)
+    def contract(mu: np.ndarray) -> Element:
+        return (mu.reshape(n, -1) @ C.T).reshape(-1) @ M
 
-        total += contour_integrate(integrand, contour)
-    return total
+    return contour_integrate(moments, contour, contract=contract)
 
 
 def eval_integral(ms: MonogenicSpec, p: Point, nodes: int = 256) -> Element:
-    """Cauchy-type integral representation over circles around the xi_u."""
+    """Cauchy-type integral representation over one circle around the xi_u."""
     return _integral_assembly(ms, p, power=1, nodes=nodes)
 
 

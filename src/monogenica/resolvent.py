@@ -136,43 +136,40 @@ def resolvent_closed(
     return assemble_closed(spec, xi, Q, t)
 
 
-def closed_weights(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> list:
-    """The t-independent part of R(t)^power, one (columns, block) per idempotent.
-
-    block[i, j - 1] = C(j + power - 1, power - 1) * Q_{j+1,s} for the i-th
-    radical column s that idempotent u owns, j = 1..d.
-    """
-    d = spec.n - spec.m
-    binom = np.array([math.comb(j + power - 1, power - 1) for j in range(1, d + 1)])
-    coef = (binom[:, None] * Q[2 : d + 2]).T
-    return [(cols, coef[cols]) for cols in spec.owner_columns]
-
-
-def assemble_closed(
-    spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1, weights=None
-) -> np.ndarray:
-    """R(t)^power from precomputed (xi, Q); t may be an array.
+def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarray:
+    """C[j, u, l]: coefficient of (t - xi_u)^(-(power + l)) in component j of R(t)^power.
 
     dR/dt = -R^2 gives R^p = (-1)^(p-1)/(p-1)! * d^(p-1)R/dt^(p-1), so the
-    idempotent coefficient 1/(t - xi_u) becomes (t - xi_u)^(-p) and each
-    term Q_k/(t - xi)^k becomes C(k+p-2, p-1) * Q_k/(t - xi)^(k+p-1).  One
-    table of inverse powers per idempotent feeds one matrix product over
-    the radical columns it owns.  weights = closed_weights(spec, Q, power)
-    may be passed in when one point is assembled at many batches of t.
-    Returns shape (n,) for scalar t, or (n, N) for an array of N nodes.
+    idempotent coefficient 1/(t - xi_u) becomes (t - xi_u)^(-p), C[u, u, 0]
+    = 1, and each term Q_k/(t - xi)^k of a radical column s owned by u
+    becomes C(k+p-2, p-1) * Q_k/(t - xi_u)^(k+p-1), C[s, u, k - 1] for
+    k = 2..d+1.  Shape (n, m, d + 1), d = n - m; it does not depend on t.
     """
     m, d = spec.m, spec.n - spec.m
-    if weights is None:
-        weights = closed_weights(spec, Q, power)
+    binom = np.array([math.comb(l + power - 1, power - 1) for l in range(1, d + 1)])
+    C = np.zeros((spec.n, m, d + 1), dtype=np.complex128)
+    C[np.arange(m), np.arange(m), 0] = 1.0
+    C[m + np.arange(d), spec.radical_owner, 1:] = (binom[:, None] * Q[2 : d + 2]).T
+    return C
+
+
+def inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:
+    """pw[u, l] = (t - xi_u)^(-(power + l)) for l = 0..d; shape (m, d + 1) + t.shape."""
     t = np.asarray(t, dtype=np.complex128)
     inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))  # (m, ...)
-    # pw[u, j] = (t - xi_u)^(-(power + j)) for j = 0..d
-    pw = np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
-    out = np.empty((spec.n,) + t.shape, dtype=np.complex128)
-    out[:m] = pw[:, 0]
-    for u, (cols, block) in enumerate(weights):
-        out[m + cols] = block @ pw[u, 1:]
-    return out
+    return np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
+
+
+def assemble_closed(spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1) -> np.ndarray:
+    """R(t)^power from precomputed (xi, Q); t may be an array.
+
+    One matrix product of the coefficients closed_coeffs(spec, Q, power)
+    with the inverse powers of t - xi_u.  Returns shape (n,) for scalar t,
+    or (n, N) for an array of N nodes.
+    """
+    C = closed_coeffs(spec, Q, power).reshape(spec.n, -1)
+    pw = inverse_powers(xi, t, power, spec.n - spec.m)
+    return (C @ pw.reshape(C.shape[1], -1)).reshape((spec.n,) + pw.shape[2:])
 
 
 @dataclass(frozen=True)

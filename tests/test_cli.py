@@ -22,6 +22,16 @@ def values(text):
 JOB_OK = str(fixture_path("job_laplace_ss2.json"))
 JOB_BAD = str(fixture_path("job_broken_triad.json"))
 JOB_T4 = str(fixture_path("job_square_t4.json"))
+COS_SCALE = 60.0
+
+
+def cos_job(tmp_path):
+    """job_laplace_ss2 with F_1 = cos(60 xi), written to tmp_path."""
+    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+    job["F"][0] = {"kind": "cos", "scale": COS_SCALE}
+    path = tmp_path / "cos.json"
+    path.write_text(json.dumps(job))
+    return str(path)
 
 
 class TestValidate:
@@ -93,8 +103,7 @@ class TestEval:
         assert max(abs(x - y) for x, y in zip(v0, v1)) < 1e-8
 
     def test_exactly_coincident_spectrum_is_fine(self, capsys):
-        # y = z = 0 collapses every xi_u to x; the shared-contour path
-        # still evaluates (both idempotents share one cluster).
+        # y = z = 0 collapses every xi_u to x; one circle goes around both.
         code, out, _ = run(
             capsys, "eval", JOB_OK, "--point", "0.5", "0.0", "0.0", "--method", "integral"
         )
@@ -103,22 +112,23 @@ class TestEval:
         assert abs(complex(float(match.group(1)), float(match.group(2))) - np.exp(0.5)) < 1e-10
 
     def test_near_coincident_spectrum_exit_code(self, capsys, tmp_path):
-        # xi_1 and xi_2 a hair apart cannot be separated by contours.
+        # xi_1 and xi_2 a hair apart share one circle.
         job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
         job["triad"]["a"] = [[0.0, 1.0], [1e-11, 1.0]]
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
-        code, _, err = run(
-            capsys, "eval", str(path), "--point", "0.5", "1.0", "0.0", "--method", "integral"
-        )
-        assert code == 3
-        assert "error:" in err
+        argv = ["eval", str(path), "--point", "0.5", "1.0", "0.0"]
+        code, out, err = run(capsys, *argv, "--method", "integral")
+        assert code == 0 and not err
+        explicit = values(run(capsys, *argv)[1])
+        assert np.max(np.abs(np.array(values(out)) - explicit)) < 1e-10
 
-
-    def test_unconverged_quadrature_fails(self, capsys):
-        # xi_2 - xi_1 = 1e-6 i: the third derivative's contour does not converge.
+    def test_unconverged_quadrature_fails(self, capsys, tmp_path):
+        # cos(60 t) reaches e^60 on the circle, so rounding alone keeps
+        # successive rules apart by far more than the tolerance.
+        path = cos_job(tmp_path)
         code, out, err = run(
-            capsys, "eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3",
+            capsys, "eval", path, "--point", "0.3", "1e-6", "0", "--order", "3",
             "--method", "integral",
         )
         assert code == 1
@@ -126,18 +136,31 @@ class TestEval:
         assert "U_1" not in out
 
     @pytest.mark.parametrize("y", ["1e-6", "1e-7"])
-    def test_order_follows_method(self, capsys, y):
+    def test_order_follows_method(self, capsys, tmp_path, y):
         # The explicit route (the default) needs no contour, so it gives
-        # Phi^(3) = exp(xi_u) where the integral route does not converge.
-        code, out, err = run(capsys, "eval", JOB_OK, "--point", "0.3", y, "0", "--order", "3")
+        # Phi^(3) = (F_1^(3)(xi_1), F_2^(3)(xi_2)) where the integral route
+        # does not converge.
+        path = cos_job(tmp_path)
+        code, out, err = run(capsys, "eval", path, "--point", "0.3", y, "0", "--order", "3")
         assert code == 0 and not err
-        expect = np.exp(0.3 + float(y) * np.array([2j, 1j]))
-        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
+        xi = 0.3 + float(y) * np.array([2j, 1j])
+        expect = np.array([COS_SCALE**3 * np.sin(COS_SCALE * xi[0]), np.exp(xi[1])])
+        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12 * np.max(np.abs(expect))
         code, out, err = run(
-            capsys, "eval", JOB_OK, "--point", "0.3", y, "0", "--order", "3",
+            capsys, "eval", path, "--point", "0.3", y, "0", "--order", "3",
             "--method", "integral",
         )
         assert code == 1 and "did not stabilize" in err and "U_1" not in out
+
+    def test_near_coincident_integral_converges(self, capsys):
+        # xi_2 - xi_1 = 1e-6 i: one circle of radius 1 around both.
+        argv = ["eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3"]
+        code, out, err = run(capsys, *argv, "--method", "integral", "--compare")
+        assert code == 0 and not err
+        expect = np.exp(0.3 + 1e-6 * np.array([2j, 1j]))
+        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
+        match = re.search(r"max cross-method deviation = (\S+)", out)
+        assert match and float(match.group(1)) < 1e-12
 
     def test_compare_at_order(self, capsys):
         code, out, _ = run(
@@ -175,8 +198,8 @@ class TestEval:
         assert "U_1" not in out
 
     def test_domain_overrun_exit_code(self, capsys, tmp_path):
-        # A series F of radius 1 centred on xi: the integral route's contour
-        # leaves the series' safe disc.
+        # A series F of radius 1 centred on xi: the integral route's circle
+        # shrinks to stay inside the series' safe disc.
         point = (0.2, 0.3, -0.1)
         xi = point[0] + point[1] * 1j + point[2] * complex(0.3, 0.2)
         job = {
@@ -189,10 +212,30 @@ class TestEval:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(job))
         argv = ["eval", str(path), "--point"] + [str(v) for v in point]
+        code, explicit, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--method", "integral")
+        assert code == 0 and not err
+        assert np.max(np.abs(np.array(values(out)) - values(explicit))) < 1e-10
+
+    def test_no_enclosing_circle_exit_code(self, capsys, tmp_path):
+        # xi_1, xi_2 = -0.6 + 0.6i, 0.6 + 0.6i lie on a chord near the edge
+        # of F_1's safe disc (0.9 about 0): no circle around both fits.
+        job = {
+            "algebra": "alg_ss2.json",
+            "triad": {"a": [[0.0, 0.6], [0.0, 0.6]], "b": [-0.6, 0.6]},
+            "F": [{"kind": "series", "center": 0.0, "radius": 1.0, "coeffs": [1.0, 0.5]},
+                  {"kind": "exp"}],
+            "G": [],
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = ["eval", str(path), "--point", "0", "1", "1"]
         assert run(capsys, *argv)[0] == 0
-        code, _, err = run(capsys, *argv, "--method", "integral")
+        code, out, err = run(capsys, *argv, "--method", "integral")
         assert code == 3
-        assert "error:" in err and "series" in err
+        assert err.startswith("error: ") and "series" in err and "Traceback" not in err
+        assert "U_1" not in out
 
 
 class TestGrid:
@@ -330,7 +373,8 @@ class TestErrors:
             assert "bad job spec" in err
 
 
-def test_check_validates_algebra_once(capsys, monkeypatch):
+def counting_validations(monkeypatch) -> list:
+    """Record every validate_algebra call, where algebra and cli look it up."""
     from monogenica import algebra, cli
 
     calls = []
@@ -342,7 +386,19 @@ def test_check_validates_algebra_once(capsys, monkeypatch):
 
     monkeypatch.setattr(algebra, "validate_algebra", counting)
     monkeypatch.setattr(cli, "validate_algebra", counting)
+    return calls
+
+
+def test_check_validates_algebra_once(capsys, monkeypatch):
+    calls = counting_validations(monkeypatch)
     code, out, _ = run(capsys, "check", JOB_OK)
+    assert code == 0 and "PASS algebra axioms" in out
+    assert len(calls) == 1
+
+
+def test_validate_validates_algebra_once(capsys, monkeypatch):
+    calls = counting_validations(monkeypatch)
+    code, out, _ = run(capsys, "validate", JOB_OK)
     assert code == 0 and "PASS algebra axioms" in out
     assert len(calls) == 1
 

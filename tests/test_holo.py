@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogenica import (
-    CoincidentSpectrum,
     Contour,
     HoloDomainError,
     HoloFn,
     contour_integrate,
-    default_contour,
-    holo_eval,
+    enclosing_contour,
 )
 from monogenica.holo import DerivativeStack, HoloSum
 
@@ -28,33 +28,33 @@ class TestHoloEval:
     def test_exp_derivatives_at_zero(self):
         f = HoloFn.exp()
         for k in range(6):
-            assert holo_eval(f, k, 0.0) == 1.0
+            assert f.eval(k, 0.0) == 1.0
 
     def test_poly_derivative(self):
         f = HoloFn.square()
-        assert holo_eval(f, 1, 2 + 1j) == 4 + 2j
-        assert holo_eval(f, 2, 2 + 1j) == 2.0
-        assert holo_eval(f, 3, 2 + 1j) == 0.0
+        assert f.eval(1, 2 + 1j) == 4 + 2j
+        assert f.eval(2, 2 + 1j) == 2.0
+        assert f.eval(3, 2 + 1j) == 0.0
 
     def test_sin_second_derivative(self):
         f = HoloFn.sin()
-        assert abs(holo_eval(f, 2, 1.0) + math.sin(1.0)) < 1e-15
+        assert abs(f.eval(2, 1.0) + math.sin(1.0)) < 1e-15
 
     def test_series_matches_function(self):
         # exp around 0 as a truncated series.
         coeffs = [1.0 / math.factorial(k) for k in range(25)]
         f = HoloFn.series(0.0, coeffs, radius=4.0)
         for k in range(3):
-            assert abs(holo_eval(f, k, 1.2 + 0.3j) - np.exp(1.2 + 0.3j)) < 1e-12
+            assert abs(f.eval(k, 1.2 + 0.3j) - np.exp(1.2 + 0.3j)) < 1e-12
 
     def test_series_radius_guard(self):
         f = HoloFn.series(0.0, [1.0, 1.0], radius=1.0)
         with pytest.raises(HoloDomainError):
-            holo_eval(f, 0, 0.95)
+            f.eval(0, 0.95)
 
     def test_negative_order_rejected(self):
         with pytest.raises(HoloDomainError):
-            holo_eval(HoloFn.exp(), -1, 0.0)
+            HoloFn.exp().eval(-1, 0.0)
 
     @pytest.mark.parametrize(
         "f",
@@ -70,21 +70,21 @@ class TestHoloEval:
         h = 1e-5
         for k in range(3):
             for xi in (0.3, -1.2 + 0.8j, 2.5 - 1.0j):
-                fd = (holo_eval(f, k, xi + h) - holo_eval(f, k, xi - h)) / (2 * h)
-                assert abs(fd - holo_eval(f, k + 1, xi)) < 1e-6
+                fd = (f.eval(k, xi + h) - f.eval(k, xi - h)) / (2 * h)
+                assert abs(fd - f.eval(k + 1, xi)) < 1e-6
 
     def test_scale_shift_rule(self):
         c, alpha, beta = 2.0 - 1.0j, 0.7 + 0.3j, -0.4j
         f = HoloFn.sin(amp=c, scale=alpha, shift=beta)
         for k in range(4):
             xi = 1.1 - 0.2j
-            direct = c * alpha**k * holo_eval(HoloFn.sin(), k, alpha * xi + beta)
-            assert abs(holo_eval(f, k, xi) - direct) < 1e-13
+            direct = c * alpha**k * HoloFn.sin().eval(k, alpha * xi + beta)
+            assert abs(f.eval(k, xi) - direct) < 1e-13
 
     def test_vectorized_over_points(self):
         f = HoloFn.exp()
         xs = np.array([0.0, 1.0, 1j])
-        assert np.allclose(holo_eval(f, 0, xs), np.exp(xs))
+        assert np.allclose(f.eval(0, xs), np.exp(xs))
 
 
 class TestDerivativeStack:
@@ -179,27 +179,99 @@ class TestStackedKernel:
             DerivativeStack([HoloFn.exp()], [2], -1)
 
 
+def _series_leaves(fns):
+    for f in fns:
+        for leaf in f.parts if isinstance(f, HoloSum) else (f,):
+            if leaf.kind == "series":
+                yield leaf
+
+
+def _outside(leaf, t):
+    """Largest distance of the leaf's arguments at t from its centre, over its safe radius."""
+    return np.max(np.abs(leaf.scale * t + leaf.shift - leaf.center)) / (0.9 * leaf.radius)
+
+
+_coord = st.floats(-1.0, 1.0)
+_cplx = st.builds(complex, _coord, _coord)
+_series = st.builds(
+    lambda c, r, s, sh: HoloFn.series(c, [1.0, 0.5j, 0.25], radius=r, scale=s, shift=sh),
+    _cplx,
+    st.floats(0.05, 20.0),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda s: abs(s) >= 0.1),
+    _cplx,
+)
+_leaf = st.one_of(_series, st.just(HoloFn.exp()), st.just(HoloFn.poly([1.0, 2.0])))
+_fn = st.one_of(_leaf, st.builds(lambda a, b: HoloSum((a, b)), _leaf, _leaf))
+
+
 class TestDefaultContour:
+    """The integral route's circle: enclosing_contour."""
+
     def test_plain(self):
-        c = default_contour(0.0, [2.0])
-        assert c.center == 0.0 and c.radius == 1.0 and c.nodes == 256
+        c = enclosing_contour([0.0, 2.0], [HoloFn.exp()])
+        assert c.center == 1.0 and c.radius == 2.0 and c.nodes == 256
 
     def test_no_others(self):
-        assert default_contour(0.0, []).radius == 1.0
+        c = enclosing_contour([0.3 + 0.1j], [HoloFn.exp()])
+        assert c.center == 0.3 + 0.1j and c.radius == 1.0
 
     def test_close_neighbor_clamps(self):
-        c = default_contour(0.0, [0.05])
-        assert abs(c.radius - 0.025) < 1e-15
+        # Points 0.05 apart: 2 * delta = 0.05 is clamped from below at 1.
+        c = enclosing_contour([0.0, 0.05], [HoloFn.exp()])
+        assert abs(c.center - 0.025) < 1e-15 and c.radius == 1.0
 
-    def test_coincident_raises(self):
-        with pytest.raises(CoincidentSpectrum):
-            default_contour(0.0, [1e-12])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-11, 1e-12, 0.0])
+    def test_coincident_points_share_the_circle(self, gap):
+        c = enclosing_contour([0.5j, 0.5j + gap], [HoloFn.exp()])
+        assert abs(c.center - (0.5j + gap / 2)) < 1e-15 and c.radius == 1.0
+
+    def test_series_caps_the_radius(self):
+        # Safe disc of radius 0.9 about 0; the point sits 0.1 off its centre.
+        c = enclosing_contour([0.1], [HoloFn.series(0.0, [1.0, 0.5], radius=1.0)])
+        assert 0.8 - 1e-12 < c.radius < 0.8
+        # Scaled and shifted: f(xi) = g(2 xi + 1), disc 0.45 about -0.5,
+        # inside a HoloSum.
+        f = HoloSum((HoloFn.exp(), HoloFn.series(0.0, [1.0], radius=1.0, scale=2.0, shift=1.0)))
+        c = enclosing_contour([-0.5], [f])
+        assert 0.45 - 1e-12 < c.radius < 0.45
+
+    def test_no_circle_raises(self):
+        # Two points on a chord near the edge of one series' safe disc: the
+        # cap 0.9 - 0.6 is below 1.1 * delta = 0.66.
+        f = HoloFn.series(0.0, [1.0, 0.5], radius=1.0)
+        with pytest.raises(HoloDomainError, match="series"):
+            enclosing_contour([-0.6 + 0.6j, 0.6 + 0.6j], [HoloFn.exp(), f])
 
     def test_contour_validation(self):
         with pytest.raises(ValueError):
             Contour(0.0, -1.0)
         with pytest.raises(ValueError):
             Contour(0.0, 1.0, nodes=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        xi=st.lists(st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), min_size=1, max_size=3),
+        fns=st.lists(_fn, min_size=1, max_size=4),
+    )
+    def test_nodes_inside_every_series_disc(self, xi, fns):
+        center = np.mean(xi)
+        delta = np.max(np.abs(np.array(xi) - center))
+        leaves = list(_series_leaves(fns))
+        try:
+            c = enclosing_contour(xi, fns)
+        except HoloDomainError:
+            # The smallest circle allowed, radius 1.1 delta, already leaves
+            # some series' safe disc.
+            w = np.exp(2j * np.pi * np.arange(4096) / 4096)
+            t = center + 1.1 * delta * (1 + 1e-9) * w
+            assert leaves and max(_outside(leaf, t) for leaf in leaves) > 1 - 1e-9
+            return
+        assert 1.1 * delta < c.radius <= max(2 * delta, 1.0) * (1 + 1e-12)
+        # Every node of every rule up to MAX_NODES.
+        t = c.center + c.radius * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        for leaf in leaves:
+            assert _outside(leaf, t) <= 1.0
+        DerivativeStack(fns, [0] * len(fns))(np.broadcast_to(t, (len(fns), len(t))))
 
 
 class TestQuadrature:
@@ -241,8 +313,8 @@ class TestQuadrature:
         assert np.max(np.abs(val - np.array([1.0, 0.0]))) < 1e-13
 
     def test_each_node_evaluated_once(self):
-        # A smooth integrand converges at the first doubling: the 512-node
-        # rule reuses the 256 nodes and adds the 256 halfway between them.
+        # A smooth integrand converges at the first doubling, from one call
+        # on the 512 nodes: the 256-node rule is their even nodes.
         c = Contour(0.1 + 0.2j, 0.5, nodes=256)
         calls = []
 
@@ -251,11 +323,27 @@ class TestQuadrature:
             return np.exp(t) / (t - c.center) ** 2
 
         val = contour_integrate(g, c)
-        assert [len(t) for t in calls] == [256, 256]
+        assert [len(t) for t in calls] == [512]
         theta = np.angle((np.concatenate(calls) - c.center) / c.radius)
         slots = np.round(theta / (2 * np.pi) * 512).astype(int) % 512
         assert sorted(slots) == list(range(512))
         assert abs(val - np.exp(c.center)) < 1e-13
+
+    def test_contract_is_tested_and_returned(self):
+        # Row 1 never settles (a pole almost on the circle); a contraction
+        # that drops it converges at the first doubling and returns only
+        # the contracted value.
+        c = Contour(0.0, 1.0, nodes=16)
+        calls = []
+
+        def g(t):
+            calls.append(len(t))
+            return np.stack([np.exp(t) / t**2, 1.0 / (t - 0.999999)])
+
+        val = contour_integrate(g, c, max_nodes=64, contract=lambda v: 3.0 * v[0])
+        assert calls == [32] and abs(val - 3.0) < 1e-13
+        with pytest.warns(RuntimeWarning):
+            contour_integrate(g, c, max_nodes=64)
 
     def test_nested_doubling_equals_fresh_rule(self):
         c = Contour(0.1 + 0.2j, 0.5, nodes=256)

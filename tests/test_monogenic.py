@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from monogenica import (
-    CoincidentSpectrum,
+    HoloDomainError,
     HoloFn,
     MonogenicSpec,
     NotSpecial,
@@ -194,19 +194,102 @@ class TestIntegral:
                 if ms.algebra.classify_special_case().value != "General":
                     assert np.max(np.abs(eval_special(ms, p) - ex)) < 1e-12, name
 
+    @pytest.mark.parametrize(
+        "name", ["alg_ss2", "alg_d2", "alg_t4", "alg_p2", "alg_r5", "trunc10", "general"]
+    )
+    def test_integral_matches_explicit(self, all_monospecs, rng, name):
+        # One circle around the spectrum, at r = 0..3, to 1e-12.
+        if name in all_monospecs:
+            ms = all_monospecs[name]
+        else:
+            spec = truncated_poly(10) if name == "trunc10" else general_cartan(rng)
+            F, G = mixed_data(spec)
+            ms = MonogenicSpec.create(spec, random_triad(spec, rng), F, G)
+        for p in ((0.25, 0.4, -0.15), (-0.4, 0.6, 0.3), (0.1, -0.3, 0.5)):
+            for r in range(4):
+                ex = eval_explicit(ms, p, order=r)
+                if r == 0:
+                    got = eval_integral(ms, p)
+                else:
+                    got = gateaux_derivative(ms, p, r, method="integral")
+                assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), (p, r)
+
+    def test_one_integrand_call_per_point(self, all_monospecs, monkeypatch):
+        # Smooth data converge at the first doubling: one call on 512 nodes,
+        # with W(t) from the stack and no scalar HoloFn.eval.
+        sizes = []
+        quad = monogenic.contour_integrate
+
+        def counting(g, contour, **kw):
+            def counted(t):
+                sizes.append(len(t))
+                return g(t)
+
+            return quad(counted, contour, **kw)
+
+        def no_eval(*args):
+            raise AssertionError("HoloFn.eval called")
+
+        monkeypatch.setattr(monogenic, "contour_integrate", counting)
+        monkeypatch.setattr(HoloFn, "eval", no_eval)
+        p = (0.25, 0.4, -0.15)
+        for name, ms in all_monospecs.items():
+            for r in range(4):
+                sizes.clear()
+                if r:
+                    gateaux_derivative(ms, p, r, method="integral")
+                else:
+                    eval_integral(ms, p)
+                assert sizes == [512], (name, r)
+
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
-        # On the x axis every xi_u collapses to x; the cluster path must
-        # still reproduce the explicit value.
+        # On the x axis every xi_u collapses to x; the one circle around
+        # them still reproduces the explicit value.
         for name, ms in all_monospecs.items():
             p = (0.5, 0.0, 0.0)
             ex = eval_explicit(ms, p)
             assert np.max(np.abs(eval_integral(ms, p) - ex)) < 1e-8, name
 
-    def test_near_coincident_raises(self, alg_ss2):
+    def test_near_coincident_matches_explicit(self, alg_ss2):
         triad = TriadSpec.create([1j, 1j + 1e-11], [0.3, 0.3])
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.exp()])
-        with pytest.raises(CoincidentSpectrum):
-            eval_integral(ms, (0.0, 1.0, 0.0))
+        p = (0.0, 1.0, 0.0)
+        assert np.max(np.abs(eval_integral(ms, p) - eval_explicit(ms, p))) < 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-11, 0.0])
+    def test_near_coincident_spectra(self, alg_ss2, gap):
+        # xi_1 - xi_2 = i * gap, one circle of radius 1 around both.
+        triad = TriadSpec.create([1j + 1j * gap, 1j], [0.3, 0.3])
+        ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.sin(scale=0.7)])
+        p = (0.3, 1.0, -0.2)
+        for r in range(4):
+            ex = eval_explicit(ms, p, order=r)
+            got = eval_integral(ms, p) if r == 0 else gateaux_derivative(ms, p, r, method="integral")
+            assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
+
+    def test_series_domain_caps_the_circle(self, alg_d2):
+        # A series F of radius 1 centred on the lone xi: the circle shrinks
+        # to 0.9 minus a rounding margin and stays in the series' domain.
+        triad = fixture_triad("alg_d2")
+        p = (0.2, 0.3, -0.1)
+        f = HoloFn.series(complex(xi(triad, p, 1)), [1.0, 0.5, 0.25, 0.125], radius=1.0)
+        ms = MonogenicSpec.create(alg_d2, triad, [f], [HoloFn.exp()])
+        for r in range(4):
+            ex = eval_explicit(ms, p, order=r)
+            got = eval_integral(ms, p) if r == 0 else gateaux_derivative(ms, p, r, method="integral")
+            assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
+
+    def test_no_enclosing_circle_raises(self, alg_ss2):
+        # xi_1, xi_2 = -0.6 + 0.6i, 0.6 + 0.6i: a chord near the edge of
+        # F_1's safe disc (0.9 about 0) leaves no radius above 1.1 * 0.6.
+        triad = TriadSpec.create([0.6j, 0.6j], [-0.6, 0.6])
+        f = HoloFn.series(0.0, [1.0, 0.5], radius=1.0)
+        ms = MonogenicSpec.create(alg_ss2, triad, [f, HoloFn.exp()])
+        p = (0.0, 1.0, 1.0)
+        assert np.allclose(xi_all(alg_ss2, triad, p), [-0.6 + 0.6j, 0.6 + 0.6j])
+        eval_explicit(ms, p)
+        with pytest.raises(HoloDomainError, match="series"):
+            eval_integral(ms, p)
 
 
 class TestSpecial:
