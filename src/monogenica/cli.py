@@ -4,6 +4,11 @@ A single JSON job file describes the algebra, triad, holomorphic data and
 optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
+grid formats the coordinate text once per axis value and joins it to the
+repr of every value column.  The argument parser is built once per process,
+when this module is imported: in-process callers of main() (tests, scripts,
+benchmarks) do not rebuild it, and a one-shot run builds it once as before.
+
 eval --order r gives the r-th Gateaux derivative by the route --method
 names: explicit (the default) shifts every derivative stack by r, integral
 integrates W R^(r+1) r! over one circle around the spectrum; special has
@@ -13,8 +18,9 @@ explicit-vs-integral deviation of the value at any order.
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
 numeric options (--nodes below 16, a negative --order, a non-finite
---point, a --h that is not a positive finite number) and --method special
-at --order above 0 or on an algebra with no special form included;
+--point, a --h that is not a positive finite number), a grid axis with a
+non-finite bound or extent, and --method special at --order above 0 or on
+an algebra with no special form included;
 3 evaluation outside a holomorphic function's domain, including an
 integral route whose circle around the spectrum cannot stay inside every
 series' safe disc, and t on the spectrum; 4 output I/O errors.
@@ -197,11 +203,12 @@ def cmd_grid(args) -> int:
         axes = []
         for name in ("x", "y", "z"):
             lo, hi, count = ranges[name]
-            count = int(count)
-            if count < 2 or not hi > lo:
-                raise JobError(f"grid axis {name} needs positive extent and count >= 2")
-            axes.append(np.linspace(float(lo), float(hi), count))
-    except (KeyError, TypeError, ValueError) as exc:
+            lo, hi, count = float(lo), float(hi), int(count)
+            if count < 2 or not hi > lo or not math.isfinite(hi - lo):
+                raise JobError(f"bad grid spec: axis {name} needs a finite positive "
+                               f"extent and count >= 2, got [{lo!r}, {hi!r}, {count}]")
+            axes.append(np.linspace(lo, hi, count))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise JobError(f"bad grid spec: {exc}") from exc
 
     out = args.out or job.get("out")
@@ -213,14 +220,17 @@ def cmd_grid(args) -> int:
 
     n = ms.algebra.n
     header = "x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1))
-    # x-major rows: x, y, z, then Re and Im of every component.
+    # x-major rows: x, y, z, then Re and Im of every component.  Each axis
+    # value is formatted once; the row prefixes follow meshgrid's "ij" order.
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     values = monogenic.eval_explicit(ms, points)
-    table = np.empty((len(points), 3 + 2 * n))
-    table[:, :3] = points
-    table[:, 3::2] = values.real
-    table[:, 4::2] = values.imag
-    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
+    table = np.empty((len(points), 2 * n))
+    table[:, 0::2] = values.real
+    table[:, 1::2] = values.imag
+    xs, ys, zs = ([repr(v) + "," for v in axis.tolist()] for axis in axes)
+    prefixes = [x + y + z for x in xs for y in ys for z in zs]
+    lines = [header] + [p + ",".join(map(repr, row))
+                        for p, row in zip(prefixes, table.tolist())]
     try:
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -290,33 +300,34 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nodes", type=int, default=256, help="quadrature node count")
     common.add_argument("--h", type=float, default=None, help="finite-difference step")
 
-    p_val = sub.add_parser("validate", parents=[common], help="run structural validations")
-    p_val.set_defaults(func=cmd_validate)
+    sub.add_parser("validate", parents=[common], help="run structural validations")
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate at one point")
     p_eval.add_argument("--point", type=float, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p_eval.add_argument("--method", choices=("explicit", "integral", "special"), default="explicit")
     p_eval.add_argument("--order", type=int, default=0, help="Gateaux derivative order (0 = value)")
     p_eval.add_argument("--compare", action="store_true", help="print max cross-method deviation")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_grid = sub.add_parser("grid", parents=[common], help="emit component CSV over a grid")
     p_grid.add_argument("--out", default=None, help="output CSV path (overrides job)")
-    p_grid.set_defaults(func=cmd_grid)
 
     p_check = sub.add_parser("check", parents=[common], help="run residual checks")
     p_check.add_argument("--tol-cr", type=float, default=None)
     p_check.add_argument("--tol-pde", type=float, default=None)
-    p_check.set_defaults(func=cmd_check)
     return parser
 
 
+# Built once per process; parse_args leaves it unchanged.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         check_options(args)
-        return args.func(args)
+        # Looked up by name at call time, so that wrappers installed on
+        # cli.cmd_* (perfbench/spans.py) see every command.
+        return globals()[f"cmd_{args.command}"](args)
     except (JobError, AlgebraError, NotSpecial) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from monogenica import monogenic
 from monogenica.cli import main
 from monogenica.fixtures import fixture_path
 
@@ -23,6 +24,23 @@ JOB_OK = str(fixture_path("job_laplace_ss2.json"))
 JOB_BAD = str(fixture_path("job_broken_triad.json"))
 JOB_T4 = str(fixture_path("job_square_t4.json"))
 COS_SCALE = 60.0
+
+
+def grid_job(name):
+    """A 2 x 3 x 4 grid job on the bundled algebra alg_<name>."""
+    if name == "t4":
+        job = json.loads(fixture_path("job_square_t4.json").read_text())
+    else:  # r5: n = 5, m = 1
+        job = {
+            "triad": {"a": [[0.0, 1.0], 1.0, 0.0, 0.2, 0.0],
+                      "b": [[0.4, 0.7], 0.0, 1.0, 0.0, 0.3]},
+            "F": [{"kind": "exp"}],
+            "G": [{"kind": "poly", "coeffs": [0.0, 1.0]}, {"kind": "sin"},
+                  {"kind": "poly", "coeffs": [1.0, 0.0, 0.5]}, {"kind": "cos"}],
+        }
+    job["algebra"] = str(fixture_path(f"alg_{name}"))
+    job["grid"] = {"x": [-0.7, 0.2, 2], "y": [-0.45, -0.1, 3], "z": [-0.3, 0.65, 4]}
+    return job
 
 
 def cos_job(tmp_path):
@@ -270,6 +288,46 @@ class TestGrid:
         code, _, err = run(capsys, "grid", JOB_OK, "--out", "/nonexistent-dir/x.csv")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "axis",
+        [[float("-inf"), 0.5, 3], [float("nan"), 0.5, 3], [-1.7e308, 1.7e308, 3]],
+        ids=["minus-infinity", "nan", "overflow"],
+    )
+    def test_non_finite_axis_exit_2(self, capsys, tmp_path, axis):
+        # json writes and reads -Infinity and NaN; hi - lo = 3.4e308 overflows.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"]["x"] = axis
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: bad grid spec")
+        assert "wrote" not in out and not out_file.exists()
+
+    @pytest.mark.parametrize("name", ["t4", "r5"])
+    def test_grid_csv_bytes(self, capsys, tmp_path, name):
+        # 2 x 3 x 4 on asymmetric negative ranges: the grid is not cubic, so
+        # rows in any order but x-major give other bytes.
+        job = grid_job(name)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        out_file = tmp_path / "grid.csv"
+        code, out, _ = run(capsys, "grid", str(path), "--out", str(out_file))
+        assert code == 0 and out.startswith("wrote 24 rows")
+
+        xs, ys, zs = (np.linspace(*job["grid"][a]).tolist() for a in "xyz")
+        points = np.array([(x, y, z) for x in xs for y in ys for z in zs])
+        ms = monogenic.monogenic_from_dict(job)
+        values = monogenic.eval_explicit(ms, points)
+        n = ms.algebra.n
+        lines = ["x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1))]
+        for p, v in zip(points.tolist(), values.tolist()):
+            row = p + [part for c in v for part in (c.real, c.imag)]
+            lines.append(",".join(map(repr, row)))
+        assert out_file.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
 
 class TestCheck:
     def test_good_job_all_pass(self, capsys):
@@ -315,6 +373,54 @@ class TestCheck:
         # about 2.7e-7 away at this y.
         expect = np.exp(0.3 + 1e-7 * np.array([2j, 1j]))
         assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["grid", "check"])
+    def test_main_calls_patched_command(self, capsys, monkeypatch, tmp_path, command):
+        # Wrappers installed on cli.cmd_* after import see every command.
+        from monogenica import cli
+
+        calls = []
+        original = getattr(cli, f"cmd_{command}")
+
+        def counting(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, f"cmd_{command}", counting)
+        extra = ["--out", str(tmp_path / "g.csv")] if command == "grid" else []
+        code, _, _ = run(capsys, command, JOB_OK, *extra)
+        assert code == 0 and calls == [command]
+
+    def test_main_does_not_build_a_parser(self, capsys, monkeypatch):
+        from monogenica import cli
+
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, "check", JOB_OK)[0] == 0
+        assert run(capsys, "eval", JOB_OK, "--point", "0.3", "0.4", "-0.2")[0] == 0
+
+    def test_eval_options_do_not_leak(self, capsys):
+        point = ("0.3", "0.4", "-0.2")
+        code, d2, _ = run(capsys, "eval", JOB_OK, "--point", *point,
+                          "--order", "2", "--method", "integral")
+        assert code == 0
+        code, out, _ = run(capsys, "eval", JOB_OK, "--point", *point)
+        assert code == 0 and out != d2
+        ms = monogenic.monogenic_from_dict(json.loads(open(JOB_OK).read()),
+                                           base_dir=fixture_path("job_laplace_ss2").parent)
+        expect = monogenic.extract_components(
+            monogenic.eval_explicit(ms, tuple(map(float, point))))
+        assert np.allclose(values(out), expect, rtol=1e-14, atol=0)
+
+    def test_check_options_do_not_leak(self, capsys):
+        code, out, _ = run(capsys, "check", JOB_OK, "--tol-cr", "1e-30")
+        assert code == 1 and "FAIL Cauchy-Riemann" in out
+        code, out, _ = run(capsys, "check", JOB_OK)
+        assert code == 0 and "FAIL" not in out
 
 
 class TestErrors:
