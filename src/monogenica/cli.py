@@ -9,6 +9,11 @@ repr of every value column.  The argument parser is built once per process,
 when this module is imported: in-process callers of main() (tests, scripts,
 benchmarks) do not rebuild it, and a one-shot run builds it once as before.
 
+check evaluates a job's points, their Cauchy-Riemann stencils (step
+--h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
+in one eval_explicit call; only Phi^(N) of the operator identity takes a
+call of its own.
+
 eval --order r gives the r-th Gateaux derivative by the route --method
 names: explicit (the default) shifts every derivative stack by r, integral
 integrates W R^(r+1) r! over one circle around the spectrum; special has
@@ -17,10 +22,12 @@ explicit-vs-integral deviation of the value at any order.
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
-numeric options (--nodes below 16, a negative --order, a non-finite
---point, a --h that is not a positive finite number), a grid axis with a
-non-finite bound or extent, and --method special at --order above 0 or on
-an algebra with no special form included;
+usage errors (an option the subcommand does not take, such as --nodes
+outside eval or the former --h of check), numeric options (--nodes below
+16, a negative --order, a non-finite --point, an --h-cr or --h-pde that is
+not a positive finite number), a grid axis with a non-finite bound or
+extent or a count that is not a JSON integer, and --method special at
+--order above 0 or on an algebra with no special form included;
 3 evaluation outside a holomorphic function's domain, including an
 integral route whose circle around the spectrum cannot stay inside every
 series' safe disc, and t on the spectrum; 4 output I/O errors.
@@ -111,10 +118,12 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
 
 def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
-    if args.nodes < MIN_NODES:
+    if getattr(args, "nodes", MIN_NODES) < MIN_NODES:
         raise JobError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
-    if args.h is not None and not (math.isfinite(args.h) and args.h > 0):
-        raise JobError(f"--h must be a positive finite number, got {args.h}")
+    for option in ("h_cr", "h_pde"):
+        h = getattr(args, option, 1.0)
+        if not (math.isfinite(h) and h > 0):
+            raise JobError(f"--{option.replace('_', '-')} must be a positive finite number, got {h}")
     if getattr(args, "order", 0) < 0:
         raise JobError(f"--order must be >= 0, got {args.order}")
     if getattr(args, "method", None) == "special" and args.order > 0:
@@ -203,7 +212,10 @@ def cmd_grid(args) -> int:
         axes = []
         for name in ("x", "y", "z"):
             lo, hi, count = ranges[name]
-            lo, hi, count = float(lo), float(hi), int(count)
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise JobError(f"bad grid spec: axis {name} count must be an integer, "
+                               f"got {count!r}")
+            lo, hi = float(lo), float(hi)
             if count < 2 or not hi > lo or not math.isfinite(hi - lo):
                 raise JobError(f"bad grid spec: axis {name} needs a finite positive "
                                f"extent and count >= 2, got [{lo!r}, {hi!r}, {count}]")
@@ -240,6 +252,25 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
+                  pde: pde_mod.PdeSpec | None = None, h_pde: float = 1e-3):
+    """Values, CR residuals and (with a pde) PDE residuals at pts from one eval_explicit call.
+
+    The batch is the points, then cr_stencil(pts, h_cr), then
+    pde_stencil(pde, pts, h_pde); a row of a batch equals the same point
+    evaluated alone, so each residual equals its own separate call bit for
+    bit.  Returns (values, (ry, rz), pde residual or None).
+    """
+    blocks = [pts, monogenic.cr_stencil(pts, h_cr)]
+    if pde is not None:
+        blocks.append(pde_mod.pde_stencil(pde, pts, h_pde))
+    rows = np.split(monogenic.eval_explicit(ms, np.concatenate(blocks)),
+                    np.cumsum([len(b) for b in blocks[:-1]]))
+    cr = monogenic.cr_residual(ms, pts, h_cr, values=rows[1])
+    r = None if pde is None else pde_mod.pde_residual(ms, pde, pts, h_pde, values=rows[2])
+    return rows[0], cr, r
+
+
 def cmd_check(args) -> int:
     job = load_job(args.job)
     ms = build_spec(job)
@@ -254,19 +285,24 @@ def cmd_check(args) -> int:
     treport = validate_triad(ms.algebra, ms.triad)
     ok &= _status(treport.ok, "triad")
 
-    # One batched call each for the values, the CR residuals and the PDE
-    # residuals of all points; 1 + max |Phi(p)| scales every tolerance at p.
+    # PDE residuals only on a characteristic triad, so the characteristic
+    # residual comes first; it is computed once and handed to the identity.
+    char = None if pde is None else pde_mod.characteristic_residual(ms.algebra, ms.triad, pde)
+    cres = None if char is None else float(np.max(np.abs(char)))
+    characteristic = cres is not None and cres <= 1e-10
+
+    # One batched call for the values, the CR stencils and the PDE stencils
+    # of all points; 1 + max |Phi(p)| scales every tolerance at p.
     pts = np.array(points)
-    scales = 1.0 + np.max(np.abs(monogenic.eval_explicit(ms, pts)), axis=-1)
-    ry, rz = monogenic.cr_residual(ms, pts, h=args.h or 1e-5)
+    values, (ry, rz), r = check_samples(ms, pts, args.h_cr, pde if characteristic else None,
+                                        args.h_pde)
+    scales = 1.0 + np.max(np.abs(values), axis=-1)
     cr = np.maximum(np.max(np.abs(ry), axis=-1), np.max(np.abs(rz), axis=-1))
     for p, scale, res in zip(points, scales, cr):
         ok &= _status(res <= tol_cr * scale, f"Cauchy-Riemann at {p}", f"residual {res:.3e}")
 
     if pde is not None:
-        char = pde_mod.characteristic_residual(ms.algebra, ms.triad, pde)
-        cres = float(np.max(np.abs(char)))
-        ok &= _status(cres <= 1e-10, "characteristic residual", f"{cres:.3e}")
+        ok &= _status(characteristic, "characteristic residual", f"{cres:.3e}")
 
         scan = pde_mod.p_nonvanishing_scan(pde)
         if isinstance(scan, pde_mod.ZeroAt):
@@ -274,12 +310,11 @@ def cmd_check(args) -> int:
         else:
             print("P(a,b) scan: NoZeroFound")
 
-        h = args.h or 1e-3
-        if cres <= 1e-10:
-            r = pde_mod.pde_residual(ms, pde, pts, h=h)
+        if characteristic:
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
-            d = pde_mod.operator_identity_check(ms, pde, points[0], h=h, discrete=r[0])
+            d = pde_mod.operator_identity_check(ms, pde, points[0], h=args.h_pde,
+                                                discrete=r[0], char=char)
             dmax = float(np.max(np.abs(d)))
             ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL
@@ -288,8 +323,22 @@ def cmd_check(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a JobError, so main returns exit 2 for it like any bad spec.
+
+    Options are never abbreviated: --h would otherwise be taken as --help
+    by a subcommand with no other option starting with it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise JobError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monogenica",
         description="Monogenic-function engine for commutative algebras",
     )
@@ -297,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("job", help="JSON job file")
-    common.add_argument("--nodes", type=int, default=256, help="quadrature node count")
-    common.add_argument("--h", type=float, default=None, help="finite-difference step")
 
     sub.add_parser("validate", parents=[common], help="run structural validations")
 
@@ -307,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=("explicit", "integral", "special"), default="explicit")
     p_eval.add_argument("--order", type=int, default=0, help="Gateaux derivative order (0 = value)")
     p_eval.add_argument("--compare", action="store_true", help="print max cross-method deviation")
+    p_eval.add_argument("--nodes", type=int, default=256, help="quadrature node count")
 
     p_grid = sub.add_parser("grid", parents=[common], help="emit component CSV over a grid")
     p_grid.add_argument("--out", default=None, help="output CSV path (overrides job)")
@@ -314,6 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[common], help="run residual checks")
     p_check.add_argument("--tol-cr", type=float, default=None)
     p_check.add_argument("--tol-pde", type=float, default=None)
+    p_check.add_argument("--h-cr", type=float, default=1e-5,
+                         help="finite-difference step of the Cauchy-Riemann stencil")
+    p_check.add_argument("--h-pde", type=float, default=1e-3,
+                         help="finite-difference step of the PDE stencil")
     return parser
 
 
@@ -322,8 +374,8 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         check_options(args)
         # Looked up by name at call time, so that wrappers installed on
         # cli.cmd_* (perfbench/spans.py) see every command.

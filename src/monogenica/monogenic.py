@@ -311,29 +311,42 @@ _CR_OFFSETS = np.array([
 ], dtype=float)
 
 
+def stencil_points(p: Union[Point, np.ndarray], h: float, offsets: np.ndarray) -> np.ndarray:
+    """p + h * offsets at every point p: (K N, 3) for K offsets, K rows per point."""
+    return (np.asarray(p, dtype=float).reshape(-1, 1, 3) + h * offsets).reshape(-1, 3)
+
+
+def cr_stencil(p: Union[Point, np.ndarray], h: float) -> np.ndarray:
+    """The six central-difference points of every point: (6 N, 3), six rows per point."""
+    return stencil_points(p, h, _CR_OFFSETS)
+
+
 def cr_residual(
     ms: MonogenicSpec,
     p: Union[Point, np.ndarray],
     h: float = 1e-5,
     evaluator: Callable[[Point], Element] | None = None,
+    values: np.ndarray | None = None,
 ) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).
 
     Central differences of the explicit evaluation (one batched call on the
     six stencil points of every point) or of a pointwise evaluator.  p is
     one point, giving two (n,) residuals, or an (N, 3) array, giving two
-    (N, n) arrays.  Near-zero certifies monogenicity at the point, a large
-    value is a broken-data signal.
+    (N, n) arrays.  values, if given, are the values at cr_stencil(p, h),
+    for example rows of a larger batched call, and nothing is evaluated.
+    Near-zero certifies monogenicity at the point, a large value is a
+    broken-data signal.
     """
     spec = ms.algebra
     shape = np.shape(p)[:-1]
-    pts = np.asarray(p, dtype=float).reshape(-1, 1, 3)
-    stencil = (pts + h * _CR_OFFSETS).reshape(-1, 3)  # six rows per point
-    if evaluator is None:
-        v = eval_explicit(ms, stencil)
-    else:
-        v = np.array([evaluator(tuple(q)) for q in stencil])
-    v = v.reshape(-1, 6, spec.n)
+    if values is None:
+        stencil = cr_stencil(p, h)
+        if evaluator is None:
+            values = eval_explicit(ms, stencil)
+        else:
+            values = np.array([evaluator(tuple(q)) for q in stencil])
+    v = np.reshape(values, (-1, 6, spec.n))
     dx = (v[:, 0] - v[:, 1]) / (2 * h)
     dy = (v[:, 2] - v[:, 3]) / (2 * h)
     dz = (v[:, 4] - v[:, 5]) / (2 * h)

@@ -11,12 +11,20 @@ the PDE and of the operator identity L_N(Phi) = Phi^(N) * (characteristic sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .monogenic import MonogenicSpec, Point, TriadSpec, eval_explicit, gateaux_derivative
+from .monogenic import (
+    MonogenicSpec,
+    Point,
+    TriadSpec,
+    eval_explicit,
+    gateaux_derivative,
+    stencil_points,
+)
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,34 @@ class PdeSpec:
         if not clean:
             raise ValueError("PDE needs at least one term")
         return cls(N, tuple(clean))
+
+    @cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct grid offsets (K, 3) of discrete L_N, and weights (terms, K).
+
+        Row t of the weights is the tensor product of 1-D central stencils
+        of term t, without its coefficient or 1/h^N; an offset shared by
+        several terms is sampled once.  The sample points are p + h *
+        offsets.  Built once per PdeSpec.
+        """
+        index: dict[tuple[int, int, int], int] = {}
+        rows = []
+        for alpha, beta, gamma, _ in self.terms:
+            ox, wx = central_stencil(alpha)
+            oy, wy = central_stencil(beta)
+            oz, wz = central_stencil(gamma)
+            row = {}
+            for i, cx in zip(ox, wx):
+                for j, cy in zip(oy, wy):
+                    for k, cz in zip(oz, wz):
+                        w = cx * cy * cz
+                        if w != 0.0:
+                            row[index.setdefault((int(i), int(j), int(k)), len(index))] = w
+            rows.append(row)
+        weights = np.zeros((len(rows), len(index)))
+        for t, row in enumerate(rows):
+            weights[t, list(row)] = list(row.values())
+        return np.array(list(index), dtype=float), weights
 
 
 LAPLACE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0)])
@@ -70,6 +106,14 @@ def p_poly(pde: PdeSpec, a: float, b: float) -> float:
     return float(sum(c * a**beta * b**gamma for _, beta, gamma, c in pde.terms))
 
 
+def p_grid(pde: PdeSpec, axis: np.ndarray) -> np.ndarray:
+    """P(axis[i], axis[j]) at [i, j]: one outer product per term, no meshgrid."""
+    P = np.zeros((len(axis), len(axis)))
+    for _, beta, gamma, c in pde.terms:
+        P += np.multiply.outer(c * axis**beta, axis**gamma)
+    return P
+
+
 def p_nonvanishing_scan(
     pde: PdeSpec, box: float = 10.0, grid: int = 101
 ) -> Union[NoZeroFound, ZeroAt]:
@@ -80,22 +124,19 @@ def p_nonvanishing_scan(
     A reported NoZeroFound is evidence, not a proof.
     """
     axis = np.linspace(-box, box, grid)
-    A, B = np.meshgrid(axis, axis, indexing="ij")
-    P = np.zeros_like(A)
-    for _, beta, gamma, c in pde.terms:
-        P += c * A**beta * B**gamma
+    P = p_grid(pde, axis)
     scale = max(1.0, float(np.max(np.abs(P))))
     flat = int(np.argmin(np.abs(P)))
     ia, ib = np.unravel_index(flat, P.shape)
     if abs(P[ia, ib]) <= 1e-9 * scale:
-        return ZeroAt(float(A[ia, ib]), float(B[ia, ib]))
+        return ZeroAt(float(axis[ia]), float(axis[ib]))
     if P.min() < 0.0 < P.max():
         # Continuity forces a zero inside the box; bisect toward it along
         # the segment joining a negative and a positive sample.
         neg = np.unravel_index(int(np.argmin(P)), P.shape)
         pos = np.unravel_index(int(np.argmax(P)), P.shape)
-        lo = np.array([A[neg], B[neg]])
-        hi = np.array([A[pos], B[pos]])
+        lo = axis[list(neg)]
+        hi = axis[list(pos)]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if p_poly(pde, mid[0], mid[1]) < 0:
@@ -146,33 +187,6 @@ def central_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, coeffs
 
 
-def _operator_stencil(pde: PdeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct grid offsets (K, 3) of discrete L_N, and weights (terms, K).
-
-    Row t of the weights is the tensor product of 1-D central stencils of
-    term t, without its coefficient or 1/h^N; an offset shared by several
-    terms is sampled once.  The sample points are p + h * offsets.
-    """
-    index: dict[tuple[int, int, int], int] = {}
-    rows = []
-    for alpha, beta, gamma, _ in pde.terms:
-        ox, wx = central_stencil(alpha)
-        oy, wy = central_stencil(beta)
-        oz, wz = central_stencil(gamma)
-        row = {}
-        for i, cx in zip(ox, wx):
-            for j, cy in zip(oy, wy):
-                for k, cz in zip(oz, wz):
-                    w = cx * cy * cz
-                    if w != 0.0:
-                        row[index.setdefault((int(i), int(j), int(k)), len(index))] = w
-        rows.append(row)
-    weights = np.zeros((len(rows), len(index)))
-    for t, row in enumerate(rows):
-        weights[t, list(row)] = list(row.values())
-    return np.array(list(index), dtype=float), weights
-
-
 def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) -> Element:
     """sum_t C_t * (stencil of term t applied to values) / h^N.
 
@@ -188,25 +202,35 @@ def apply_operator(
     fn: Callable[[Point], Element], pde: PdeSpec, p: Point, h: float
 ) -> Element:
     """L_N applied to a pointwise fn at p by tensor products of 1-D central stencils."""
-    offsets, weights = _operator_stencil(pde)
-    points = np.asarray(p, dtype=float) + h * offsets
-    values = np.array([np.asarray(fn(tuple(q))) for q in points])
+    offsets, weights = pde.stencil
+    values = np.array([np.asarray(fn(tuple(q))) for q in stencil_points(p, h, offsets)])
     return _combine(pde, weights, values, h)
 
 
+def pde_stencil(pde: PdeSpec, p: Union[Point, np.ndarray], h: float) -> np.ndarray:
+    """The distinct sample points of discrete L_N at every point: (K N, 3), K rows per point."""
+    return stencil_points(p, h, pde.stencil[0])
+
+
 def pde_residual(
-    ms: MonogenicSpec, pde: PdeSpec, p: Union[Point, np.ndarray], h: float = 1e-3
+    ms: MonogenicSpec,
+    pde: PdeSpec,
+    p: Union[Point, np.ndarray],
+    h: float = 1e-3,
+    values: np.ndarray | None = None,
 ) -> Element:
     """Discrete L_N applied to the components of the monogenic function.
 
     p is one point, giving an (n,) residual, or an (N, 3) array, giving
     (N, n).  The distinct stencil points of all of them go through
-    eval_explicit in one batched call.
+    eval_explicit in one batched call, unless values, the values at
+    pde_stencil(pde, p, h), are given.
     """
-    offsets, weights = _operator_stencil(pde)
+    offsets, weights = pde.stencil
     shape = np.shape(p)[:-1]
-    points = np.asarray(p, dtype=float).reshape(-1, 1, 3) + h * offsets  # (N, K, 3)
-    values = eval_explicit(ms, points.reshape(-1, 3)).reshape(points.shape[:2] + (-1,))
+    if values is None:
+        values = eval_explicit(ms, stencil_points(p, h, offsets))
+    values = np.reshape(values, (-1, len(offsets), ms.algebra.n))
     return _combine(pde, weights, values, h).reshape(shape + (ms.algebra.n,))
 
 
@@ -216,14 +240,18 @@ def operator_identity_check(
     p: Point,
     h: float = 1e-3,
     discrete: Element | None = None,
+    char: Element | None = None,
 ) -> Element:
     """Difference Phi^(N) * (sum C e2^b e3^g) - discrete L_N(Phi); near zero on valid data.
 
     Phi^(N) comes from the explicit route, so no quadrature runs here.
-    discrete is pde_residual(ms, pde, p, h) if the caller already has it.
+    discrete is pde_residual(ms, pde, p, h) and char is
+    characteristic_residual(ms.algebra, ms.triad, pde), if the caller
+    already has them.
     """
     spec = ms.algebra
-    char = characteristic_residual(spec, ms.triad, pde)
+    if char is None:
+        char = characteristic_residual(spec, ms.triad, pde)
     analytic = spec.multiply(gateaux_derivative(ms, p, pde.N), char)
     if discrete is None:
         discrete = pde_residual(ms, pde, p, h)

@@ -290,11 +290,13 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "axis",
-        [[float("-inf"), 0.5, 3], [float("nan"), 0.5, 3], [-1.7e308, 1.7e308, 3]],
-        ids=["minus-infinity", "nan", "overflow"],
+        [[float("-inf"), 0.5, 3], [float("nan"), 0.5, 3], [-1.7e308, 1.7e308, 3],
+         [-1, 10**400, 3]],
+        ids=["minus-infinity", "nan", "overflow", "huge-integer"],
     )
     def test_non_finite_axis_exit_2(self, capsys, tmp_path, axis):
-        # json writes and reads -Infinity and NaN; hi - lo = 3.4e308 overflows.
+        # json writes and reads -Infinity and NaN; hi - lo = 3.4e308 overflows;
+        # a JSON integer of 401 digits has no float.
         job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
         job["algebra"] = str(fixture_path(job["algebra"]))
         job["grid"]["x"] = axis
@@ -304,6 +306,21 @@ class TestGrid:
         code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
         assert code == 2
         assert err.startswith("error: bad grid spec")
+        assert "wrote" not in out and not out_file.exists()
+
+    @pytest.mark.parametrize("count", [2.9, "3", True, 3.0],
+                             ids=["fraction", "string", "bool", "float"])
+    def test_non_integer_count_exit_2(self, capsys, tmp_path, count):
+        # A count that is not a JSON integer was truncated by int().
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"]["y"] = [-1, 1, count]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: bad grid spec") and "count" in err
         assert "wrote" not in out and not out_file.exists()
 
     @pytest.mark.parametrize("name", ["t4", "r5"])
@@ -353,6 +370,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check", JOB_OK, "--tol-cr", "1e-18")
         assert code == 1
         assert "FAIL Cauchy-Riemann" in out
+
+    def test_split_steps(self, capsys):
+        # --h-cr moves the CR stencil only: 1e-6 passes, the PDE lines are
+        # those of the default run.  One --h of 1e-6 failed every PDE residual.
+        code, default, _ = run(capsys, "check", JOB_OK)
+        assert code == 0
+        code, out, _ = run(capsys, "check", JOB_OK, "--h-cr", "1e-6")
+        assert code == 0 and "FAIL" not in out
+        cr_lines = [line for line in out.splitlines() if "Cauchy-Riemann" in line]
+        assert len(cr_lines) == 3 and not set(cr_lines) & set(default.splitlines())
+        assert ([line for line in out.splitlines() if "Cauchy-Riemann" not in line]
+                == [line for line in default.splitlines() if "Cauchy-Riemann" not in line])
 
     def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
         # xi_2 - xi_1 = 1e-7 i, where the contour route's Phi'' does not
@@ -514,15 +543,23 @@ def test_validate_validates_algebra_once(capsys, monkeypatch):
     [
         ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "1", "--nodes", "8"],
         ["check", JOB_OK, "--nodes", "8"],
+        ["grid", JOB_OK, "--nodes", "999"],
+        ["validate", JOB_OK, "--nodes", "8"],
         ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "-1"],
         ["eval", JOB_OK, "--point", "nan", "0.4", "0.1"],
         ["eval", JOB_OK, "--point", "0.3", "inf", "0.1"],
-        ["check", JOB_OK, "--h", "nan"],
-        ["check", JOB_OK, "--h", "0"],
-        ["check", JOB_OK, "--h=-1e-3"],
+        ["check", JOB_OK, "--h-cr", "nan"],
+        ["check", JOB_OK, "--h-pde", "0"],
+        ["check", JOB_OK, "--h-cr=-1e-3"],
+        ["check", JOB_OK, "--h-pde", "inf"],
+        ["check", JOB_OK, "--h", "1e-6"],
+        ["grid", JOB_OK, "--h", "1e-3", "--out", "unwritten.csv"],
+        ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--h", "1e-3"],
+        ["validate", JOB_OK, "--h", "1e-3"],
     ],
-    ids=["eval-nodes", "check-nodes", "negative-order", "nan-point", "inf-point",
-         "nan-h", "zero-h", "negative-h"],
+    ids=["eval-nodes", "check-nodes", "grid-nodes", "validate-nodes", "negative-order",
+         "nan-point", "inf-point", "nan-h", "zero-h", "negative-h", "inf-h-pde", "old-h",
+         "grid-old-h", "eval-old-h", "validate-old-h"],
 )
 def test_bad_numeric_options_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -532,14 +569,15 @@ def test_bad_numeric_options_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "job, points, calls",
-    [(JOB_OK, None, 3), (JOB_OK, [[0.3, 0.4, -0.2]], 3),
-     (JOB_OK, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 3),
-     (JOB_T4, None, 2), (JOB_T4, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 2)],
+    "job, points, rows",
+    [(JOB_OK, None, 14), (JOB_OK, [[0.3, 0.4, -0.2]], 14),
+     (JOB_OK, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 14),
+     (JOB_T4, None, 7), (JOB_T4, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 7)],
     ids=["ss2", "ss2-1pt", "ss2-5pt", "t4", "t4-5pt"],
 )
-def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, calls):
-    # Values, CR residuals and (with a pde) PDE residuals: one call each.
+def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, rows):
+    # One order-0 call for every point's value, its six CR stencil points
+    # and (with a pde) its seven Laplace stencil points.
     from monogenica import monogenic, pde
 
     seen = []
@@ -551,15 +589,76 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
 
     monkeypatch.setattr(monogenic, "eval_explicit", counting)
     monkeypatch.setattr(pde, "eval_explicit", counting)
+    data = json.loads(open(job).read())
     if points is not None:
-        data = json.loads(open(job).read())
         data["points"] = points
         data["algebra"] = str(fixture_path(data["algebra"]))
         job = str(tmp_path / "job.json")
         open(job, "w").write(json.dumps(data))
     code, out, _ = run(capsys, "check", job)
     assert code == 0 and "FAIL" not in out
+    npts = len(data.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]]))
+    assert [shape for shape, order in seen if order == 0] == [(npts * rows, 3)]
     # Plus, with a pde, one call for Phi^(N) of the operator identity.
-    batched = [shape for shape, order in seen if order == 0]
-    assert len(batched) == calls and all(len(shape) == 2 for shape in batched)
-    assert [order for _, order in seen if order] == ([2] if calls == 3 else [])
+    assert [order for _, order in seen if order] == ([2] if "pde" in data else [])
+
+
+def laplace_c16_job():
+    """A Laplace job on C[eps]/(eps^16): e2 = 2i + eps, e3 = sqrt(-1 - e2^2).
+
+    The square root is the binomial series of sqrt(3) * sqrt(1 + x), which
+    ends since x = (-1 - e2^2) / 3 - 1 is nilpotent.
+    """
+    from math import comb
+
+    from monogenica import algebra_from_dict
+
+    n = 16
+    alg = {"n": n, "m": 1, "u_map": {str(s): 1 for s in range(2, n + 1)},
+           "upsilon": [[r, s, r + s - 1, 1.0, 0.0]
+                       for r in range(2, n + 1) for s in range(r, n + 2 - r)]}
+    spec = algebra_from_dict(alg)
+    e2 = 2j * spec.unit() + spec.basis(2)
+    x = (-spec.unit() - spec.multiply(e2, e2)) / 3.0 - spec.unit()
+    e3 = np.zeros(n, dtype=complex)
+    for k in range(n):
+        # binomial(1/2, k) = (-1)^(k+1) C(2k, k) / (4^k (2k - 1))
+        e3 += (-1) ** (k + 1) * comb(2 * k, k) / (4**k * (2 * k - 1)) * spec.power(x, k)
+    e3 *= np.sqrt(3.0)
+    kinds = [{"kind": "exp"}, {"kind": "sin"}, {"kind": "cos"}, {"kind": "poly", "coeffs": [1.0, 0.5]}]
+    return {
+        "algebra": alg,
+        "triad": {"a": [[v.real, v.imag] for v in e2], "b": [[v.real, v.imag] for v in e3]},
+        "F": [{"kind": "exp", "scale": 0.5}],
+        "G": [kinds[s % 4] for s in range(n - 1)],
+        "pde": {"N": 2, "terms": [[2, 0, 0, 1.0], [0, 2, 0, 1.0], [0, 0, 2, 1.0]]},
+        "points": [[0.1, 0.2, -0.1], [-0.2, 0.05, 0.15], [0.3, -0.1, 0.2]],
+    }
+
+
+@pytest.mark.parametrize("name", ["ss2", "t4", "c16"])
+def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
+    # check's one batched call gives the residuals of separate calls, bit for bit.
+    from monogenica import cli
+    from monogenica.pde import LAPLACE, pde_residual
+
+    if name == "c16":
+        job = laplace_c16_job()
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0 and "FAIL" not in out and "PASS operator identity" in out
+        ms = cli.build_spec(cli.load_job(str(path)))
+    else:
+        ms = cli.build_spec(cli.load_job(JOB_OK if name == "ss2" else JOB_T4))
+        job = {"points": [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7], [0.9, -0.6, 0.2]]}
+    pts = np.array(job["points"])
+    for h_cr, h_pde in ((1e-5, 1e-3), (1e-6, 2e-3)):
+        values, (ry, rz), r = cli.check_samples(ms, pts, h_cr, LAPLACE, h_pde)
+        assert np.array_equal(values, monogenic.eval_explicit(ms, pts))
+        sy, sz = monogenic.cr_residual(ms, pts, h=h_cr)
+        assert np.array_equal(ry, sy) and np.array_equal(rz, sz)
+        assert np.array_equal(r, pde_residual(ms, LAPLACE, pts, h=h_pde))
+        values_cr, cr, none = cli.check_samples(ms, pts, h_cr)
+        assert none is None and np.array_equal(values_cr, values)
+        assert np.array_equal(cr[0], sy) and np.array_equal(cr[1], sz)

@@ -262,3 +262,20 @@ class TestHarmonicComponents:
         for part in (np.real, np.imag):
             res = apply_operator(lambda q: np.array([part(u1(q))]), LAPLACE, p, h=1e-3)
             assert abs(res[0]) < 1e-4
+
+
+# A symbol with zeros and coefficients that are not powers of two, so
+# c * (A**b * B**g) would round differently from (c * A**b) * B**g.
+SKEW_WAVE = PdeSpec.create(2, [(2, 0, 0, 0.7), (0, 2, 0, -1.3), (0, 1, 1, 0.3)])
+
+
+@pytest.mark.parametrize("pde", [LAPLACE, SKEW_WAVE], ids=["laplace", "skew-wave"])
+def test_p_grid_matches_meshgrid(pde):
+    # The outer products give the meshgrid form's bits.
+    assert isinstance(p_nonvanishing_scan(pde), NoZeroFound if pde is LAPLACE else ZeroAt)
+    axis = np.linspace(-10.0, 10.0, 101)
+    A, B = np.meshgrid(axis, axis, indexing="ij")
+    P = np.zeros_like(A)
+    for _, beta, gamma, c in pde.terms:
+        P += c * A**beta * B**gamma
+    assert np.array_equal(pde_mod.p_grid(pde, axis), P)
