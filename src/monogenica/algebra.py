@@ -133,34 +133,38 @@ class AlgebraSpec:
     # -- basic structure ---------------------------------------------------
 
     @cached_property
-    def mult_tensor(self) -> np.ndarray:
-        """M[i, j, k] = coefficient of I_{k+1} in I_{i+1} I_{j+1} (0-based)."""
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero M[i, j, k] (0-based) in C order: indices (3, nnz), rows i, j, k, and values.
+
+        I_u I_u = I_u, I_u I_s = I_s for u = u_s, and each upsilon entry in
+        both orders of its factors; an entry with an index out of range is
+        left out, and a later entry replaces an earlier one at the same
+        place.  Validation, the B-coefficient levels and the explicit term
+        list are built from this list, so their cost grows with the number
+        of nonzero products, not with n; mult_tensor is scattered from it.
+        """
         n, m = self.n, self.m
-        M = np.zeros((n, n, n), dtype=np.complex128)
-        for u in range(m):
-            M[u, u, u] = 1.0
+        # Keyed by the C-order flat index (i n + j) n + k.
+        table: dict = {u * (n * n + n + 1): 1.0 for u in range(m)}
         for s in range(m, n):
             u = self.u_map.get(s + 1)
             if u is not None and 1 <= u <= m:
-                M[u - 1, s, s] = 1.0
-                M[s, u - 1, s] = 1.0
+                table[((u - 1) * n + s) * n + s] = table[(s * n + u - 1) * n + s] = 1.0
         for (r, s, k), value in self.upsilon.items():
             if 1 <= r <= n and 1 <= s <= n and 1 <= k <= n:
-                M[r - 1, s - 1, k - 1] = value
-                M[s - 1, r - 1, k - 1] = value
-        return M
+                table[((r - 1) * n + s - 1) * n + k - 1] = value
+                table[((s - 1) * n + r - 1) * n + k - 1] = value
+        keys = sorted(key for key, value in table.items() if value != 0)
+        values = np.array([table[key] for key in keys], dtype=np.complex128)
+        return np.array(np.unravel_index(keys, (n, n, n))), values
 
     @cached_property
-    def radical_products(self) -> np.ndarray:
-        """Y[r, s, p] = coefficient of I_p in I_r I_s over the radical (0-based from m).
-
-        Entries with r >= p or s >= p are zeroed, so only products that the
-        Cartan form allows (p > max(r, s)) enter the B coefficients.
-        """
-        d = self.n - self.m
-        idx = np.arange(d)
-        allowed = (idx[:, None, None] < idx) & (idx[None, :, None] < idx)
-        return np.where(allowed, self.mult_tensor[self.m :, self.m :, self.m :], 0.0)
+    def mult_tensor(self) -> np.ndarray:
+        """M[i, j, k] = coefficient of I_{k+1} in I_{i+1} I_{j+1} (0-based)."""
+        M = np.zeros((self.n,) * 3, dtype=np.complex128)
+        idx, values = self.products
+        M[tuple(idx)] = values
+        return M
 
     @cached_property
     def radical_owner(self) -> np.ndarray:
@@ -169,27 +173,28 @@ class AlgebraSpec:
 
     @cached_property
     def b_terms(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The nonzero radical_products Y[r, s, p] in levels (s, Y, r * d + p).
+        """The nonzero radical products Y[r, s -> p], r < p and s < p, in levels (s, Y, r * d + p).
 
-        Level l holds the l-th s, in increasing order, of every (r, p)
-        that has more than l of them, so summing the levels in order sums
-        each B[r, p] in a fixed order.
+        Indices are 0-based from m.  Level l holds the l-th s, in increasing
+        order, of every (r, p) that has more than l of them, so summing the
+        levels in order sums each B[r, p] in a fixed order.
         """
-        d = self.n - self.m
-        Y = self.radical_products
-        levels: list = []
-        count: dict = {}
-        # np.nonzero runs in C order, so the s of one (r, p) come in increasing order.
-        for r, s, p in zip(*(i.tolist() for i in np.nonzero(Y))):
-            level = count[r, p] = count.get((r, p), -1) + 1
-            if level == len(levels):
-                levels.append(([], [], []))
-            for column, value in zip(levels[level], (s, Y[r, s, p], r * d + p)):
-                column.append(value)
-        return [
-            (np.array(s, dtype=int), np.array(y, dtype=np.complex128), np.array(cells, dtype=int))
-            for s, y, cells in levels
-        ]
+        m, d = self.m, self.n - self.m
+        idx, y = self.products
+        rs = idx[:2]
+        keep = (rs.min(axis=0) >= m) & (idx[2] > rs.max(axis=0))
+        # In C order of (r, s, p), so the s of one (r, p) come in increasing order.
+        (r, s, p), y = idx[:, keep], y[keep]
+        cells = r * d + p - m * (d + 1)
+        # The level of an entry is its rank among the entries of its (r, p).
+        by_cell = cells.argsort(kind="stable")
+        grouped = cells[by_cell]
+        level = np.empty_like(by_cell)
+        level[by_cell] = np.arange(len(cells)) - grouped.searchsorted(grouped)
+        by_level = level.argsort(kind="stable")
+        s, y, cells = s[by_level] - m, y[by_level], cells[by_level]
+        ends = np.bincount(level).cumsum().tolist()
+        return [(s[a:b], y[a:b], cells[a:b]) for a, b in zip([0] + ends, ends)]
 
     @cached_property
     def explicit_plan(self) -> "ExplicitPlan":
@@ -315,37 +320,34 @@ class ExplicitPlan:
     @classmethod
     def build(cls, spec: AlgebraSpec) -> "ExplicitPlan":
         m, d = spec.m, spec.n - spec.m
-        Y = spec.mult_tensor[m:, m:, m:]
-        owner = spec.radical_owner.tolist()
-        # (k, q, s, Y[q, s, k]) by k, then q and s.
-        terms = [(s, owner[s], s, 1.0) for s in range(d)]
-        terms += [(k, m + q, s, Y[q, s, k]) for q, s, k in zip(*(i.tolist() for i in np.nonzero(Y)))]
-        terms.sort(key=lambda t: t[:3])
-        orders = [0] * spec.n
-        targets, starts = [], []  # each component k, and its first term
-        for i, (k, q, s, _) in enumerate(terms):
-            orders[q] = max(orders[q], s + 1)
-            if not targets or targets[-1] != m + k:
-                targets.append(m + k)
-                starts.append(i)
-        counts = np.array(orders) + 1
-        offsets = np.cumsum(counts) - counts
-        q, s = (np.array([t[i] for t in terms], dtype=int) for i in (1, 2))
-        y = np.array([t[3] for t in terms], dtype=np.complex128)
-        # One product per (term, j), j = 0..s.
-        first = np.cumsum(s + 1) - (s + 1)
-        term = np.repeat(np.arange(len(terms)), s + 1)
+        idx, y = spec.products
+        # The terms (q, s, k) with s and k radical, by k, then q and s:
+        # I_{u_s} I_s = I_s for every s, and the nonzero radical products.
+        terms = idx[1:].min(axis=0) >= m
+        qsk, y = idx[:, terms], y[terms]
+        by_k = np.lexsort((qsk[1], qsk[0], qsk[2]))
+        (q, s, k), y = qsk[:, by_k], y[by_k]  # 0-based basis indices
+        s1 = s - (m - 1)  # the orders j = 0..s - m of each term
+        orders = np.zeros(spec.n, dtype=int)
+        np.maximum.at(orders, q, s1)
+        counts = orders + 1
+        offsets = counts.cumsum() - counts
+        # One product per (term, j).
+        rows = np.arange(len(k))
+        first = s1.cumsum() - s1
+        term = rows.repeat(s1)
         j = np.arange(len(term)) - first[term]
-        inv_fact = np.array([1.0 / math.factorial(i) for i in range(1, d + 1)])
+        head = k.searchsorted(k) == rows  # the first term of each component k
+        inv_fact = np.array([1.0 / math.factorial(f) for f in range(1, d + 1)])
         return cls(
             owner=np.concatenate([np.arange(m), spec.radical_owner]),
-            orders=np.array(orders),
+            orders=orders,
             offsets=offsets,
             entries=offsets[q][term] + j + 1,
-            cells=(j + 2) * d + s[term],
+            cells=j * d + s1[term] + (2 * d - 1),  # (j + 2) d + s - m
             weights=(y[term] * inv_fact[j]).reshape(-1, 1),
-            targets=np.array(targets, dtype=int),
-            starts=first[starts],
+            targets=k[head],
+            starts=first[head],
         )
 
 
@@ -360,7 +362,7 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
     for (r, s, k), value in spec.upsilon.items():
         if not (m + 1 <= r <= n and m + 1 <= s <= n):
             report.add("triangularity", (r, s, k), "indices outside radical")
-        elif not (max(r, s) + 1 <= k <= n):
+        elif not (r < k and s < k <= n):
             report.add("triangularity", (r, s, k), f"need k > max(r, s) = {max(r, s)}")
 
     for s in range(m + 1, n + 1):
@@ -371,27 +373,44 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
             report.add("u-map", (s, u), f"u_s outside [1, {m}]")
 
     if not report.ok:
-        return report  # mult_tensor would be ill-formed
+        return report  # the product list would be ill-formed
 
-    M = spec.mult_tensor
-    scale = max(
-        1.0, max((abs(v) for v in spec.upsilon.values()), default=0.0)
-    )
-    # (I_i I_j) I_p vs I_i (I_j I_p), coefficientwise over all basis triples.
-    # P[i, j, p, k] = sum_q M[i, j, q] M[q, p, k] is the left side, one BLAS
-    # matmul; M is symmetric in its first two indices by construction, so the
-    # right side sum_q M[j, p, q] M[q, i, k] is P[j, p, i, k].
-    P = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
-    left, right = P, P.transpose(2, 0, 1, 3)
-    bad = np.argwhere(np.abs(left - right) > ASSOC_TOL * scale)
-    seen = set()
-    for i, j, p, _ in bad:
-        trip = (int(i) + 1, int(j) + 1, int(p) + 1)
-        if trip in seen:
-            continue
-        seen.add(trip)
-        kind = "assoc-A1" if min(trip) > m else "assoc-A2"
-        report.add(kind, trip, "triple product mismatch")
+    scale = max(1.0, max(map(abs, spec.upsilon.values()), default=0.0))
+    # (I_i I_j) I_p against I_i (I_j I_p), coefficientwise over the nonzero
+    # products only.  P[i, j, p, k] = sum_q M[i, j, q] M[q, p, k] is the left
+    # side; M is symmetric in its first two indices by construction, so the
+    # right side sum_q M[j, p, q] M[q, i, k] is P[j, p, i, k].  Each nonzero
+    # (i, j, q) pairs with every nonzero (q, p, k); those follow one another,
+    # from lo on, since the list is in C order.
+    idx, value = spec.products
+    first, third = idx[0], idx[2]
+    lo = first.searchsorted(third)
+    hi = first.searchsorted(third, "right")
+    count = hi - lo
+    ends = count.cumsum()
+    partner = np.arange(ends[-1]) + (hi - ends).repeat(count)
+    # Pair (i, j, q) x (q, p, k) adds its term to D[i, j, p, k] and takes it
+    # from D[p, i, j, k]: two flat C-order keys from the rows (i, j, p, k).
+    ijpk = np.concatenate((idx[:2].repeat(count, axis=1), idx[1:, partner]))
+    flat = np.array([[n**3, n**2, n, 1], [n**2, n, n**3, 1]]) @ ijpk
+    term = value.repeat(count) * value[partner]
+    # Key -1 sorts first, so every change of key below starts a sum.
+    keys = np.concatenate((flat.ravel(), [-1]))
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    starts = (keys[1:] != keys[:-1]).nonzero()[0]
+    D = np.add.reduceat(np.concatenate((term, -term, [0]))[order][1:], starts)
+    bad = abs(D) > ASSOC_TOL * scale
+    if not bad.any():
+        return report
+    last = -1
+    for ijp in (keys[1:][starts[bad]] // n).tolist():
+        if ijp != last:  # one entry per triple, in C order
+            i, jp = divmod(ijp, n * n)
+            trip = (i + 1, jp // n + 1, jp % n + 1)
+            kind = "assoc-A1" if min(trip) > m else "assoc-A2"
+            report.add(kind, trip, "triple product mismatch")
+        last = ijp
     return report
 
 

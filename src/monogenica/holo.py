@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,13 +107,7 @@ class HoloFn:
         Derivatives of order >= len(coeffs) vanish and have no column; the
         zero entries at the top of a column leave Horner's rule exact.
         """
-        L = len(self.coeffs)
-        table = np.zeros((L, L), dtype=np.complex128)
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        for k in range(L):
-            table[: len(c), k] = c
-            c = c[1:] * np.arange(1, len(c))
-        return table
+        return _derivative_coeffs([self.coeffs])[:, 0, :].T
 
     def _g_derivative(self, k: int, w):
         if self.kind == "exp":
@@ -165,29 +160,22 @@ def _leaves(f) -> list:
     return [f]
 
 
-class _Gather:
-    """Table entries filled from one base function at the leaves' arguments.
+def _derivative_coeffs(coeffs: Sequence[Sequence[complex]]) -> np.ndarray:
+    """D[k, i, j]: coefficient of w^j in the k-th derivative of polynomial i.
 
-    out[entries] = fac * base(w[leaves])[src], each leaf evaluated once.
+    Polynomial i has the coefficients coeffs[i], padded with zeros to the
+    longest, and k and j run to that length.  Each order takes the one
+    before it shifted down and times j + 1, for all polynomials at once; a
+    multiplier with no imaginary part rounds the same in every layout, so
+    each entry has the same bits whatever polynomials are stacked with it.
     """
-
-    def __init__(self):
-        self.loc: dict[int, int] = {}
-        self.entries: list = []
-        self.src: list = []
-        self.fac: list = []
-
-    def add(self, leaf: int, entry: int, fac: complex) -> None:
-        self.src.append(self.loc.setdefault(leaf, len(self.loc)))
-        self.entries.append(entry)
-        self.fac.append(fac)
-
-    def freeze(self) -> "_Gather":
-        self.leaves = np.array(list(self.loc), dtype=int)
-        self.entries = np.array(self.entries, dtype=int)
-        self.src = np.array(self.src, dtype=int)
-        self.fac = np.array(self.fac, dtype=np.complex128).reshape(-1, 1)
-        return self
+    L = max(map(len, coeffs), default=0)
+    D = np.zeros((L, len(coeffs), L), dtype=np.complex128)
+    D[:1] = [[*c, *(0,) * (L - len(c))] for c in coeffs]
+    factors = np.arange(1, L)
+    for k in range(1, L):
+        np.multiply(D[k - 1, :, 1 : L - k + 1], factors[: L - k], out=D[k, :, : L - k])
+    return D
 
 
 class DerivativeStack:
@@ -199,76 +187,117 @@ class DerivativeStack:
     together, however many there are: one exp; one sin and one cos, cycled
     with signs; one Horner sweep over a padded table of derivative
     coefficients for every polynomial and series, after one domain check
-    for all series.  A HoloSum row adds up the rows of its parts.  The
-    constants (amp * scale^k, the tables, the index arrays) are built here,
-    once.  Every operation is elementwise over the points, so a column of
-    the table does not depend on the other columns.
+    for all series.  Each exp, sin and cos value is taken once per leaf,
+    and one gather and one product by amp * scale^k place them all.  A
+    HoloSum row adds up the rows of its parts.  The constants (amp *
+    scale^k, the tables, the index arrays) are built here, once: list
+    operations per leaf, then one array per kind of constant.  Every
+    operation is elementwise over the points, so a column of the table
+    does not depend on the other columns.
     """
 
     def __init__(self, fns: Sequence, K: Sequence[int], lo: int = 0):
-        K = [int(k) for k in K]
+        K = np.asarray(K, dtype=int).tolist()
         if lo < 0 or min(K, default=0) < 0:
             raise HoloDomainError("negative derivative order")
-        counts = np.array(K, dtype=int) + 1
-        self.offsets = np.cumsum(counts) - counts
-        self.size = int(counts.sum())
+        first = [0, *accumulate(k + 1 for k in K)]
+        self.offsets = np.array(first[:-1], dtype=int)
+        self.size = first[-1]
         leaves = [(i, leaf) for i, f in enumerate(fns) for leaf in _leaves(f)]
         rows = [i for i, _ in leaves]
         self._leaf_row = None if rows == list(range(len(fns))) else np.array(rows, dtype=int)
-        self._scale = np.array([[f.scale] for _, f in leaves], dtype=np.complex128)
-        self._shift = np.array([[f.shift] for _, f in leaves], dtype=np.complex128)
+        self._scale, self._shift = np.array(
+            [[f.scale for _, f in leaves], [f.shift for _, f in leaves]], dtype=np.complex128
+        ).reshape(2, -1, 1)
 
-        bases = {np.exp: _Gather(), np.sin: _Gather(), np.cos: _Gather()}
-        poly = []  # (terms, entry, leaf, fac, coefficients) of nonzero poly/series entries
-        centers, radii = {}, {}  # of the poly/series leaves; radii of the series
-        first = self.offsets.tolist()
-        targets = []  # the row entry of each leaf entry
+        # exp is taken at the exp leaves, sin and cos at the sin and cos
+        # leaves whose orders need them (phases from lo on, lo + 1 for cos).
+        # Their values are stacked exp, sin, cos, and table entry entries[t]
+        # is fac[t] times row src[t] of the stack.
+        taken = {np.exp: [], np.sin: [], np.cos: []}
         for li, (i, f) in enumerate(leaves):
-            if f.kind == "poly":
-                centers[li] = 0.0
-            elif f.kind == "series":
-                centers[li], radii[li] = f.center, f.radius
-            for k in range(lo, lo + K[i] + 1):
-                entry, fac = len(targets), f.amp * f.scale**k
-                targets.append(first[i] + k - lo)
-                if f.kind == "exp":
-                    bases[np.exp].add(li, entry, fac)
-                elif f.kind in ("sin", "cos"):
-                    # sin, cos, -sin, -cos, ... from phase p on.
-                    p = k + (f.kind == "cos")
-                    bases[np.cos if p % 2 else np.sin].add(li, entry, -fac if p % 4 >= 2 else fac)
-                elif k < len(f.coeffs):
-                    # Derivatives of order >= len(coeffs) vanish: no entry.
-                    poly.append((len(f.coeffs) - k, entry, li, fac, f._coeff_table[:, k]))
-        self._leaf_size = len(targets)
-        self._bases = [(fn, g.freeze()) for fn, g in bases.items() if g.entries]
+            if f.kind == "exp":
+                taken[np.exp].append(li)
+            elif f.kind in ("sin", "cos"):
+                p = lo + (f.kind == "cos")
+                for fn, parity in ((np.sin, 0), (np.cos, 1)):
+                    if K[i] or p % 2 == parity:
+                        taken[fn].append(li)
+        row, self._bases = {}, []
+        for fn, at in taken.items():
+            if at:
+                self._bases.append((fn, np.array(at, dtype=int), slice(len(row), len(row) + len(at))))
+                row.update({(fn, li): len(row) + r for r, li in enumerate(at)})
+        self._rows = len(row)
+        entries, src, fac = [], [], []
+        # Per poly/series entry: table entry, leaf (its place among the
+        # poly/series leaves), factor, coefficient count and order.
+        poly = ([], [], [], [], [])
+        poly_leaves, coeffs, centers, series, radii = [], [], [], [], []
+        # Leaf li fills the entries from start on, orders lo.. in turn.
+        start = 0
+        for li, (i, f) in enumerate(leaves):
+            leaf_entries = range(start, start + K[i] + 1)
+            start = leaf_entries.stop
+            # Python's power, not numpy's: the two differ in the last bit.
+            leaf_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
+            if f.kind == "exp":
+                src += [row[np.exp, li]] * len(leaf_entries)
+            elif f.kind in ("sin", "cos"):
+                # sin, cos, -sin, -cos, ... from phase lo (lo + 1 for cos) on.
+                p = lo + (f.kind == "cos")
+                leaf_fac = [-c if (p + t) % 4 >= 2 else c for t, c in enumerate(leaf_fac)]
+                src += [row[np.cos, li] if (p + t) % 2 else row[np.sin, li] for t in range(len(leaf_entries))]
+            else:
+                if f.kind == "series":
+                    series.append(len(coeffs))
+                    radii.append(f.radius)
+                centers.append(f.center if f.kind == "series" else 0.0)
+                # Derivatives of order >= len(coeffs) vanish: no entry.
+                top = len(f.coeffs) - lo
+                count = max(0, min(K[i] + 1, top))
+                for column, values in zip(poly, (leaf_entries[:count], [len(coeffs)] * count,
+                                                 leaf_fac[:count], range(top, top - count, -1),
+                                                 range(lo, lo + count))):
+                    column += values
+                poly_leaves.append(li)
+                coeffs.append(f.coeffs)
+                continue
+            entries += leaf_entries
+            fac += leaf_fac
+        self._leaf_size = start
+        self._gather = (np.array(entries, dtype=int), np.array(src, dtype=int),
+                        np.array(fac, dtype=np.complex128).reshape(-1, 1))
+
         self._poly = None
-        if centers:
-            # Longest first, so step j of the sweep runs over a prefix: the
-            # entries with a coefficient of w^j or above.
-            poly.sort(key=lambda t: -t[0])
-            g = _Gather()
-            for leaf in centers:
-                g.loc[leaf] = len(g.loc)
-            for _, entry, leaf, fac, _ in poly:
-                g.add(leaf, entry, fac)
-            terms = np.array([t[0] for t in poly], dtype=int)
-            L = int(terms.max(initial=0))
-            table = np.zeros((L, len(poly), 1), dtype=np.complex128)
-            for col, (n, *_, c) in enumerate(poly):
-                table[:n, col, 0] = c[:n]
-            active = (terms > np.arange(L)[:, None]).sum(axis=1).tolist()
+        if coeffs:
+            # Longest first (a stable sort), so step j of the sweep runs over
+            # a prefix: the entries with a coefficient of w^j or above.
+            terms = poly[3]
+            order = sorted(range(len(terms)), key=terms.__getitem__, reverse=True)
+            entries, src, fac, terms, orders = ([column[c] for c in order] for column in poly)
+            L = terms[0] if terms else 0
+            # Column c of the table holds the coefficients of entry c, zero
+            # above its top coefficient, where Horner's rule stays exact.
+            table = _derivative_coeffs(coeffs).transpose(2, 0, 1)[:L, orders, src]
+            tops = [0] * L  # entries by their top coefficient, w^(terms - 1)
+            for t in terms:
+                tops[t - 1] += 1
             self._poly = (
-                g.freeze(),
-                np.array(list(centers.values()), dtype=np.complex128).reshape(-1, 1),
-                np.array([g.loc[leaf] for leaf in radii], dtype=int),
-                np.array(list(radii.values())),
-                list(zip(table[::-1], active[::-1])),
+                np.array(poly_leaves, dtype=int),
+                np.array(centers, dtype=np.complex128).reshape(-1, 1),
+                (np.array(series, dtype=int), np.array(radii)) if series else None,
+                np.array(src, dtype=int),
+                list(zip(table[::-1, :, None], accumulate(tops[::-1]))),
+                np.array(entries, dtype=int),
+                np.array(fac, dtype=np.complex128).reshape(-1, 1),
             )
         self._sum = None
         if self._leaf_row is not None:
-            # Leaf entries ordered by the row entry they add to, parts in order.
-            targets = np.array(targets, dtype=int)
+            # Leaf entries ordered by the row entry they add to, parts in order:
+            # a leaf's entries add to its row's, from offsets[row] on.
+            c = np.array(K, dtype=int)[self._leaf_row] + 1
+            targets = (self.offsets[self._leaf_row] + c - c.cumsum()).repeat(c) + np.arange(start)
             order = np.argsort(targets, kind="stable")
             sums, starts = np.unique(targets[order], return_index=True)
             self._sum = (order, starts, sums)
@@ -283,13 +312,18 @@ class DerivativeStack:
         w = np.multiply(self._scale, X)
         w += self._shift
         out = np.zeros((self._leaf_size, w.shape[1]), dtype=np.complex128)
-        for fn, g in self._bases:
-            out[g.entries] = np.multiply(g.fac, fn(w[g.leaves])[g.src])
+        if self._bases:
+            entries, src, fac = self._gather
+            values = np.empty((self._rows, w.shape[1]), dtype=np.complex128)
+            for fn, at, rows in self._bases:
+                fn(w[at], out=values[rows])
+            out[entries] = np.multiply(fac, values[src])
         if self._poly is not None:
-            g, center, series, radius, sweep = self._poly
-            v = w[g.leaves]
+            leaves, center, series, src, sweep, entries, fac = self._poly
+            v = w[leaves]
             v -= center
-            if series.size:
+            if series is not None:
+                series, radius = series
                 dist = np.max(np.abs(v[series]), axis=1, initial=0.0)
                 over = np.flatnonzero(dist > SAFE_FRACTION * radius)
                 if over.size:
@@ -298,16 +332,16 @@ class DerivativeStack:
                         f"series evaluated at distance {dist[i]:.3g} from its center; "
                         f"safe radius is {SAFE_FRACTION * radius[i]:.3g}"
                     )
-            if g.entries.size:
+            if entries.size:
                 # Horner as in polyval; an entry joins at its top coefficient,
                 # where 0 * w + c = c.
-                v = v[g.src]
+                v = v[src]
                 acc = np.zeros_like(v)
                 for c, n in sweep:
                     a = acc[:n]
                     a *= v[:n]
                     a += c[:n]
-                out[g.entries] = np.multiply(g.fac, acc)
+                out[entries] = np.multiply(fac, acc)
         if self._sum is None:
             return out
         order, starts, sums = self._sum

@@ -109,9 +109,16 @@ def p_poly(pde: PdeSpec, a: float, b: float) -> float:
 def p_grid(pde: PdeSpec, axis: np.ndarray) -> np.ndarray:
     """P(axis[i], axis[j]) at [i, j]: one outer product per term, no meshgrid."""
     P = np.zeros((len(axis), len(axis)))
+    powers = {k: axis**k for k in {e for _, beta, gamma, _ in pde.terms for e in (beta, gamma)}}
     for _, beta, gamma, c in pde.terms:
-        P += np.multiply.outer(c * axis**beta, axis**gamma)
+        P += np.multiply.outer(c * powers[beta], powers[gamma])
     return P
+
+
+# The directions of the leading-part test in p_nonvanishing_scan: 720
+# angles around the circle, with their cosines and sines.
+_THETA = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+_COS, _SIN = np.cos(_THETA), np.sin(_THETA)
 
 
 def p_nonvanishing_scan(
@@ -125,9 +132,9 @@ def p_nonvanishing_scan(
     """
     axis = np.linspace(-box, box, grid)
     P = p_grid(pde, axis)
-    scale = max(1.0, float(np.max(np.abs(P))))
-    flat = int(np.argmin(np.abs(P)))
-    ia, ib = np.unravel_index(flat, P.shape)
+    size = np.abs(P)
+    scale = max(1.0, float(size.max()))
+    ia, ib = np.unravel_index(int(size.argmin()), P.shape)
     if abs(P[ia, ib]) <= 1e-9 * scale:
         return ZeroAt(float(axis[ia]), float(axis[ib]))
     if P.min() < 0.0 < P.max():
@@ -149,14 +156,13 @@ def p_nonvanishing_scan(
     # P takes both signs far outside any box.
     deg = max(beta + gamma for _, beta, gamma, _ in pde.terms)
     if deg > 0:
-        theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        lead = np.zeros_like(theta)
+        lead = np.zeros_like(_THETA)
         for _, beta, gamma, c in pde.terms:
             if beta + gamma == deg:
-                lead += c * np.cos(theta) ** beta * np.sin(theta) ** gamma
+                lead += c * _COS**beta * _SIN**gamma
         if lead.min() < 0.0 < lead.max():
             k = int(np.argmin(lead))
-            direction = np.array([np.cos(theta[k]), np.sin(theta[k])])
+            direction = np.array([np.cos(_THETA[k]), np.sin(_THETA[k])])
             r = box
             while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
                 r *= 2.0

@@ -51,6 +51,16 @@ def random_element(spec, rng, radius=1.0):
     return (re + 1j * im).astype(np.complex128)
 
 
+def most_terms_per_b(spec):
+    """The most s with a nonzero Y[r, s -> p], r < p and s < p, for one (r, p).
+
+    Counted over the nonzero products; each such s adds one T_s to B[r, p].
+    """
+    (i, j, k), _ = spec.products
+    radical = (i >= spec.m) & (j >= spec.m) & (k > np.maximum(i, j))
+    return int(np.bincount(i[radical] * spec.n + k[radical]).max(initial=0))
+
+
 def random_triad(spec, rng):
     """Random triad that is valid by construction.
 

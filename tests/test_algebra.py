@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,89 @@ def mutated(spec, extra, replace=()):
     return AlgebraSpec.create(spec.n, spec.m, entries, spec.u_map)
 
 
+def dense_assoc(spec):
+    """(kind, triple) of every basis triple that breaks associativity, in C order.
+
+    The dense check that validate_algebra used before it joined the nonzero
+    products: P[i, j, p, k] = sum_q M[i, j, q] M[q, p, k] by one matmul is
+    the left side, P[j, p, i, k] the right side, and a triple is listed
+    once if any k differs by more than the tolerance.
+    """
+    n = spec.n
+    M = spec.mult_tensor
+    scale = max(1.0, max((abs(v) for v in spec.upsilon.values()), default=0.0))
+    P = (M.reshape(n * n, n) @ M.reshape(n, n * n)).reshape(n, n, n, n)
+    out = []
+    for i, j, p, _ in np.argwhere(np.abs(P - P.transpose(2, 0, 1, 3)) > ASSOC_TOL * scale):
+        trip = (int(i) + 1, int(j) + 1, int(p) + 1)
+        if not out or out[-1][1] != trip:
+            out.append(("assoc-A1" if min(trip) > spec.m else "assoc-A2", trip))
+    return out
+
+
+def random_cartan(rng, max_n=7):
+    """A random triangular algebra in Cartan form with a complete u_map.
+
+    m and every u_s are random; each upsilon entry (r, s -> k), k > max(r, s),
+    joins radical vectors of any idempotents, which breaks (A2) when they
+    differ, and chains of entries break (A1).  Values are small exact
+    numbers or random complex ones.  Algebras with few entries are mostly
+    associative, so both outcomes come up often.
+    """
+    n = int(rng.integers(2, max_n + 1))
+    m = int(rng.integers(1, max(2, n - 1)))
+    u_map = {s: int(rng.integers(1, m + 1)) for s in range(m + 1, n + 1)}
+    upsilon = {}
+    if n - m >= 2:
+        for _ in range(int(rng.integers(0, 2 * (n - m) + 1))):
+            r, s = sorted(rng.integers(m + 1, n, size=2).tolist())
+            k = int(rng.integers(s + 1, n + 1))
+            if rng.random() < 0.5:
+                upsilon[r, s, k] = complex(*rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], 2))
+            else:
+                upsilon[r, s, k] = complex(rng.normal(), rng.normal())
+    return AlgebraSpec.create(n, m, [(*key, v) for key, v in upsilon.items()], u_map)
+
+
+class TestSparseAssociativity:
+    def test_matches_dense_and_brute_force_oracles(self):
+        rng = np.random.default_rng(20240)
+        kinds = {"assoc-A1": 0, "assoc-A2": 0}
+        invalid = 0
+        for _ in range(320):
+            spec = random_cartan(rng)
+            got = [(v.kind, v.where) for v in validate_algebra(spec).violations]
+            assert got == dense_assoc(spec)
+            assert got == sorted(brute_force_assoc(spec), key=lambda v: v[1])
+            invalid += bool(got)
+            for kind in {kind for kind, _ in got}:
+                kinds[kind] += 1
+        # Both outcomes and both kinds of violation are well represented.
+        assert 100 <= invalid <= 220, invalid
+        assert min(kinds.values()) >= 40, kinds
+
+    def test_load_memory_grows_with_the_products(self):
+        # C[eps]/eps^64: loading, validating and both term lists stay far
+        # below the 644 MB that the dense n^4 check took.
+        n = 64
+        data = {
+            "n": n,
+            "m": 1,
+            "upsilon": [[r, s, r + s - 1, 1.0, 0.0] for r in range(2, n + 1)
+                        for s in range(r, n + 2 - r)],
+            "u_map": {str(s): 1 for s in range(2, n + 1)},
+        }
+        tracemalloc.start()
+        try:
+            spec = algebra_from_dict(data)
+            spec.explicit_plan, spec.b_terms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.report.ok
+        assert peak < 64 * 2**20, peak
+
+
 class TestAssociativityTensor:
     def test_fixtures_match_brute_force(self, all_algebras):
         for name, spec in all_algebras.items():
@@ -128,8 +213,11 @@ class TestAssociativityTensor:
             ("alg_t4", (), {(2, 3, 4): 0.5 - 1j}, None),
             ("alg_p2", [(3, 3, 4, 1.0)], {}, "assoc-A2"),
             ("alg_d2", (), {}, None),
+            # (I2 I2) I3 = (1 + eps) I5 against I2 (I2 I3) = I5, about the tolerance.
+            ("alg_r5", (), {(3, 3, 5): 1.0 + 1e-9}, "assoc-A1"),
+            ("alg_r5", (), {(3, 3, 5): 1.0 + 1e-14}, None),
         ],
-        ids=["r5-A1", "t4-A1", "t4-rescaled", "p2-A2", "d2-unchanged"],
+        ids=["r5-A1", "t4-A1", "t4-rescaled", "p2-A2", "d2-unchanged", "r5-above-tol", "r5-within-tol"],
     )
     def test_mutations_match_brute_force(self, all_algebras, name, extra, replace, kind):
         spec = mutated(all_algebras[name], extra, replace)

@@ -112,6 +112,32 @@ class TestSymbolScan:
         assert isinstance(hit, ZeroAt)
         assert abs(p_poly(WAVE, hit.a, hit.b)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            ([(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0)], None),
+            # A grid sample is an exact zero.
+            ([(2, 0, 0, 1.0), (0, 2, 0, -1.0)], ("-0x1.0000000000000p+0", "-0x1.4000000000000p+3")),
+            # No grid sample is near zero: bisection inside the box.
+            ([(2, 0, 0, -0.5), (0, 2, 0, 1.0)], ("-0x1.6a09e667f3bccp-1", "-0x1.4000000000000p+3")),
+            ([(2, 0, 0, -0.3), (0, 2, 0, 1.0), (0, 0, 2, -1.0)],
+             ("-0x1.40f5c28f5c290p+2", "-0x1.3f0a3d70a3d70p+2")),
+            # P > 0 on the box, but its leading part a^2 - b^2 changes sign:
+            # a zero along a direction, outside the box.
+            ([(2, 0, 0, 1000.0), (0, 2, 0, 1.0), (0, 0, 2, -1.0)],
+             ("0x1.170e362ffce46p-49", "0x1.f9f6e4990f228p+4")),
+        ],
+        ids=["laplace", "wave-grid-zero", "wave-bisect", "wave-yz-bisect", "leading-sign-change"],
+    )
+    def test_scan_results_are_pinned(self, terms, expected):
+        # float.hex of the results before |P| and cos/sin were computed once.
+        hit = p_nonvanishing_scan(PdeSpec.create(2, terms))
+        if expected is None:
+            assert isinstance(hit, NoZeroFound)
+        else:
+            assert isinstance(hit, ZeroAt)
+            assert (hit.a.hex(), hit.b.hex()) == expected
+
     def test_missing_pure_x_term_zero_at_origin(self):
         pde = PdeSpec.create(2, [(0, 2, 0, 1.0), (0, 0, 2, 1.0)])
         hit = p_nonvanishing_scan(pde)
