@@ -21,7 +21,6 @@ from .holo import (
 )
 from .monogenic import (
     MonogenicSpec,
-    NotSpecial,
     TriadSpec,
     cr_residual,
     embed,
@@ -33,7 +32,6 @@ from .monogenic import (
     monogenic_from_dict,
     validate_triad,
     xi,
-    xi_all,
 )
 from .pde import (
     LAPLACE,

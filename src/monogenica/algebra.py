@@ -239,8 +239,10 @@ class AlgebraSpec:
     def power(self, a: Element, k: int) -> Element:
         if k < 0:
             raise AlgebraError("negative power; use invert explicitly")
-        out = self.unit()
-        for _ in range(k):
+        if k == 0:
+            return self.unit()
+        out = np.array(a, dtype=np.complex128)
+        for _ in range(k - 1):
             out = self.multiply(out, a)
         return out
 
@@ -424,9 +426,11 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
         m = int(data["m"])
         upsilon = data.get("upsilon", [])
         u_map = data.get("u_map", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(upsilon, (list, tuple)) or not isinstance(u_map, Mapping):
+            raise TypeError("upsilon must be a list and u_map an object")
+        spec = AlgebraSpec.create(n, m, upsilon, u_map)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
-    spec = AlgebraSpec.create(n, m, upsilon, u_map)
     spec.report.raise_if_invalid()
     return spec
 

@@ -15,22 +15,30 @@ in one eval_explicit call; only Phi^(N) of the operator identity takes a
 call of its own.
 
 eval --order r gives the r-th Gateaux derivative by the route --method
-names: explicit (the default) shifts every derivative stack by r, integral
-integrates W R^(r+1) r! over one circle around the spectrum; special has
-no derivative form and is order 0 only.  --compare prints the largest
-explicit-vs-integral deviation of the value at any order.
+names, on any algebra: explicit (the default) shifts every derivative
+stack by r, integral integrates W R^(r+1) r! over one circle around the
+spectrum, special sums the Taylor series in the algebra's radical.
+--compare prints the largest explicit-vs-integral deviation of the value
+at any order.
+
+A malformed job is rejected where its input is read, with exit 2: a job
+that is not a JSON object (load_job), a complex number that is not a finite
+number or [re, im] pair (holo.parse_complex), an algebra whose upsilon or
+u_map has the wrong type (algebra_from_dict), a triad without n
+coefficients (monogenic_from_dict), tolerances that are not an object of
+numbers (job_tolerance).
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
 usage errors (an option the subcommand does not take, such as --nodes
 outside eval or the former --h of check), numeric options (--nodes below
 16, a negative --order, a non-finite --point, an --h-cr or --h-pde that is
-not a positive finite number), a grid axis with a non-finite bound or
-extent or a count that is not a JSON integer, and --method special at
---order above 0 or on an algebra with no special form included;
-3 evaluation outside a holomorphic function's domain, including an
-integral route whose circle around the spectrum cannot stay inside every
-series' safe disc, and t on the spectrum; 4 output I/O errors.
+not a positive finite number), and a grid axis with a non-finite bound or
+extent or a count that is not a JSON integer included; 3 evaluation
+outside a holomorphic function's domain, including a scale whose power at
+a needed derivative order overflows and an integral route whose circle
+around the spectrum cannot stay inside every series' safe disc, and t on
+the spectrum; 4 output I/O errors.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra  # noqa: F401  (see cmd_validate)
 from .fixtures import fixture_path
 from .holo import MIN_NODES, HoloDomainError, UnstableQuadrature
-from .monogenic import MonogenicSpec, NotSpecial, validate_triad
+from .monogenic import MonogenicSpec, validate_triad
 from .resolvent import OnSpectrum
 
 EXIT_OK = 0
@@ -73,6 +81,8 @@ def load_job(path: str) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise JobError(f"cannot read job file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise JobError(f"job file {path} must hold a JSON object, not {type(data).__name__}")
     data["_dir"] = job_path.parent
     return data
 
@@ -116,6 +126,15 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
     return out
 
 
+def job_tolerance(job: dict, key: str, default: float) -> float:
+    """The job's tolerances[key], a JSON number; JobError otherwise."""
+    tol = job.get("tolerances", {})
+    value = tol.get(key, default) if isinstance(tol, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise JobError(f"bad tolerances: need an object of numbers, got {tol!r}")
+    return float(value)
+
+
 def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
     if getattr(args, "nodes", MIN_NODES) < MIN_NODES:
@@ -126,8 +145,6 @@ def check_options(args) -> None:
             raise JobError(f"--{option.replace('_', '-')} must be a positive finite number, got {h}")
     if getattr(args, "order", 0) < 0:
         raise JobError(f"--order must be >= 0, got {args.order}")
-    if getattr(args, "method", None) == "special" and args.order > 0:
-        raise JobError("--method special has no derivative form; use explicit or integral")
     if not all(math.isfinite(v) for v in getattr(args, "point", None) or ()):
         raise JobError(f"--point needs 3 finite numbers, got {args.point}")
 
@@ -179,8 +196,8 @@ def cmd_eval(args) -> int:
     def run(method: str):
         if method == "explicit":
             return monogenic.eval_explicit(ms, point, order=args.order)
-        if method == "special":  # order 0, see check_options
-            return monogenic.eval_special(ms, point)
+        if method == "special":
+            return monogenic.eval_special(ms, point, order=args.order)
         if args.order > 0:
             return monogenic.gateaux_derivative(
                 ms, point, args.order, nodes=args.nodes, method="integral"
@@ -276,9 +293,8 @@ def cmd_check(args) -> int:
     ms = build_spec(job)
     pde = build_pde(job)
     points = job_points(job)
-    tol = job.get("tolerances", {})
-    tol_cr = args.tol_cr if args.tol_cr is not None else float(tol.get("cr", 1e-6))
-    tol_pde = args.tol_pde if args.tol_pde is not None else float(tol.get("pde", 1e-4))
+    tol_cr = args.tol_cr if args.tol_cr is not None else job_tolerance(job, "cr", 1e-6)
+    tol_pde = args.tol_pde if args.tol_pde is not None else job_tolerance(job, "pde", 1e-4)
     ok = True
 
     ok &= _status(ms.algebra.report.ok, "algebra axioms")
@@ -380,7 +396,7 @@ def main(argv=None) -> int:
         # Looked up by name at call time, so that wrappers installed on
         # cli.cmd_* (perfbench/spans.py) see every command.
         return globals()[f"cmd_{args.command}"](args)
-    except (JobError, AlgebraError, NotSpecial) as exc:
+    except (JobError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (OnSpectrum, HoloDomainError) as exc:

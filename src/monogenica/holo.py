@@ -153,6 +153,20 @@ class HoloSum:
 # -- stacked derivatives -------------------------------------------------------
 
 
+def multiply_in_place(a: np.ndarray, b) -> None:
+    """a *= b, rounded as numpy rounds the same product inside a longer array.
+
+    numpy multiplies a one-element complex array in place by a scalar loop
+    whose rounding differs from the vector loop of longer arrays and of
+    out-of-place products, so a row of a batch would differ from the same
+    point evaluated alone; a one-element a takes the out-of-place product.
+    """
+    if a.size > 1:
+        a *= b
+    else:
+        a[...] = np.multiply(a, b)
+
+
 def _leaves(f) -> list:
     """The HoloFn terms of f, the parts of a HoloSum expanded in order."""
     if isinstance(f, HoloSum):
@@ -240,7 +254,10 @@ class DerivativeStack:
             leaf_entries = range(start, start + K[i] + 1)
             start = leaf_entries.stop
             # Python's power, not numpy's: the two differ in the last bit.
-            leaf_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
+            try:
+                leaf_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
+            except OverflowError:
+                raise HoloDomainError(f"scale^{lo + K[i]} of a {f.kind} overflows") from None
             if f.kind == "exp":
                 src += [row[np.exp, li]] * len(leaf_entries)
             elif f.kind in ("sin", "cos"):
@@ -339,7 +356,7 @@ class DerivativeStack:
                 acc = np.zeros_like(v)
                 for c, n in sweep:
                     a = acc[:n]
-                    a *= v[:n]
+                    multiply_in_place(a, v[:n])
                     a += c[:n]
                 out[entries] = np.multiply(fac, acc)
         if self._sum is None:
@@ -360,10 +377,11 @@ def _one_row(f, K: int, xi) -> np.ndarray:
 
 
 def parse_complex(pair) -> complex:
-    """A JSON complex number: a real number or a [re, im] pair."""
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    return complex(pair[0], pair[1])
+    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise."""
+    parts = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else [pair, 0.0]
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in parts):
+        raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}")
+    return complex(*parts)
 
 
 def holo_from_dict(data: Mapping) -> HoloFn:

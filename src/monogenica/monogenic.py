@@ -2,8 +2,9 @@
 
 A monogenic function is determined by one holomorphic function F_u per
 idempotent and one G_s per radical basis index.  Three evaluation routes
-are provided: the explicit partial-fraction formula, the Cauchy-type
-contour integral, and fast paths for the special algebra classes; all
+are provided, on every algebra and at every Gateaux order: the explicit
+partial-fraction formula, the Cauchy-type contour integral, and the Taylor
+sum in the algebra (eval_special), which uses no resolvent coefficient; all
 agree on valid data, which the test suite uses as a standing cross-check.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -21,7 +21,6 @@ from . import resolvent as rsv
 from .algebra import (
     AlgebraSpec,
     Element,
-    SpecialCase,
     ValidationReport,
     algebra_from_dict,
     load_algebra,
@@ -31,14 +30,11 @@ from .holo import (
     contour_integrate,
     enclosing_contour,
     holo_from_dict,
+    multiply_in_place,
     parse_complex,
 )
 
 Point = tuple[float, float, float]
-
-
-class NotSpecial(Exception):
-    """Algebra has no special-case fast path."""
 
 
 @dataclass(frozen=True)
@@ -93,11 +89,6 @@ def xi(triad: TriadSpec, p: Point, u: int) -> complex:
     """The complex shadow f_u(zeta) = x + y*a_u + z*b_u."""
     x, y, z = p
     return complex(x + y * triad.a[u - 1] + z * triad.b[u - 1])
-
-
-def xi_all(spec: AlgebraSpec, triad: TriadSpec, p: Point) -> np.ndarray:
-    x, y, z = p
-    return rsv.spectrum(triad, spec.m, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -193,8 +184,8 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0
         # is not bitwise commutative, and `a * b` on a large temporary b
         # may be computed as b * a.
         terms = Q.reshape(len(pts), Q.shape[1] * Q.shape[2]).T[plan.cells]
-        terms *= plan.weights
-        terms *= D[plan.entries]
+        multiply_in_place(terms, plan.weights)
+        multiply_in_place(terms, D[plan.entries])
         out[plan.targets] += np.add.reduceat(terms, plan.starts, axis=0)
     return out.T.reshape(shape + (spec.n,))
 
@@ -264,41 +255,50 @@ def gateaux_derivative(
     raise ValueError(f"unknown method {method!r}: use 'explicit' or 'integral'")
 
 
-# -- special-case evaluation ---------------------------------------------------
+# -- Taylor evaluation ---------------------------------------------------------
 
 
-def eval_special(ms: MonogenicSpec, p: Point) -> Element:
-    """Fast path for semi-simple, single-idempotent-action, and all-distinct cases."""
+def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0) -> Element:
+    """Taylor sum in the algebra, on any algebra: Phi^(r)(zeta) = sum_k c_k N^k / k!.
+
+    zeta = sum_u xi_u I_u + N, N its nilpotent radical part (the Jordan-block
+    form of a matrix function, Higham, Functions of Matrices, 2008, 1.2).
+    c_k holds F_u^(r+k)(xi_u) on I_u and G_s^(r+k)(xi_{u_s}) on I_s, from
+    ms.derivative_stack(r); an order it omits for row i multiplies I_i N^k = 0.
+    Horner's rule takes one batched product by N per order over the nonzero
+    products I_i I_j -> I_t, j radical, in a fixed order: no T, B or Q table,
+    no term list, no contour.  p is one point or an (N, 3) array, as for
+    eval_explicit, and a row of a batch equals the point evaluated alone.
+    """
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
     spec, triad = ms.algebra, ms.triad
-    case = spec.classify_special_case()
-    xi_v = xi_all(spec, triad, p)
-
-    if case is SpecialCase.SEMI_SIMPLE:
-        return np.array(
-            [ms.F[u].eval(0, xi_v[u]) for u in range(spec.m)], dtype=np.complex128
-        )
-
-    if case is SpecialCase.PROP2:
-        x, y, z = p
-        T = rsv.t_coeffs(spec, triad, y, z)
-        out = np.zeros(spec.n, dtype=np.complex128)
-        for u in range(spec.m):
-            out[u] = ms.F[u].eval(0, xi_v[u])
-        for s in range(spec.m + 1, spec.n + 1):
-            si = s - spec.m - 1
-            xi_us = xi_v[spec.u_map[s] - 1]
-            out[s - 1] = (
-                ms.G[si].eval(0, xi_us)
-                + T[si] * ms.F[spec.u_map[s] - 1].eval(1, xi_us)
-            )
-        return out
-
-    if case is SpecialCase.PROP1:
-        # All radical indices share one idempotent; the general formula
-        # collapses to a single evaluation argument xi_eta.
-        return eval_explicit(ms, p)
-
-    raise NotSpecial("algebra is neither semi-simple nor Prop1/Prop2")
+    plan = spec.explicit_plan
+    shape = np.shape(p)[:-1]
+    pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    # The coordinates of zeta, one column per point: the xi_u, then N.
+    zeta = (pts[:, :1] * spec.unit() + pts[:, 1:2] * triad.a_vec + pts[:, 2:] * triad.b_vec).T
+    stack = ms.derivative_stack(order)
+    # c_k / k! at C[k, i]: entry offsets[i] + k of the table is row i at order k.
+    rows = np.arange(spec.n).repeat(plan.orders + 1)
+    k = np.arange(stack.size) - stack.offsets[rows]
+    inv_fact = np.array([1 / math.factorial(j) for j in range(plan.orders.max() + 1)])
+    C = np.zeros((len(inv_fact), spec.n, len(pts)), dtype=np.complex128)
+    C[k, rows] = np.multiply(stack(zeta[plan.owner]), inv_fact[k, None])
+    # The products I_i I_j -> I_t with j radical, by t: Y[i, j, t] N_j at each point.
+    (i, j, t), y = spec.products
+    keep = j >= spec.m
+    by_t = np.argsort(t[keep], kind="stable")
+    i, j, t, y = (v[keep][by_t] for v in (i, j, t, y))
+    starts = np.flatnonzero(np.diff(t, prepend=-1))
+    YN = np.multiply(y[:, None], zeta[j])
+    acc = C[-1]
+    for c in C[-2::-1]:
+        terms = acc[i]
+        multiply_in_place(terms, YN)
+        c[t[starts]] += np.add.reduceat(terms, starts, axis=0)
+        acc = c
+    return acc.T.reshape(shape + (spec.n,))
 
 
 # -- differential checks ---------------------------------------------------------
@@ -359,19 +359,17 @@ def cr_residual(
 # -- JSON form ---------------------------------------------------------------
 
 
-def monogenic_from_dict(data: Mapping, base_dir: Union[str, Path, None] = None) -> MonogenicSpec:
+def monogenic_from_dict(data: Mapping) -> MonogenicSpec:
+    """The JSON form; a string algebra is a file path, read as given (cli.build_spec resolves it)."""
     alg = data["algebra"]
-    if isinstance(alg, str):
-        path = Path(alg)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        algebra = load_algebra(path)
-    else:
-        algebra = algebra_from_dict(alg)
+    algebra = load_algebra(alg) if isinstance(alg, str) else algebra_from_dict(alg)
     triad = TriadSpec.create(
         [parse_complex(v) for v in data["triad"]["a"]],
         [parse_complex(v) for v in data["triad"]["b"]],
     )
+    if not len(triad.a) == len(triad.b) == algebra.n:
+        raise ValueError(f"triad a and b need {algebra.n} coefficients each, "
+                         f"got {len(triad.a)} and {len(triad.b)}")
     F = [holo_from_dict(d) for d in data.get("F", [])]
     G = [holo_from_dict(d) for d in data.get("G", [])]
     return MonogenicSpec.create(algebra, triad, F, G)

@@ -97,7 +97,11 @@ def characteristic_residual(spec: AlgebraSpec, triad: TriadSpec, pde: PdeSpec) -
     e3 = triad.b_vec
     out = np.zeros(spec.n, dtype=np.complex128)
     for _, beta, gamma, c in pde.terms:
-        out += c * spec.multiply(spec.power(e2, beta), spec.power(e3, gamma))
+        if beta and gamma:
+            term = spec.multiply(spec.power(e2, beta), spec.power(e3, gamma))
+        else:  # one factor is the unit
+            term = spec.power(e2, beta) if beta else spec.power(e3, gamma)
+        out += c * term
     return out
 
 

@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -s` to see the criterion lines.
 """
 
+import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,15 +30,15 @@ from monogenica import (
     resolvent_closed,
     resolvent_recurrence,
     t_coeffs,
-    xi_all,
 )
 from monogenica.cli import main as cli_main
 from monogenica.fixtures import fixture_path
 from monogenica.holo import UnstableQuadrature
 from monogenica.pde import LAPLACE
-from monogenica.resolvent import b_coeffs
+from monogenica.resolvent import b_coeffs, spectrum
 
 from conftest import fixture_triad, random_triad
+from test_monogenic import truncated_poly
 from test_pde import ORDER3, ORDER5, ORDER5_TRIAD
 from test_resolvent import geometric_series_resolvent
 
@@ -58,7 +60,7 @@ def make_tuples(all_algebras, count: int, rng):
         triad = random_triad(spec, rng)
         p = tuple(rng.uniform(-2.0, 2.0, 3))
         t = complex(*rng.uniform(-4.0, 4.0, 2))
-        if np.min(np.abs(t - xi_all(spec, triad, p))) < 0.1:
+        if np.min(np.abs(t - spectrum(triad, spec.m, *p))) < 0.1:
             continue
         out.append((spec, triad, p, t))
     return out
@@ -136,7 +138,7 @@ def separated_points(ms, count, rng):
     pts = []
     while len(pts) < count:
         p = tuple(rng.uniform(-1.5, 1.5, 3))
-        xi_v = xi_all(ms.algebra, ms.triad, p)
+        xi_v = spectrum(ms.triad, ms.algebra.m, *p)
         if len(xi_v) > 1:
             gaps = np.abs(np.subtract.outer(xi_v, xi_v)) + np.eye(len(xi_v))
             if float(np.min(gaps)) < 0.1:
@@ -154,10 +156,7 @@ def test_criterion_4_representation_consistency(all_monospecs):
         for p in separated_points(ms, 50, rng):
             ex = eval_explicit(ms, p)
             worst_int = max(worst_int, float(np.max(np.abs(eval_integral(ms, p) - ex))))
-            if ms.algebra.classify_special_case().value != "General":
-                worst_spec = max(
-                    worst_spec, float(np.max(np.abs(eval_special(ms, p) - ex)))
-                )
+            worst_spec = max(worst_spec, float(np.max(np.abs(eval_special(ms, p) - ex))))
     elapsed = time.perf_counter() - start
     report(
         "criterion 4: explicit vs integral vs special paths, 5 fixtures x 50 points",
@@ -184,7 +183,7 @@ def test_criterion_5_cauchy_riemann(all_monospecs, alg_p2):
     ms = MonogenicSpec.create(alg_p2, triad, F, G)
 
     def broken(q):
-        xi_v = xi_all(alg_p2, triad, q)
+        xi_v = spectrum(triad, alg_p2.m, *q)
         T = t_coeffs(alg_p2, triad, q[1], q[2])
         out = np.zeros(4, dtype=np.complex128)
         out[0] = F[0].eval(0, xi_v[0])
@@ -316,7 +315,7 @@ def test_criterion_10_gateaux_routes_closed_form(alg_ss2):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableQuadrature)
         for p in generic + near:
-            expect = np.exp(xi_all(alg_ss2, triad, p))
+            expect = np.exp(spectrum(triad, alg_ss2.m, *p))
             for r in (1, 2, 3):
                 for method in ("explicit", "integral"):
                     err = float(np.max(np.abs(gateaux_derivative(ms, p, r, method=method) - expect)))
@@ -327,4 +326,113 @@ def test_criterion_10_gateaux_routes_closed_form(alg_ss2):
         worst["explicit"] <= 1e-14 and worst["integral"] <= 1e-10,
         f"explicit {worst['explicit']:.3e} everywhere; integral {worst['integral']:.3e} "
         f"at generic points, {worst['integral near']:.3e} near-coincident",
+    )
+
+
+# -- absolute accuracy against a 50-digit reference -----------------------------
+
+ACCURACY_DATA = [
+    HoloFn.exp(amp=0.8 - 0.2j, scale=0.7 + 0.2j, shift=0.1),
+    HoloFn.sin(scale=0.6 - 0.3j, shift=0.2j),
+    HoloFn.series(0.1j, [1.0, 0.5, -0.25j, 0.125, 0.1, -0.05j], radius=50.0, amp=0.7),
+]
+
+
+def mp_derivative(f, k, xi):
+    """f^(k)(xi) in mpmath: exact exp, sin and term-wise series derivatives."""
+    scale = mpmath.mpc(f.scale)
+    w = scale * xi + mpmath.mpc(f.shift)
+    if f.kind == "exp":
+        g = mpmath.exp(w)
+    elif f.kind == "sin":
+        g = mpmath.sin(w + k * mpmath.pi / 2)
+    else:
+        v = w - mpmath.mpc(f.center)
+        g = sum(mpmath.mpc(c) * math.perm(j, k) * v ** (j - k)
+                for j, c in enumerate(f.coeffs) if j >= k)
+    return mpmath.mpc(f.amp) * scale**k * g
+
+
+def mp_phi(ms, p, orders):
+    """Phi^(r)(zeta) for r in orders: Taylor sums about xi_u, block by block, in mpmath.
+
+    Inside block u, P_u = I_u zeta - xi_u I_u is nilpotent, so I_u F(zeta) =
+    sum_k F^(k)(xi_u) / k! P_u^k and I_s G(zeta) = I_s sum_k G^(k)(xi_u) / k!
+    P_u^k for u = u_s.  The product is built from the algebra's defining
+    data (n, m, u_map, upsilon), not from its product tables.
+    """
+    spec, n, m = ms.algebra, ms.algebra.n, ms.algebra.m
+    table = [(u, u, u, 1) for u in range(m)]
+    for s, u in spec.u_map.items():
+        table += [(u - 1, s - 1, s - 1, 1), (s - 1, u - 1, s - 1, 1)]
+    for (r, s, k), v in spec.upsilon.items():
+        table += [(r - 1, s - 1, k - 1, v)] + ([(s - 1, r - 1, k - 1, v)] if r != s else [])
+    table = [(i, j, k, mpmath.mpc(v)) for i, j, k, v in table]
+
+    def mul(a, b):
+        out = [mpmath.mpc(0)] * n
+        for i, j, k, v in table:
+            out[k] += v * a[i] * b[j]
+        return out
+
+    def basis(i):
+        return [mpmath.mpc(int(j == i)) for j in range(n)]
+
+    x, y, z = (mpmath.mpf(c) for c in p)
+    zeta = [x * (j < m) + y * mpmath.mpc(a) + z * mpmath.mpc(b)
+            for j, (a, b) in enumerate(zip(ms.triad.a, ms.triad.b))]
+    out = {r: [mpmath.mpc(0)] * n for r in orders}
+    for u in range(m):
+        xi = zeta[u]
+        P = [c - xi * e for c, e in zip(mul(basis(u), zeta), basis(u))]
+        powers = [basis(u)]
+        while len(powers) <= n - m and any(powers[-1]):
+            powers.append(mul(powers[-1], P))
+        owned = [s for s in range(m, n) if spec.u_map[s + 1] == u + 1]
+        for r in orders:
+            def taylor(f):
+                c = [mp_derivative(f, r + k, xi) / math.factorial(k) for k in range(len(powers))]
+                return [sum(ck * pk[j] for ck, pk in zip(c, powers)) for j in range(n)]
+            terms = [taylor(ms.F[u])] + [mul(basis(s), taylor(ms.G[s - m])) for s in owned]
+            out[r] = [sum(col) for col in zip(out[r], *terms)]
+    return {r: np.array([complex(c) for c in v]) for r, v in out.items()}
+
+
+def test_criterion_11_absolute_accuracy(all_algebras):
+    orders = range(13)
+    algebras = {name: all_algebras[name] for name in ("alg_ss2", "alg_d2", "alg_t4")}
+    algebras["eps16"] = truncated_poly(16)
+    triads = {name: fixture_triad(name) for name in ("alg_ss2", "alg_d2", "alg_t4")}
+    triads["eps16"] = TriadSpec.create([0.3 + 1j, 1.0] + [0.0] * 14,
+                                       [0.5 - 0.4j, 0.2j, 1.0] + [0.0] * 13)
+    routes = {
+        "explicit": eval_explicit,
+        "special": eval_special,
+        "integral": lambda ms, p, order: (
+            gateaux_derivative(ms, p, order, method="integral") if order else eval_integral(ms, p)
+        ),
+    }
+    worst = {route: [0.0] * len(orders) for route in routes}
+    start = time.perf_counter()
+    # The contour route is reported, not gated: its error grows with r.
+    with mpmath.workdps(50), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableQuadrature)
+        for name, spec in algebras.items():
+            data = [ACCURACY_DATA[i % len(ACCURACY_DATA)] for i in range(spec.n)]
+            ms = MonogenicSpec.create(spec, triads[name], data[: spec.m], data[spec.m :])
+            for p in ((0.3, 0.4, -0.2), (-0.5, 0.1, 0.7)):
+                ref = mp_phi(ms, p, orders)
+                for route, fn in routes.items():
+                    for r in orders:
+                        err = np.max(np.abs(fn(ms, p, order=r) - ref[r]))
+                        rel = float(err / (1 + np.max(np.abs(ref[r]))))
+                        worst[route][r] = max(worst[route][r], rel)
+    elapsed = time.perf_counter() - start
+    for route, errs in worst.items():
+        print(f"\n  {route}: " + ", ".join(f"r={r} {e:.1e}" for r, e in zip(orders, errs)))
+    report(
+        "criterion 11: absolute accuracy of Phi^(r), r = 0..12, against 50-digit Taylor sums "
+        "(ss2, d2, t4, C[eps]/eps^16; exp, sin, series)",
+        all(e <= 1e-14 for route in ("explicit", "special") for e in worst[route]),
+        ", ".join(f"{route} {max(errs):.3e}" for route, errs in worst.items()) + f", {elapsed:.2f}s",
     )

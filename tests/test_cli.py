@@ -1,11 +1,14 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monogenica import monogenic
-from monogenica.cli import main
+from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
 
 
@@ -188,14 +191,14 @@ class TestEval:
         match = re.search(r"max cross-method deviation = (\S+)", out)
         assert match and float(match.group(1)) < 1e-8
 
-    def test_special_has_no_derivative(self, capsys):
-        code, out, err = run(
-            capsys, "eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "1",
-            "--method", "special",
-        )
-        assert code == 2
-        assert err.startswith("error: ") and "special" in err
-        assert "U_1" not in out
+    def test_special_at_order_1_equals_explicit(self, capsys):
+        argv = ["eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--order", "1"]
+        code, out, _ = run(capsys, *argv, "--method", "special")
+        assert code == 0
+        special = values(out)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(special) == 4
+        assert np.allclose(special, values(out), rtol=1e-12, atol=1e-12)
 
     def test_special_on_general_algebra(self, capsys, tmp_path):
         job = {
@@ -210,10 +213,10 @@ class TestEval:
         argv = ["eval", str(path), "--point", "0.1", "0.2", "0.3"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(values(out)) == 5
-        code, out, err = run(capsys, *argv, "--method", "special")
-        assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "U_1" not in out
+        explicit = values(out)
+        code, out, _ = run(capsys, *argv, "--method", "special")
+        assert code == 0 and len(values(out)) == 5
+        assert np.allclose(values(out), explicit, rtol=1e-12, atol=1e-12)
 
     def test_domain_overrun_exit_code(self, capsys, tmp_path):
         # A series F of radius 1 centred on xi: the integral route's circle
@@ -439,8 +442,7 @@ class TestParser:
         assert code == 0
         code, out, _ = run(capsys, "eval", JOB_OK, "--point", *point)
         assert code == 0 and out != d2
-        ms = monogenic.monogenic_from_dict(json.loads(open(JOB_OK).read()),
-                                           base_dir=fixture_path("job_laplace_ss2").parent)
+        ms = build_spec(load_job(JOB_OK))
         expect = monogenic.extract_components(
             monogenic.eval_explicit(ms, tuple(map(float, point))))
         assert np.allclose(values(out), expect, rtol=1e-14, atol=0)
@@ -506,6 +508,115 @@ class TestErrors:
             code, _, err = run(capsys, "eval", str(path), "--point", "0.3", "0.4", "-0.2")
             assert code == 2, bad
             assert "bad job spec" in err
+
+
+def write_job(tmp_path, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return str(path)
+
+
+def inlined(name):
+    """A bundled job with its algebra file read into the job."""
+    job = json.loads(fixture_path(name).read_text())
+    job["algebra"] = json.loads(fixture_path(job["algebra"]).read_text())
+    return job
+
+
+def set_path(job, path, value):
+    """job with the value at path (keys and list indices) replaced."""
+    node = job
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return job
+
+
+MALFORMED = {
+    "not-an-object": lambda job: [job],
+    "string-in-triad": lambda job: set_path(job, ["triad", "a", 0], "ab"),
+    "one-char-in-coeffs": lambda job: set_path(job, ["G", 0], {"kind": "poly", "coeffs": ["a"]}),
+    "pair-of-strings": lambda job: set_path(job, ["triad", "b", 1], ["1", "2"]),
+    "three-part-complex": lambda job: set_path(job, ["triad", "b", 1], [1.0, 0.0, 2.0]),
+    "infinite-amp": lambda job: set_path(job, ["F", 0], {"kind": "exp", "amp": float("inf")}),
+    "u_map-list": lambda job: set_path(job, ["algebra", "u_map"], [1, 1, 1]),
+    "upsilon-number": lambda job: set_path(job, ["algebra", "upsilon"], 3),
+    "tolerances-list": lambda job: set_path(job, ["tolerances"], [1e-6]),
+    "tolerances-string": lambda job: set_path(job, ["tolerances"], {"cr": "tight"}),
+    "tolerances-number": lambda job: set_path(job, ["tolerances"], 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+@pytest.mark.parametrize("command", ["validate", "check", "eval"])
+def test_malformed_job_exits_2(capsys, tmp_path, name, command):
+    job = MALFORMED[name](inlined("job_square_t4.json"))
+    argv = [command, write_job(tmp_path, job)]
+    argv += ["--point", "0.3", "0.4", "-0.2"] if command == "eval" else []
+    code, _, err = run(capsys, *argv)
+    if command != "check" and name.startswith("tolerances"):
+        assert code == 0  # only check reads the tolerances
+    else:
+        assert code == 2 and err.startswith("error: "), (code, err)
+
+
+def test_overflowing_scale_exits_3(capsys, tmp_path):
+    job = inlined("job_square_t4.json")
+    job["F"][0] = {"kind": "exp", "scale": 1e308}
+    code, _, err = run(capsys, "check", write_job(tmp_path, job))
+    assert code == 3 and "overflows" in err
+
+
+# Values that replace values of a bundled job: any JSON, small and bounded.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([1e308, -1e-300]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A bundled job, algebra inlined, with one to three values replaced or deleted."""
+    job = inlined(draw(st.sampled_from(["job_laplace_ss2.json", "job_square_t4.json",
+                                        "job_broken_triad.json"])))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(job, (dict, list)) or not job:
+            break
+        node = job
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+                break
+            node = child
+        if draw(st.integers(0, 4)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    if isinstance(job, dict) and isinstance(job.get("algebra"), dict):
+        algebra = job["algebra"]
+        for key in ("n", "m"):  # small algebras only
+            if isinstance(algebra.get(key), (int, float)) and not abs(algebra[key]) <= 8:
+                algebra[key] = 8
+    return job
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(job=mutated_jobs(), order=st.integers(0, 3))
+def test_mutated_jobs_map_to_exit_codes(capsys, tmp_path, job, order):
+    path = write_job(tmp_path, job)
+    point = ["--point", "0.3", "0.4", "-0.2", "--order", str(order)]
+    runs = [["validate", path], ["check", path]]
+    runs += [["eval", path, *point, "--method", method] for method in ("explicit", "integral", "special")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in runs:
+            code = main(argv)
+            assert code in range(5), argv
+    capsys.readouterr()
 
 
 def counting_validations(monkeypatch) -> list:

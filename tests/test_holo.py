@@ -152,6 +152,17 @@ class TestStackedKernel:
         for j in range(40):
             assert np.array_equal(got[:, j], stack(xi[:, j : j + 1])[:, 0])
 
+    def test_one_entry_horner_columns(self, rng):
+        # One 6-coefficient poly at order 0: at one point every Horner step
+        # multiplies a one-element array, which numpy rounds by another loop
+        # when the product is taken in place.
+        f = HoloFn.poly([1.0, 0.5 - 0.2j, 0.3j, -0.7, 0.1 + 0.1j, 0.05j])
+        stack = DerivativeStack([f], [0])
+        xi = rng.normal(size=(1, 40)) + 1j * rng.normal(size=(1, 40))
+        got = stack(xi)
+        for j in range(40):
+            assert np.array_equal(got[:, j], stack(xi[:, j : j + 1])[:, 0]), j
+
     @pytest.mark.parametrize(
         "row, lo",
         [

@@ -5,7 +5,6 @@ from monogenica import (
     HoloDomainError,
     HoloFn,
     MonogenicSpec,
-    NotSpecial,
     TriadSpec,
     cr_residual,
     embed,
@@ -17,11 +16,11 @@ from monogenica import (
     t_coeffs,
     validate_triad,
     xi,
-    xi_all,
 )
 from monogenica import monogenic
 from monogenica.algebra import AlgebraSpec, SpecialCase
 from monogenica.holo import HoloSum
+from monogenica.resolvent import spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
 from test_algebra import direct_sum_truncated, skewed_basis
@@ -90,7 +89,7 @@ class TestExplicit:
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.square(), HoloFn.square()])
         p = (0.7, 0.4, -0.3)
-        xi_v = xi_all(alg_ss2, triad, p)
+        xi_v = spectrum(triad, alg_ss2.m, *p)
         assert np.max(np.abs(eval_explicit(ms, p) - xi_v**2)) < 1e-14
 
     def test_d2_exp_against_series_oracle(self, alg_d2):
@@ -150,7 +149,8 @@ class TestBatchedExplicit:
     def test_empty_batch(self, all_monospecs):
         for name, ms in all_monospecs.items():
             for r in (0, 2):
-                assert eval_explicit(ms, np.zeros((0, 3)), order=r).shape == (0, ms.algebra.n), name
+                for route in (eval_explicit, eval_special):
+                    assert route(ms, np.zeros((0, 3)), order=r).shape == (0, ms.algebra.n), name
 
     def test_cr_residual_default_path_is_one_batch(self, all_monospecs, monkeypatch):
         calls = []
@@ -185,14 +185,13 @@ class TestIntegral:
         for name, ms in all_monospecs.items():
             for _ in range(5):
                 p = tuple(rng.uniform(-1.5, 1.5, 3))
-                xi_v = xi_all(ms.algebra, ms.triad, p)
+                xi_v = spectrum(ms.triad, ms.algebra.m, *p)
                 if len(xi_v) > 1 and np.min(np.abs(np.subtract.outer(xi_v, xi_v))
                                             + np.eye(len(xi_v))) < 0.1:
                     continue
                 ex = eval_explicit(ms, p)
                 assert np.max(np.abs(eval_integral(ms, p) - ex)) < 1e-8, name
-                if ms.algebra.classify_special_case().value != "General":
-                    assert np.max(np.abs(eval_special(ms, p) - ex)) < 1e-12, name
+                assert np.max(np.abs(eval_special(ms, p) - ex)) < 1e-12, name
 
     @pytest.mark.parametrize(
         "name", ["alg_ss2", "alg_d2", "alg_t4", "alg_p2", "alg_r5", "trunc10", "general"]
@@ -286,7 +285,7 @@ class TestIntegral:
         f = HoloFn.series(0.0, [1.0, 0.5], radius=1.0)
         ms = MonogenicSpec.create(alg_ss2, triad, [f, HoloFn.exp()])
         p = (0.0, 1.0, 1.0)
-        assert np.allclose(xi_all(alg_ss2, triad, p), [-0.6 + 0.6j, 0.6 + 0.6j])
+        assert np.allclose(spectrum(triad, alg_ss2.m, *p), [-0.6 + 0.6j, 0.6 + 0.6j])
         eval_explicit(ms, p)
         with pytest.raises(HoloDomainError, match="series"):
             eval_integral(ms, p)
@@ -299,7 +298,7 @@ class TestSpecial:
         G = [HoloFn.poly([0.0, 1.0]), HoloFn.cos()]
         ms = MonogenicSpec.create(alg_p2, triad, F, G)
         p = (0.4, -0.7, 0.9)
-        xi_v = xi_all(alg_p2, triad, p)
+        xi_v = spectrum(triad, alg_p2.m, *p)
         T = t_coeffs(alg_p2, triad, p[1], p[2])
         expect = np.zeros(4, dtype=np.complex128)
         expect[0] = F[0].eval(0, xi_v[0])
@@ -320,14 +319,39 @@ class TestSpecial:
         p = (0.3, 0.7, -0.4)
         assert np.max(np.abs(eval_special(ms, p) - eval_explicit(ms, p))) < 1e-12
 
-    def test_general_algebra_not_special(self, rng):
+    def test_general_algebra_equals_explicit(self, rng):
         spec = AlgebraSpec.create(5, 2, [], {3: 1, 4: 1, 5: 2})
+        assert spec.classify_special_case() is SpecialCase.GENERAL
         triad = random_triad(spec, rng)
         ms = MonogenicSpec.create(
             spec, triad, [HoloFn.exp(), HoloFn.sin()], [HoloFn.zero()] * 3
         )
-        with pytest.raises(NotSpecial):
-            eval_special(ms, (0.1, 0.2, 0.3))
+        p = (0.1, 0.2, 0.3)
+        ex = eval_explicit(ms, p)
+        assert np.max(np.abs(eval_special(ms, p) - ex)) <= 1e-12 * (1 + np.max(np.abs(ex)))
+
+    @pytest.mark.parametrize(
+        "name", ["alg_ss2", "alg_d2", "alg_t4", "alg_p2", "alg_r5", "general", "trunc16"]
+    )
+    def test_equals_explicit_at_every_order(self, all_monospecs, rng, name):
+        if name in all_monospecs:
+            ms = all_monospecs[name]
+        else:
+            spec = general_cartan(rng) if name == "general" else truncated_poly(16)
+            ms = MonogenicSpec.create(spec, random_triad(spec, rng), *mixed_data(spec))
+        for count in (1, 7, 40):
+            pts = rng.uniform(-1.2, 1.2, (count, 3))
+            for r in range(4):
+                batch = eval_special(ms, pts, order=r)
+                ex = eval_explicit(ms, pts, order=r)
+                assert batch.shape == (count, ms.algebra.n)
+                assert np.max(np.abs(batch - ex)) <= 1e-12 * (1 + np.max(np.abs(ex))), (count, r)
+                for p, row in zip(pts, batch):
+                    assert np.array_equal(row, eval_special(ms, tuple(p), order=r)), (count, r)
+
+    def test_negative_order_rejected(self, all_monospecs):
+        with pytest.raises(ValueError):
+            eval_special(all_monospecs["alg_t4"], (0.1, 0.2, 0.3), order=-1)
 
 
 # Each Gateaux test runs on both routes, so the contour route keeps its
@@ -340,7 +364,7 @@ class TestGateaux:
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.square(), HoloFn.square()])
         p = (0.6, 0.3, -0.2)
-        xi_v = xi_all(alg_ss2, triad, p)
+        xi_v = spectrum(triad, alg_ss2.m, *p)
         for method in METHODS:
             got = gateaux_derivative(ms, p, 1, method=method)
             assert np.max(np.abs(got - 2 * xi_v)) < 1e-10, method
@@ -418,7 +442,7 @@ class TestGateaux:
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.exp()])
         p = (0.3, y, 0.0)
-        expect = np.exp(xi_all(alg_ss2, triad, p))
+        expect = np.exp(spectrum(triad, alg_ss2.m, *p))
         for r in (1, 2, 3):
             assert np.max(np.abs(gateaux_derivative(ms, p, r) - expect)) < 1e-12, r
 
@@ -467,7 +491,7 @@ class TestCauchyRiemann:
         ms = MonogenicSpec.create(alg_p2, triad, F, G)
 
         def broken(q):
-            xi_v = xi_all(alg_p2, triad, q)
+            xi_v = spectrum(triad, alg_p2.m, *q)
             T = t_coeffs(alg_p2, triad, q[1], q[2])
             out = np.zeros(4, dtype=np.complex128)
             out[0] = F[0].eval(0, xi_v[0])
@@ -556,6 +580,17 @@ class TestRowsAtHigherOrder:
                 assert np.all(np.isfinite(batch))
                 for p, row in zip(pts, batch):
                     assert np.array_equal(row, eval_explicit(ms, tuple(p), order=r)), (name, count, r)
+
+    def test_one_product_rows_match_points(self, alg_d2, rng):
+        # alg_d2's term list has one (term, order) product, so a pointwise
+        # call multiplies one-element arrays, which numpy rounds by another
+        # loop when the product is taken in place.
+        F, G = mixed_data(alg_d2)
+        ms = MonogenicSpec.create(alg_d2, random_triad(alg_d2, rng), F, G)
+        pts = rng.uniform(-1.2, 1.2, (40, 3))
+        for r in range(4):
+            for p, row in zip(pts, eval_explicit(ms, pts, order=r)):
+                assert np.array_equal(row, eval_explicit(ms, tuple(p), order=r)), (p, r)
 
     def test_general_algebra_against_integral(self, rng):
         spec = general_cartan(rng)

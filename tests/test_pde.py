@@ -24,6 +24,7 @@ from monogenica import (
 )
 
 from monogenica import pde as pde_mod
+from monogenica.algebra import AlgebraSpec
 
 from conftest import fixture_triad
 
@@ -92,6 +93,16 @@ class TestCharacteristic:
 
     def test_order5_stored_triad(self, alg_ss2):
         res = characteristic_residual(alg_ss2, ORDER5_TRIAD, ORDER5)
+        assert np.max(np.abs(res)) < 1e-12
+
+    def test_laplace_takes_two_products(self, alg_t4, monkeypatch):
+        # e2^2 and e3^2; the unit factors of e1^2, e2^2 and e3^2 take none.
+        calls = []
+        multiply = AlgebraSpec.multiply
+        monkeypatch.setattr(AlgebraSpec, "multiply",
+                            lambda self, a, b: calls.append(1) or multiply(self, a, b))
+        res = characteristic_residual(alg_t4, HARMONIC_T4, LAPLACE)
+        assert len(calls) == 2
         assert np.max(np.abs(res)) < 1e-12
 
 

@@ -12,10 +12,9 @@ from monogenica import (
     resolvent_closed,
     resolvent_recurrence,
     t_coeffs,
-    xi_all,
 )
 
-from monogenica.resolvent import assemble_closed
+from monogenica.resolvent import assemble_closed, spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
 from test_algebra import direct_sum_truncated, skewed_basis
@@ -169,7 +168,7 @@ class TestResolvent:
         triad = fixture_triad("alg_ss2")
         p = (0.4, 0.3, -0.7)
         t = 2.0 + 1.5j
-        xi = xi_all(alg_ss2, triad, p)
+        xi = spectrum(triad, alg_ss2.m, *p)
         got = resolvent_recurrence(alg_ss2, triad, p, t)
         assert np.max(np.abs(got - 1.0 / (t - xi))) < 1e-14
 
@@ -181,7 +180,7 @@ class TestResolvent:
     def test_on_spectrum_raises(self, alg_ss2):
         triad = fixture_triad("alg_ss2")
         p = (0.4, 0.3, -0.7)
-        xi1 = complex(xi_all(alg_ss2, triad, p)[0])
+        xi1 = complex(spectrum(triad, alg_ss2.m, *p)[0])
         with pytest.raises(OnSpectrum):
             resolvent_recurrence(alg_ss2, triad, p, xi1)
         with pytest.raises(OnSpectrum):
@@ -192,7 +191,7 @@ class TestResolvent:
             for _ in range(40):
                 triad = random_triad(spec, rng)
                 p = tuple(rng.uniform(-2, 2, 3))
-                xi = xi_all(spec, triad, p)
+                xi = spectrum(triad, spec.m, *p)
                 t = complex(*rng.uniform(-4, 4, 2))
                 if np.min(np.abs(t - xi)) < 0.1:
                     continue
@@ -210,7 +209,7 @@ class TestResolvent:
         triad = random_triad(alg_p2, rng)
         p = (0.2, 0.9, -0.4)
         t = 3.0 + 0.5j
-        xi = xi_all(alg_p2, triad, p)
+        xi = spectrum(triad, alg_p2.m, *p)
         T = t_coeffs(alg_p2, triad, p[1], p[2])
         got = resolvent_closed(alg_p2, triad, p, t)
         for s in range(3, 5):
@@ -227,7 +226,7 @@ class TestClosedPower:
         ts = np.array([2.0 + 1.5j, -1.5 + 0.3j, 0.1 - 2.2j, 3.0j])
         for name, spec in all_algebras.items():
             triad = fixture_triad(name)
-            xi = xi_all(spec, triad, p)
+            xi = spectrum(triad, spec.m, *p)
             assert np.min(np.abs(ts[:, None] - xi)) > 0.3
             T = t_coeffs(spec, triad, p[1], p[2])
             Q = q_table(spec, T, b_coeffs(spec, T))
@@ -286,5 +285,5 @@ class TestLines:
             d = line.direction
             for tval in (-2.0, 0.5, 3.0):
                 p = tuple(tval * d)
-                xi = xi_all(alg_p2, triad, p)
+                xi = spectrum(triad, alg_p2.m, *p)
                 assert abs(xi[line.u - 1]) <= 1e-12 * max(1.0, float(np.max(np.abs(p))))
