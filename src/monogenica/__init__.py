@@ -4,7 +4,6 @@ from .algebra import (
     AlgebraSpec,
     AlgebraError,
     Element,
-    Singular,
     SpecialCase,
     ValidationReport,
     algebra_from_dict,
@@ -23,7 +22,6 @@ from .monogenic import (
     MonogenicSpec,
     TriadSpec,
     cr_residual,
-    embed,
     eval_explicit,
     eval_integral,
     eval_special,
@@ -31,14 +29,12 @@ from .monogenic import (
     gateaux_derivative,
     monogenic_from_dict,
     validate_triad,
-    xi,
 )
 from .pde import (
     LAPLACE,
     NoZeroFound,
     PdeSpec,
     ZeroAt,
-    apply_operator,
     central_stencil,
     characteristic_residual,
     operator_identity_check,
@@ -50,13 +46,10 @@ from .pde import (
 )
 from .resolvent import (
     LineL,
-    OnSpectrum,
     b_coeffs,
     lemma2_audit,
     noninvertible_lines,
     q_table,
-    resolvent_closed,
-    resolvent_recurrence,
     t_coeffs,
 )
 

@@ -31,10 +31,6 @@ class AlgebraError(Exception):
     """Structural problem with an algebra or element."""
 
 
-class Singular(AlgebraError):
-    """Element is not invertible (some functional f_u vanishes)."""
-
-
 class SpecialCase(Enum):
     SEMI_SIMPLE = "SemiSimple"
     PROP1 = "Prop1"
@@ -261,21 +257,6 @@ class AlgebraSpec:
         """Matrix of left multiplication by a: (a * x)_k = sum_j L[k, j] x_j."""
         return np.einsum("i,ijk->kj", a, self.mult_tensor)
 
-    def invert(self, a: Element) -> Element:
-        """Solve a * x = 1 by a dense complex linear system.
-
-        Noninvertibility is exactly the vanishing of some f_u(a).
-        """
-        scale = max(1.0, float(np.max(np.abs(a))))
-        for u in range(1, self.m + 1):
-            if abs(self.functional_f(u, a)) <= 1e-14 * scale:
-                raise Singular(f"f_{u}(a) = 0: element lies on line L_{u}")
-        x = np.linalg.solve(self.mult_matrix(a), self.unit())
-        residual = self.multiply(a, x) - self.unit()
-        if np.max(np.abs(residual)) > 1e-10 * scale:
-            raise Singular(f"inversion residual {np.max(np.abs(residual)):.3e}")
-        return x
-
     # -- classification ----------------------------------------------------
 
     def classify_special_case(self) -> SpecialCase:
@@ -318,6 +299,11 @@ class ExplicitPlan:
     weights: np.ndarray  # (products, 1)
     targets: np.ndarray
     starts: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every derivative-table entry: row i has orders[i] + 1 entries."""
+        return np.arange(len(self.orders)).repeat(self.orders + 1)
 
     @classmethod
     def build(cls, spec: AlgebraSpec) -> "ExplicitPlan":

@@ -11,8 +11,8 @@ benchmarks) do not rebuild it, and a one-shot run builds it once as before.
 
 check evaluates a job's points, their Cauchy-Riemann stencils (step
 --h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
-in one eval_explicit call; only Phi^(N) of the operator identity takes a
-call of its own.
+and Phi^(N) of the operator identity in one eval_explicit call, with one
+derivative order per point: one call and one derivative table per job.
 
 eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
@@ -26,7 +26,9 @@ that is not a JSON object (load_job), a complex number that is not a finite
 number or [re, im] pair (holo.parse_complex), an algebra whose upsilon or
 u_map has the wrong type (algebra_from_dict), a triad without n
 coefficients (monogenic_from_dict), tolerances that are not an object of
-numbers (job_tolerance).
+numbers (job_tolerance), a point that is not three finite numbers
+(job_points).  parse_complex, job_tolerance and job_points take no JSON true
+or false for a number (Python reads them as the ints 1 and 0).
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
@@ -37,8 +39,8 @@ not a positive finite number), and a grid axis with a non-finite bound or
 extent or a count that is not a JSON integer included; 3 evaluation
 outside a holomorphic function's domain, including a scale whose power at
 a needed derivative order overflows and an integral route whose circle
-around the spectrum cannot stay inside every series' safe disc, and t on
-the spectrum; 4 output I/O errors.
+around the spectrum cannot stay inside every series' safe disc; 4 output
+I/O errors.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .algebra import AlgebraError, validate_algebra  # noqa: F401  (see cmd_vali
 from .fixtures import fixture_path
 from .holo import MIN_NODES, HoloDomainError, UnstableQuadrature
 from .monogenic import MonogenicSpec, validate_triad
-from .resolvent import OnSpectrum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -111,28 +112,40 @@ def build_pde(job: dict):
         raise JobError(f"bad pde spec: {exc}") from exc
 
 
-def job_points(job: dict) -> list[tuple[float, float, float]]:
-    """The job's points, each exactly three finite numbers; JobError otherwise."""
-    pts = job.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]])
+def _json_float(value) -> float | None:
+    """value as a float if it is a JSON number in the float range, else None.
+
+    JSON true and false are not numbers, though Python's bool is an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     try:
-        out = [tuple(float(v) for v in p) for p in pts]
-    except (TypeError, ValueError) as exc:
-        raise JobError(f"bad points: {exc}") from exc
-    if not out:
-        raise JobError("bad points: the list is empty")
-    for p in out:
-        if len(p) != 3 or not np.all(np.isfinite(p)):
-            raise JobError(f"bad point {list(p)}: need exactly 3 finite numbers")
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
+def job_points(job: dict) -> list[tuple[float, float, float]]:
+    """The job's points, each a list of exactly three finite JSON numbers; JobError otherwise."""
+    pts = job.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]])
+    if not isinstance(pts, list) or not pts:
+        raise JobError(f"bad points: need a non-empty list of points, got {pts!r}")
+    out = []
+    for p in pts:
+        q = tuple(map(_json_float, p)) if isinstance(p, list) and len(p) == 3 else ()
+        if not q or None in q or not all(map(math.isfinite, q)):
+            raise JobError(f"bad point {p!r}: need exactly 3 finite numbers")
+        out.append(q)
     return out
 
 
 def job_tolerance(job: dict, key: str, default: float) -> float:
     """The job's tolerances[key], a JSON number; JobError otherwise."""
     tol = job.get("tolerances", {})
-    value = tol.get(key, default) if isinstance(tol, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    value = _json_float(tol.get(key, default) if isinstance(tol, dict) else None)
+    if value is None:
         raise JobError(f"bad tolerances: need an object of numbers, got {tol!r}")
-    return float(value)
+    return value
 
 
 def check_options(args) -> None:
@@ -271,21 +284,28 @@ def cmd_grid(args) -> int:
 
 def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
                   pde: pde_mod.PdeSpec | None = None, h_pde: float = 1e-3):
-    """Values, CR residuals and (with a pde) PDE residuals at pts from one eval_explicit call.
+    """Values, CR residuals and (with a pde) PDE residuals and Phi^(N) from one eval_explicit call.
 
-    The batch is the points, then cr_stencil(pts, h_cr), then
-    pde_stencil(pde, pts, h_pde); a row of a batch equals the same point
-    evaluated alone, so each residual equals its own separate call bit for
-    bit.  Returns (values, (ry, rz), pde residual or None).
+    The batch is the points, then cr_stencil(pts, h_cr), then, with a pde,
+    pde_stencil(pde, pts, h_pde) and pts[0] once more at order pde.N, the
+    Phi^(N) of the operator identity.  A row of a batch equals the same
+    point evaluated alone at its order, so each result equals its own
+    separate call bit for bit.  Returns (values, (ry, rz), pde residual,
+    Phi^(N) at pts[0]), the last two None without a pde.
     """
     blocks = [pts, monogenic.cr_stencil(pts, h_cr)]
+    order = 0
     if pde is not None:
-        blocks.append(pde_mod.pde_stencil(pde, pts, h_pde))
-    rows = np.split(monogenic.eval_explicit(ms, np.concatenate(blocks)),
+        blocks += [pde_mod.pde_stencil(pde, pts, h_pde), pts[:1]]
+        order = np.zeros(sum(map(len, blocks)), dtype=int)
+        order[-1] = pde.N
+    rows = np.split(monogenic.eval_explicit(ms, np.concatenate(blocks), order=order),
                     np.cumsum([len(b) for b in blocks[:-1]]))
     cr = monogenic.cr_residual(ms, pts, h_cr, values=rows[1])
-    r = None if pde is None else pde_mod.pde_residual(ms, pde, pts, h_pde, values=rows[2])
-    return rows[0], cr, r
+    if pde is None:
+        return rows[0], cr, None, None
+    r = pde_mod.pde_residual(ms, pde, pts, h_pde, values=rows[2])
+    return rows[0], cr, r, rows[3][0]
 
 
 def cmd_check(args) -> int:
@@ -308,10 +328,11 @@ def cmd_check(args) -> int:
     characteristic = cres is not None and cres <= 1e-10
 
     # One batched call for the values, the CR stencils and the PDE stencils
-    # of all points; 1 + max |Phi(p)| scales every tolerance at p.
+    # of all points and Phi^(N) at the first; 1 + max |Phi(p)| scales every
+    # tolerance at p.
     pts = np.array(points)
-    values, (ry, rz), r = check_samples(ms, pts, args.h_cr, pde if characteristic else None,
-                                        args.h_pde)
+    values, (ry, rz), r, phi_n = check_samples(ms, pts, args.h_cr,
+                                               pde if characteristic else None, args.h_pde)
     scales = 1.0 + np.max(np.abs(values), axis=-1)
     cr = np.maximum(np.max(np.abs(ry), axis=-1), np.max(np.abs(rz), axis=-1))
     for p, scale, res in zip(points, scales, cr):
@@ -330,7 +351,7 @@ def cmd_check(args) -> int:
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
             d = pde_mod.operator_identity_check(ms, pde, points[0], h=args.h_pde,
-                                                discrete=r[0], char=char)
+                                                discrete=r[0], char=char, derivative=phi_n)
             dmax = float(np.max(np.abs(d)))
             ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL
@@ -399,7 +420,7 @@ def main(argv=None) -> int:
     except (JobError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OnSpectrum, HoloDomainError) as exc:
+    except HoloDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPECTRUM
 

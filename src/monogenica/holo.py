@@ -377,11 +377,19 @@ def _one_row(f, K: int, xi) -> np.ndarray:
 
 
 def parse_complex(pair) -> complex:
-    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise."""
-    parts = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else [pair, 0.0]
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in parts):
-        raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}")
-    return complex(*parts)
+    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise.
+
+    JSON true and false are not numbers, though Python's bool is an int.
+    """
+    re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (pair, 0.0)
+    if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+            and bool not in (type(re), type(im))):
+        try:
+            if math.isfinite(re) and math.isfinite(im):
+                return complex(re, im)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}")
 
 
 def holo_from_dict(data: Mapping) -> HoloFn:

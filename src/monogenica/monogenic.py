@@ -79,18 +79,6 @@ def validate_triad(spec: AlgebraSpec, triad: TriadSpec) -> ValidationReport:
     return report
 
 
-def embed(spec: AlgebraSpec, triad: TriadSpec, p: Point) -> Element:
-    """Coefficients of zeta = x*e1 + y*e2 + z*e3 over the basis."""
-    x, y, z = p
-    return x * spec.unit() + y * triad.a_vec + z * triad.b_vec
-
-
-def xi(triad: TriadSpec, p: Point, u: int) -> complex:
-    """The complex shadow f_u(zeta) = x + y*a_u + z*b_u."""
-    x, y, z = p
-    return complex(x + y * triad.a[u - 1] + z * triad.b[u - 1])
-
-
 @dataclass(frozen=True)
 class MonogenicSpec:
     """Algebra + triad + the holomorphic data determining one monogenic function."""
@@ -117,12 +105,17 @@ class MonogenicSpec:
     def _stacks(self) -> dict:
         return {}
 
-    def derivative_stack(self, order: int = 0) -> DerivativeStack:
-        """F_u then G_q as rows, with the orders order.. that the term list needs."""
-        stack = self._stacks.get(order)
+    def derivative_stack(self, lo: int = 0, width: int = 0) -> DerivativeStack:
+        """F_u then G_q as rows, row i with the orders lo..lo + K_i + width.
+
+        K_i is the highest order the term list reads from row i
+        (explicit_plan.orders), so a point at order lo + w, w <= width,
+        reads its orders at entries w on of each row.
+        """
+        stack = self._stacks.get((lo, width))
         if stack is None:
-            orders = self.algebra.explicit_plan.orders
-            stack = self._stacks[order] = DerivativeStack(self.F + self.G, orders, order)
+            orders = self.algebra.explicit_plan.orders + width
+            stack = self._stacks[lo, width] = DerivativeStack(self.F + self.G, orders, lo)
         return stack
 
     @cached_property
@@ -139,7 +132,9 @@ def extract_components(v: Element) -> list[complex]:
 # -- explicit evaluation -------------------------------------------------------
 
 
-def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0) -> Element:
+def eval_explicit(
+    ms: MonogenicSpec, p: Union[Point, np.ndarray], order: Union[int, Sequence[int], np.ndarray] = 0
+) -> Element:
     """Partial-fraction representation: exact holomorphic derivatives, no quadrature.
 
     p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
@@ -162,20 +157,43 @@ def eval_explicit(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0
     integral r times and integrating by parts on its closed contour turns
     the integral of W R^(r+1) r! into that of W^(r) R.  So every derivative
     stack starts at order r and the arithmetic is otherwise unchanged.
+
+    order may also hold one order per point, so that one call gives Phi and
+    Phi^(N) at once.  Then the stack covers the orders lo..hi of the batch
+    on every row (ms.derivative_stack(lo, hi - lo)), and one gather moves
+    each point's orders into the term list's layout; a row equals the same
+    point evaluated alone at its order, bit for bit.
     """
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
     spec = ms.algebra
     plan = spec.explicit_plan
     shape = np.shape(p)[:-1]
     # One point is a batch of one, so it takes the same arithmetic (and the
     # same rounding) as a row of a larger batch.
     pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    lo = hi = order
+    if not isinstance(order, (int, np.integer)):
+        order = np.asarray(order)
+        if order.shape != (len(pts),) or order.dtype.kind not in "iu":
+            raise ValueError(f"order must be an int or {len(pts)} ints, one per point, "
+                             f"got {order.dtype} of shape {order.shape}")
+        lo, hi = (int(order.min()), int(order.max())) if order.size else (0, 0)
+    if lo < 0:
+        raise ValueError("derivative order must be >= 0")
     x, y, z = pts.T
     xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
     T = rsv.t_coeffs(spec, ms.triad, y, z)
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
-    D = ms.derivative_stack(order)(xi_v.T[plan.owner])  # (entries, N)
+    if hi > lo:
+        # Row i of the wide table has hi - lo more entries than the term
+        # list's row i, so entry e of the term list's layout, in row
+        # rows[e], is wide entry e + (hi - lo) * rows[e] at order lo; a
+        # point at order lo + w reads w entries further on.  The wide table
+        # is a temporary, freed before the products below.
+        narrow = np.arange(len(plan.rows)) + (hi - lo) * plan.rows
+        D = np.take_along_axis(ms.derivative_stack(lo, hi - lo)(xi_v.T[plan.owner]),
+                               narrow[:, None] + (order - lo), axis=0)
+    else:
+        D = ms.derivative_stack(lo)(xi_v.T[plan.owner])  # (entries, N)
     out = D[plan.offsets]
     if plan.starts.size:
         # No BLAS contraction here: its rounding depends on the batch size,
@@ -280,7 +298,7 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
     zeta = (pts[:, :1] * spec.unit() + pts[:, 1:2] * triad.a_vec + pts[:, 2:] * triad.b_vec).T
     stack = ms.derivative_stack(order)
     # c_k / k! at C[k, i]: entry offsets[i] + k of the table is row i at order k.
-    rows = np.arange(spec.n).repeat(plan.orders + 1)
+    rows = plan.rows
     k = np.arange(stack.size) - stack.offsets[rows]
     inv_fact = np.array([1 / math.factorial(j) for j in range(plan.orders.max() + 1)])
     C = np.zeros((len(inv_fact), spec.n, len(pts)), dtype=np.complex128)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -59,22 +59,19 @@ class PdeSpec:
         """
         index: dict[tuple[int, int, int], int] = {}
         rows = []
-        for alpha, beta, gamma, _ in self.terms:
-            ox, wx = central_stencil(alpha)
-            oy, wy = central_stencil(beta)
-            oz, wz = central_stencil(gamma)
+        for *exponents, _ in self.terms:
+            (ox, wx), (oy, wy), (oz, wz) = map(central_stencil, exponents)
             row = {}
+            # Python ints and floats throughout, one array per output at the end.
             for i, cx in zip(ox, wx):
                 for j, cy in zip(oy, wy):
                     for k, cz in zip(oz, wz):
                         w = cx * cy * cz
                         if w != 0.0:
-                            row[index.setdefault((int(i), int(j), int(k)), len(index))] = w
+                            row[index.setdefault((i, j, k), len(index))] = w
             rows.append(row)
-        weights = np.zeros((len(rows), len(index)))
-        for t, row in enumerate(rows):
-            weights[t, list(row)] = list(row.values())
-        return np.array(list(index), dtype=float), weights
+        weights = [[row.get(c, 0.0) for c in range(len(index))] for row in rows]
+        return np.array(list(index), dtype=float), np.array(weights)
 
 
 LAPLACE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0)])
@@ -185,16 +182,22 @@ def p_nonvanishing_scan(
 # -- finite-difference machinery -------------------------------------------------
 
 
-def central_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and weights of the O(h^2) central stencil for d^order/dx^order."""
-    coeffs = np.array([1.0])
-    for _ in range(order // 2):
-        coeffs = np.convolve(coeffs, [1.0, -2.0, 1.0])
-    if order % 2:
-        coeffs = np.convolve(coeffs, [-0.5, 0.0, 0.5])
+def central_stencil(order: int) -> tuple[range, list[float]]:
+    """Offsets and weights of the O(h^2) central stencil for d^order/dx^order.
+
+    [1, -2, 1] convolved order // 2 times, then [-1/2, 0, 1/2] for an odd
+    order, in Python floats; the weights are small dyadic numbers, exact in
+    any summation order.
+    """
+    coeffs = [1.0]
+    for factor in [(1.0, -2.0, 1.0)] * (order // 2) + [(-0.5, 0.0, 0.5)] * (order % 2):
+        out = [0.0] * (len(coeffs) + 2)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                out[i + j] += c * f
+        coeffs = out
     half = len(coeffs) // 2
-    offsets = np.arange(-half, half + 1)
-    return offsets, coeffs
+    return range(-half, half + 1), coeffs
 
 
 def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) -> Element:
@@ -206,15 +209,6 @@ def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) ->
     """
     coeffs = np.array([c for *_, c in pde.terms])
     return coeffs @ (weights @ values) / h**pde.N
-
-
-def apply_operator(
-    fn: Callable[[Point], Element], pde: PdeSpec, p: Point, h: float
-) -> Element:
-    """L_N applied to a pointwise fn at p by tensor products of 1-D central stencils."""
-    offsets, weights = pde.stencil
-    values = np.array([np.asarray(fn(tuple(q))) for q in stencil_points(p, h, offsets)])
-    return _combine(pde, weights, values, h)
 
 
 def pde_stencil(pde: PdeSpec, p: Union[Point, np.ndarray], h: float) -> np.ndarray:
@@ -251,18 +245,21 @@ def operator_identity_check(
     h: float = 1e-3,
     discrete: Element | None = None,
     char: Element | None = None,
+    derivative: Element | None = None,
 ) -> Element:
     """Difference Phi^(N) * (sum C e2^b e3^g) - discrete L_N(Phi); near zero on valid data.
 
     Phi^(N) comes from the explicit route, so no quadrature runs here.
-    discrete is pde_residual(ms, pde, p, h) and char is
-    characteristic_residual(ms.algebra, ms.triad, pde), if the caller
-    already has them.
+    discrete is pde_residual(ms, pde, p, h), char is
+    characteristic_residual(ms.algebra, ms.triad, pde) and derivative is
+    Phi^(N) at p, if the caller already has them.
     """
     spec = ms.algebra
     if char is None:
         char = characteristic_residual(spec, ms.triad, pde)
-    analytic = spec.multiply(gateaux_derivative(ms, p, pde.N), char)
+    if derivative is None:
+        derivative = gateaux_derivative(ms, p, pde.N)
+    analytic = spec.multiply(derivative, char)
     if discrete is None:
         discrete = pde_residual(ms, pde, p, h)
     return analytic - discrete

@@ -1,11 +1,12 @@
-"""Resolvent (t*e1 - zeta)^(-1) via recurrences and the Q-table closed form.
+"""Resolvent (t*e1 - zeta)^(-1) in the Q-table closed form.
 
 The resolvent of the hypercomplex variable zeta = x*e1 + y*e2 + z*e3 is a
 rational function of t with poles only at the spectrum points
-xi_u = x + y*a_u + z*b_u.  Two equivalent assemblies are provided: the
-coefficient recurrence (A-values) and the partial-fraction closed form built
-from the Q-table; both are cross-checkable against plain linear-system
-inversion in the algebra.
+xi_u = x + y*a_u + z*b_u.  This module builds the T, B and Q coefficients
+of its partial-fraction form, batched over points, and assembles R(t)^p
+from them for the contour route; the explicit route reads the Q-table
+directly.  The tests check the closed form against the coefficient
+recurrence and against inversion in the algebra (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .monogenic import TriadSpec
 
 B_NONZERO_TOL = 1e-14
-
-
-class OnSpectrum(Exception):
-    """t coincides (to relative tolerance) with a spectrum point xi_u."""
 
 
 def spectrum(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
@@ -86,54 +83,6 @@ def lemma2_audit(spec: AlgebraSpec, T: np.ndarray, B: np.ndarray) -> list[tuple[
                 if spec.u_map[r] != spec.u_map[p]:
                     bad.append((r, p))
     return bad
-
-
-def _check_off_spectrum(t: complex, xi: np.ndarray) -> None:
-    tol = 1e-12 * max(1.0, abs(t))
-    if np.min(np.abs(t - xi)) <= tol:
-        u = int(np.argmin(np.abs(t - xi))) + 1
-        raise OnSpectrum(f"t = {t} coincides with xi_{u} = {xi[u - 1]}")
-
-
-def resolvent_recurrence(
-    spec: AlgebraSpec,
-    triad: "TriadSpec",
-    point: tuple[float, float, float],
-    t: complex,
-) -> Element:
-    """Coefficients A_r of (t*e1 - zeta)^(-1) by the direct recurrence."""
-    x, y, z = point
-    xi = spectrum(triad, spec.m, x, y, z)
-    _check_off_spectrum(t, xi)
-    T = t_coeffs(spec, triad, y, z)
-    B = b_coeffs(spec, T)
-    A = np.zeros(spec.n, dtype=np.complex128)
-    A[: spec.m] = 1.0 / (t - xi)
-    for p in range(spec.m + 1, spec.n + 1):
-        xi_up = xi[spec.u_map[p] - 1]
-        acc = T[p - spec.m - 1] / (t - xi_up) ** 2
-        if p > spec.m + 1:
-            cross = 0.0 + 0.0j
-            for r in range(spec.m + 1, p):
-                cross += A[r - 1] * B[r - spec.m - 1, p - spec.m - 1]
-            acc += cross / (t - xi_up)
-        A[p - 1] = acc
-    return A
-
-
-def resolvent_closed(
-    spec: AlgebraSpec,
-    triad: "TriadSpec",
-    point: tuple[float, float, float],
-    t: complex,
-) -> Element:
-    """Partial-fraction form: sum over idempotents plus Q-table terms."""
-    x, y, z = point
-    xi = spectrum(triad, spec.m, x, y, z)
-    _check_off_spectrum(t, xi)
-    T = t_coeffs(spec, triad, y, z)
-    Q = q_table(spec, T, b_coeffs(spec, T))
-    return assemble_closed(spec, xi, Q, t)
 
 
 def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarray:

@@ -486,8 +486,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "points",
         [[], [[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [[0.1, float("nan"), 0.3]],
-         [[0.1, "y", 0.3]], [0.1, 0.2, 0.3]],
-        ids=["empty", "two-coords", "four-coords", "nan", "not-a-number", "flat-list"],
+         [[0.1, "y", 0.3]], [0.1, 0.2, 0.3], [[True, 0.4, -0.2]], [[0.1, "0.2", 0.3]],
+         [[10**400, 0.2, 0.3]], {"x": 0.1}],
+        ids=["empty", "two-coords", "four-coords", "nan", "not-a-number", "flat-list", "bool",
+             "numeric-string", "huge-int", "object"],
     )
     def test_bad_points(self, capsys, tmp_path, points):
         job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
@@ -538,12 +540,18 @@ MALFORMED = {
     "one-char-in-coeffs": lambda job: set_path(job, ["G", 0], {"kind": "poly", "coeffs": ["a"]}),
     "pair-of-strings": lambda job: set_path(job, ["triad", "b", 1], ["1", "2"]),
     "three-part-complex": lambda job: set_path(job, ["triad", "b", 1], [1.0, 0.0, 2.0]),
+    # Python's bool is an int, but a JSON true is not the number 1: not a_1 = 1j.
+    "bool-pair-in-triad": lambda job: set_path(job, ["triad", "a", 0], [False, True]),
+    "bool-in-coeffs": lambda job: set_path(job, ["G", 0], {"kind": "poly", "coeffs": [True]}),
+    "huge-int-in-triad": lambda job: set_path(job, ["triad", "b", 1], 10**400),
     "infinite-amp": lambda job: set_path(job, ["F", 0], {"kind": "exp", "amp": float("inf")}),
     "u_map-list": lambda job: set_path(job, ["algebra", "u_map"], [1, 1, 1]),
     "upsilon-number": lambda job: set_path(job, ["algebra", "upsilon"], 3),
     "tolerances-list": lambda job: set_path(job, ["tolerances"], [1e-6]),
     "tolerances-string": lambda job: set_path(job, ["tolerances"], {"cr": "tight"}),
     "tolerances-number": lambda job: set_path(job, ["tolerances"], 1e-6),
+    "tolerances-bool": lambda job: set_path(job, ["tolerances"], {"cr": True}),
+    "tolerances-huge-int": lambda job: set_path(job, ["tolerances"], {"pde": 10**400}),
 }
 
 
@@ -687,8 +695,9 @@ def test_bad_numeric_options_exit_2(capsys, argv):
     ids=["ss2", "ss2-1pt", "ss2-5pt", "t4", "t4-5pt"],
 )
 def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, rows):
-    # One order-0 call for every point's value, its six CR stencil points
-    # and (with a pde) its seven Laplace stencil points.
+    # One call per job: every point's value and its six CR stencil points at
+    # order 0, and with a pde its seven Laplace stencil points at order 0
+    # and the first point once more at order N = 2 for the operator identity.
     from monogenica import monogenic, pde
 
     seen = []
@@ -700,6 +709,14 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
 
     monkeypatch.setattr(monogenic, "eval_explicit", counting)
     monkeypatch.setattr(pde, "eval_explicit", counting)
+    stacks = []
+
+    class CountingStack(monogenic.DerivativeStack):
+        def __init__(self, *args):
+            stacks.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(monogenic, "DerivativeStack", CountingStack)
     data = json.loads(open(job).read())
     if points is not None:
         data["points"] = points
@@ -709,9 +726,17 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
     code, out, _ = run(capsys, "check", job)
     assert code == 0 and "FAIL" not in out
     npts = len(data.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]]))
-    assert [shape for shape, order in seen if order == 0] == [(npts * rows, 3)]
-    # Plus, with a pde, one call for Phi^(N) of the operator identity.
-    assert [order for _, order in seen if order] == ([2] if "pde" in data else [])
+    assert len(seen) == 1
+    shape, order = seen[0]
+    if "pde" in data:
+        assert shape == (npts * rows + 1, 3)
+        assert np.array_equal(order, [0] * (npts * rows) + [2])
+    else:
+        assert shape == (npts * rows, 3) and order == 0
+    # One derivative table, from order 0, N = 2 orders wider with a pde.
+    K = build_spec(load_job(job)).algebra.explicit_plan.orders
+    assert len(stacks) == 1 and stacks[0][1] == 0
+    assert np.array_equal(stacks[0][0], K + (2 if "pde" in data else 0))
 
 
 def laplace_c16_job():
@@ -765,11 +790,12 @@ def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
         job = {"points": [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7], [0.9, -0.6, 0.2]]}
     pts = np.array(job["points"])
     for h_cr, h_pde in ((1e-5, 1e-3), (1e-6, 2e-3)):
-        values, (ry, rz), r = cli.check_samples(ms, pts, h_cr, LAPLACE, h_pde)
+        values, (ry, rz), r, phi_n = cli.check_samples(ms, pts, h_cr, LAPLACE, h_pde)
         assert np.array_equal(values, monogenic.eval_explicit(ms, pts))
         sy, sz = monogenic.cr_residual(ms, pts, h=h_cr)
         assert np.array_equal(ry, sy) and np.array_equal(rz, sz)
         assert np.array_equal(r, pde_residual(ms, LAPLACE, pts, h=h_pde))
-        values_cr, cr, none = cli.check_samples(ms, pts, h_cr)
-        assert none is None and np.array_equal(values_cr, values)
+        assert np.array_equal(phi_n, monogenic.gateaux_derivative(ms, tuple(pts[0]), LAPLACE.N))
+        values_cr, cr, none, no_phi = cli.check_samples(ms, pts, h_cr)
+        assert none is None and no_phi is None and np.array_equal(values_cr, values)
         assert np.array_equal(cr[0], sy) and np.array_equal(cr[1], sz)

@@ -7,7 +7,6 @@ from monogenica import (
     MonogenicSpec,
     TriadSpec,
     cr_residual,
-    embed,
     eval_explicit,
     eval_integral,
     eval_special,
@@ -15,7 +14,6 @@ from monogenica import (
     gateaux_derivative,
     t_coeffs,
     validate_triad,
-    xi,
 )
 from monogenica import monogenic
 from monogenica.algebra import AlgebraSpec, SpecialCase
@@ -23,6 +21,7 @@ from monogenica.holo import HoloSum
 from monogenica.resolvent import spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
+from oracles import embed, xi
 from test_algebra import direct_sum_truncated, skewed_basis
 
 
@@ -603,3 +602,59 @@ class TestRowsAtHigherOrder:
             ex = eval_explicit(ms, p, order=r)
             dev = np.max(np.abs(gateaux_derivative(ms, p, r, method="integral") - ex))
             assert dev < 1e-9 * (1 + np.max(np.abs(ex))), r
+
+
+class TestOrderPerPoint:
+    """eval_explicit with one Gateaux order per point, from one derivative table."""
+
+    ORDERS = [0, 2, 0, 3, 2]
+
+    @pytest.fixture(scope="class")
+    def pinned_specs(self):
+        from test_pinned_bits import monospecs
+
+        return monospecs()
+
+    def test_rows_equal_scalar_calls(self, pinned_specs, rng):
+        # The families of tests/test_pinned_bits.py, every kind of data.
+        pts = rng.uniform(-0.6, 0.6, (len(self.ORDERS), 3))
+        for name, ms in pinned_specs.items():
+            for orders in (self.ORDERS, [1] * 5, [4, 0, 0, 0, 0]):
+                batch = eval_explicit(ms, pts, order=np.array(orders))
+                assert batch.shape == (len(pts), ms.algebra.n)
+                for p, r, row in zip(pts, orders, batch):
+                    assert np.array_equal(row, eval_explicit(ms, tuple(p), order=r)), (name, orders)
+            one = eval_explicit(ms, tuple(pts[0]), order=[3])
+            assert np.array_equal(one, eval_explicit(ms, tuple(pts[0]), order=3)), name
+
+    def test_one_table_per_order_range(self, pinned_specs):
+        ms = pinned_specs["alg_t4"]
+        pts = np.array([[0.1, 0.2, 0.3], [0.3, -0.1, 0.2]])
+        eval_explicit(ms, pts, order=[1, 3])
+        wide = ms.derivative_stack(1, 2)
+        assert ms.derivative_stack(1, 2) is wide
+        K = ms.algebra.explicit_plan.orders
+        assert np.array_equal(np.diff(wide.offsets), K[:-1] + 3)
+        # Row i of the wide table read from entry w on is the table at order 1 + w.
+        xi_v = spectrum(ms.triad, ms.algebra.m, *pts.T).T[ms.algebra.explicit_plan.owner]
+        table = wide(xi_v)
+        for w in range(3):
+            narrow = ms.derivative_stack(1 + w)
+            at = np.concatenate([np.arange(k + 1) + o + w for k, o in zip(K, wide.offsets)])
+            assert np.array_equal(table[at], narrow(xi_v)), w
+
+    def test_empty_batch(self, all_monospecs):
+        for name, ms in all_monospecs.items():
+            got = eval_explicit(ms, np.zeros((0, 3)), order=np.zeros(0, dtype=int))
+            assert got.shape == (0, ms.algebra.n), name
+
+    @pytest.mark.parametrize(
+        "order",
+        [-1, [0, -1, 2], [0, 1], [0, 1, 2, 3], [0.0, 1.0, 2.0], [[0, 1, 2]]],
+        ids=["negative", "negative-in-array", "short", "long", "floats", "2-d"],
+    )
+    def test_bad_orders_raise(self, all_monospecs, order):
+        ms = all_monospecs["alg_t4"]
+        pts = np.array([[0.1, 0.2, 0.3], [0.3, -0.1, 0.2], [0.0, 0.4, -0.3]])
+        with pytest.raises(ValueError):
+            eval_explicit(ms, pts, order=order)
