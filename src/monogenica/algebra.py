@@ -22,6 +22,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .holo import parse_complex, parse_int
+
 Element = np.ndarray  # length-n complex128 coefficient vector over {I_k}
 
 ASSOC_TOL = 1e-12
@@ -69,7 +71,7 @@ UpsilonEntry = tuple[int, int, int, complex]
 
 
 def _canonicalize_upsilon(
-    entries: Iterable[Sequence],
+    entries: Iterable[UpsilonEntry],
 ) -> tuple[dict[tuple[int, int, int], complex], list[tuple[tuple, str]]]:
     """Fold (r, s, k, value) entries into a dict keyed by (min, max, k).
 
@@ -78,16 +80,8 @@ def _canonicalize_upsilon(
     """
     table: dict[tuple[int, int, int], complex] = {}
     conflicts: list[tuple[tuple, str]] = []
-    for entry in entries:
-        if len(entry) == 4:
-            r, s, k, value = entry
-            value = complex(value)
-        elif len(entry) == 5:
-            r, s, k, re, im = entry
-            value = complex(re, im)
-        else:
-            raise AlgebraError(f"bad upsilon entry {entry!r}")
-        key = (min(int(r), int(s)), max(int(r), int(s)), int(k))
+    for r, s, k, value in entries:
+        key = (min(r, s), max(r, s), k)
         if key in table and abs(table[key] - value) > 1e-15:
             conflicts.append(
                 (key, f"conflicting values {table[key]} and {value}")
@@ -117,7 +111,7 @@ class AlgebraSpec:
         cls,
         n: int,
         m: int,
-        upsilon: Iterable[Sequence] = (),
+        upsilon: Iterable[UpsilonEntry] = (),
         u_map: Mapping[int, int] | None = None,
     ) -> "AlgebraSpec":
         if n < 1 or m < 1 or m > n:
@@ -406,16 +400,24 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
 
 
 def algebra_from_dict(data: Mapping) -> AlgebraSpec:
-    """Build and validate an AlgebraSpec from its JSON object form."""
+    """Build and validate an AlgebraSpec from its JSON object form.
+
+    n, m, the upsilon indices and the u_map values are JSON integers (a
+    u_map key is the text of one); an upsilon row is [r, s, k, value], the
+    value a complex number (holo.parse_complex), or [r, s, k, re, im].
+    """
     try:
-        n = int(data["n"])
-        m = int(data["m"])
+        n, m = parse_int(data["n"]), parse_int(data["m"])
         upsilon = data.get("upsilon", [])
         u_map = data.get("u_map", {})
         if not isinstance(upsilon, (list, tuple)) or not isinstance(u_map, Mapping):
             raise TypeError("upsilon must be a list and u_map an object")
-        spec = AlgebraSpec.create(n, m, upsilon, u_map)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows = [(parse_int(r), parse_int(s), parse_int(k), parse_complex(v[0] if len(v) == 1 else v))
+                for r, s, k, *v in upsilon]
+        owners = {parse_int(json.loads(s) if s.isdigit() else s): parse_int(u)
+                  for s, u in u_map.items()}
+        spec = AlgebraSpec.create(n, m, rows, owners)
+    except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
     spec.report.raise_if_invalid()
     return spec

@@ -21,26 +21,27 @@ spectrum, special sums the Taylor series in the algebra's radical.
 --compare prints the largest explicit-vs-integral deviation of the value
 at any order.
 
-A malformed job is rejected where its input is read, with exit 2: a job
-that is not a JSON object (load_job), a complex number that is not a finite
-number or [re, im] pair (holo.parse_complex), an algebra whose upsilon or
+A malformed job is rejected where its input is read, with exit 2.  Every
+number in a job file is read by one of holo's three readers: parse_real (a
+finite JSON number; true and false are not numbers), parse_int (a JSON
+integer, not even 3.0: every dimension, index, order and count) and
+parse_complex (a finite number or an [re, im] pair of them).  Also rejected:
+a job that is not a JSON object (load_job), an algebra whose upsilon or
 u_map has the wrong type (algebra_from_dict), a triad without n
-coefficients (monogenic_from_dict), tolerances that are not an object of
-numbers (job_tolerance), a point that is not three finite numbers
-(job_points).  parse_complex, job_tolerance and job_points take no JSON true
-or false for a number (Python reads them as the ints 1 and 0).
+coefficients (monogenic_from_dict), a point that is not three numbers
+(job_points) and a tolerance that is not positive (job_tolerance).
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
 usage errors (an option the subcommand does not take, such as --nodes
 outside eval or the former --h of check), numeric options (--nodes below
-16, a negative --order, a non-finite --point, an --h-cr or --h-pde that is
-not a positive finite number), and a grid axis with a non-finite bound or
-extent or a count that is not a JSON integer included; 3 evaluation
-outside a holomorphic function's domain, including a scale whose power at
-a needed derivative order overflows and an integral route whose circle
-around the spectrum cannot stay inside every series' safe disc; 4 output
-I/O errors.
+16, a negative --order, a non-finite --point, an --h-cr, --h-pde, --tol-cr
+or --tol-pde that is not a positive finite number), and a grid axis with a
+non-finite bound or extent or a count that is not a JSON integer included;
+3 evaluation outside a holomorphic function's domain, including a scale
+whose power at a needed derivative order overflows and an integral route
+whose circle around the spectrum cannot stay inside every series' safe
+disc; 4 output I/O errors.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import json
 import math
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ import numpy as np
 from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra  # noqa: F401  (see cmd_validate)
 from .fixtures import fixture_path
-from .holo import MIN_NODES, HoloDomainError, UnstableQuadrature
+from .holo import MIN_NODES, HoloDomainError, UnstableQuadrature, parse_int, parse_real
 from .monogenic import MonogenicSpec, validate_triad
 
 EXIT_OK = 0
@@ -112,19 +114,6 @@ def build_pde(job: dict):
         raise JobError(f"bad pde spec: {exc}") from exc
 
 
-def _json_float(value) -> float | None:
-    """value as a float if it is a JSON number in the float range, else None.
-
-    JSON true and false are not numbers, though Python's bool is an int.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:  # an int beyond the float range
-        return None
-
-
 def job_points(job: dict) -> list[tuple[float, float, float]]:
     """The job's points, each a list of exactly three finite JSON numbers; JobError otherwise."""
     pts = job.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]])
@@ -132,19 +121,24 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
         raise JobError(f"bad points: need a non-empty list of points, got {pts!r}")
     out = []
     for p in pts:
-        q = tuple(map(_json_float, p)) if isinstance(p, list) and len(p) == 3 else ()
-        if not q or None in q or not all(map(math.isfinite, q)):
-            raise JobError(f"bad point {p!r}: need exactly 3 finite numbers")
-        out.append(q)
+        try:
+            x, y, z = p if isinstance(p, list) else ()
+            out.append((parse_real(x), parse_real(y), parse_real(z)))
+        except ValueError:
+            raise JobError(f"bad point {p!r}: need exactly 3 finite numbers") from None
     return out
 
 
 def job_tolerance(job: dict, key: str, default: float) -> float:
-    """The job's tolerances[key], a JSON number; JobError otherwise."""
+    """The job's tolerances[key], a positive finite JSON number; JobError otherwise."""
     tol = job.get("tolerances", {})
-    value = _json_float(tol.get(key, default) if isinstance(tol, dict) else None)
-    if value is None:
-        raise JobError(f"bad tolerances: need an object of numbers, got {tol!r}")
+    try:
+        value = parse_real(tol.get(key, default) if isinstance(tol, dict) else None)
+        if not value > 0:
+            raise ValueError
+    except ValueError:
+        raise JobError(f"bad tolerances: need an object of positive finite numbers, "
+                       f"got {tol!r}") from None
     return value
 
 
@@ -152,10 +146,10 @@ def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
     if getattr(args, "nodes", MIN_NODES) < MIN_NODES:
         raise JobError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
-    for option in ("h_cr", "h_pde"):
-        h = getattr(args, option, 1.0)
-        if not (math.isfinite(h) and h > 0):
-            raise JobError(f"--{option.replace('_', '-')} must be a positive finite number, got {h}")
+    for option in ("h_cr", "h_pde", "tol_cr", "tol_pde"):
+        v = getattr(args, option, None)
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise JobError(f"--{option.replace('_', '-')} must be a positive finite number, got {v}")
     if getattr(args, "order", 0) < 0:
         raise JobError(f"--order must be >= 0, got {args.order}")
     if not all(math.isfinite(v) for v in getattr(args, "point", None) or ()):
@@ -205,17 +199,11 @@ def cmd_eval(args) -> int:
     job = load_job(args.job)
     ms = build_spec(job)
     point = tuple(args.point)
+    routes = {"explicit": monogenic.eval_explicit, "special": monogenic.eval_special,
+              "integral": partial(monogenic.eval_integral, nodes=args.nodes)}
 
     def run(method: str):
-        if method == "explicit":
-            return monogenic.eval_explicit(ms, point, order=args.order)
-        if method == "special":
-            return monogenic.eval_special(ms, point, order=args.order)
-        if args.order > 0:
-            return monogenic.gateaux_derivative(
-                ms, point, args.order, nodes=args.nodes, method="integral"
-            )
-        return monogenic.eval_integral(ms, point, nodes=args.nodes)
+        return routes[method](ms, point, order=args.order)
 
     with warnings.catch_warnings():
         # A quadrature that did not converge gives no value to print.
@@ -237,21 +225,17 @@ def cmd_eval(args) -> int:
 def cmd_grid(args) -> int:
     job = load_job(args.job)
     ms = build_spec(job)
-    try:
-        ranges = job["grid"]
-        axes = []
-        for name in ("x", "y", "z"):
-            lo, hi, count = ranges[name]
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise JobError(f"bad grid spec: axis {name} count must be an integer, "
-                               f"got {count!r}")
-            lo, hi = float(lo), float(hi)
+    axes = []
+    for name in ("x", "y", "z"):
+        try:
+            lo, hi, count = job["grid"][name]
+            lo, hi, count = parse_real(lo), parse_real(hi), parse_int(count)
             if count < 2 or not hi > lo or not math.isfinite(hi - lo):
-                raise JobError(f"bad grid spec: axis {name} needs a finite positive "
-                               f"extent and count >= 2, got [{lo!r}, {hi!r}, {count}]")
+                raise ValueError(f"got [{lo!r}, {hi!r}, {count}]")
             axes.append(np.linspace(lo, hi, count))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise JobError(f"bad grid spec: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JobError(f"bad grid spec: {exc} (axis {name} must be [lo, hi, count] with "
+                           f"finite lo < hi, a finite extent and an integer count >= 2)") from exc
 
     out = args.out or job.get("out")
     if not out:

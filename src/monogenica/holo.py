@@ -376,20 +376,34 @@ def _one_row(f, K: int, xi) -> np.ndarray:
 # -- JSON form ---------------------------------------------------------------
 
 
-def parse_complex(pair) -> complex:
-    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise.
+def parse_real(value) -> float:
+    """A finite JSON number, a Python int or float, as a float; ValueError otherwise.
 
-    JSON true and false are not numbers, though Python's bool is an int.
+    JSON true and false are not numbers, though Python's bool is a subclass of int.
     """
-    re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (pair, 0.0)
-    if (isinstance(re, (int, float)) and isinstance(im, (int, float))
-            and bool not in (type(re), type(im))):
+    if type(value) in (float, int):
         try:
-            if math.isfinite(re) and math.isfinite(im):
-                return complex(re, im)
+            if math.isfinite(value):
+                return float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}")
+    raise ValueError(f"not a finite number: {value!r}")
+
+
+def parse_int(value) -> int:
+    """A JSON integer: a Python int, not a bool or float, not even 3.0; ValueError otherwise."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"not an integer: {value!r}")
+
+
+def parse_complex(pair) -> complex:
+    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise."""
+    re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (pair, 0.0)
+    try:
+        return complex(parse_real(re), parse_real(im))
+    except ValueError:
+        raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}") from None
 
 
 def holo_from_dict(data: Mapping) -> HoloFn:
@@ -399,7 +413,7 @@ def holo_from_dict(data: Mapping) -> HoloFn:
     if "center" in data:
         kw["center"] = parse_complex(data["center"])
     if "radius" in data:
-        kw["radius"] = float(data["radius"])
+        kw["radius"] = parse_real(data["radius"])
     if "amp" in data:
         kw["amp"] = parse_complex(data["amp"])
     if "scale" in data:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -211,22 +211,25 @@ def eval_explicit(
 # -- integral evaluation -------------------------------------------------------
 
 
-def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> Element:
-    """(1/2 pi i) * contour integral of W(t) * R(t)^power over one circle.
+def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = 256) -> Element:
+    """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
-    W = sum_u I_u F_u + sum_s I_s G_s; power = 1 gives the function itself,
-    power = r + 1 (with an r! factor applied by the caller) the r-th
-    Gateaux derivative.  The circle (enclosing_contour) goes around every
-    xi_u at once: W cancels R's poles idempotent by idempotent, so they
-    need no separate contours.  R^power is sum_{u,l} C[:, u, l] *
-    (t - xi_u)^(-(power + l)) (resolvent.closed_coeffs), so the quadrature
-    integrates the scalar moments W_i(t) * (t - xi_u)^(-(power + l)), one
-    product per batch of nodes, and the algebra arithmetic runs once per
-    rule: A[i, j] = sum_{u,l} moment[i, u, l] * C[j, u, l], then the
-    product tensor, Phi_k = sum_{i,j} A[i, j] * M[i, j, k].
+    order = r gives the r-th Gateaux derivative Phi^(r), r = 0 the function
+    itself.  W = sum_u I_u F_u + sum_s I_s G_s.  The circle
+    (enclosing_contour) goes around every xi_u at once: W cancels R's poles
+    idempotent by idempotent, so they need no separate contours.  R^(r + 1)
+    is sum_{u,l} C[:, u, l] * (t - xi_u)^(-(r + 1 + l))
+    (resolvent.closed_coeffs), so the quadrature integrates the scalar
+    moments W_i(t) * (t - xi_u)^(-(r + 1 + l)), one product per batch of
+    nodes, and the algebra arithmetic runs once per rule: A[i, j] =
+    sum_{u,l} moment[i, u, l] * C[j, u, l], then the product tensor,
+    Phi_k = sum_{i,j} A[i, j] * M[i, j, k].
     """
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
     spec = ms.algebra
     n, d = spec.n, spec.n - spec.m
+    power = order + 1
     x, y, z = p
     xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
     T = rsv.t_coeffs(spec, ms.triad, y, z)
@@ -243,12 +246,9 @@ def _integral_assembly(ms: MonogenicSpec, p: Point, power: int, nodes: int) -> E
     def contract(mu: np.ndarray) -> Element:
         return (mu.reshape(n, -1) @ C.T).reshape(-1) @ M
 
-    return contour_integrate(moments, contour, contract=contract)
-
-
-def eval_integral(ms: MonogenicSpec, p: Point, nodes: int = 256) -> Element:
-    """Cauchy-type integral representation over one circle around the xi_u."""
-    return _integral_assembly(ms, p, power=1, nodes=nodes)
+    value = contour_integrate(moments, contour, contract=contract)
+    # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
+    return math.factorial(order) * value if order else value
 
 
 def gateaux_derivative(
@@ -258,18 +258,17 @@ def gateaux_derivative(
     nodes: int = 256,
     method: str = "explicit",
 ) -> Element:
-    """r-th Gateaux derivative Phi^(r).
+    """r-th Gateaux derivative Phi^(r), r >= 1: eval_explicit or eval_integral at order r.
 
-    method "explicit" is eval_explicit(ms, p, order=r): no quadrature, and p
-    may be an (N, 3) array.  "integral" is the contour quadrature of
-    W(t) * R(t)^(r+1) * r! at one point, kept as the cross-check.
+    method "explicit" needs no quadrature, and p may be an (N, 3) array;
+    "integral" is the contour route at one point, kept as the cross-check.
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
     if method == "explicit":
         return eval_explicit(ms, p, order=r)
     if method == "integral":
-        return math.factorial(r) * _integral_assembly(ms, p, power=r + 1, nodes=nodes)
+        return eval_integral(ms, p, r, nodes=nodes)
     raise ValueError(f"unknown method {method!r}: use 'explicit' or 'integral'")
 
 
@@ -343,27 +342,22 @@ def cr_residual(
     ms: MonogenicSpec,
     p: Union[Point, np.ndarray],
     h: float = 1e-5,
-    evaluator: Callable[[Point], Element] | None = None,
     values: np.ndarray | None = None,
 ) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).
 
-    Central differences of the explicit evaluation (one batched call on the
-    six stencil points of every point) or of a pointwise evaluator.  p is
-    one point, giving two (n,) residuals, or an (N, 3) array, giving two
-    (N, n) arrays.  values, if given, are the values at cr_stencil(p, h),
-    for example rows of a larger batched call, and nothing is evaluated.
+    Central differences of the explicit evaluation, one batched call on the
+    six stencil points of every point.  p is one point, giving two (n,)
+    residuals, or an (N, 3) array, giving two (N, n) arrays.  values, if
+    given, are the values at cr_stencil(p, h), for example rows of a larger
+    batched call or of another evaluator, and nothing is evaluated.
     Near-zero certifies monogenicity at the point, a large value is a
     broken-data signal.
     """
     spec = ms.algebra
     shape = np.shape(p)[:-1]
     if values is None:
-        stencil = cr_stencil(p, h)
-        if evaluator is None:
-            values = eval_explicit(ms, stencil)
-        else:
-            values = np.array([evaluator(tuple(q)) for q in stencil])
+        values = eval_explicit(ms, cr_stencil(p, h))
     v = np.reshape(values, (-1, 6, spec.n))
     dx = (v[:, 0] - v[:, 1]) / (2 * h)
     dy = (v[:, 2] - v[:, 3]) / (2 * h)

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
+from .holo import parse_int, parse_real
 from .monogenic import (
     MonogenicSpec,
     Point,
@@ -266,7 +267,10 @@ def operator_identity_check(
 
 
 def pde_from_dict(data: Mapping) -> PdeSpec:
-    return PdeSpec.create(int(data["N"]), data["terms"])
+    """The JSON form: N and the exponents are JSON integers, each coefficient a real number."""
+    terms = [(parse_int(a), parse_int(b), parse_int(g), parse_real(c))
+             for a, b, g, c in data["terms"]]
+    return PdeSpec.create(parse_int(data["N"]), terms)
 
 
 def pde_to_dict(pde: PdeSpec) -> dict:

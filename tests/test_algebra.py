@@ -93,6 +93,27 @@ class TestValidation:
         with pytest.raises(AlgebraError):
             algebra_from_dict({"n": 2, "m": 1, "upsilon": [], "u_map": {}})
 
+    @pytest.mark.parametrize("row, value", [([2, 2, 3, 0.5, -1], 0.5 - 1j),
+                                            ([2, 2, 3, [0.5, -1]], 0.5 - 1j), ([2, 2, 3, 0.5], 0.5)])
+    def test_loader_upsilon_row_forms(self, row, value):
+        spec = algebra_from_dict({"n": 3, "m": 1, "upsilon": [row], "u_map": {"2": 1, "3": 1}})
+        assert spec.upsilon == {(2, 2, 3): value}
+        assert type(spec.upsilon[2, 2, 3]) is complex
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": 3.0}, {"m": "1"}, {"upsilon": [[2, 2, 3.0, 1.0]]}, {"upsilon": [[2, 2, 3]]},
+         {"upsilon": [[2, 2, 3, 1.0, 0.0, 0.0]]}, {"upsilon": [[2, 2, 3, True]]},
+         {"u_map": {"2": 1, "3": 1.0}}, {"u_map": {"2": 1, "+3": 1}}, {"u_map": {"2": 1, "03": 1}}],
+        ids=["n-float", "m-string", "float-index", "short-row", "long-row", "bool-value",
+             "float-owner", "signed-key", "zero-padded-key"],
+    )
+    def test_loader_reads_json_integers(self, change):
+        data = {"n": 3, "m": 1, "upsilon": [[2, 2, 3, 1.0]], "u_map": {"2": 1, "3": 1}}
+        assert algebra_from_dict(data).report.ok
+        with pytest.raises(AlgebraError, match="malformed algebra spec"):
+            algebra_from_dict({**data, **change})
+
 
 def brute_force_assoc(spec):
     """(kind, triple) of every basis triple that breaks associativity, by plain products."""

@@ -534,6 +534,11 @@ def set_path(job, path, value):
     return job
 
 
+def laplace(N=2, c=1.0):
+    """The Laplace pde of the bundled jobs, with N and its first coefficient replaced."""
+    return {"N": N, "terms": [[2, 0, 0, c], [0, 2, 0, 1.0], [0, 0, 2, 1.0]]}
+
+
 MALFORMED = {
     "not-an-object": lambda job: [job],
     "string-in-triad": lambda job: set_path(job, ["triad", "a", 0], "ab"),
@@ -552,6 +557,25 @@ MALFORMED = {
     "tolerances-number": lambda job: set_path(job, ["tolerances"], 1e-6),
     "tolerances-bool": lambda job: set_path(job, ["tolerances"], {"cr": True}),
     "tolerances-huge-int": lambda job: set_path(job, ["tolerances"], {"pde": 10**400}),
+    # Truncated, each of these is a valid number: n = 4, an index of 4, u_2 = 1.
+    "n-fraction": lambda job: set_path(job, ["algebra", "n"], 4.9),
+    "n-string": lambda job: set_path(job, ["algebra", "n"], "4"),
+    "n-bool": lambda job: set_path(job, ["algebra", "n"], True),
+    "upsilon-fractional-index": lambda job: set_path(job, ["algebra", "upsilon", 1, 2], 4.5),
+    "upsilon-bool-value": lambda job: set_path(job, ["algebra", "upsilon", 0], [2, 2, 3, True]),
+    "u_map-fraction": lambda job: set_path(job, ["algebra", "u_map", "2"], 1.5),
+    "series-string-radius": lambda job: set_path(
+        job, ["F", 0], {"kind": "series", "coeffs": [1.0], "radius": "50"}),
+    "series-bool-radius": lambda job: set_path(
+        job, ["F", 0], {"kind": "series", "coeffs": [1.0], "radius": True}),
+    "pde-fractional-N": lambda job: set_path(job, ["pde"], laplace(N=2.5)),
+    "pde-string-coefficient": lambda job: set_path(job, ["pde"], laplace(c="1")),
+    "pde-bool-coefficient": lambda job: set_path(job, ["pde"], laplace(c=True)),
+    "pde-nan-coefficient": lambda job: set_path(job, ["pde"], laplace(c=float("nan"))),
+    "tolerances-infinite": lambda job: set_path(job, ["tolerances"], {"cr": float("inf")}),
+    "tolerances-nan": lambda job: set_path(job, ["tolerances"], {"pde": float("nan")}),
+    "tolerances-negative": lambda job: set_path(job, ["tolerances"], {"cr": -1}),
+    "tolerances-zero": lambda job: set_path(job, ["tolerances"], {"pde": 0}),
 }
 
 
@@ -562,8 +586,8 @@ def test_malformed_job_exits_2(capsys, tmp_path, name, command):
     argv = [command, write_job(tmp_path, job)]
     argv += ["--point", "0.3", "0.4", "-0.2"] if command == "eval" else []
     code, _, err = run(capsys, *argv)
-    if command != "check" and name.startswith("tolerances"):
-        assert code == 0  # only check reads the tolerances
+    if command != "check" and name.startswith(("tolerances", "pde")):
+        assert code == 0  # only check reads the tolerances and the pde
     else:
         assert code == 2 and err.startswith("error: "), (code, err)
 
@@ -671,13 +695,18 @@ def test_validate_validates_algebra_once(capsys, monkeypatch):
         ["check", JOB_OK, "--h-pde", "0"],
         ["check", JOB_OK, "--h-cr=-1e-3"],
         ["check", JOB_OK, "--h-pde", "inf"],
+        ["check", JOB_OK, "--tol-pde", "inf"],
+        ["check", JOB_OK, "--tol-cr", "nan"],
+        ["check", JOB_OK, "--tol-cr=-1"],
+        ["check", JOB_OK, "--tol-pde", "0"],
         ["check", JOB_OK, "--h", "1e-6"],
         ["grid", JOB_OK, "--h", "1e-3", "--out", "unwritten.csv"],
         ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--h", "1e-3"],
         ["validate", JOB_OK, "--h", "1e-3"],
     ],
     ids=["eval-nodes", "check-nodes", "grid-nodes", "validate-nodes", "negative-order",
-         "nan-point", "inf-point", "nan-h", "zero-h", "negative-h", "inf-h-pde", "old-h",
+         "nan-point", "inf-point", "nan-h", "zero-h", "negative-h", "inf-h-pde",
+         "inf-tol-pde", "nan-tol-cr", "negative-tol-cr", "zero-tol-pde", "old-h",
          "grid-old-h", "eval-old-h", "validate-old-h"],
 )
 def test_bad_numeric_options_exit_2(capsys, argv):

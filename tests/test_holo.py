@@ -12,7 +12,7 @@ from monogenica import (
     contour_integrate,
     enclosing_contour,
 )
-from monogenica.holo import DerivativeStack, HoloSum
+from monogenica.holo import DerivativeStack, HoloSum, parse_complex, parse_int, parse_real
 
 STACK_FNS = {
     "exp": HoloFn.exp(amp=0.5 - 1j, scale=1.3 + 0.2j, shift=0.1j),
@@ -368,3 +368,36 @@ class TestQuadrature:
         c = Contour(0.0, 1.0, nodes=16)
         with pytest.warns(RuntimeWarning):
             contour_integrate(lambda t: 1.0 / (t - 0.999999), c, max_nodes=64)
+
+
+class TestNumberReaders:
+    @pytest.mark.parametrize("value, expect", [(3, 3.0), (-2.5, -2.5), (10**300, 1e300), (0, 0.0)])
+    def test_real(self, value, expect):
+        got = parse_real(value)
+        assert type(got) is float and got == expect
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0], float("nan"), float("inf"),
+                                       -float("inf"), 10**400])
+    def test_not_real(self, value):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_real(value)
+
+    @pytest.mark.parametrize("value", [0, 3, -7, 10**400])
+    def test_int(self, value):
+        assert parse_int(value) == value
+
+    @pytest.mark.parametrize("value", [3.0, 2.9, True, "3", None, [3]])
+    def test_not_int(self, value):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_int(value)
+
+    @pytest.mark.parametrize("value, expect", [(2, 2 + 0j), ([1, -0.5], 1 - 0.5j), ((0.0, 3), 3j)])
+    def test_complex(self, value, expect):
+        got = parse_complex(value)
+        assert type(got) is complex and got == expect
+
+    @pytest.mark.parametrize("value", [True, [False, True], "1", ["1", "2"], [1.0, 0.0, 2.0], [],
+                                       [1.0, float("nan")], 10**400, None])
+    def test_not_complex(self, value):
+        with pytest.raises(ValueError, match="not a complex number"):
+            parse_complex(value)

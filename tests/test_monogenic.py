@@ -165,7 +165,8 @@ class TestBatchedExplicit:
             calls.clear()
             ry, rz = cr_residual(ms, p)
             assert calls == [(6, 3)], name
-            ey, ez = cr_residual(ms, p, evaluator=lambda q: pointwise(ms, q))
+            stencil = monogenic.cr_stencil(p, 1e-5)
+            ey, ez = cr_residual(ms, p, values=np.array([pointwise(ms, tuple(q)) for q in stencil]))
             assert max(np.max(np.abs(ry - ey)), np.max(np.abs(rz - ez))) <= 1e-12, name
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -206,10 +207,7 @@ class TestIntegral:
         for p in ((0.25, 0.4, -0.15), (-0.4, 0.6, 0.3), (0.1, -0.3, 0.5)):
             for r in range(4):
                 ex = eval_explicit(ms, p, order=r)
-                if r == 0:
-                    got = eval_integral(ms, p)
-                else:
-                    got = gateaux_derivative(ms, p, r, method="integral")
+                got = eval_integral(ms, p, r)
                 assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), (p, r)
 
     def test_one_integrand_call_per_point(self, all_monospecs, monkeypatch):
@@ -234,10 +232,7 @@ class TestIntegral:
         for name, ms in all_monospecs.items():
             for r in range(4):
                 sizes.clear()
-                if r:
-                    gateaux_derivative(ms, p, r, method="integral")
-                else:
-                    eval_integral(ms, p)
+                eval_integral(ms, p, r)
                 assert sizes == [512], (name, r)
 
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
@@ -262,7 +257,7 @@ class TestIntegral:
         p = (0.3, 1.0, -0.2)
         for r in range(4):
             ex = eval_explicit(ms, p, order=r)
-            got = eval_integral(ms, p) if r == 0 else gateaux_derivative(ms, p, r, method="integral")
+            got = eval_integral(ms, p, r)
             assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
 
     def test_series_domain_caps_the_circle(self, alg_d2):
@@ -274,7 +269,7 @@ class TestIntegral:
         ms = MonogenicSpec.create(alg_d2, triad, [f], [HoloFn.exp()])
         for r in range(4):
             ex = eval_explicit(ms, p, order=r)
-            got = eval_integral(ms, p) if r == 0 else gateaux_derivative(ms, p, r, method="integral")
+            got = eval_integral(ms, p, r)
             assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
 
     def test_no_enclosing_circle_raises(self, alg_ss2):
@@ -413,7 +408,9 @@ class TestGateaux:
             p = (0.35, -0.2, 0.45)
             for method in METHODS:
                 deriv_at = lambda q: gateaux_derivative(ms, q, 1, method=method)
-                ry, rz = cr_residual(ms, p, h=1e-4, evaluator=deriv_at)
+                stencil = monogenic.cr_stencil(p, 1e-4)
+                ry, rz = cr_residual(ms, p, h=1e-4,
+                                     values=np.array([deriv_at(tuple(q)) for q in stencil]))
                 scale = 1.0 + float(np.max(np.abs(deriv_at(p))))
                 assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, (name, method)
 
@@ -421,6 +418,8 @@ class TestGateaux:
         for method in METHODS:
             with pytest.raises(ValueError):
                 gateaux_derivative(all_monospecs["alg_d2"], (0, 0, 0), 0, method=method)
+        with pytest.raises(ValueError):
+            eval_integral(all_monospecs["alg_d2"], (0.1, 0.2, 0.3), -1)
 
     def test_unknown_method(self, all_monospecs):
         with pytest.raises(ValueError, match="unknown method"):
@@ -499,7 +498,8 @@ class TestCauchyRiemann:
             out[3] = G[1].eval(0, xi_v[0]) + T[1] * F[1].eval(1, xi_v[1])
             return out
 
-        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), evaluator=broken)
+        stencil = monogenic.cr_stencil((0.4, 0.8, -0.3), 1e-5)
+        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=np.array([broken(tuple(q)) for q in stencil]))
         assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) > 1e-3
 
 
