@@ -18,18 +18,20 @@ eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
 stack by r, integral integrates W R^(r+1) r! over one circle around the
 spectrum, special sums the Taylor series in the algebra's radical.
---compare prints the largest explicit-vs-integral deviation of the value
-at any order.
+--nodes (default 32) is the integral route's first trapezoid rule,
+doubled until two rules agree.  --compare prints the largest
+explicit-vs-integral deviation of the value at any order.
 
 A malformed job is rejected where its input is read, with exit 2.  Every
 number in a job file is read by one of holo's three readers: parse_real (a
 finite JSON number; true and false are not numbers), parse_int (a JSON
 integer, not even 3.0: every dimension, index, order and count) and
 parse_complex (a finite number or an [re, im] pair of them).  Also rejected:
-a job that is not a JSON object (load_job), an algebra whose upsilon or
-u_map has the wrong type (algebra_from_dict), a triad without n
-coefficients (monogenic_from_dict), a point that is not three numbers
-(job_points) and a tolerance that is not positive (job_tolerance).
+a job that is not a JSON object or is nested too deep to read (load_job),
+an algebra whose upsilon or u_map has the wrong type (algebra_from_dict), a
+triad without n coefficients (monogenic_from_dict), a point that is not
+three numbers (job_points) and a tolerance that is not positive
+(job_tolerance).
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
@@ -37,11 +39,11 @@ usage errors (an option the subcommand does not take, such as --nodes
 outside eval or the former --h of check), numeric options (--nodes below
 16, a negative --order, a non-finite --point, an --h-cr, --h-pde, --tol-cr
 or --tol-pde that is not a positive finite number), and a grid axis with a
-non-finite bound or extent or a count that is not a JSON integer included;
-3 evaluation outside a holomorphic function's domain, including a scale
-whose power at a needed derivative order overflows and an integral route
-whose circle around the spectrum cannot stay inside every series' safe
-disc; 4 output I/O errors.
+non-finite bound or extent or a count that is not a JSON integer from 2 to
+MAX_COUNT included; 3 evaluation outside a holomorphic function's domain,
+including a scale whose power at a needed derivative order overflows and
+an integral route whose circle around the spectrum cannot stay inside
+every series' safe disc; 4 output I/O errors.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra  # noqa: F401  (see cmd_validate)
 from .fixtures import fixture_path
-from .holo import MIN_NODES, HoloDomainError, UnstableQuadrature, parse_int, parse_real
+from .holo import DEFAULT_NODES, MIN_NODES, HoloDomainError, UnstableQuadrature, parse_int, parse_real
 from .monogenic import MonogenicSpec, validate_triad
 
 EXIT_OK = 0
@@ -72,6 +74,8 @@ EXIT_IO = 4
 # directions plus a generic combination.
 AUDIT_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.6180339887498949))
 
+MAX_COUNT = sys.maxsize // 8  # the largest grid count: float64 values in one array
+
 
 class JobError(Exception):
     pass
@@ -82,7 +86,8 @@ def load_job(path: str) -> dict:
     try:
         with open(job_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # json raises RecursionError on arrays or objects nested too deep.
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise JobError(f"cannot read job file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise JobError(f"job file {path} must hold a JSON object, not {type(data).__name__}")
@@ -230,12 +235,14 @@ def cmd_grid(args) -> int:
         try:
             lo, hi, count = job["grid"][name]
             lo, hi, count = parse_real(lo), parse_real(hi), parse_int(count)
-            if count < 2 or not hi > lo or not math.isfinite(hi - lo):
+            # Above MAX_COUNT np.linspace fails, near 2**63 with an IndexError.
+            if not 2 <= count <= MAX_COUNT or not hi > lo or not math.isfinite(hi - lo):
                 raise ValueError(f"got [{lo!r}, {hi!r}, {count}]")
             axes.append(np.linspace(lo, hi, count))
         except (KeyError, TypeError, ValueError) as exc:
             raise JobError(f"bad grid spec: {exc} (axis {name} must be [lo, hi, count] with "
-                           f"finite lo < hi, a finite extent and an integer count >= 2)") from exc
+                           f"finite lo < hi, a finite extent and an integer count from 2 "
+                           f"to {MAX_COUNT})") from exc
 
     out = args.out or job.get("out")
     if not out:
@@ -375,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=("explicit", "integral", "special"), default="explicit")
     p_eval.add_argument("--order", type=int, default=0, help="Gateaux derivative order (0 = value)")
     p_eval.add_argument("--compare", action="store_true", help="print max cross-method deviation")
-    p_eval.add_argument("--nodes", type=int, default=256, help="quadrature node count")
+    p_eval.add_argument("--nodes", type=int, default=DEFAULT_NODES,
+                        help="nodes of the first contour rule, doubled until it converges")
 
     p_grid = sub.add_parser("grid", parents=[common], help="emit component CSV over a grid")
     p_grid.add_argument("--out", default=None, help="output CSV path (overrides job)")

@@ -26,6 +26,7 @@ from .algebra import (
     load_algebra,
 )
 from .holo import (
+    DEFAULT_NODES,
     DerivativeStack,
     contour_integrate,
     enclosing_contour,
@@ -211,7 +212,7 @@ def eval_explicit(
 # -- integral evaluation -------------------------------------------------------
 
 
-def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = 256) -> Element:
+def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = DEFAULT_NODES) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
     order = r gives the r-th Gateaux derivative Phi^(r), r = 0 the function
@@ -223,7 +224,8 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = 2
     moments W_i(t) * (t - xi_u)^(-(r + 1 + l)), one product per batch of
     nodes, and the algebra arithmetic runs once per rule: A[i, j] =
     sum_{u,l} moment[i, u, l] * C[j, u, l], then the product tensor,
-    Phi_k = sum_{i,j} A[i, j] * M[i, j, k].
+    Phi_k = sum_{i,j} A[i, j] * M[i, j, k].  The first rule has `nodes`
+    nodes (holo.DEFAULT_NODES), doubled until two successive rules agree.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -255,7 +257,7 @@ def gateaux_derivative(
     ms: MonogenicSpec,
     p: Union[Point, np.ndarray],
     r: int,
-    nodes: int = 256,
+    nodes: int = DEFAULT_NODES,
     method: str = "explicit",
 ) -> Element:
     """r-th Gateaux derivative Phi^(r), r >= 1: eval_explicit or eval_integral at order r.

@@ -3,13 +3,15 @@
 Each computes something that monogenica computes another way, so the tests
 compare the two: the resolvent (t e1 - zeta)^(-1) by its coefficient
 recurrence and by the closed form at one t, inversion in the algebra by a
-dense linear system, zeta and xi_u at one point, and L_N applied to a
-function evaluated one point at a time.
+dense linear system, zeta and xi_u at one point, L_N applied to a
+function evaluated one point at a time, and the derivatives of one
+holomorphic function by a one-row DerivativeStack.
 """
 
 import numpy as np
 
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
+from monogenica.holo import DerivativeStack
 from monogenica.monogenic import Point, TriadSpec, stencil_points
 from monogenica.pde import PdeSpec
 from monogenica.resolvent import assemble_closed, b_coeffs, q_table, spectrum, t_coeffs
@@ -99,3 +101,12 @@ def apply_operator(fn, pde: PdeSpec, p: Point, h: float) -> Element:
     values = np.array([np.asarray(fn(tuple(q))) for q in stencil_points(p, h, offsets)])
     coeffs = np.array([c for *_, c in pde.terms])
     return coeffs @ (weights @ values) / h**pde.N
+
+
+def derivatives(f, K: int, xi) -> np.ndarray:
+    """f, f', ..., f^(K) at xi (any shape), stacked on a new first axis.
+
+    The one-row case of DerivativeStack; row k equals f.eval(k, xi).
+    """
+    x = np.asarray(xi, dtype=np.complex128)
+    return DerivativeStack([f], [K])(x.reshape(1, -1)).reshape((K + 1,) + x.shape)

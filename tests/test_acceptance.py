@@ -412,7 +412,8 @@ def test_criterion_11_absolute_accuracy(all_algebras):
     }
     worst = {route: [0.0] * len(orders) for route in routes}
     start = time.perf_counter()
-    # The contour route is reported, not gated: its error grows with r.
+    # The contour route is gated at r <= 3, the orders --compare and the
+    # benchmark use; above that its error grows with r and is only reported.
     with mpmath.workdps(50), warnings.catch_warnings():
         warnings.simplefilter("ignore", UnstableQuadrature)
         for name, spec in algebras.items():
@@ -431,6 +432,8 @@ def test_criterion_11_absolute_accuracy(all_algebras):
     report(
         "criterion 11: absolute accuracy of Phi^(r), r = 0..12, against 50-digit Taylor sums "
         "(ss2, d2, t4, C[eps]/eps^16; exp, sin, series)",
-        all(e <= 1e-14 for route in ("explicit", "special") for e in worst[route]),
-        ", ".join(f"{route} {max(errs):.3e}" for route, errs in worst.items()) + f", {elapsed:.2f}s",
+        all(e <= 1e-14 for route in ("explicit", "special") for e in worst[route])
+        and all(e <= 5e-14 for e in worst["integral"][:4]),
+        ", ".join(f"{route} {max(errs):.3e}" for route, errs in worst.items())
+        + f", integral at r <= 3 {max(worst['integral'][:4]):.3e}, {elapsed:.2f}s",
     )

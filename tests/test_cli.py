@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -311,6 +312,20 @@ class TestGrid:
         assert err.startswith("error: bad grid spec")
         assert "wrote" not in out and not out_file.exists()
 
+    @pytest.mark.parametrize("count", [2**63, sys.maxsize, 2**64])
+    def test_count_beyond_any_array_exit_2(self, capsys, tmp_path, count):
+        # np.linspace raises IndexError, not ValueError, near 2**63.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"]["x"] = [-1, 1, count]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: bad grid spec") and "count" in err
+        assert "wrote" not in out and not out_file.exists()
+
     @pytest.mark.parametrize("count", [2.9, "3", True, 3.0],
                              ids=["fraction", "string", "bool", "float"])
     def test_non_integer_count_exit_2(self, capsys, tmp_path, count):
@@ -465,6 +480,14 @@ class TestErrors:
         path.write_text("{not json")
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.load gives up on deep nesting with a RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read job file") and err.count("\n") == 1
 
     def test_wrong_function_count(self, capsys, tmp_path):
         job = json.loads(fixture_path("job_laplace_ss2.json").read_text())

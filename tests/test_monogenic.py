@@ -17,7 +17,7 @@ from monogenica import (
 )
 from monogenica import monogenic
 from monogenica.algebra import AlgebraSpec, SpecialCase
-from monogenica.holo import HoloSum
+from monogenica.holo import DEFAULT_NODES, HoloSum
 from monogenica.resolvent import spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
@@ -180,6 +180,24 @@ class TestBatchedExplicit:
                 assert max(np.max(np.abs(gy - ey)), np.max(np.abs(gz - ez))) <= 1e-12, name
 
 
+def record_quadrature(monkeypatch):
+    """Log each contour monogenic integrates over and the size of each integrand call."""
+    contours, sizes = [], []
+    quad = monogenic.contour_integrate
+
+    def counting(g, contour, **kw):
+        contours.append(contour)
+
+        def counted(t):
+            sizes.append(len(t))
+            return g(t)
+
+        return quad(counted, contour, **kw)
+
+    monkeypatch.setattr(monogenic, "contour_integrate", counting)
+    return contours, sizes
+
+
 class TestIntegral:
     def test_three_way_agreement(self, all_monospecs, rng):
         for name, ms in all_monospecs.items():
@@ -211,29 +229,40 @@ class TestIntegral:
                 assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), (p, r)
 
     def test_one_integrand_call_per_point(self, all_monospecs, monkeypatch):
-        # Smooth data converge at the first doubling: one call on 512 nodes,
-        # with W(t) from the stack and no scalar HoloFn.eval.
-        sizes = []
-        quad = monogenic.contour_integrate
-
-        def counting(g, contour, **kw):
-            def counted(t):
-                sizes.append(len(t))
-                return g(t)
-
-            return quad(counted, contour, **kw)
+        # Smooth data converge at the first doubling: one call on the
+        # 2 * DEFAULT_NODES nodes of the first two rules, with W(t) from the
+        # stack and no scalar HoloFn.eval.
+        _, sizes = record_quadrature(monkeypatch)
 
         def no_eval(*args):
             raise AssertionError("HoloFn.eval called")
 
-        monkeypatch.setattr(monogenic, "contour_integrate", counting)
         monkeypatch.setattr(HoloFn, "eval", no_eval)
         p = (0.25, 0.4, -0.15)
         for name, ms in all_monospecs.items():
             for r in range(4):
                 sizes.clear()
                 eval_integral(ms, p, r)
-                assert sizes == [512], (name, r)
+                assert sizes == [2 * DEFAULT_NODES], (name, r)
+
+    @pytest.mark.parametrize("name", ["alg_ss2", "alg_p2"])
+    def test_small_start_does_not_stop_early(self, all_algebras, monkeypatch, name):
+        # xi_u = +-0.5 on the unit circle, delta = radius / 2, the closest
+        # enclosing_contour allows: the poles spoil the 32- and 64-node rules
+        # alike, so they disagree and the rule doubles before it returns.
+        spec = all_algebras[name]
+        a, b = [1.0, -1.0, 1j, 0.0][: spec.n], [1j, 2j, 0.0, 1.0][: spec.n]
+        G = [HoloFn.sin(), HoloFn.poly([1.0, 0.0, 0.5])][: spec.n - spec.m]
+        ms = MonogenicSpec.create(spec, TriadSpec.create(a, b), [HoloFn.exp(), HoloFn.exp()], G)
+        p = (0.0, 0.5, 0.0)
+        contours, sizes = record_quadrature(monkeypatch)
+        for r in range(4):
+            sizes.clear()
+            got = eval_integral(ms, p, r)
+            ex = eval_explicit(ms, p, order=r)
+            assert contours[-1].center == 0 and contours[-1].radius == 1.0
+            assert len(sizes) > 1, (r, sizes)
+            assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
 
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
         # On the x axis every xi_u collapses to x; the one circle around
