@@ -216,7 +216,9 @@ def cmd_eval(args) -> int:
         try:
             value = run(args.method)
             if args.compare:
-                dev = float(np.max(np.abs(run("explicit") - run("integral"))))
+                # The chosen route is not run a second time.
+                explicit, integral = (value if m == args.method else run(m) for m in ("explicit", "integral"))
+                dev = float(np.max(np.abs(explicit - integral)))
         except UnstableQuadrature as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL

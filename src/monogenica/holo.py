@@ -192,17 +192,20 @@ class DerivativeStack:
 
     Row i holds f_i^(lo), ..., f_i^(lo + K_i) at its own arguments xi[i].
     The rows follow one another in one flat table, row i from entry
-    offsets[i] = sum_{i' < i} (K_i' + 1) on.  All functions of one kind go
-    together, however many there are: one exp; one sin and one cos, cycled
-    with signs; one Horner sweep over a padded table of derivative
-    coefficients for every polynomial and series, after one domain check
-    for all series.  Each exp, sin and cos value is taken once per leaf,
-    and one gather and one product by amp * scale^k place them all.  A
-    HoloSum row adds up the rows of its parts.  The constants (amp *
-    scale^k, the tables, the index arrays) are built here, once: list
-    operations per leaf, then one array per kind of constant.  Every
-    operation is elementwise over the points, so a column of the table
-    does not depend on the other columns.
+    offsets[i] = sum_{i' < i} (K_i' + 1) on.  The leaves (the functions,
+    the parts of a HoloSum expanded) are kept in blocks by kind: exp; the
+    sin and cos leaves that need sin only, both, cos only; series; poly.
+    So each kind is one slice of the arguments w = scale * xi + shift: one
+    exp, one sin and one cos, each taken once per leaf that needs it; one
+    domain check for all series; one Horner sweep over a padded table of
+    derivative coefficients for every polynomial and series.  Their
+    results are rows of one array of values, and the table is one gather
+    of those values times one product by amp * scale^k (signed for the sin
+    and cos cycle); an entry that vanishes reads a zero row.  A HoloSum
+    row adds up the rows of its parts.  The constants (amp * scale^k, the tables, the index
+    arrays) are built here, once: list operations per leaf, then one array
+    per kind of constant.  Every operation is elementwise over the points,
+    so a column of the table does not depend on the other columns.
     """
 
     def __init__(self, fns: Sequence, K: Sequence[int], lo: int = 0):
@@ -214,108 +217,130 @@ class DerivativeStack:
         self.size = first[-1]
         leaves = [(i, leaf) for i, f in enumerate(fns) for leaf in _leaves(f)]
         rows = [i for i, _ in leaves]
-        self._leaf_row = None if rows == list(range(len(fns))) else np.array(rows, dtype=int)
-        self._scale, self._shift = np.array(
-            [[f.scale for _, f in leaves], [f.shift for _, f in leaves]], dtype=np.complex128
-        ).reshape(2, -1, 1)
+        # Leaf li fills the entries from start[li] on, orders lo.. in turn.
+        start = [0, *accumulate(K[i] + 1 for i in rows)]
+        self._leaf_size = start[-1]
 
-        # exp is taken at the exp leaves, sin and cos at the sin and cos
-        # leaves whose orders need them (phases from lo on, lo + 1 for cos).
-        # Their values are stacked exp, sin, cos, and table entry entries[t]
-        # is fac[t] times row src[t] of the stack.
-        taken = {np.exp: [], np.sin: [], np.cos: []}
-        for li, (i, f) in enumerate(leaves):
-            if f.kind == "exp":
-                taken[np.exp].append(li)
-            elif f.kind in ("sin", "cos"):
-                p = lo + (f.kind == "cos")
-                for fn, parity in ((np.sin, 0), (np.cos, 1)):
-                    if K[i] or p % 2 == parity:
-                        taken[fn].append(li)
-        row, self._bases = {}, []
-        for fn, at in taken.items():
-            if at:
-                self._bases.append((fn, np.array(at, dtype=int), slice(len(row), len(row) + len(at))))
-                row.update({(fn, li): len(row) + r for r, li in enumerate(at)})
-        self._rows = len(row)
-        entries, src, fac = [], [], []
-        # Per poly/series entry: table entry, leaf (its place among the
-        # poly/series leaves), factor, coefficient count and order.
+        def block(i: int, f: HoloFn) -> int:
+            """0 exp, 1 sin only, 2 sin and cos, 3 cos only, 4 series, 5 poly."""
+            if f.kind in ("sin", "cos"):
+                # One order needs one of the two: sin at an even phase lo
+                # (lo + 1 for cos), cos at an odd one.
+                return 2 if K[i] else 1 + 2 * ((lo + (f.kind == "cos")) % 2)
+            return {"exp": 0, "series": 4, "poly": 5}[f.kind]
+
+        blocks = [block(i, f) for i, f in leaves]
+        order = sorted(range(len(leaves)), key=blocks.__getitem__)
+        exp_end, sin_end, both_end, cos_end = accumulate(blocks.count(b) for b in range(4))
+        X = [rows[li] for li in order]
+        self._leaf_row = None if X == list(range(len(fns))) else np.array(X, dtype=int)
+        self._scale, self._shift = np.array(
+            [[leaves[li][1].scale for li in order], [leaves[li][1].shift for li in order]],
+            dtype=np.complex128,
+        ).reshape(2, -1, 1)
+        # Rows of the values: exp, sin and cos at the leaves of their blocks
+        # (sin of leaf q at row q, cos at row q + cos_shift), then the
+        # Horner sums, one per poly/series entry, then a row of zeros.
+        cos_shift = both_end - sin_end
+        self._bases = [
+            (fn, slice(a, b), slice(a + shift, b + shift))
+            for fn, a, b, shift in ((np.exp, 0, exp_end, 0), (np.sin, exp_end, both_end, 0),
+                                    (np.cos, sin_end, cos_end, cos_shift))
+            if b > a
+        ]
+        horner = cos_end + cos_shift
+
+        # Entry e of the leaf table is fac[e] times row src[e] of the values.
+        # An entry that vanishes (a derivative of a poly or series beyond its
+        # degree) is 0 times the last row, which stays zero: +0, as 0 * 0 is.
+        src, fac = [-1] * self._leaf_size, [0j] * self._leaf_size
+        # Per poly/series entry: table entry, leaf (its place in the
+        # poly/series block), factor, coefficient count and order.
         poly = ([], [], [], [], [])
-        poly_leaves, coeffs, centers, series, radii = [], [], [], [], []
-        # Leaf li fills the entries from start on, orders lo.. in turn.
-        start = 0
-        for li, (i, f) in enumerate(leaves):
-            leaf_entries = range(start, start + K[i] + 1)
-            start = leaf_entries.stop
+        coeffs, centers, radii = [], [], []
+        for q, li in enumerate(order):
+            i, f = leaves[li]
+            at = slice(start[li], start[li] + K[i] + 1)
             # Python's power, not numpy's: the two differ in the last bit.
             try:
                 leaf_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
             except OverflowError:
                 raise HoloDomainError(f"scale^{lo + K[i]} of a {f.kind} overflows") from None
             if f.kind == "exp":
-                src += [row[np.exp, li]] * len(leaf_entries)
+                src[at] = [q] * (K[i] + 1)
             elif f.kind in ("sin", "cos"):
                 # sin, cos, -sin, -cos, ... from phase lo (lo + 1 for cos) on.
                 p = lo + (f.kind == "cos")
                 leaf_fac = [-c if (p + t) % 4 >= 2 else c for t, c in enumerate(leaf_fac)]
-                src += [row[np.cos, li] if (p + t) % 2 else row[np.sin, li] for t in range(len(leaf_entries))]
+                src[at] = [q + cos_shift if (p + t) % 2 else q for t in range(K[i] + 1)]
             else:
                 if f.kind == "series":
-                    series.append(len(coeffs))
                     radii.append(f.radius)
                 centers.append(f.center if f.kind == "series" else 0.0)
                 # Derivatives of order >= len(coeffs) vanish: no entry.
                 top = len(f.coeffs) - lo
                 count = max(0, min(K[i] + 1, top))
-                for column, values in zip(poly, (leaf_entries[:count], [len(coeffs)] * count,
+                for column, values in zip(poly, (range(at.start, at.stop)[:count], [len(coeffs)] * count,
                                                  leaf_fac[:count], range(top, top - count, -1),
                                                  range(lo, lo + count))):
                     column += values
-                poly_leaves.append(li)
                 coeffs.append(f.coeffs)
                 continue
-            entries += leaf_entries
-            fac += leaf_fac
-        self._leaf_size = start
-        self._gather = (np.array(entries, dtype=int), np.array(src, dtype=int),
-                        np.array(fac, dtype=np.complex128).reshape(-1, 1))
+            fac[at] = leaf_fac
 
         self._poly = None
         if coeffs:
             # Longest first (a stable sort), so step j of the sweep runs over
             # a prefix: the entries with a coefficient of w^j or above.
             terms = poly[3]
-            order = sorted(range(len(terms)), key=terms.__getitem__, reverse=True)
-            entries, src, fac, terms, orders = ([column[c] for c in order] for column in poly)
+            by_terms = sorted(range(len(terms)), key=terms.__getitem__, reverse=True)
+            poly_entries, leaf, poly_fac, terms, orders = ([column[c] for c in by_terms] for column in poly)
             L = terms[0] if terms else 0
             # Column c of the table holds the coefficients of entry c, zero
             # above its top coefficient, where Horner's rule stays exact.
-            table = _derivative_coeffs(coeffs).transpose(2, 0, 1)[:L, orders, src]
+            table = _derivative_coeffs(coeffs).transpose(2, 0, 1)[:L, orders, leaf]
             tops = [0] * L  # entries by their top coefficient, w^(terms - 1)
             for t in terms:
                 tops[t - 1] += 1
             self._poly = (
-                np.array(poly_leaves, dtype=int),
+                cos_end,
                 np.array(centers, dtype=np.complex128).reshape(-1, 1),
-                (np.array(series, dtype=int), np.array(radii)) if series else None,
-                np.array(src, dtype=int),
-                list(zip(table[::-1, :, None], accumulate(tops[::-1]))),
-                np.array(entries, dtype=int),
-                np.array(fac, dtype=np.complex128).reshape(-1, 1),
+                SAFE_FRACTION * np.array(radii),
+                np.array(leaf, dtype=int),
+                horner,
+                [(c[:n], n) for c, n in zip(table[::-1, :, None], accumulate(tops[::-1]))],
             )
+            for c, e in enumerate(poly_entries):
+                src[e], fac[e] = horner + c, poly_fac[c]
+        self._rows = horner + len(poly[0]) + 1
+        self._gather = (np.array(src, dtype=int), np.array(fac, dtype=np.complex128).reshape(-1, 1))
         self._sum = None
-        if self._leaf_row is not None:
+        if rows != list(range(len(fns))):
             # Leaf entries ordered by the row entry they add to, parts in order:
             # a leaf's entries add to its row's, from offsets[row] on.
-            c = np.array(K, dtype=int)[self._leaf_row] + 1
-            targets = (self.offsets[self._leaf_row] + c - c.cumsum()).repeat(c) + np.arange(start)
-            order = np.argsort(targets, kind="stable")
-            sums, starts = np.unique(targets[order], return_index=True)
-            self._sum = (order, starts, sums)
+            c = np.array(K, dtype=int)[rows] + 1
+            targets = (self.offsets[rows] + c - c.cumsum()).repeat(c) + np.arange(self._leaf_size)
+            by_target = np.argsort(targets, kind="stable")
+            sums, starts = np.unique(targets[by_target], return_index=True)
+            self._sum = (by_target, starts, sums)
 
     def __call__(self, xi) -> np.ndarray:
         """The flat table, shape (size, N), for arguments xi of shape (rows, N)."""
+        src, fac = self._gather
+        out = np.multiply(fac, self._values(xi)[src])
+        if self._sum is None:
+            return out
+        by_target, starts, sums = self._sum
+        total = np.zeros((self.size, out.shape[1]), dtype=np.complex128)
+        total[sums] = np.add.reduceat(out[by_target], starts, axis=0)
+        return total
+
+    def _values(self, xi) -> np.ndarray:
+        """The rows the table gathers: exp, sin, cos, the Horner sums and a zero row.
+
+        A method of its own, so that its temporaries are freed before the
+        table is formed.
+        """
         xi = np.asarray(xi, dtype=np.complex128)
         X = xi if self._leaf_row is None else xi[self._leaf_row]
         # Constants on the left of every product, as in eval: numpy's complex
@@ -323,43 +348,32 @@ class DerivativeStack:
         # temporary b may be computed as b * a, so np.multiply is explicit.
         w = np.multiply(self._scale, X)
         w += self._shift
-        out = np.zeros((self._leaf_size, w.shape[1]), dtype=np.complex128)
-        if self._bases:
-            entries, src, fac = self._gather
-            values = np.empty((self._rows, w.shape[1]), dtype=np.complex128)
-            for fn, at, rows in self._bases:
-                fn(w[at], out=values[rows])
-            out[entries] = np.multiply(fac, values[src])
+        values = np.zeros((self._rows, w.shape[1]), dtype=np.complex128)
+        for fn, leaves, rows in self._bases:
+            fn(w[leaves], out=values[rows])
         if self._poly is not None:
-            leaves, center, series, src, sweep, entries, fac = self._poly
-            v = w[leaves]
+            first, center, safe, leaf, horner, sweep = self._poly
+            v = w[first:]
             v -= center
-            if series is not None:
-                series, radius = series
-                dist = np.max(np.abs(v[series]), axis=1, initial=0.0)
-                over = np.flatnonzero(dist > SAFE_FRACTION * radius)
+            if safe.size:
+                # The series lead the block, in leaf order.
+                dist = np.maximum.reduce(np.abs(v[: safe.size]), axis=1, initial=0.0)
+                over = np.nonzero(dist > safe)[0]
                 if over.size:
                     i = over[0]
                     raise HoloDomainError(
                         f"series evaluated at distance {dist[i]:.3g} from its center; "
-                        f"safe radius is {SAFE_FRACTION * radius[i]:.3g}"
+                        f"safe radius is {safe[i]:.3g}"
                     )
-            if entries.size:
-                # Horner as in polyval; an entry joins at its top coefficient,
-                # where 0 * w + c = c.
-                v = v[src]
-                acc = np.zeros_like(v)
-                for c, n in sweep:
-                    a = acc[:n]
-                    multiply_in_place(a, v[:n])
-                    a += c[:n]
-                out[entries] = np.multiply(fac, acc)
-        if self._sum is None:
-            return out
-        order, starts, sums = self._sum
-        total = np.zeros((self.size, out.shape[1]), dtype=np.complex128)
-        total[sums] = np.add.reduceat(out[order], starts, axis=0)
-        return total
+            # Horner as in polyval, into the rows from horner on; an entry
+            # joins at its top coefficient, where 0 * w + c = c.
+            v = v[leaf]
+            acc = values[horner:]
+            for c, n in sweep:
+                a = acc[:n]
+                multiply_in_place(a, v[:n])
+                a += c
+        return values
 
 
 # -- JSON form ---------------------------------------------------------------

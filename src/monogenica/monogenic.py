@@ -142,7 +142,8 @@ def eval_explicit(
     points, giving an (N, n) array with one row per point.  A call costs a
     fixed number of numpy calls whatever n is, each over the whole batch:
 
-    1. the spectrum xi_u, T, B and the Q-table for every point;
+    1. zeta's coordinates, the spectrum xi_u and T, from one affine map
+       (resolvent.coordinates), then B and the Q-table, for every point;
     2. one DerivativeStack call: every F_u and G_q with the derivative
        orders the algebra's term list needs, at its own xi_u;
     3. the values F_u(xi_u) and G_q(xi_{u_q}) as the first estimate;
@@ -180,9 +181,8 @@ def eval_explicit(
         lo, hi = (int(order.min()), int(order.max())) if order.size else (0, 0)
     if lo < 0:
         raise ValueError("derivative order must be >= 0")
-    x, y, z = pts.T
-    xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
-    T = rsv.t_coeffs(spec, ms.triad, y, z)
+    Z = rsv.coordinates(ms.triad, spec.m, *pts.T)
+    xi_v, T = Z[:, : spec.m], Z[:, spec.m :]
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
     if hi > lo:
         # Row i of the wide table has hi - lo more entries than the term
@@ -216,13 +216,16 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
     order = r gives the r-th Gateaux derivative Phi^(r), r = 0 the function
-    itself.  W = sum_u I_u F_u + sum_s I_s G_s.  The circle
+    itself.  W = sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from
+    one affine map (resolvent.coordinates).  The circle
     (enclosing_contour) goes around every xi_u at once: W cancels R's poles
     idempotent by idempotent, so they need no separate contours.  R^(r + 1)
     is sum_{u,l} C[:, u, l] * (t - xi_u)^(-(r + 1 + l))
     (resolvent.closed_coeffs), so the quadrature integrates the scalar
-    moments W_i(t) * (t - xi_u)^(-(r + 1 + l)), one product per batch of
-    nodes, and the algebra arithmetic runs once per rule: A[i, j] =
+    moments W_i(t) * (t - xi_u)^(-(r + 1 + l)): per batch of nodes, one
+    order-0 DerivativeStack call for W, one in-place cumprod for the
+    powers (resolvent.inverse_powers) and one product.  The algebra
+    arithmetic runs once per rule: A[i, j] =
     sum_{u,l} moment[i, u, l] * C[j, u, l], then the product tensor,
     Phi_k = sum_{i,j} A[i, j] * M[i, j, k].  The first rule has `nodes`
     nodes (holo.DEFAULT_NODES), doubled until two successive rules agree.
@@ -233,8 +236,8 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     n, d = spec.n, spec.n - spec.m
     power = order + 1
     x, y, z = p
-    xi_v = rsv.spectrum(ms.triad, spec.m, x, y, z)
-    T = rsv.t_coeffs(spec, ms.triad, y, z)
+    Z = rsv.coordinates(ms.triad, spec.m, x, y, z)
+    xi_v, T = Z[: spec.m], Z[spec.m :]
     C = rsv.closed_coeffs(spec, rsv.q_table(spec, T, rsv.b_coeffs(spec, T)), power).reshape(n, -1)
     M = spec.mult_tensor.reshape(n * n, n)
     contour = enclosing_contour(xi_v, ms.F + ms.G, nodes)

@@ -2,11 +2,12 @@
 
 The resolvent of the hypercomplex variable zeta = x*e1 + y*e2 + z*e3 is a
 rational function of t with poles only at the spectrum points
-xi_u = x + y*a_u + z*b_u.  This module builds the T, B and Q coefficients
-of its partial-fraction form, batched over points, and assembles R(t)^p
-from them for the contour route; the explicit route reads the Q-table
-directly.  The tests check the closed form against the coefficient
-recurrence and against inversion in the algebra (tests/oracles.py).
+xi_u = x + y*a_u + z*b_u.  One affine map gives zeta's coordinates, the
+xi_u and the T_s; this module builds the B and Q coefficients of the
+partial-fraction form from them, batched over points, and assembles R(t)^p
+for the contour route; the explicit route reads the Q-table directly.  The
+tests check the closed form against the coefficient recurrence and against
+inversion in the algebra (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -25,19 +26,30 @@ if TYPE_CHECKING:  # pragma: no cover
 B_NONZERO_TOL = 1e-14
 
 
-def spectrum(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
-    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis.
+def coordinates(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
+    """zeta's coordinates along a new last axis: xi_u, u = 1..m, then T_s, s = m+1..n.
 
-    x, y, z are scalars or arrays of one shape (a batch of points).
+    xi_u = x + y*a_u + z*b_u and T_s = y*a_s + z*b_s, taken as y*a, plus x
+    on the first m, plus z*b: (y*a + x) + z*b is (x + y*a) + z*b with its
+    first two operands swapped, which IEEE addition, being commutative,
+    leaves bit for bit, signed zeros included.  x, y, z are scalars or
+    arrays of one shape (a batch of points).
     """
     x, y, z = (np.asarray(v)[..., None] for v in (x, y, z))
-    return x + y * triad.a_vec[:m] + z * triad.b_vec[:m]
+    Z = y * triad.a_vec
+    Z[..., :m] += x
+    Z += z * triad.b_vec
+    return Z
+
+
+def spectrum(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
+    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis: coordinates' first m."""
+    return coordinates(triad, m, x, y, z)[..., :m]
 
 
 def t_coeffs(spec: AlgebraSpec, triad: "TriadSpec", y, z) -> np.ndarray:
-    """T_s = y*a_s + z*b_s for the radical indices s = m+1..n, along a new last axis."""
-    y, z = (np.asarray(v)[..., None] for v in (y, z))
-    return y * triad.a_vec[spec.m :] + z * triad.b_vec[spec.m :]
+    """T_s = y*a_s + z*b_s for the radical indices s = m+1..n: coordinates' last n - m."""
+    return coordinates(triad, spec.m, 0.0, y, z)[..., spec.m :]
 
 
 def b_coeffs(spec: AlgebraSpec, T: np.ndarray) -> np.ndarray:
@@ -103,10 +115,16 @@ def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarra
 
 
 def inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:
-    """pw[u, l] = (t - xi_u)^(-(power + l)) for l = 0..d; shape (m, d + 1) + t.shape."""
+    """pw[u, l] = (t - xi_u)^(-(power + l)) for l = 0..d; shape (m, d + 1) + t.shape.
+
+    One cumprod, in place, over (t - xi_u)^(-power) and d copies of 1 / (t - xi_u).
+    """
     t = np.asarray(t, dtype=np.complex128)
     inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))  # (m, ...)
-    return np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
+    pw = np.empty((len(inv), d + 1) + t.shape, dtype=np.complex128)
+    pw[:, 0] = inv**power
+    pw[:, 1:] = inv[:, None]
+    return np.cumprod(pw, axis=1, out=pw)
 
 
 def assemble_closed(spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1) -> np.ndarray:

@@ -5,7 +5,10 @@ compare the two: the resolvent (t e1 - zeta)^(-1) by its coefficient
 recurrence and by the closed form at one t, inversion in the algebra by a
 dense linear system, zeta and xi_u at one point, L_N applied to a
 function evaluated one point at a time, and the derivatives of one
-holomorphic function by a one-row DerivativeStack.
+holomorphic function by a one-row DerivativeStack.  Three take the
+floating-point operations of a package function in another arrangement,
+so the tests compare their bits: xi_u and T_s as two separate sums, and
+the inverse powers of t - xi_u by cumprod over a stack of d + 1 arrays.
 """
 
 import numpy as np
@@ -35,6 +38,25 @@ def xi(triad: TriadSpec, p: Point, u: int) -> complex:
     """The complex shadow f_u(zeta) = x + y*a_u + z*b_u."""
     x, y, z = p
     return complex(x + y * triad.a[u - 1] + z * triad.b[u - 1])
+
+
+def spectrum_sum(triad: TriadSpec, m: int, x, y, z) -> np.ndarray:
+    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis, summed left to right."""
+    x, y, z = (np.asarray(v)[..., None] for v in (x, y, z))
+    return x + y * triad.a_vec[:m] + z * triad.b_vec[:m]
+
+
+def t_sum(spec: AlgebraSpec, triad: TriadSpec, y, z) -> np.ndarray:
+    """T_s = y*a_s + z*b_s for s = m+1..n, along a new last axis."""
+    y, z = (np.asarray(v)[..., None] for v in (y, z))
+    return y * triad.a_vec[spec.m :] + z * triad.b_vec[spec.m :]
+
+
+def stacked_inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:
+    """(t - xi_u)^(-(power + l)) for l = 0..d, by cumprod over a stack of d + 1 arrays."""
+    t = np.asarray(t, dtype=np.complex128)
+    inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))
+    return np.cumprod(np.stack([inv**power] + [inv] * d, axis=1), axis=1)
 
 
 def invert(spec: AlgebraSpec, a: Element) -> Element:

@@ -107,6 +107,29 @@ class TestEval:
         match = re.search(r"max cross-method deviation = (\S+)", out)
         assert match and float(match.group(1)) < 1e-8
 
+    @pytest.mark.parametrize("method", ["explicit", "integral", "special"])
+    def test_compare_runs_each_route_once(self, capsys, monkeypatch, method):
+        calls = []
+        for name in ("eval_explicit", "eval_integral", "eval_special"):
+            route = getattr(monogenic, name)
+
+            def counting(*args, _route=route, _name=name, **kw):
+                calls.append(_name)
+                return _route(*args, **kw)
+
+            monkeypatch.setattr(monogenic, name, counting)
+        argv = ["eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--order", "2", "--method", method]
+        code, out, _ = run(capsys, *argv, "--compare")
+        assert code == 0
+        assert sorted(calls) == sorted({"eval_explicit", "eval_integral", f"eval_{method}"}), calls
+        # The values printed are those of the chosen route alone.
+        calls.clear()
+        code, alone, _ = run(capsys, *argv)
+        assert code == 0 and calls == [f"eval_{method}"]
+        assert out.splitlines()[:-1] == alone.splitlines()
+        match = re.search(r"max cross-method deviation = (\S+)", out.splitlines()[-1])
+        assert match and float(match.group(1)) < 1e-8
+
     def test_derivative_order(self, capsys):
         # First derivative of exp data equals the value itself.
         code0, out0, _ = run(capsys, "eval", JOB_OK, "--point", "0.3", "0.4", "-0.2")

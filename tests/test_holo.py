@@ -192,6 +192,54 @@ class TestStackedKernel:
             DerivativeStack([HoloFn.exp()], [2], -1)
 
 
+class TestStackNeighbours:
+    """A row's bits, and the domain error a stack raises, do not depend on the other rows."""
+
+    # Row orders of ROWS: as listed, reversed, grouped by kind, and shuffled;
+    # every kind interleaved, HoloSum rows, a repeated exp and the zero poly.
+    PERMUTATIONS = [
+        list(range(9)),
+        list(range(8, -1, -1)),
+        [2, 6, 4, 3, 1, 0, 7, 5, 8],
+        [5, 0, 8, 2, 7, 4, 1, 6, 3],
+        [6, 3, 5, 1, 8, 0, 4, 2, 7],
+    ]
+
+    @pytest.mark.parametrize("perm", PERMUTATIONS, ids=lambda p: "".join(map(str, p)))
+    @pytest.mark.parametrize("N", [1, 6])
+    def test_row_bits_do_not_depend_on_neighbours(self, rng, perm, N):
+        rows = [TestStackedKernel.ROWS[i] for i in perm]
+        xi = rng.uniform(-2, 2, (len(rows), N)) + 1j * rng.uniform(-2, 2, (len(rows), N))
+        # Orders 0 put sin and cos leaves in their one-function blocks.
+        for K in ([[3, 0, 6, 5, 7, 2, 1, 4, 9][i] for i in perm], [0] * len(rows)):
+            for lo in range(4):
+                stack = DerivativeStack(rows, K, lo)
+                got = stack(xi)
+                for i, f in enumerate(rows):
+                    alone = DerivativeStack([f], [K[i]], lo)(xi[i : i + 1])
+                    row = got[stack.offsets[i] : stack.offsets[i] + K[i] + 1]
+                    assert row.tobytes() == alone.tobytes(), (perm, K, lo, i)
+
+    def test_first_overrunning_series_in_row_order_is_named(self):
+        # Both series overrun at 0.95; each names its own distance and radius.
+        a = HoloFn.series(0.0, [1.0, 1.0], radius=1.0)
+        b = HoloFn.series(0.1, [1.0, 2.0, 3.0], radius=0.5)
+        text = {
+            "a": "series evaluated at distance 0.95 from its center; safe radius is 0.9",
+            "b": "series evaluated at distance 0.85 from its center; safe radius is 0.45",
+        }
+        xi = np.full((5, 2), 0.95 + 0j)
+        for rows, first in (
+            ([HoloFn.poly([1.0, 2.0]), a, HoloFn.exp(), b, HoloFn.sin()], "a"),
+            ([HoloFn.exp(), b, HoloFn.poly([1.0, 2.0]), HoloFn.cos(), a], "b"),
+            ([HoloFn.sin(), HoloSum((HoloFn.exp(), b)), a, HoloFn.zero(), HoloFn.exp()], "b"),
+        ):
+            for lo in range(3):
+                with pytest.raises(HoloDomainError) as err:
+                    DerivativeStack(rows, [1, 0, 2, 1, 0], lo)(xi)
+                assert str(err.value) == text[first], (first, lo)
+
+
 def _series_leaves(fns):
     for f in fns:
         for leaf in f.parts if isinstance(f, HoloSum) else (f,):

@@ -151,6 +151,21 @@ class TestBatchedExplicit:
                 for route in (eval_explicit, eval_special):
                     assert route(ms, np.zeros((0, 3)), order=r).shape == (0, ms.algebra.n), name
 
+    @pytest.mark.parametrize("name", ["alg_r5", "trunc8", "general"])
+    def test_empty_batch_every_kind(self, all_algebras, rng, name):
+        # mixed_data puts a series leaf in the stack once n >= 5, so the
+        # series domain check meets a batch of no points.
+        spec = {"trunc8": lambda: truncated_poly(8), "general": lambda: general_cartan(rng)}.get(
+            name, lambda: all_algebras[name])()
+        F, G = mixed_data(spec)
+        assert "series" in {leaf.kind for f in F + G for leaf in getattr(f, "parts", (f,))}
+        ms = MonogenicSpec.create(spec, random_triad(spec, rng), F, G)
+        empty = np.zeros((0, 3))
+        for r in (0, 2):
+            for route in (eval_explicit, eval_special):
+                assert route(ms, empty, order=r).shape == (0, spec.n), (route.__name__, r)
+        assert eval_explicit(ms, empty, order=np.zeros(0, dtype=int)).shape == (0, spec.n)
+
     def test_cr_residual_default_path_is_one_batch(self, all_monospecs, monkeypatch):
         calls = []
         pointwise = monogenic.eval_explicit

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,19 @@ from monogenica import (
     t_coeffs,
 )
 
-from monogenica.resolvent import assemble_closed, spectrum
+from monogenica.resolvent import assemble_closed, coordinates, inverse_powers, spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
-from oracles import OnSpectrum, embed, invert, resolvent_closed, resolvent_recurrence
+from oracles import (
+    OnSpectrum,
+    embed,
+    invert,
+    resolvent_closed,
+    resolvent_recurrence,
+    spectrum_sum,
+    stacked_inverse_powers,
+    t_sum,
+)
 from test_algebra import direct_sum_truncated, skewed_basis
 
 
@@ -58,6 +69,52 @@ class TestTB:
         assert B[0, 1] == T[0]  # B_{2,3} = T2 * Y[2,3->2]
         assert B[1, 2] == T[0]  # B_{3,4} = T2 * Y[3,4->2]
         assert B[0, 2] == T[1]  # B_{2,4} = T3 * Y[2,4->3]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: signed zeros and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCoordinates:
+    """zeta's coordinates from one map keep the bits of the separate sums."""
+
+    VALUES = (-0.7, -0.0, 0.0, 0.4)
+    # Real and imaginary parts of +-0.0 in every combination, and beside them.
+    ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+    def triads(self, spec, name, rng):
+        zeros = self.ZEROS * spec.n
+        yield name, fixture_triad(name) if name.startswith("alg_") else random_triad(spec, rng)
+        yield "zeros", TriadSpec.create(zeros[: spec.n], zeros[spec.n : 2 * spec.n][::-1])
+        mixed = [[z, 0.5 - 0.25j][i % 2] for i, z in enumerate(zeros)]
+        yield "mixed", TriadSpec.create(mixed[: spec.n], mixed[1 : spec.n + 1])
+
+    @pytest.mark.parametrize("name", ["alg_ss2", "alg_d2", "alg_t4", "alg_p2", "alg_r5", "general"])
+    def test_map_equals_the_sums_bit_for_bit(self, all_algebras, rng, name):
+        spec = all_algebras.get(name) or skewed_basis(direct_sum_truncated(6, 5), rng)
+        grid = np.array(list(itertools.product(self.VALUES, repeat=3))).T
+        for label, triad in self.triads(spec, name, rng):
+            for x, y, z in (*grid.T, grid):
+                Z = coordinates(triad, spec.m, x, y, z)
+                xi, T = spectrum_sum(triad, spec.m, x, y, z), t_sum(spec, triad, y, z)
+                assert same_bits(Z, np.concatenate([xi, T], axis=-1)), (label, x, y, z)
+                assert same_bits(spectrum(triad, spec.m, x, y, z), xi), (label, x, y, z)
+                assert same_bits(t_coeffs(spec, triad, y, z), T), (label, y, z)
+
+
+class TestInversePowers:
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_equal_the_stacked_cumprod_bit_for_bit(self, rng, power):
+        for d in range(10):
+            xi = rng.normal(size=1 + d % 3) + 1j * rng.normal(size=1 + d % 3)
+            for t in (0.3 - 0.2j, np.complex128(-1.1 + 0.4j),
+                      1.5 * np.exp(2j * np.pi * np.arange(64) / 64),
+                      rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))):
+                got = inverse_powers(xi, t, power, d)
+                assert got.shape == (len(xi), d + 1) + np.shape(t)
+                assert same_bits(got, stacked_inverse_powers(xi, t, power, d)), (d, np.shape(t))
 
 
 class TestQTable:
