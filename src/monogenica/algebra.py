@@ -162,25 +162,38 @@ class AlgebraSpec:
         return np.array([self.u_map[s] - 1 for s in range(self.m + 1, self.n + 1)], dtype=int)
 
     @cached_property
+    def radical_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero products I_q I_s -> I_k with s and k radical, by k, then q, then s.
+
+        Indices (3, T), rows q, s, k (0-based), and values: I_{u_s} I_s = I_s
+        for every s, and the nonzero radical products.  The explicit term
+        list reads all of them, the B-coefficient levels those with q radical.
+        """
+        idx, y = self.products
+        keep = idx[1:].min(axis=0) >= self.m
+        qsk, y = idx[:, keep], y[keep]
+        by_k = np.lexsort((qsk[1], qsk[0], qsk[2]))
+        return qsk[:, by_k], y[by_k]
+
+    @cached_property
     def b_terms(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The nonzero radical products Y[r, s -> p], r < p and s < p, in levels (s, Y, r * d + p).
 
         Indices are 0-based from m.  Level l holds the l-th s, in increasing
         order, of every (r, p) that has more than l of them, so summing the
-        levels in order sums each B[r, p] in a fixed order.
+        levels in order sums each B[r, p] in a fixed order; a level adds to
+        each B[r, p] at most once, so the order within it does not matter.
         """
         m, d = self.m, self.n - self.m
-        idx, y = self.products
-        rs = idx[:2]
-        keep = (rs.min(axis=0) >= m) & (idx[2] > rs.max(axis=0))
-        # In C order of (r, s, p), so the s of one (r, p) come in increasing order.
-        (r, s, p), y = idx[:, keep], y[keep]
+        rsp, y = self.radical_terms
+        r, s, p = rsp
+        keep = (r >= m) & (p > np.maximum(r, s))
+        # By p, then r, then s: the s of one (r, p) follow one another in
+        # increasing order, and the level of an entry is its rank among them.
+        (r, s, p), y = rsp[:, keep], y[keep]
         cells = r * d + p - m * (d + 1)
-        # The level of an entry is its rank among the entries of its (r, p).
-        by_cell = cells.argsort(kind="stable")
-        grouped = cells[by_cell]
-        level = np.empty_like(by_cell)
-        level[by_cell] = np.arange(len(cells)) - grouped.searchsorted(grouped)
+        pr = p * d + r
+        level = np.arange(len(pr)) - pr.searchsorted(pr)
         by_level = level.argsort(kind="stable")
         s, y, cells = s[by_level] - m, y[by_level], cells[by_level]
         ends = np.bincount(level).cumsum().tolist()
@@ -302,13 +315,7 @@ class ExplicitPlan:
     @classmethod
     def build(cls, spec: AlgebraSpec) -> "ExplicitPlan":
         m, d = spec.m, spec.n - spec.m
-        idx, y = spec.products
-        # The terms (q, s, k) with s and k radical, by k, then q and s:
-        # I_{u_s} I_s = I_s for every s, and the nonzero radical products.
-        terms = idx[1:].min(axis=0) >= m
-        qsk, y = idx[:, terms], y[terms]
-        by_k = np.lexsort((qsk[1], qsk[0], qsk[2]))
-        (q, s, k), y = qsk[:, by_k], y[by_k]  # 0-based basis indices
+        (q, s, k), y = spec.radical_terms  # the terms (q, s, k) by k, 0-based
         s1 = s - (m - 1)  # the orders j = 0..s - m of each term
         orders = np.zeros(spec.n, dtype=int)
         np.maximum.at(orders, q, s1)
@@ -372,9 +379,11 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
     ends = count.cumsum()
     partner = np.arange(ends[-1]) + (hi - ends).repeat(count)
     # Pair (i, j, q) x (q, p, k) adds its term to D[i, j, p, k] and takes it
-    # from D[p, i, j, k]: two flat C-order keys from the rows (i, j, p, k).
-    ijpk = np.concatenate((idx[:2].repeat(count, axis=1), idx[1:, partner]))
-    flat = np.array([[n**3, n**2, n, 1], [n**2, n, n**3, 1]]) @ ijpk
+    # from D[p, i, j, k]: two flat C-order keys, each the sum of a part of
+    # (i, j, q), i n^3 + j n^2 and i n^2 + j n, and a part of (q, p, k),
+    # p n + k and p n^3 + k.
+    parts = np.array([[n**3, n**2, 0], [n**2, n, 0], [0, n, 1], [0, n**3, 1]]) @ idx
+    flat = parts[:2].repeat(count, axis=1) + parts[2:, partner]
     term = value.repeat(count) * value[partner]
     # Key -1 sorts first, so every change of key below starts a sum.
     keys = np.concatenate((flat.ravel(), [-1]))
@@ -399,12 +408,20 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
 # -- file format -----------------------------------------------------------
 
 
+def parse_key(text: str) -> int:
+    """A u_map key: the text of a JSON integer that is not negative ("3", not "03", "+3" or "3.0")."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise ValueError(f"not the text of a JSON integer: {text!r}")
+
+
 def algebra_from_dict(data: Mapping) -> AlgebraSpec:
     """Build and validate an AlgebraSpec from its JSON object form.
 
     n, m, the upsilon indices and the u_map values are JSON integers (a
-    u_map key is the text of one); an upsilon row is [r, s, k, value], the
-    value a complex number (holo.parse_complex), or [r, s, k, re, im].
+    u_map key is the text of one, read by parse_key); an upsilon row is
+    [r, s, k, value], the value a complex number (holo.parse_complex), or
+    [r, s, k, re, im].
     """
     try:
         n, m = parse_int(data["n"]), parse_int(data["m"])
@@ -414,8 +431,7 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
             raise TypeError("upsilon must be a list and u_map an object")
         rows = [(parse_int(r), parse_int(s), parse_int(k), parse_complex(v[0] if len(v) == 1 else v))
                 for r, s, k, *v in upsilon]
-        owners = {parse_int(json.loads(s) if s.isdigit() else s): parse_int(u)
-                  for s, u in u_map.items()}
+        owners = {parse_key(s): parse_int(u) for s, u in u_map.items()}
         spec = AlgebraSpec.create(n, m, rows, owners)
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc

@@ -43,7 +43,9 @@ non-finite bound or extent or a count that is not a JSON integer from 2 to
 MAX_COUNT included; 3 evaluation outside a holomorphic function's domain,
 including a scale whose power at a needed derivative order overflows and
 an integral route whose circle around the spectrum cannot stay inside
-every series' safe disc; 4 output I/O errors.
+every series' safe disc, and a value of eval or grid that is not finite
+(data that overflow at the point; grid then writes no CSV); 4 output I/O
+errors.
 """
 
 from __future__ import annotations
@@ -161,6 +163,18 @@ def check_options(args) -> None:
         raise JobError(f"--point needs 3 finite numbers, got {args.point}")
 
 
+def require_finite(values: np.ndarray, points) -> None:
+    """HoloDomainError naming the first of the points whose value is not finite.
+
+    values holds one row per point.  Data that overflow at a point give inf
+    or NaN there, which is no value to print.
+    """
+    finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+    if not finite.all():
+        point = tuple(float(v) for v in points[int(finite.argmin())])
+        raise HoloDomainError(f"the value at {point} is not finite: the data overflow there")
+
+
 def _fmt_c(c: complex) -> str:
     return f"{c.real:.15g} {c.imag:+.15g}i"
 
@@ -210,7 +224,7 @@ def cmd_eval(args) -> int:
     def run(method: str):
         return routes[method](ms, point, order=args.order)
 
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         # A quadrature that did not converge gives no value to print.
         warnings.simplefilter("error", UnstableQuadrature)
         try:
@@ -222,6 +236,7 @@ def cmd_eval(args) -> int:
         except UnstableQuadrature as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
+    require_finite(np.stack([explicit, integral]) if args.compare else value, [point])
     for k, c in enumerate(monogenic.extract_components(value), start=1):
         print(f"U_{k} = {_fmt_c(c)}")
     if args.compare:
@@ -258,7 +273,9 @@ def cmd_grid(args) -> int:
     # x-major rows: x, y, z, then Re and Im of every component.  Each axis
     # value is formatted once; the row prefixes follow meshgrid's "ij" order.
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    values = monogenic.eval_explicit(ms, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = monogenic.eval_explicit(ms, points)
+    require_finite(values, points)
     table = np.empty((len(points), 2 * n))
     table[:, 0::2] = values.real
     table[:, 1::2] = values.imag

@@ -10,11 +10,13 @@ exponentially for integrands analytic in an annulus around it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import neg
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -181,7 +183,7 @@ def _derivative_coeffs(coeffs: Sequence[Sequence[complex]]) -> np.ndarray:
     L = max(map(len, coeffs), default=0)
     D = np.zeros((L, len(coeffs), L), dtype=np.complex128)
     D[:1] = [[*c, *(0,) * (L - len(c))] for c in coeffs]
-    factors = np.arange(1, L)
+    factors = np.arange(1, L, dtype=np.complex128)  # as exact as ints, and not cast per product
     for k in range(1, L):
         np.multiply(D[k - 1, :, 1 : L - k + 1], factors[: L - k], out=D[k, :, : L - k])
     return D
@@ -235,7 +237,7 @@ class DerivativeStack:
         X = [rows[li] for li in order]
         self._leaf_row = None if X == list(range(len(fns))) else np.array(X, dtype=int)
         self._scale, self._shift = np.array(
-            [[leaves[li][1].scale for li in order], [leaves[li][1].shift for li in order]],
+            [*(leaves[li][1].scale for li in order), *(leaves[li][1].shift for li in order)],
             dtype=np.complex128,
         ).reshape(2, -1, 1)
         # Rows of the values: exp, sin and cos at the leaves of their blocks
@@ -269,10 +271,13 @@ class DerivativeStack:
             if f.kind == "exp":
                 src[at] = [q] * (K[i] + 1)
             elif f.kind in ("sin", "cos"):
-                # sin, cos, -sin, -cos, ... from phase lo (lo + 1 for cos) on.
+                # sin, cos, -sin, -cos, ... from phase p = lo (lo + 1 for cos)
+                # on: rows q and q + cos_shift in turn, every other pair
+                # negated, the orders t with (p + t) % 4 = 2 or 3.
                 p = lo + (f.kind == "cos")
-                leaf_fac = [-c if (p + t) % 4 >= 2 else c for t, c in enumerate(leaf_fac)]
-                src[at] = [q + cos_shift if (p + t) % 2 else q for t in range(K[i] + 1)]
+                for t in ((2 - p) % 4, (3 - p) % 4):
+                    leaf_fac[t::4] = map(neg, leaf_fac[t::4])
+                src[at] = ([q, q + cos_shift] * (K[i] // 2 + 2))[p % 2 : p % 2 + K[i] + 1]
             else:
                 if f.kind == "series":
                     radii.append(f.radius)
@@ -384,7 +389,10 @@ def parse_real(value) -> float:
 
     JSON true and false are not numbers, though Python's bool is a subclass of int.
     """
-    if type(value) in (float, int):
+    if type(value) is float:  # most job numbers: the float itself
+        if math.isfinite(value):
+            return value
+    elif type(value) is int:
         try:
             if math.isfinite(value):
                 return float(value)
@@ -402,6 +410,11 @@ def parse_int(value) -> int:
 
 def parse_complex(pair) -> complex:
     """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise."""
+    if type(pair) is list and len(pair) == 2 and type(pair[0]) is float and type(pair[1]) is float:
+        # Most job numbers: [re, im] as two floats.
+        value = complex(*pair)
+        if cmath.isfinite(value):
+            return value
     re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (pair, 0.0)
     try:
         return complex(parse_real(re), parse_real(im))

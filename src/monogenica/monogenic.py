@@ -64,10 +64,11 @@ def validate_triad(spec: AlgebraSpec, triad: TriadSpec) -> ValidationReport:
     if len(triad.a) != spec.n or len(triad.b) != spec.n:
         report.add("dimension", (len(triad.a), len(triad.b)), f"expected length {spec.n}")
         return report
-    e1 = spec.unit()
-    cols = np.stack([e1, triad.a_vec, triad.b_vec], axis=1)
-    real_mat = np.vstack([cols.real, cols.imag])  # 2n x 3
-    rank = np.linalg.matrix_rank(real_mat, tol=1e-10)
+    # The real 2n x 3 matrix of the columns e1, e2, e3: real parts over
+    # imaginary parts.  Its rank is the number of singular values above 1e-10.
+    cols = np.array([[1.0] * spec.m + [0.0] * (spec.n - spec.m), triad.a, triad.b])
+    real_mat = cols.view(np.float64).reshape(3, spec.n, 2).transpose(2, 1, 0).reshape(-1, 3)
+    rank = (np.linalg.svd(real_mat, compute_uv=False) > 1e-10).sum()
     if rank < 3:
         report.add("rank", (rank,), "e1, e2, e3 are linearly dependent over R")
     for u in range(1, spec.m + 1):

@@ -109,43 +109,65 @@ def p_poly(pde: PdeSpec, a: float, b: float) -> float:
 
 
 def p_grid(pde: PdeSpec, axis: np.ndarray) -> np.ndarray:
-    """P(axis[i], axis[j]) at [i, j]: one outer product per term, no meshgrid."""
-    P = np.zeros((len(axis), len(axis)))
-    powers = {k: axis**k for k in {e for _, beta, gamma, _ in pde.terms for e in (beta, gamma)}}
+    """P(axis[i], axis[j]) at [i, j]: the terms (c a^beta) b^gamma summed in term order.
+
+    The sum is taken in the fewest dimensions that hold it: a term with
+    gamma = 0 is the column c a^beta, one with beta = 0 the row c b^gamma
+    (a factor x^0 = 1 changes no bit), and only a term in both variables,
+    or a row added to a column, fills the grid.  Each entry is the sum of
+    the same terms in the same order as over the full grid.  The result
+    may be a read-only broadcast view.
+    """
+    P = 0.0
     for _, beta, gamma, c in pde.terms:
-        P += np.multiply.outer(c * powers[beta], powers[gamma])
-    return P
+        column = c * axis**beta if beta else c
+        if gamma == 0:
+            P = P + (column[:, None] if beta else column)
+        elif beta == 0:
+            P = P + c * axis**gamma
+        else:
+            P = P + np.multiply.outer(column, axis**gamma)
+    return np.broadcast_to(P, (len(axis), len(axis)))
 
 
-# The directions of the leading-part test in p_nonvanishing_scan: 720
-# angles around the circle, with their cosines and sines.
+# The grid of p_nonvanishing_scan, [-SCAN_BOX, SCAN_BOX]^2 sampled 101 times
+# per axis, and the directions of its leading-part test: 720 angles around
+# the circle, with their cosines and sines.
+SCAN_BOX = 10.0
+_AXIS = np.linspace(-SCAN_BOX, SCAN_BOX, 101)
 _THETA = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
 _COS, _SIN = np.cos(_THETA), np.sin(_THETA)
 
 
-def p_nonvanishing_scan(
-    pde: PdeSpec, box: float = 10.0, grid: int = 101
-) -> Union[NoZeroFound, ZeroAt]:
+def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
     """Heuristic witness that P(a, b) != 0 on the reals.
 
-    Samples a uniform grid on [-box, box]^2, then sign-checks the leading
-    homogeneous part along a circle of directions (zeros escaping the box).
-    A reported NoZeroFound is evidence, not a proof.
+    Samples a uniform grid on [-SCAN_BOX, SCAN_BOX]^2, then sign-checks the
+    leading homogeneous part along a circle of directions (zeros escaping
+    the box).  A reported NoZeroFound is evidence, not a proof.  The grid
+    (p_grid) is read by one argmin and one argmax: they give min P and max
+    P, hence max |P|, and where P keeps one sign the sample nearest zero;
+    only a grid on which P takes both signs (or holds a NaN) takes |P| as
+    well.
     """
-    axis = np.linspace(-box, box, grid)
-    P = p_grid(pde, axis)
-    size = np.abs(P)
-    scale = max(1.0, float(size.max()))
-    ia, ib = np.unravel_index(int(size.argmin()), P.shape)
+    P = p_grid(pde, _AXIS)
+    k_min, k_max = int(P.argmin()), int(P.argmax())
+    p_min, p_max = P.flat[k_min], P.flat[k_max]
+    scale = max(1.0, -p_min, p_max)  # max(1, max |P|); a NaN compares false in both
+    if p_min >= 0.0:
+        k = k_min
+    elif p_max <= 0.0:
+        k = k_max
+    else:
+        k = int(np.abs(P).argmin())
+    ia, ib = divmod(k, len(_AXIS))
     if abs(P[ia, ib]) <= 1e-9 * scale:
-        return ZeroAt(float(axis[ia]), float(axis[ib]))
-    if P.min() < 0.0 < P.max():
+        return ZeroAt(float(_AXIS[ia]), float(_AXIS[ib]))
+    if p_min < 0.0 < p_max:
         # Continuity forces a zero inside the box; bisect toward it along
         # the segment joining a negative and a positive sample.
-        neg = np.unravel_index(int(np.argmin(P)), P.shape)
-        pos = np.unravel_index(int(np.argmax(P)), P.shape)
-        lo = axis[list(neg)]
-        hi = axis[list(pos)]
+        lo = _AXIS[list(divmod(k_min, len(_AXIS)))]
+        hi = _AXIS[list(divmod(k_max, len(_AXIS)))]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if p_poly(pde, mid[0], mid[1]) < 0:
@@ -158,14 +180,15 @@ def p_nonvanishing_scan(
     # P takes both signs far outside any box.
     deg = max(beta + gamma for _, beta, gamma, _ in pde.terms)
     if deg > 0:
-        lead = np.zeros_like(_THETA)
+        lead = 0.0
         for _, beta, gamma, c in pde.terms:
-            if beta + gamma == deg:
-                lead += c * _COS**beta * _SIN**gamma
+            if beta + gamma == deg:  # (c cos^beta) sin^gamma, no factor x^0 = 1
+                part = c * _COS**beta if beta else c
+                lead = lead + (part * _SIN**gamma if gamma else part)
         if lead.min() < 0.0 < lead.max():
             k = int(np.argmin(lead))
             direction = np.array([np.cos(_THETA[k]), np.sin(_THETA[k])])
-            r = box
+            r = SCAN_BOX
             while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
                 r *= 2.0
             if p_poly(pde, *(r * direction)) < 0:

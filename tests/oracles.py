@@ -5,7 +5,9 @@ compare the two: the resolvent (t e1 - zeta)^(-1) by its coefficient
 recurrence and by the closed form at one t, inversion in the algebra by a
 dense linear system, zeta and xi_u at one point, L_N applied to a
 function evaluated one point at a time, and the derivatives of one
-holomorphic function by a one-row DerivativeStack.  Three take the
+holomorphic function by a one-row DerivativeStack.  nonvanishing_scan is
+the symbol scan by |P| on a zero-filled grid, whose results
+pde.p_nonvanishing_scan must match bit for bit.  Three take the
 floating-point operations of a package function in another arrangement,
 so the tests compare their bits: xi_u and T_s as two separate sums, and
 the inverse powers of t - xi_u by cumprod over a stack of d + 1 arrays.
@@ -16,7 +18,7 @@ import numpy as np
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
 from monogenica.holo import DerivativeStack
 from monogenica.monogenic import Point, TriadSpec, stencil_points
-from monogenica.pde import PdeSpec
+from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
 from monogenica.resolvent import assemble_closed, b_coeffs, q_table, spectrum, t_coeffs
 
 
@@ -132,3 +134,57 @@ def derivatives(f, K: int, xi) -> np.ndarray:
     """
     x = np.asarray(xi, dtype=np.complex128)
     return DerivativeStack([f], [K])(x.reshape(1, -1)).reshape((K + 1,) + x.shape)
+
+
+def nonvanishing_scan(pde: PdeSpec, box: float = 10.0, grid: int = 101):
+    """pde.p_nonvanishing_scan by the grid's |P|, its max and argmin, then min and max of P.
+
+    The grid is summed from np.zeros, term after term, and the leading
+    part likewise; the results must equal the package's bit for bit.
+    """
+    axis = np.linspace(-box, box, grid)
+    P = np.zeros((len(axis), len(axis)))
+    powers = {k: axis**k for k in {e for _, beta, gamma, _ in pde.terms for e in (beta, gamma)}}
+    for _, beta, gamma, c in pde.terms:
+        P += np.multiply.outer(c * powers[beta], powers[gamma])
+    size = np.abs(P)
+    scale = max(1.0, float(size.max()))
+    ia, ib = np.unravel_index(int(size.argmin()), P.shape)
+    if abs(P[ia, ib]) <= 1e-9 * scale:
+        return ZeroAt(float(axis[ia]), float(axis[ib]))
+    if P.min() < 0.0 < P.max():
+        neg = np.unravel_index(int(np.argmin(P)), P.shape)
+        pos = np.unravel_index(int(np.argmax(P)), P.shape)
+        lo = axis[list(neg)]
+        hi = axis[list(pos)]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if p_poly(pde, mid[0], mid[1]) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return ZeroAt(float(mid[0]), float(mid[1]))
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    cos, sin = np.cos(theta), np.sin(theta)
+    deg = max(beta + gamma for _, beta, gamma, _ in pde.terms)
+    if deg > 0:
+        lead = np.zeros_like(theta)
+        for _, beta, gamma, c in pde.terms:
+            if beta + gamma == deg:
+                lead += c * cos**beta * sin**gamma
+        if lead.min() < 0.0 < lead.max():
+            k = int(np.argmin(lead))
+            direction = np.array([np.cos(theta[k]), np.sin(theta[k])])
+            r = box
+            while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
+                r *= 2.0
+            if p_poly(pde, *(r * direction)) < 0:
+                lo, hi = np.zeros(2), r * direction
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if p_poly(pde, mid[0], mid[1]) >= 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                return ZeroAt(float(mid[0]), float(mid[1]))
+    return NoZeroFound()

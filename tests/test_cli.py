@@ -2,6 +2,8 @@ import json
 import re
 import sys
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +582,13 @@ def set_path(job, path, value):
     return job
 
 
+def rename_u_map_key(job, key):
+    """job with the u_map key "3" of its inlined algebra renamed to key."""
+    u_map = job["algebra"]["u_map"]
+    u_map[key] = u_map.pop("3")
+    return job
+
+
 def laplace(N=2, c=1.0):
     """The Laplace pde of the bundled jobs, with N and its first coefficient replaced."""
     return {"N": N, "terms": [[2, 0, 0, c], [0, 2, 0, 1.0], [0, 0, 2, 1.0]]}
@@ -610,6 +619,10 @@ MALFORMED = {
     "upsilon-fractional-index": lambda job: set_path(job, ["algebra", "upsilon", 1, 2], 4.5),
     "upsilon-bool-value": lambda job: set_path(job, ["algebra", "upsilon", 0], [2, 2, 3, True]),
     "u_map-fraction": lambda job: set_path(job, ["algebra", "u_map", "2"], 1.5),
+    # A u_map key is the text of a JSON integer: "3" is read, none of these.
+    **{f"u_map-key-{name}": partial(rename_u_map_key, key=key)
+       for name, key in (("leading-zero", "03"), ("plus", "+3"), ("space", " 3"),
+                         ("superscript", "\u00b2"), ("fraction", "3.0"))},
     "series-string-radius": lambda job: set_path(
         job, ["F", 0], {"kind": "series", "coeffs": [1.0], "radius": "50"}),
     "series-bool-radius": lambda job: set_path(
@@ -643,6 +656,81 @@ def test_overflowing_scale_exits_3(capsys, tmp_path):
     job["F"][0] = {"kind": "exp", "scale": 1e308}
     code, _, err = run(capsys, "check", write_job(tmp_path, job))
     assert code == 3 and "overflows" in err
+
+
+@pytest.mark.parametrize("method", ["explicit", "special"])
+def test_eval_of_overflowing_data_exits_3(capsys, method):
+    # exp(800) overflows: no value to print, one error line naming the point.
+    code, out, err = run(capsys, "eval", JOB_OK, "--point", "800", "0.1", "0.1", "--method", method)
+    assert (code, out) == (3, "")
+    assert err == "error: the value at (800.0, 0.1, 0.1) is not finite: the data overflow there\n"
+
+
+def test_grid_of_overflowing_data_exits_3_and_writes_nothing(capsys, tmp_path):
+    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+    job["algebra"] = str(fixture_path(job["algebra"]))
+    job["grid"]["x"] = [700, 800, 2]
+    out = tmp_path / "grid.csv"
+    code, _, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert err == "error: the value at (800.0, -1.0, -1.0) is not finite: the data overflow there\n"
+
+
+# check's whole stdout and exit code on four jobs, as printed before the
+# per-job set-up (validation, term list, symbol scan, triad test) was
+# rewritten to fewer array passes; tests/data holds the two generated jobs.
+PINNED_CHECK = {
+    "job_laplace_ss2": (0, """\
+PASS algebra axioms
+PASS triad
+PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 1.492e-10)
+PASS Cauchy-Riemann at (-0.5, 0.1, 0.7)  (residual 3.642e-10)
+PASS Cauchy-Riemann at (0.9, -0.6, 0.2)  (residual 4.915e-10)
+PASS characteristic residual  (4.441e-16)
+P(a,b) scan: NoZeroFound
+PASS PDE residual at (0.3, 0.4, -0.2)  (2.068e-06)
+PASS PDE residual at (-0.5, 0.1, 0.7)  (4.417e-06)
+PASS PDE residual at (0.9, -0.6, 0.2)  (7.536e-06)
+PASS operator identity  (2.068e-06)
+"""),
+    "job_broken_triad": (1, """\
+PASS algebra axioms
+FAIL triad
+PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 1.310e-09)
+FAIL characteristic residual  (2.100e+01)
+P(a,b) scan: NoZeroFound
+"""),
+    # Laplace-characteristic on C[eps]/eps^16 (n = 16, m = 1).
+    "job_laplace_eps16": (0, """\
+PASS algebra axioms
+PASS triad
+PASS Cauchy-Riemann at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (residual 9.492e-10)
+PASS Cauchy-Riemann at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (residual 1.005e-09)
+PASS characteristic residual  (5.551e-16)
+P(a,b) scan: NoZeroFound
+PASS PDE residual at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (3.079e-06)
+PASS PDE residual at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (2.026e-06)
+PASS operator identity  (3.079e-06)
+"""),
+    # C[eps]/eps^6 with 0.5 added to Re b_2: not characteristic.
+    "job_noncharacteristic_eps6": (1, """\
+PASS algebra axioms
+PASS triad
+PASS Cauchy-Riemann at (-0.06796890047869475, -0.022565874702173503, 0.01529371662762724)  (residual 6.226e-10)
+PASS Cauchy-Riemann at (-0.15371483368003835, -0.4123626230200045, 0.011932407467607375)  (residual 6.317e-10)
+FAIL characteristic residual  (1.856e+00)
+P(a,b) scan: NoZeroFound
+"""),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CHECK))
+def test_check_output_is_pinned(capsys, name):
+    path = fixture_path(f"{name}.json")
+    if not path.exists():
+        path = Path(__file__).parent / "data" / f"{name}.json"
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, out) == PINNED_CHECK[name]
 
 
 # Values that replace values of a bundled job: any JSON, small and bounded.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monogenica import (
     LAPLACE,
@@ -25,7 +27,7 @@ from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
 
 from conftest import fixture_triad
-from oracles import apply_operator, xi
+from oracles import apply_operator, nonvanishing_scan, xi
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
 
@@ -105,6 +107,44 @@ class TestCharacteristic:
         assert np.max(np.abs(res)) < 1e-12
 
 
+def scan_bits(result):
+    """A scan result with its coordinates as float.hex, so -0.0 differs from 0.0."""
+    if isinstance(result, ZeroAt):
+        return ("ZeroAt", result.a.hex(), result.b.hex())
+    return type(result).__name__
+
+
+@st.composite
+def symbols(draw):
+    """Symbols P(a, b) of order 2 or 4 from four families, one per branch of the scan.
+
+    Each is drawn with either sign, so P <= 0 everywhere, the scan's argmax
+    branch, is drawn as often as P >= 0.  definite: a positive constant
+    plus positive even terms; grid-zero: c a^k, zero along a = 0 and of one
+    sign for even k, or c (a^k - b^k); interior: c0 + c1 a^2 - c2 b^2, a
+    sign change inside the box; leading: a constant above 100 plus a^2 -
+    b^2, of one sign on the box with a leading part of both signs.
+    """
+    family = draw(st.sampled_from(["definite", "grid-zero", "interior", "leading"]))
+    N = draw(st.sampled_from([2, 4]))
+    c = [draw(st.floats(0.05, 20.0)) for _ in range(4)]
+    if family == "definite":
+        terms = [(N, 0, 0, c[0]), (N - 2, 2, 0, c[1]), (N - 2, 0, 2, c[2])]
+        if N == 4:
+            terms.append((0, 2, 2, c[3]))
+    elif family == "grid-zero":
+        k = draw(st.integers(1, N))
+        terms = [(N - k, k, 0, c[0])]
+        if draw(st.booleans()):
+            terms.append((N - k, 0, k, -c[0]))
+    elif family == "interior":
+        terms = [(N, 0, 0, c[0]), (N - 2, 2, 0, c[1]), (N - 2, 0, 2, -c[2])]
+    else:
+        terms = [(N, 0, 0, draw(st.floats(101.0, 1e4))), (N - 2, 2, 0, 1.0), (N - 2, 0, 2, -1.0)]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return PdeSpec.create(N, draw(st.permutations([(*t[:3], sign * t[3]) for t in terms])))
+
+
 class TestSymbolScan:
     def test_p_poly_values(self):
         assert p_poly(LAPLACE, 2.0, 3.0) == 14.0
@@ -147,6 +187,19 @@ class TestSymbolScan:
         else:
             assert isinstance(hit, ZeroAt)
             assert (hit.a.hex(), hit.b.hex()) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(pde=symbols())
+    # P >= 0 and P <= 0 with zeros along a = 0: the sample nearest zero is
+    # argmin P in one, argmax P in the other.
+    @example(pde=PdeSpec.create(2, [(0, 2, 0, 1.0)]))
+    @example(pde=PdeSpec.create(2, [(0, 2, 0, -1.0)]))
+    # P < 0 with a sample within 1e-9 max |P| of zero but not within 1e-9.
+    @example(pde=PdeSpec.create(2, [(2, 0, 0, -1e-8), (0, 2, 0, -1.0)]))
+    # P < 0 everywhere, and its leading part too.
+    @example(pde=PdeSpec.create(2, [(2, 0, 0, -1.0), (0, 2, 0, -2.0), (0, 0, 2, -3.0)]))
+    def test_scan_matches_the_abs_grid_oracle(self, pde):
+        assert scan_bits(p_nonvanishing_scan(pde)) == scan_bits(nonvanishing_scan(pde))
 
     def test_missing_pure_x_term_zero_at_origin(self):
         pde = PdeSpec.create(2, [(0, 2, 0, 1.0), (0, 0, 2, 1.0)])
