@@ -44,8 +44,9 @@ MAX_COUNT included; 3 evaluation outside a holomorphic function's domain,
 including a scale whose power at a needed derivative order overflows and
 an integral route whose circle around the spectrum cannot stay inside
 every series' safe disc, and a value of eval or grid that is not finite
-(data that overflow at the point; grid then writes no CSV); 4 output I/O
-errors.
+(data that overflow at the point; grid then writes no CSV; the integral
+route stops at its first integrand call when that is not finite); 4
+output I/O errors.
 """
 
 from __future__ import annotations

@@ -42,6 +42,10 @@ class UnstableQuadrature(RuntimeWarning):
     """Contour quadrature did not converge within the node limit."""
 
 
+class NonFiniteIntegrand(HoloDomainError):
+    """The first call's integrand is not finite: no rule can converge."""
+
+
 @dataclass(frozen=True)
 class HoloFn:
     """f(xi) = amp * g(scale * xi + shift) with g a stock holomorphic variant."""
@@ -169,6 +173,11 @@ def _leaves(f) -> list:
     if isinstance(f, HoloSum):
         return [leaf for part in f.parts for leaf in _leaves(part)]
     return [f]
+
+
+def series_leaves(fns: Sequence) -> tuple:
+    """The series leaves of fns, the parts of a HoloSum expanded: what caps a contour."""
+    return tuple(leaf for f in fns for leaf in _leaves(f) if leaf.kind == "series")
 
 
 def _derivative_coeffs(coeffs: Sequence[Sequence[complex]]) -> np.ndarray:
@@ -330,14 +339,18 @@ class DerivativeStack:
             self._sum = (by_target, starts, sums)
 
     def __call__(self, xi) -> np.ndarray:
-        """The flat table, shape (size, N), for arguments xi of shape (rows, N)."""
+        """The flat table, shape (size, N), for arguments xi of shape (rows, N).
+
+        xi may also have one row, the argument of every row (the contour
+        nodes of the integral route): it is broadcast, not gathered.
+        """
         src, fac = self._gather
-        out = np.multiply(fac, self._values(xi)[src])
+        out = np.multiply(fac, self._values(xi).take(src, axis=0))
         if self._sum is None:
             return out
         by_target, starts, sums = self._sum
         total = np.zeros((self.size, out.shape[1]), dtype=np.complex128)
-        total[sums] = np.add.reduceat(out[by_target], starts, axis=0)
+        total[sums] = np.add.reduceat(out.take(by_target, axis=0), starts, axis=0)
         return total
 
     def _values(self, xi) -> np.ndarray:
@@ -347,7 +360,7 @@ class DerivativeStack:
         table is formed.
         """
         xi = np.asarray(xi, dtype=np.complex128)
-        X = xi if self._leaf_row is None else xi[self._leaf_row]
+        X = xi if self._leaf_row is None or len(xi) == 1 else xi.take(self._leaf_row, axis=0)
         # Constants on the left of every product, as in eval: numpy's complex
         # multiply is not bitwise commutative, and `a * b` on a large
         # temporary b may be computed as b * a, so np.multiply is explicit.
@@ -372,7 +385,7 @@ class DerivativeStack:
                     )
             # Horner as in polyval, into the rows from horner on; an entry
             # joins at its top coefficient, where 0 * w + c = c.
-            v = v[leaf]
+            v = v.take(leaf, axis=0)
             acc = values[horner:]
             for c, n in sweep:
                 a = acc[:n]
@@ -481,14 +494,15 @@ def enclosing_contour(xi, fns: Sequence, nodes: int = DEFAULT_NODES) -> Contour:
     SAFE_FRACTION * radius / |scale| about (center - shift) / scale, less a
     rounding margin.  If the cap leaves no radius above 1.1 delta, too
     little room between the circle and the points for the trapezoid rule,
-    HoloDomainError is raised.
+    HoloDomainError is raised.  fns may be just their series leaves
+    (series_leaves, kept as MonogenicSpec.series_leaves).
     """
-    points = [complex(v) for v in np.ravel(xi)]
+    points = np.asarray(xi, dtype=np.complex128).ravel().tolist()
     center = sum(points) / len(points)
     delta = max(abs(v - center) for v in points)
     radius = max(2.0 * delta, 1.0)
-    for leaf in (leaf for f in fns for leaf in _leaves(f)):
-        if leaf.kind != "series" or leaf.scale == 0 or not math.isfinite(leaf.radius):
+    for leaf in series_leaves(fns):
+        if leaf.scale == 0 or not math.isfinite(leaf.radius):
             continue
         size = abs(leaf.scale)
         reach = SAFE_FRACTION * leaf.radius / size
@@ -512,6 +526,32 @@ def _unit_roots(nn: int, offset: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=32)
+def _first_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first call's 2n nodes and the n- and 2n-node rules on them, read-only.
+
+    The nodes on the unit circle are the n-node rule's (the even ones),
+    then the n halfway between them.  The two rules' (2n, 2) weights are
+    the nodes, and zero for the n-node rule on the new nodes.  They are
+    kept in real form, (4n, 4): one real matrix product of the integrand's
+    real view gives both sums as (re, im) pairs, rounded about as each
+    rule's own dot product is, where a complex matrix product rounded them
+    two to three times worse.  The counts n and 2n divide the two sums.
+    """
+    nodes = np.concatenate([_unit_roots(n, 0.0), _unit_roots(n, 0.5)])
+    W = np.zeros((2 * n, 2), dtype=np.complex128)
+    W[:n, 0], W[:, 1] = nodes[:n], nodes
+    # R[node, re/im of the value, rule, re/im of the sum]
+    R = np.empty((2 * n, 2, 2, 2))
+    R[:, 0, :, 0] = R[:, 1, :, 1] = W.real
+    R[:, 1, :, 0], R[:, 0, :, 1] = -W.imag, W.imag
+    R = R.reshape(4 * n, 4)
+    counts = np.array([n, 2 * n], dtype=float)
+    for a in (nodes, R, counts):
+        a.flags.writeable = False
+    return nodes, R, counts
+
+
 def contour_integrate(
     g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int = MAX_NODES, contract=None
 ):
@@ -520,41 +560,44 @@ def contour_integrate(
     g is called with an ndarray of nodes t_j and must return an array whose
     last axis runs over the nodes.  contract, if given, maps each
     quadrature of g to the value that is tested and returned (for example
-    the algebra arithmetic that turns integrated moments into an element).
+    the algebra arithmetic that turns integrated moments into an element);
+    it must keep a trailing axis, as a matrix product from the left does,
+    since the first two rules come to it stacked on a last axis of two.
     The first call evaluates g on the 2n nodes of the 2n-node rule,
     n = contour.nodes (DEFAULT_NODES = 32 unless set): the n-node rule's
-    nodes (the even ones) first, then the n halfway between them.  The node
-    count then doubles, each time evaluating g only at the new nodes
-    halfway between the old ones, until two successive rules agree to tol
-    or the rule has max_nodes nodes (an UnstableQuadrature warning is
-    emitted in the latter case, and the last rule returned).
+    nodes (the even ones) first, then the n halfway between them, and one
+    product with a (2n, 2) weight matrix, in real form (_first_rules),
+    gives both rules' sums.  If they are not finite, NonFiniteIntegrand (a
+    HoloDomainError) is raised: no rule would converge.  The node count
+    then doubles, each time evaluating g only at the new nodes halfway
+    between the old ones, until two successive rules agree to tol or the
+    rule has max_nodes nodes (an UnstableQuadrature warning is emitted in
+    the latter case, and the last rule returned).
     """
     finish = contract or (lambda v: v)
 
     def values(w: np.ndarray) -> np.ndarray:
         return np.asarray(g(contour.center + contour.radius * w), dtype=np.complex128)
 
-    # Each rule's sum runs over a contiguous slice of the first call.
-    n = contour.nodes
-    w0, w1 = _unit_roots(n, 0.0), _unit_roots(n, 0.5)
-    vals = values(np.concatenate([w0, w1]))
-    acc = vals[..., :n] @ w0
-    prev = finish(contour.radius / n * acc)
-    acc = acc + vals[..., n:] @ w1
-    n *= 2
-    while True:
-        cur = finish(contour.radius / n * acc)
-        if np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
-            return cur
+    n = 2 * contour.nodes
+    nodes, R, counts = _first_rules(contour.nodes)
+    vals = np.ascontiguousarray(values(nodes))
+    acc = (vals.view(np.float64) @ R).view(np.complex128)  # the two rules' sums, (..., 2)
+    rules = finish(acc * (contour.radius / counts))
+    if not np.isfinite(rules).all():
+        raise NonFiniteIntegrand("the integrand is not finite on the contour")
+    prev, cur = rules[..., 0], rules[..., 1]
+    acc = acc[..., 1]
+    while not np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
         if n >= max_nodes:
+            warnings.warn(
+                f"contour quadrature did not stabilize to {tol:g} at {n} nodes",
+                UnstableQuadrature,
+                stacklevel=2,
+            )
             break
         w = _unit_roots(n, 0.5)
         acc = acc + values(w) @ w
         n *= 2
-        prev = cur
-    warnings.warn(
-        f"contour quadrature did not stabilize to {tol:g} at {n} nodes",
-        UnstableQuadrature,
-        stacklevel=2,
-    )
+        prev, cur = cur, finish(contour.radius / n * acc)
     return cur

@@ -28,11 +28,14 @@ from .algebra import (
 from .holo import (
     DEFAULT_NODES,
     DerivativeStack,
+    HoloDomainError,
+    NonFiniteIntegrand,
     contour_integrate,
     enclosing_contour,
     holo_from_dict,
     multiply_in_place,
     parse_complex,
+    series_leaves,
 )
 
 Point = tuple[float, float, float]
@@ -68,7 +71,7 @@ def validate_triad(spec: AlgebraSpec, triad: TriadSpec) -> ValidationReport:
     # imaginary parts.  Its rank is the number of singular values above 1e-10.
     cols = np.array([[1.0] * spec.m + [0.0] * (spec.n - spec.m), triad.a, triad.b])
     real_mat = cols.view(np.float64).reshape(3, spec.n, 2).transpose(2, 1, 0).reshape(-1, 3)
-    rank = (np.linalg.svd(real_mat, compute_uv=False) > 1e-10).sum()
+    rank = int((np.linalg.svd(real_mat, compute_uv=False) > 1e-10).sum())
     if rank < 3:
         report.add("rank", (rank,), "e1, e2, e3 are linearly dependent over R")
     for u in range(1, spec.m + 1):
@@ -125,6 +128,11 @@ class MonogenicSpec:
         """F_u then G_q as rows, order 0 only: W(t) at the contour nodes."""
         return DerivativeStack(self.F + self.G, [0] * self.algebra.n)
 
+    @cached_property
+    def series_leaves(self) -> tuple:
+        """The series leaves of F and G, HoloSum parts included: what caps the contour."""
+        return series_leaves(self.F + self.G)
+
 
 def extract_components(v: Element) -> list[complex]:
     """Coordinates U_k of v over the basis; Re/Im are the PDE-facing fields."""
@@ -169,10 +177,11 @@ def eval_explicit(
     """
     spec = ms.algebra
     plan = spec.explicit_plan
-    shape = np.shape(p)[:-1]
     # One point is a batch of one, so it takes the same arithmetic (and the
     # same rounding) as a row of a larger batch.
-    pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    pts = np.asarray(p, dtype=float)
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, 3)
     lo = hi = order
     if not isinstance(order, (int, np.integer)):
         order = np.asarray(order)
@@ -185,6 +194,7 @@ def eval_explicit(
     Z = rsv.coordinates(ms.triad, spec.m, *pts.T)
     xi_v, T = Z[:, : spec.m], Z[:, spec.m :]
     Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
+    xi = xi_v.T.take(plan.owner, axis=0)
     if hi > lo:
         # Row i of the wide table has hi - lo more entries than the term
         # list's row i, so entry e of the term list's layout, in row
@@ -192,20 +202,22 @@ def eval_explicit(
         # point at order lo + w reads w entries further on.  The wide table
         # is a temporary, freed before the products below.
         narrow = np.arange(len(plan.rows)) + (hi - lo) * plan.rows
-        D = np.take_along_axis(ms.derivative_stack(lo, hi - lo)(xi_v.T[plan.owner]),
+        D = np.take_along_axis(ms.derivative_stack(lo, hi - lo)(xi),
                                narrow[:, None] + (order - lo), axis=0)
     else:
-        D = ms.derivative_stack(lo)(xi_v.T[plan.owner])  # (entries, N)
-    out = D[plan.offsets]
+        D = ms.derivative_stack(lo)(xi)  # (entries, N)
+    out = D.take(plan.offsets, axis=0)
     if plan.starts.size:
         # No BLAS contraction here: its rounding depends on the batch size,
         # and a row of a batch must equal the same point evaluated alone.
         # The products are taken in place because numpy's complex multiply
         # is not bitwise commutative, and `a * b` on a large temporary b
-        # may be computed as b * a.
+        # may be computed as b * a.  The cells are gathered by indexing, not
+        # take: take first copies this transposed view whole, which costs
+        # more than the gather itself at hundreds of points.
         terms = Q.reshape(len(pts), Q.shape[1] * Q.shape[2]).T[plan.cells]
         multiply_in_place(terms, plan.weights)
-        multiply_in_place(terms, D[plan.entries])
+        multiply_in_place(terms, D.take(plan.entries, axis=0))
         out[plan.targets] += np.add.reduceat(terms, plan.starts, axis=0)
     return out.T.reshape(shape + (spec.n,))
 
@@ -219,17 +231,23 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     order = r gives the r-th Gateaux derivative Phi^(r), r = 0 the function
     itself.  W = sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from
     one affine map (resolvent.coordinates).  The circle
-    (enclosing_contour) goes around every xi_u at once: W cancels R's poles
-    idempotent by idempotent, so they need no separate contours.  R^(r + 1)
-    is sum_{u,l} C[:, u, l] * (t - xi_u)^(-(r + 1 + l))
-    (resolvent.closed_coeffs), so the quadrature integrates the scalar
-    moments W_i(t) * (t - xi_u)^(-(r + 1 + l)): per batch of nodes, one
-    order-0 DerivativeStack call for W, one in-place cumprod for the
-    powers (resolvent.inverse_powers) and one product.  The algebra
-    arithmetic runs once per rule: A[i, j] =
-    sum_{u,l} moment[i, u, l] * C[j, u, l], then the product tensor,
-    Phi_k = sum_{i,j} A[i, j] * M[i, j, k].  The first rule has `nodes`
-    nodes (holo.DEFAULT_NODES), doubled until two successive rules agree.
+    (enclosing_contour, capped by ms.series_leaves) goes around every xi_u
+    at once: W cancels R's poles idempotent by idempotent, so they need no
+    separate contours.  R^(r + 1) is the Neumann series
+    sum_{u,l} E[u, l] * (t - xi_u)^(-(r + 1 + l)), E[u, l] =
+    C(l + r, l) * I_u N^l with N zeta's radical part
+    (resolvent.neumann_table), so the route reads no B or Q table.  The
+    quadrature integrates the scalar moments W_i(t) * (t - xi_u)^(-(r + 1 + l)):
+    per batch of nodes, one order-0 DerivativeStack call for W, its one
+    argument row the nodes shared by every row, one in-place cumprod for
+    the powers (resolvent.inverse_powers) and one product.  The table
+    folded with the product tensor is one (n m (d + 1), n) matrix G,
+    G[(i, u, l), k] = sum_j E[u, l, j] * M[i, j, k], so each rule's algebra
+    arithmetic is one product with G; the first two rules are contracted
+    together.  The first rule has `nodes` nodes (holo.DEFAULT_NODES),
+    doubled until two successive rules agree.  An integrand that is not
+    finite on the first call (data that overflow on the circle) raises
+    HoloDomainError naming the point.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -239,20 +257,20 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     x, y, z = p
     Z = rsv.coordinates(ms.triad, spec.m, x, y, z)
     xi_v, T = Z[: spec.m], Z[spec.m :]
-    C = rsv.closed_coeffs(spec, rsv.q_table(spec, T, rsv.b_coeffs(spec, T)), power).reshape(n, -1)
-    M = spec.mult_tensor.reshape(n * n, n)
-    contour = enclosing_contour(xi_v, ms.F + ms.G, nodes)
+    G = (rsv.neumann_table(spec, T, power).reshape(-1, n) @ spec.mult_tensor).reshape(-1, n)
+    contour = enclosing_contour(xi_v, ms.series_leaves, nodes)
     stack = ms.value_stack
 
     def moments(t: np.ndarray) -> np.ndarray:
-        W = stack(np.broadcast_to(t, (n, len(t))))  # (n, N)
+        W = stack(t[None])  # (n, N)
         pw = rsv.inverse_powers(xi_v, t, power, d)  # (m, d + 1, N)
         return (W[:, None, None] * pw).reshape(-1, len(t))
 
-    def contract(mu: np.ndarray) -> Element:
-        return (mu.reshape(n, -1) @ C.T).reshape(-1) @ M
-
-    value = contour_integrate(moments, contour, contract=contract)
+    try:
+        value = contour_integrate(moments, contour, contract=G.T.__matmul__)
+    except NonFiniteIntegrand:
+        point = tuple(float(v) for v in p)
+        raise HoloDomainError(f"the value at {point} is not finite: the data overflow there") from None
     # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
     return math.factorial(order) * value if order else value
 
@@ -297,8 +315,9 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
         raise ValueError("derivative order must be >= 0")
     spec, triad = ms.algebra, ms.triad
     plan = spec.explicit_plan
-    shape = np.shape(p)[:-1]
-    pts = np.asarray(p, dtype=float).reshape(-1, 3)
+    pts = np.asarray(p, dtype=float)
+    shape = pts.shape[:-1]
+    pts = pts.reshape(-1, 3)
     # The coordinates of zeta, one column per point: the xi_u, then N.
     zeta = (pts[:, :1] * spec.unit() + pts[:, 1:2] * triad.a_vec + pts[:, 2:] * triad.b_vec).T
     stack = ms.derivative_stack(order)

@@ -1,13 +1,17 @@
-"""Resolvent (t*e1 - zeta)^(-1) in the Q-table closed form.
+"""Resolvent (t*e1 - zeta)^(-1): the Q-table closed form and the Neumann series.
 
 The resolvent of the hypercomplex variable zeta = x*e1 + y*e2 + z*e3 is a
 rational function of t with poles only at the spectrum points
 xi_u = x + y*a_u + z*b_u.  One affine map gives zeta's coordinates, the
-xi_u and the T_s; this module builds the B and Q coefficients of the
-partial-fraction form from them, batched over points, and assembles R(t)^p
-for the contour route; the explicit route reads the Q-table directly.  The
-tests check the closed form against the coefficient recurrence and against
-inversion in the algebra (tests/oracles.py).
+xi_u and the T_s.  From them this module builds, batched over points, the
+B and Q coefficients of the paper's partial-fraction form, which the
+explicit route reads.  The contour route takes R(t)^p from the Neumann
+series in the algebra instead (neumann_table): the powers of zeta's
+radical part N = sum_s T_s I_s by the dense product tensor, no B or Q
+table.  closed_coeffs and assemble_closed assemble R(t)^p from the
+Q-table; the tests check each form against the other, against the
+coefficient recurrence and against inversion in the algebra
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -112,6 +116,30 @@ def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarra
     C[np.arange(m), np.arange(m), 0] = 1.0
     C[m + np.arange(d), spec.radical_owner, 1:] = (binom[:, None] * Q[2 : d + 2]).T
     return C
+
+
+def neumann_table(spec: AlgebraSpec, T: np.ndarray, power: int = 1) -> np.ndarray:
+    """E[u, l] = C(l + power - 1, l) * I_u N^l, l = 0..d, the element coefficients of R(t)^power.
+
+    zeta = sum_u xi_u I_u + N with N = sum_s T_s I_s nilpotent, so on each
+    I_u the power is a Neumann series (the Jordan-block form of a matrix
+    function, Higham, Functions of Matrices, 2008, 1.2):
+    (t e - zeta)^(-power) = sum_{u,l} C(l + power - 1, l) I_u N^l (t - xi_u)^(-(power + l)),
+    and N^(d+1) = 0.  T is one point's (d,) radical coordinates.  N's
+    multiplication matrix is one contraction of mult_tensor, and the
+    powers take d products of an (m, n) by that (n, n) matrix.  Shape
+    (m, d + 1, n): the coefficients closed_coeffs(spec, Q, power) holds at
+    [:, u, l], from no B or Q table.
+    """
+    m, n, d = spec.m, spec.n, spec.n - spec.m
+    N = np.asarray(T) @ spec.mult_tensor[:, m:]  # (x N)_k = sum_i x_i N[i, k]
+    E = np.empty((d + 1, m, n), dtype=np.complex128)
+    E[0] = np.eye(m, n)
+    for l in range(1, d + 1):
+        np.matmul(E[l - 1], N, out=E[l])
+    if power > 1:
+        E *= np.array([math.comb(l + power - 1, l) for l in range(d + 1)], dtype=float)[:, None, None]
+    return E.transpose(1, 0, 2)
 
 
 def inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:

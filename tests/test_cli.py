@@ -72,6 +72,11 @@ class TestValidate:
         assert "FAIL triad" in out
         assert "surjectivity" in out
 
+    def test_rank_is_printed_as_an_int(self, capsys):
+        code, out, _ = run(capsys, "validate", JOB_BAD)
+        assert code == 1
+        assert "FAIL triad  (rank at (2,): e1, e2, e3 are linearly dependent over R; " in out
+
     def test_t4_special_case_tag(self, capsys):
         code, out, _ = run(capsys, "validate", JOB_T4)
         assert code == 0
@@ -658,10 +663,19 @@ def test_overflowing_scale_exits_3(capsys, tmp_path):
     assert code == 3 and "overflows" in err
 
 
-@pytest.mark.parametrize("method", ["explicit", "special"])
+@pytest.mark.parametrize("method", ["explicit", "special", "integral"])
 def test_eval_of_overflowing_data_exits_3(capsys, method):
     # exp(800) overflows: no value to print, one error line naming the point.
+    # The integral route stops at its first call, where the integrand is
+    # not finite, rather than doubling to 4096 nodes.
     code, out, err = run(capsys, "eval", JOB_OK, "--point", "800", "0.1", "0.1", "--method", method)
+    assert (code, out) == (3, "")
+    assert err == "error: the value at (800.0, 0.1, 0.1) is not finite: the data overflow there\n"
+
+
+@pytest.mark.parametrize("method", ["explicit", "integral"])
+def test_eval_compare_of_overflowing_data_exits_3(capsys, method):
+    code, out, err = run(capsys, "eval", JOB_OK, "--point", "800", "0.1", "0.1", "--method", method, "--compare")
     assert (code, out) == (3, "")
     assert err == "error: the value at (800.0, 0.1, 0.1) is not finite: the data overflow there\n"
 

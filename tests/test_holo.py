@@ -12,7 +12,15 @@ from monogenica import (
     contour_integrate,
     enclosing_contour,
 )
-from monogenica.holo import DEFAULT_NODES, DerivativeStack, HoloSum, parse_complex, parse_int, parse_real
+from monogenica.holo import (
+    DEFAULT_NODES,
+    DerivativeStack,
+    HoloSum,
+    NonFiniteIntegrand,
+    parse_complex,
+    parse_int,
+    parse_real,
+)
 
 from oracles import derivatives
 
@@ -220,6 +228,18 @@ class TestStackNeighbours:
                     row = got[stack.offsets[i] : stack.offsets[i] + K[i] + 1]
                     assert row.tobytes() == alone.tobytes(), (perm, K, lo, i)
 
+    @pytest.mark.parametrize("lo", range(4))
+    def test_one_shared_row_equals_the_broadcast_rows(self, lo):
+        # The integral route passes its nodes as one row for every row: the
+        # same bits as the rows broadcast to the stack's shape, at 64 nodes,
+        # with the term orders and with all orders 0 (the value stack).
+        rows = TestStackedKernel.ROWS
+        t = 0.3 - 0.1j + 1.4 * np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+        for K in ([3, 0, 6, 5, 7, 2, 1, 4, 9], [0] * len(rows)):
+            stack = DerivativeStack(rows, K, lo)
+            got = stack(t[None])
+            assert got.tobytes() == stack(np.broadcast_to(t, (len(rows), len(t)))).tobytes(), (K, lo)
+
     def test_first_overrunning_series_in_row_order_is_named(self):
         # Both series overrun at 0.95; each names its own distance and radius.
         a = HoloFn.series(0.0, [1.0, 1.0], radius=1.0)
@@ -412,6 +432,43 @@ class TestQuadrature:
         w = np.exp(2j * np.pi * np.arange(512) / 512)
         fresh = c.radius / 512 * g(c.center + c.radius * w) @ w
         assert abs(contour_integrate(g, c) - fresh) <= 1e-15
+
+    def test_first_two_rules_are_contracted_together(self):
+        # The contraction sees the 16- and 32-node rules stacked on a last
+        # axis, then each later rule alone; the 16-node rule is the sum over
+        # the even nodes of the first call.
+        c = Contour(0.1, 0.9, nodes=16)
+        g = lambda t: np.stack([np.exp(t) / (t - 0.7), np.cos(t) / (t - 0.8) ** 2])
+        seen = []
+
+        def contract(v):
+            seen.append(v)
+            return v
+
+        contour_integrate(g, c, contract=contract)
+        assert seen[0].shape == (2, 2) and len(seen) > 1 and all(v.shape == (2,) for v in seen[1:])
+        for col, nn in enumerate((16, 32)):
+            w = np.exp(2j * np.pi * np.arange(nn) / nn)
+            rule = c.radius / nn * g(c.center + c.radius * w) @ w
+            assert np.max(np.abs(seen[0][:, col] - rule)) <= 1e-15 * np.max(np.abs(rule)), nn
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.inf, 1.0)])
+    def test_non_finite_integrand_raises_at_once(self, bad):
+        # No rule converges on a non-finite integrand: one call, then
+        # NonFiniteIntegrand (a HoloDomainError), not 4096 nodes.
+        c = Contour(0.0, 1.0, nodes=16)
+        calls = []
+
+        def g(t):
+            calls.append(len(t))
+            out = np.stack([np.exp(t), 1.0 / (t - 0.2)])
+            out[1, 5] = bad
+            return out
+
+        with pytest.raises(NonFiniteIntegrand, match="not finite on the contour"), np.errstate(invalid="ignore"):
+            contour_integrate(g, c)
+        assert calls == [32]
+        assert issubclass(NonFiniteIntegrand, HoloDomainError)
 
     def test_warning_when_not_stabilized(self):
         # A pole sitting almost on the circle defeats the trapezoid rule.

@@ -15,7 +15,7 @@ from monogenica import (
     t_coeffs,
     validate_triad,
 )
-from monogenica import monogenic
+from monogenica import monogenic, resolvent
 from monogenica.algebra import AlgebraSpec, SpecialCase
 from monogenica.holo import DEFAULT_NODES, HoloSum
 from monogenica.resolvent import spectrum
@@ -40,6 +40,12 @@ class TestTriadValidation:
         triad = TriadSpec.create([1j, 1.0], [0.0, 0.0])
         report = validate_triad(alg_d2, triad)
         assert any(v.kind == "rank" for v in report.violations)
+
+    def test_rank_is_reported_as_an_int(self, alg_d2):
+        # Printed as "rank at (2,)", not as a numpy scalar's repr.
+        report = validate_triad(alg_d2, TriadSpec.create([1j, 1.0], [0.0, 0.0]))
+        (rank,) = [v for v in report.violations if v.kind == "rank"]
+        assert rank.where == (2,) and type(rank.where[0]) is int
 
     def test_harmonic_triad_valid(self, alg_ss2):
         assert validate_triad(alg_ss2, fixture_triad("alg_ss2")).ok
@@ -278,6 +284,44 @@ class TestIntegral:
             assert contours[-1].center == 0 and contours[-1].radius == 1.0
             assert len(sizes) > 1, (r, sizes)
             assert np.max(np.abs(got - ex)) < 1e-12 * (1 + np.max(np.abs(ex))), r
+
+    @pytest.mark.parametrize("table", ["b_coeffs", "q_table"])
+    def test_reads_no_coefficient_table(self, all_monospecs, monkeypatch, table):
+        # R^p comes from the Neumann series in the algebra: a table of the
+        # explicit route, perturbed by 1e-6 relative, moves explicit values
+        # and leaves every integral value's bits as they were.
+        p = (0.25, 0.4, -0.15)
+        specs = {name: ms for name, ms in all_monospecs.items() if ms.algebra.n > ms.algebra.m}
+        before = {name: [(eval_explicit(ms, p, order=r), eval_integral(ms, p, r)) for r in range(4)]
+                  for name, ms in specs.items()}
+        b_coeffs, original = resolvent.b_coeffs, getattr(resolvent, table)
+        monkeypatch.setattr(resolvent, table, lambda *args: original(*args) * (1 + 1e-6))
+        moved = []
+        for name, ms in specs.items():
+            T = t_coeffs(ms.algebra, ms.triad, p[1], p[2])
+            for r, (ex, integral) in enumerate(before[name]):
+                assert eval_integral(ms, p, r).tobytes() == integral.tobytes(), (name, r)
+                shift = np.max(np.abs(eval_explicit(ms, p, order=r) - ex)) / np.max(np.abs(ex))
+                # B enters explicit values only through Q_k, k >= 3.
+                if table == "q_table" or np.any(b_coeffs(ms.algebra, T) != 0):
+                    assert shift > 1e-9, (name, r)
+                    moved.append(name)
+        assert set(moved) == set(specs) if table == "q_table" else moved
+
+    def test_overflowing_data_raise_after_one_call(self, all_monospecs, monkeypatch):
+        # exp(800) overflows on the circle: HoloDomainError naming the point
+        # after the first integrand call, not 4096 nodes and a warning.
+        ms = all_monospecs["alg_ss2"]
+        _, sizes = record_quadrature(monkeypatch)
+        text = r"the value at \(800\.0, 0\.1, 0\.1\) is not finite: the data overflow there"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(3):
+                sizes.clear()
+                with pytest.raises(HoloDomainError, match=text):
+                    eval_integral(ms, (800, 0.1, 0.1), r)
+                assert sizes == [2 * DEFAULT_NODES], r
+            with pytest.raises(HoloDomainError, match=text):
+                gateaux_derivative(ms, (800.0, 0.1, 0.1), 2, method="integral")
 
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
         # On the x axis every xi_u collapses to x; the one circle around

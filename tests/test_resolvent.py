@@ -12,7 +12,14 @@ from monogenica import (
     t_coeffs,
 )
 
-from monogenica.resolvent import assemble_closed, coordinates, inverse_powers, spectrum
+from monogenica.resolvent import (
+    assemble_closed,
+    closed_coeffs,
+    coordinates,
+    inverse_powers,
+    neumann_table,
+    spectrum,
+)
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
 from oracles import (
@@ -295,6 +302,50 @@ class TestClosedPower:
                 one = assemble_closed(spec, xi, Q, t, power=power)
                 assert one.shape == (spec.n,)
                 assert np.max(np.abs(one - oracle[:, j])) <= 1e-12 * np.max(np.abs(oracle[:, j])), name
+
+
+class TestNeumannTable:
+    """R(t)^p's coefficients from the Neumann series, against the Q-table and against inversion."""
+
+    @staticmethod
+    def algebras(all_algebras, rng):
+        # The five fixtures and a General algebra (m = 2, a skewed radical basis).
+        general = skewed_basis(direct_sum_truncated(6, 5), rng)
+        return {**{name: (spec, fixture_triad(name)) for name, spec in all_algebras.items()},
+                "general": (general, random_triad(general, rng))}
+
+    @pytest.mark.parametrize("power", [1, 2, 4])
+    def test_equals_the_closed_coefficients(self, all_algebras, rng, power):
+        # The table is the closed form's C[j, u, l] at [u, l, j]: the probe
+        # that proposed it found no difference at all.
+        for name, (spec, triad) in self.algebras(all_algebras, rng).items():
+            for _ in range(5):
+                x, y, z = rng.uniform(-1.2, 1.2, 3)
+                T = coordinates(triad, spec.m, x, y, z)[spec.m :]
+                ref = closed_coeffs(spec, q_table(spec, T, b_coeffs(spec, T)), power).transpose(1, 2, 0)
+                got = neumann_table(spec, T, power)
+                assert got.shape == (spec.m, spec.n - spec.m + 1, spec.n)
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (name, power)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_power_matches_dense_solve(self, all_algebras, rng, power):
+        # Summed with the inverse powers of t - xi_u, the table is R(t)^p
+        # from a dense-solve inverse, which reads no T, B or Q table either.
+        p = (0.3, 0.4, -0.2)
+        ts = np.array([2.0 + 1.5j, -1.5 + 0.3j, 0.1 - 2.2j, 3.0j])
+        for name, (spec, triad) in self.algebras(all_algebras, rng).items():
+            Z = coordinates(triad, spec.m, *p)
+            xi, T = Z[: spec.m], Z[spec.m :]
+            if np.min(np.abs(ts[:, None] - xi)) <= 0.3:
+                continue
+            E = neumann_table(spec, T, power)
+            pw = inverse_powers(xi, ts, power, spec.n - spec.m)
+            got = np.einsum("ulj,ulN->jN", E, pw)
+            zeta = embed(spec, triad, p)
+            oracle = np.stack(
+                [spec.power(invert(spec, t * spec.unit() - zeta), power) for t in ts], axis=-1
+            )
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle)), name
 
 
 class TestLemma2:
