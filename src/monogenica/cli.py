@@ -4,10 +4,13 @@ A single JSON job file describes the algebra, triad, holomorphic data and
 optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
-grid formats the coordinate text once per axis value and joins it to the
-repr of every value column.  The argument parser is built once per process,
-when this module is imported: in-process callers of main() (tests, scripts,
-benchmarks) do not rebuild it, and a one-shot run builds it once as before.
+grid writes every number as the bytes repr gives it, formatted by
+shortest.fields a block of BLOCK_ROWS rows at a time and written as bytes;
+the coordinate text is formatted once per axis value, with the first
+block, and gathered into the rows.  The argument parser is built once per
+process, when this module is imported: in-process callers of main()
+(tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
+it once as before.
 
 check evaluates a job's points, their Cauchy-Riemann stencils (step
 --h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
@@ -40,13 +43,16 @@ outside eval or the former --h of check), numeric options (--nodes below
 16, a negative --order, a non-finite --point, an --h-cr, --h-pde, --tol-cr
 or --tol-pde that is not a positive finite number), and a grid axis with a
 non-finite bound or extent or a count that is not a JSON integer from 2 to
-MAX_COUNT included; 3 evaluation outside a holomorphic function's domain,
+MAX_COUNT included, a grid of more than MAX_COUNT points and one whose
+arrays do not fit in memory (no CSV either way); 3 evaluation outside a
+holomorphic function's domain,
 including a scale whose power at a needed derivative order overflows and
 an integral route whose circle around the spectrum cannot stay inside
 every series' safe disc, and a value of eval or grid that is not finite
 (data that overflow at the point; grid then writes no CSV; the integral
 route stops at its first integrand call when that is not finite); 4
-output I/O errors.
+output I/O errors, a closed stdout included (main flushes stdout before it
+returns, and reports a broken pipe in one line, not a traceback).
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from functools import partial
@@ -78,6 +85,7 @@ EXIT_IO = 4
 AUDIT_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.6180339887498949))
 
 MAX_COUNT = sys.maxsize // 8  # the largest grid count: float64 values in one array
+BLOCK_ROWS = 1024  # grid rows formatted and written at a time
 
 
 class JobError(Exception):
@@ -246,9 +254,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    # Imported here, not with this module: no other command and no set-up
+    # pays for it.
+    from . import shortest
+
     job = load_job(args.job)
     ms = build_spec(job)
-    axes = []
+    specs = []
     for name in ("x", "y", "z"):
         try:
             lo, hi, count = job["grid"][name]
@@ -256,11 +268,16 @@ def cmd_grid(args) -> int:
             # Above MAX_COUNT np.linspace fails, near 2**63 with an IndexError.
             if not 2 <= count <= MAX_COUNT or not hi > lo or not math.isfinite(hi - lo):
                 raise ValueError(f"got [{lo!r}, {hi!r}, {count}]")
-            axes.append(np.linspace(lo, hi, count))
+            specs.append((lo, hi, count))
         except (KeyError, TypeError, ValueError) as exc:
             raise JobError(f"bad grid spec: {exc} (axis {name} must be [lo, hi, count] with "
                            f"finite lo < hi, a finite extent and an integer count from 2 "
                            f"to {MAX_COUNT})") from exc
+    counts = tuple(count for _, _, count in specs)
+    total = math.prod(counts)
+    if total > MAX_COUNT:
+        raise JobError(f"bad grid spec: {' x '.join(map(str, counts))} = {total} points, "
+                       f"more than the {MAX_COUNT} float64 values one array holds")
 
     out = args.out or job.get("out")
     if not out:
@@ -270,26 +287,39 @@ def cmd_grid(args) -> int:
         out_path = Path.cwd() / out_path
 
     n = ms.algebra.n
-    header = "x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1))
-    # x-major rows: x, y, z, then Re and Im of every component.  Each axis
-    # value is formatted once; the row prefixes follow meshgrid's "ij" order.
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = monogenic.eval_explicit(ms, points)
-    require_finite(values, points)
-    table = np.empty((len(points), 2 * n))
-    table[:, 0::2] = values.real
-    table[:, 1::2] = values.imag
-    xs, ys, zs = ([repr(v) + "," for v in axis.tolist()] for axis in axes)
-    prefixes = [x + y + z for x in xs for y in ys for z in zs]
-    lines = [header] + [p + ",".join(map(repr, row))
-                        for p, row in zip(prefixes, table.tolist())]
+    header = "x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1)) + "\n"
+    # x-major rows: x, y, z, then Re and Im of every component; the points
+    # follow meshgrid's "ij" order.
     try:
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = monogenic.eval_explicit(ms, points)
+        require_finite(values, points)
+        table = np.ascontiguousarray(values, dtype=complex).view(np.float64)
+    except MemoryError:
+        raise JobError(f"the grid's {total} points do not fit in memory") from None
+    xyz = np.concatenate(axes)
+    try:
+        with open(out_path, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            for start in range(0, total, BLOCK_ROWS):
+                block = table[start:start + BLOCK_ROWS]
+                if start:
+                    texts = shortest.fields(block)
+                else:
+                    # Each axis value is formatted once, in the first
+                    # block's call; a row gathers its x, y and z.
+                    texts = shortest.fields(np.concatenate([xyz, block.reshape(-1)]))
+                    coords = np.split(texts[:len(xyz)], np.cumsum(counts[:-1]))
+                    texts = texts[len(xyz):].reshape(block.shape + (shortest.WIDTH,))
+                at = np.unravel_index(np.arange(start, start + len(block)), counts)
+                cells = [c[i][:, None] for c, i in zip(coords, at)] + [texts]
+                fh.write(shortest.csv_rows(np.concatenate(cells, axis=1)))
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(lines) - 1} rows to {out_path}")
+    print(f"wrote {total} rows to {out_path}")
     return EXIT_OK
 
 
@@ -428,13 +458,22 @@ def main(argv=None) -> int:
         check_options(args)
         # Looked up by name at call time, so that wrappers installed on
         # cli.cmd_* (perfbench/spans.py) see every command.
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # Output still buffered meets a closed stdout here, not at exit.
+        sys.stdout.flush()
+        return code
     except (JobError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except HoloDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPECTRUM
+    except BrokenPipeError as exc:
+        # Python's recipe for a closed pipe: stdout goes to devnull, so the
+        # interpreter's flush at shutdown has nothing more to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from functools import partial
@@ -392,6 +395,78 @@ class TestGrid:
             row = p + [part for c in v for part in (c.real, c.imag)]
             lines.append(",".join(map(repr, row)))
         assert out_file.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_grid_csv_bytes_in_blocks_and_both_layouts(self, capsys, tmp_path):
+        # 11 x 11 x 11 = 1331 rows, more than one block of BLOCK_ROWS; the
+        # values near 1e20 and 1e-7 print as d.ddde+XX and d.ddde-XX, the
+        # coordinates positionally.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["F"] = [{"kind": "poly", "coeffs": [[1e20, -3e19], 7e19]},
+                    {"kind": "poly", "coeffs": [1e-7, [2e-8, 5e-8]]}]
+        job["grid"] = {"x": [-0.7, 0.3, 11], "y": [-0.45, 0.55, 11], "z": [-1.0, 1.0, 11]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        out_file = tmp_path / "grid.csv"
+        code, out, _ = run(capsys, "grid", str(path), "--out", str(out_file))
+        assert code == 0 and out.startswith("wrote 1331 rows")
+
+        xs, ys, zs = (np.linspace(*job["grid"][a]).tolist() for a in "xyz")
+        points = np.array([(x, y, z) for x in xs for y in ys for z in zs])
+        values = monogenic.eval_explicit(monogenic.monogenic_from_dict(job), points)
+        lines = ["x,y,z,Re_U1,Im_U1,Re_U2,Im_U2"]
+        for p, v in zip(points.tolist(), values.tolist()):
+            lines.append(",".join(map(repr, p + [part for c in v for part in (c.real, c.imag)])))
+        text = out_file.read_text()
+        assert "e+" in text and "e-" in text
+        assert out_file.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("counts", [(2**21, 2**21, 2**21), (2, 2, sys.maxsize // 8)])
+    def test_more_points_than_one_array_exit_2(self, capsys, tmp_path, counts):
+        # Each count is at most MAX_COUNT; their product is not.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"] = {a: [0, 1, c] for a, c in zip("xyz", counts)}
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        assert code == 2
+        assert err.startswith("error: bad grid spec") and f"{math.prod(counts)} points" in err
+        assert "wrote" not in out and not out_file.exists()
+
+    @pytest.mark.parametrize("where", ["points", "values"])
+    def test_grid_too_large_to_hold_exit_2(self, capsys, monkeypatch, tmp_path, where):
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        if where == "points":
+            monkeypatch.setattr(np, "meshgrid", too_large)
+        else:
+            monkeypatch.setattr(monogenic, "eval_explicit", too_large)
+        out_file = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", JOB_OK, "--out", str(out_file))
+        assert code == 2
+        assert err == "error: the grid's 8 points do not fit in memory\n"
+        assert "wrote" not in out and not out_file.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "eval", "grid"])
+def test_closed_stdout_exits_4(tmp_path, command):
+    # The pipe's read end is closed before the command starts, so its
+    # first write to stdout fails.
+    argv = {"eval": ["--point", "0.1", "0.2", "0.3"], "grid": ["--out", str(tmp_path / "g.csv")]}
+    src = str(Path(monogenic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "monogenica.cli", command, JOB_OK,
+                               *argv.get(command, [])], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: cannot write to stdout:")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 class TestCheck:
