@@ -42,7 +42,6 @@ from .pde import (
     p_poly,
     pde_from_dict,
     pde_residual,
-    pde_to_dict,
 )
 from .resolvent import (
     LineL,

@@ -157,6 +157,13 @@ class AlgebraSpec:
         return M
 
     @cached_property
+    def idempotent_rows(self) -> np.ndarray:
+        """The coordinates of I_1..I_m, rows of the (m, n) identity, read-only."""
+        rows = np.eye(self.m, self.n, dtype=np.complex128)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def radical_owner(self) -> np.ndarray:
         """0-based index u_s - 1 of the idempotent acting on each radical I_s."""
         return np.array([self.u_map[s] - 1 for s in range(self.m + 1, self.n + 1)], dtype=int)
@@ -437,17 +444,6 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
     spec.report.raise_if_invalid()
     return spec
-
-
-def algebra_to_dict(spec: AlgebraSpec) -> dict:
-    return {
-        "n": spec.n,
-        "m": spec.m,
-        "upsilon": [
-            [r, s, k, v.real, v.imag] for (r, s, k), v in sorted(spec.upsilon.items())
-        ],
-        "u_map": {str(s): u for s, u in sorted(spec.u_map.items())},
-    }
 
 
 def load_algebra(path: Union[str, Path]) -> AlgebraSpec:

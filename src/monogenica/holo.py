@@ -319,7 +319,7 @@ class DerivativeStack:
             self._poly = (
                 cos_end,
                 np.array(centers, dtype=np.complex128).reshape(-1, 1),
-                SAFE_FRACTION * np.array(radii),
+                SAFE_FRACTION * np.array(radii).reshape(-1, 1),
                 np.array(leaf, dtype=int),
                 horner,
                 [(c[:n], n) for c, n in zip(table[::-1, :, None], accumulate(tops[::-1]))],
@@ -373,15 +373,20 @@ class DerivativeStack:
             first, center, safe, leaf, horner, sweep = self._poly
             v = w[first:]
             v -= center
-            if safe.size:
-                # The series lead the block, in leaf order.
-                dist = np.maximum.reduce(np.abs(v[: safe.size]), axis=1, initial=0.0)
-                over = np.nonzero(dist > safe)[0]
-                if over.size:
-                    i = over[0]
+            # The series lead the block, in leaf order.  A series whose
+            # largest distance is beyond its safe radius has a node beyond
+            # it, so one elementwise test passes every valid call; the
+            # largest distances (NaN if a distance is) are taken only when
+            # some node is beyond.
+            k = len(safe)
+            if k and np.count_nonzero(np.abs(v[:k]) > safe):
+                dist = np.maximum.reduce(np.abs(v[:k]), axis=1)
+                over = dist > safe[:, 0]
+                if over.any():
+                    i = over.argmax()
                     raise HoloDomainError(
                         f"series evaluated at distance {dist[i]:.3g} from its center; "
-                        f"safe radius is {safe[i]:.3g}"
+                        f"safe radius is {safe[i, 0]:.3g}"
                     )
             # Horner as in polyval, into the rows from horner on; an entry
             # joins at its top coefficient, where 0 * w + c = c.
@@ -450,22 +455,6 @@ def holo_from_dict(data: Mapping) -> HoloFn:
     if "shift" in data:
         kw["shift"] = parse_complex(data["shift"])
     return HoloFn(data["kind"], **kw)
-
-
-def holo_to_dict(f: HoloFn) -> dict:
-    out: dict = {"kind": f.kind}
-    if f.coeffs:
-        out["coeffs"] = [[c.real, c.imag] for c in f.coeffs]
-    if f.kind == "series":
-        out["center"] = [f.center.real, f.center.imag]
-        out["radius"] = f.radius
-    if f.amp != 1:
-        out["amp"] = [f.amp.real, f.amp.imag]
-    if f.scale != 1:
-        out["scale"] = [f.scale.real, f.scale.imag]
-    if f.shift != 0:
-        out["shift"] = [f.shift.real, f.shift.imag]
-    return out
 
 
 # -- contours ----------------------------------------------------------------
@@ -572,7 +561,10 @@ def contour_integrate(
     then doubles, each time evaluating g only at the new nodes halfway
     between the old ones, until two successive rules agree to tol or the
     rule has max_nodes nodes (an UnstableQuadrature warning is emitted in
-    the latter case, and the last rule returned).
+    the latter case, and the last rule returned).  The finiteness and
+    stopping tests use count_nonzero and ndarray methods, not the np.max
+    and .all() wrappers: at one point each call costs more than its
+    arithmetic.
     """
     finish = contract or (lambda v: v)
 
@@ -582,13 +574,13 @@ def contour_integrate(
     n = 2 * contour.nodes
     nodes, R, counts = _first_rules(contour.nodes)
     vals = np.ascontiguousarray(values(nodes))
-    acc = (vals.view(np.float64) @ R).view(np.complex128)  # the two rules' sums, (..., 2)
+    acc = vals.view(np.float64).dot(R).view(np.complex128)  # the two rules' sums, (..., 2)
     rules = finish(acc * (contour.radius / counts))
-    if not np.isfinite(rules).all():
+    if np.count_nonzero(np.isfinite(rules)) < rules.size:
         raise NonFiniteIntegrand("the integrand is not finite on the contour")
     prev, cur = rules[..., 0], rules[..., 1]
     acc = acc[..., 1]
-    while not np.max(np.abs(cur - prev)) <= tol * (1.0 + np.max(np.abs(cur))):
+    while not abs(cur - prev).max() <= tol * (1.0 + abs(cur).max()):
         if n >= max_nodes:
             warnings.warn(
                 f"contour quadrature did not stabilize to {tol:g} at {n} nodes",
@@ -597,7 +589,7 @@ def contour_integrate(
             )
             break
         w = _unit_roots(n, 0.5)
-        acc = acc + values(w) @ w
+        acc = acc + values(w).dot(w)
         n *= 2
         prev, cur = cur, finish(contour.radius / n * acc)
     return cur

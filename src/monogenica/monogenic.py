@@ -152,7 +152,8 @@ def eval_explicit(
     fixed number of numpy calls whatever n is, each over the whole batch:
 
     1. zeta's coordinates, the spectrum xi_u and T, from one affine map
-       (resolvent.coordinates), then B and the Q-table, for every point;
+       (resolvent.coordinates), then, if the algebra has a radical, B and
+       the Q-table, for every point;
     2. one DerivativeStack call: every F_u and G_q with the derivative
        orders the algebra's term list needs, at its own xi_u;
     3. the values F_u(xi_u) and G_q(xi_{u_q}) as the first estimate;
@@ -193,7 +194,6 @@ def eval_explicit(
         raise ValueError("derivative order must be >= 0")
     Z = rsv.coordinates(ms.triad, spec.m, *pts.T)
     xi_v, T = Z[:, : spec.m], Z[:, spec.m :]
-    Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
     xi = xi_v.T.take(plan.owner, axis=0)
     if hi > lo:
         # Row i of the wide table has hi - lo more entries than the term
@@ -207,7 +207,8 @@ def eval_explicit(
     else:
         D = ms.derivative_stack(lo)(xi)  # (entries, N)
     out = D.take(plan.offsets, axis=0)
-    if plan.starts.size:
+    if plan.starts.size:  # a term list, so a radical: B and the Q-table
+        Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
         # No BLAS contraction here: its rounding depends on the batch size,
         # and a row of a batch must equal the same point evaluated alone.
         # The products are taken in place because numpy's complex multiply
@@ -228,36 +229,45 @@ def eval_explicit(
 def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = DEFAULT_NODES) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
-    order = r gives the r-th Gateaux derivative Phi^(r), r = 0 the function
-    itself.  W = sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from
-    one affine map (resolvent.coordinates).  The circle
-    (enclosing_contour, capped by ms.series_leaves) goes around every xi_u
-    at once: W cancels R's poles idempotent by idempotent, so they need no
-    separate contours.  R^(r + 1) is the Neumann series
-    sum_{u,l} E[u, l] * (t - xi_u)^(-(r + 1 + l)), E[u, l] =
-    C(l + r, l) * I_u N^l with N zeta's radical part
+    p is one point (x, y, z), a 3-sequence or a (3,) array; any other shape
+    raises ValueError (the explicit route takes batches).  order = r gives
+    the r-th Gateaux derivative Phi^(r), r = 0 the function itself.  W =
+    sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from one affine map
+    (resolvent.coordinates).  The circle (enclosing_contour, capped by
+    ms.series_leaves) goes around every xi_u at once: W cancels R's poles
+    idempotent by idempotent, so they need no separate contours.  R^(r + 1)
+    is the Neumann series sum_{u,l} E[u, l] * (t - xi_u)^(-(r + 1 + l)),
+    E[u, l] = C(l + r, l) * I_u N^l with N zeta's radical part
     (resolvent.neumann_table), so the route reads no B or Q table.  The
     quadrature integrates the scalar moments W_i(t) * (t - xi_u)^(-(r + 1 + l)):
     per batch of nodes, one order-0 DerivativeStack call for W, its one
     argument row the nodes shared by every row, one in-place cumprod for
     the powers (resolvent.inverse_powers) and one product.  The table
     folded with the product tensor is one (n m (d + 1), n) matrix G,
-    G[(i, u, l), k] = sum_j E[u, l, j] * M[i, j, k], so each rule's algebra
-    arithmetic is one product with G; the first two rules are contracted
-    together.  The first rule has `nodes` nodes (holo.DEFAULT_NODES),
-    doubled until two successive rules agree.  An integrand that is not
-    finite on the first call (data that overflow on the circle) raises
-    HoloDomainError naming the point.
+    G[(i, u, l), k] = sum_j E[u, l, j] * M[j, i, k], one matrix product
+    (M is symmetric in i and j), so each rule's algebra arithmetic is one
+    product with G; the first two rules are contracted together.  The
+    first rule has `nodes` nodes (holo.DEFAULT_NODES), doubled until two
+    successive rules agree.  An integrand that is not finite on the first
+    call (data that overflow on the circle) raises HoloDomainError naming
+    the point.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     spec = ms.algebra
-    n, d = spec.n, spec.n - spec.m
+    m, n, d = spec.m, spec.n, spec.n - spec.m
     power = order + 1
-    x, y, z = p
-    Z = rsv.coordinates(ms.triad, spec.m, x, y, z)
-    xi_v, T = Z[: spec.m], Z[spec.m :]
-    G = (rsv.neumann_table(spec, T, power).reshape(-1, n) @ spec.mult_tensor).reshape(-1, n)
+    try:
+        x, y, z = p
+    except (TypeError, ValueError):
+        Z = None
+    else:
+        Z = rsv.coordinates(ms.triad, m, x, y, z)
+    if Z is None or Z.shape != (n,):
+        raise ValueError(f"the contour route takes one point (x, y, z), got an array of shape {np.shape(p)}")
+    xi_v, T = Z[:m], Z[m:]
+    E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
+    G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)
     contour = enclosing_contour(xi_v, ms.series_leaves, nodes)
     stack = ms.value_stack
 
@@ -267,9 +277,9 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
         return (W[:, None, None] * pw).reshape(-1, len(t))
 
     try:
-        value = contour_integrate(moments, contour, contract=G.T.__matmul__)
+        value = contour_integrate(moments, contour, contract=G.T.dot)
     except NonFiniteIntegrand:
-        point = tuple(float(v) for v in p)
+        point = (float(x), float(y), float(z))
         raise HoloDomainError(f"the value at {point} is not finite: the data overflow there") from None
     # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
     return math.factorial(order) * value if order else value
@@ -285,7 +295,8 @@ def gateaux_derivative(
     """r-th Gateaux derivative Phi^(r), r >= 1: eval_explicit or eval_integral at order r.
 
     method "explicit" needs no quadrature, and p may be an (N, 3) array;
-    "integral" is the contour route at one point, kept as the cross-check.
+    "integral" is the contour route at one point, kept as the cross-check:
+    it raises ValueError for any other shape.
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")

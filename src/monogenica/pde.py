@@ -294,7 +294,3 @@ def pde_from_dict(data: Mapping) -> PdeSpec:
     terms = [(parse_int(a), parse_int(b), parse_int(g), parse_real(c))
              for a, b, g, c in data["terms"]]
     return PdeSpec.create(parse_int(data["N"]), terms)
-
-
-def pde_to_dict(pde: PdeSpec) -> dict:
-    return {"N": pde.N, "terms": [list(t) for t in pde.terms]}

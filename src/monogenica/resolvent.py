@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,18 +38,13 @@ def coordinates(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
     on the first m, plus z*b: (y*a + x) + z*b is (x + y*a) + z*b with its
     first two operands swapped, which IEEE addition, being commutative,
     leaves bit for bit, signed zeros included.  x, y, z are scalars or
-    arrays of one shape (a batch of points).
+    arrays of one shape (a batch of points).  Three products and sums of
+    the whole batch, the same numpy calls for one point as for many.
     """
-    x, y, z = (np.asarray(v)[..., None] for v in (x, y, z))
-    Z = y * triad.a_vec
-    Z[..., :m] += x
-    Z += z * triad.b_vec
+    Z = np.multiply(np.asarray(y)[..., None], triad.a_vec)
+    Z[..., :m] += np.asarray(x)[..., None]
+    Z += np.multiply(np.asarray(z)[..., None], triad.b_vec)
     return Z
-
-
-def spectrum(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
-    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis: coordinates' first m."""
-    return coordinates(triad, m, x, y, z)[..., :m]
 
 
 def t_coeffs(spec: AlgebraSpec, triad: "TriadSpec", y, z) -> np.ndarray:
@@ -111,11 +107,18 @@ def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarra
     k = 2..d+1.  Shape (n, m, d + 1), d = n - m; it does not depend on t.
     """
     m, d = spec.m, spec.n - spec.m
-    binom = np.array([math.comb(l + power - 1, power - 1) for l in range(1, d + 1)])
     C = np.zeros((spec.n, m, d + 1), dtype=np.complex128)
     C[np.arange(m), np.arange(m), 0] = 1.0
-    C[m + np.arange(d), spec.radical_owner, 1:] = (binom[:, None] * Q[2 : d + 2]).T
+    C[m + np.arange(d), spec.radical_owner, 1:] = (_binomials(d, power) * Q[2 : d + 2]).T
     return C
+
+
+@lru_cache(maxsize=64)
+def _binomials(d: int, power: int) -> np.ndarray:
+    """C(l + power - 1, l) for l = 1..d as a (d, 1) column, read-only."""
+    binom = np.array([[math.comb(l + power - 1, l)] for l in range(1, d + 1)], dtype=float)
+    binom.flags.writeable = False
+    return binom
 
 
 def neumann_table(spec: AlgebraSpec, T: np.ndarray, power: int = 1) -> np.ndarray:
@@ -125,34 +128,46 @@ def neumann_table(spec: AlgebraSpec, T: np.ndarray, power: int = 1) -> np.ndarra
     I_u the power is a Neumann series (the Jordan-block form of a matrix
     function, Higham, Functions of Matrices, 2008, 1.2):
     (t e - zeta)^(-power) = sum_{u,l} C(l + power - 1, l) I_u N^l (t - xi_u)^(-(power + l)),
-    and N^(d+1) = 0.  T is one point's (d,) radical coordinates.  N's
-    multiplication matrix is one contraction of mult_tensor, and the
-    powers take d products of an (m, n) by that (n, n) matrix.  Shape
-    (m, d + 1, n): the coefficients closed_coeffs(spec, Q, power) holds at
-    [:, u, l], from no B or Q table.
+    and N^(d+1) = 0.  T is one point's (d,) radical coordinates.  The
+    rows I_u come from the spec (AlgebraSpec.idempotent_rows); N's
+    multiplication matrix is one product of T with the radical rows of
+    mult_tensor (symmetric in its first two indices), and the powers take
+    d products of an (m, n) by that (n, n) matrix, each written in place
+    (np.dot: a matmul call costs about twice as much at these sizes); a
+    semisimple algebra (d = 0) needs none of them.  Shape (m, d + 1, n):
+    the coefficients closed_coeffs(spec, Q, power) holds at [:, u, l],
+    from no B or Q table.
     """
     m, n, d = spec.m, spec.n, spec.n - spec.m
-    N = np.asarray(T) @ spec.mult_tensor[:, m:]  # (x N)_k = sum_i x_i N[i, k]
     E = np.empty((d + 1, m, n), dtype=np.complex128)
-    E[0] = np.eye(m, n)
-    for l in range(1, d + 1):
-        np.matmul(E[l - 1], N, out=E[l])
-    if power > 1:
-        E *= np.array([math.comb(l + power - 1, l) for l in range(d + 1)], dtype=float)[:, None, None]
+    E[0] = spec.idempotent_rows
+    if d:
+        # (x N)_k = sum_i x_i N[i, k], N[i, k] = sum_s T_s M[m + s, i, k]
+        N = np.dot(T, spec.mult_tensor[m:].reshape(d, n * n)).reshape(n, n)
+        for l in range(1, d + 1):
+            np.dot(E[l - 1], N, out=E[l])
+        if power > 1:
+            E[1:] *= _binomials(d, power)[:, :, None]
     return E.transpose(1, 0, 2)
 
 
 def inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:
     """pw[u, l] = (t - xi_u)^(-(power + l)) for l = 0..d; shape (m, d + 1) + t.shape.
 
-    One cumprod, in place, over (t - xi_u)^(-power) and d copies of 1 / (t - xi_u).
+    One cumprod (multiply.accumulate), in place, over (t - xi_u)^(-power)
+    and d copies of 1 / (t - xi_u): every slot is filled with 1 / (t - xi_u)
+    by one broadcast, the first overwritten only when power > 1 (a power of
+    1 is the value itself), and d = 0 needs no product.
     """
     t = np.asarray(t, dtype=np.complex128)
-    inv = 1.0 / (t - np.reshape(xi, (-1,) + (1,) * t.ndim))  # (m, ...)
+    inv = 1.0 / (t - np.asarray(xi).reshape((-1,) + (1,) * t.ndim))  # (m, ...)
     pw = np.empty((len(inv), d + 1) + t.shape, dtype=np.complex128)
-    pw[:, 0] = inv**power
-    pw[:, 1:] = inv[:, None]
-    return np.cumprod(pw, axis=1, out=pw)
+    pw[:] = inv[:, None]
+    if power != 1:
+        pw[:, 0] = inv**power
+    if d:
+        np.multiply.accumulate(pw, axis=1, out=pw)
+    return pw
 
 
 def assemble_closed(spec: AlgebraSpec, xi: np.ndarray, Q: np.ndarray, t, power: int = 1) -> np.ndarray:

@@ -11,15 +11,17 @@ pde.p_nonvanishing_scan must match bit for bit.  Three take the
 floating-point operations of a package function in another arrangement,
 so the tests compare their bits: xi_u and T_s as two separate sums, and
 the inverse powers of t - xi_u by cumprod over a stack of d + 1 arrays.
+The JSON writers of algebras, holomorphic functions and PDEs, which the
+package only reads, are the round-trip tests' other half.
 """
 
 import numpy as np
 
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
-from monogenica.holo import DerivativeStack
+from monogenica.holo import DerivativeStack, HoloFn
 from monogenica.monogenic import Point, TriadSpec, stencil_points
 from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
-from monogenica.resolvent import assemble_closed, b_coeffs, q_table, spectrum, t_coeffs
+from monogenica.resolvent import assemble_closed, b_coeffs, coordinates, q_table, t_coeffs
 
 
 class OnSpectrum(Exception):
@@ -40,6 +42,11 @@ def xi(triad: TriadSpec, p: Point, u: int) -> complex:
     """The complex shadow f_u(zeta) = x + y*a_u + z*b_u."""
     x, y, z = p
     return complex(x + y * triad.a[u - 1] + z * triad.b[u - 1])
+
+
+def spectrum(triad: TriadSpec, m: int, x, y, z) -> np.ndarray:
+    """xi_u = x + y*a_u + z*b_u for u = 1..m, along a new last axis: coordinates' first m."""
+    return coordinates(triad, m, x, y, z)[..., :m]
 
 
 def spectrum_sum(triad: TriadSpec, m: int, x, y, z) -> np.ndarray:
@@ -188,3 +195,37 @@ def nonvanishing_scan(pde: PdeSpec, box: float = 10.0, grid: int = 101):
                         hi = mid
                 return ZeroAt(float(mid[0]), float(mid[1]))
     return NoZeroFound()
+
+
+# -- JSON writers ----------------------------------------------------------------
+
+
+def algebra_to_dict(spec: AlgebraSpec) -> dict:
+    return {
+        "n": spec.n,
+        "m": spec.m,
+        "upsilon": [
+            [r, s, k, v.real, v.imag] for (r, s, k), v in sorted(spec.upsilon.items())
+        ],
+        "u_map": {str(s): u for s, u in sorted(spec.u_map.items())},
+    }
+
+
+def holo_to_dict(f: HoloFn) -> dict:
+    out: dict = {"kind": f.kind}
+    if f.coeffs:
+        out["coeffs"] = [[c.real, c.imag] for c in f.coeffs]
+    if f.kind == "series":
+        out["center"] = [f.center.real, f.center.imag]
+        out["radius"] = f.radius
+    if f.amp != 1:
+        out["amp"] = [f.amp.real, f.amp.imag]
+    if f.scale != 1:
+        out["scale"] = [f.scale.real, f.scale.imag]
+    if f.shift != 0:
+        out["shift"] = [f.shift.real, f.shift.imag]
+    return out
+
+
+def pde_to_dict(pde: PdeSpec) -> dict:
+    return {"N": pde.N, "terms": [list(t) for t in pde.terms]}

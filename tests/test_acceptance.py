@@ -33,10 +33,10 @@ from monogenica.fixtures import fixture_path
 from monogenica.holo import UnstableQuadrature
 from monogenica.monogenic import cr_stencil
 from monogenica.pde import LAPLACE
-from monogenica.resolvent import b_coeffs, spectrum
+from monogenica.resolvent import b_coeffs
 
 from conftest import fixture_triad, random_triad
-from oracles import embed, invert, resolvent_closed, resolvent_recurrence
+from oracles import embed, invert, resolvent_closed, resolvent_recurrence, spectrum
 from test_monogenic import truncated_poly
 from test_pde import ORDER3, ORDER5, ORDER5_TRIAD
 from test_resolvent import geometric_series_resolvent

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,9 @@ from monogenica import (
 from monogenica import monogenic, resolvent
 from monogenica.algebra import AlgebraSpec, SpecialCase
 from monogenica.holo import DEFAULT_NODES, HoloSum
-from monogenica.resolvent import spectrum
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
-from oracles import embed, xi
+from oracles import embed, spectrum, xi
 from test_algebra import direct_sum_truncated, skewed_basis
 
 
@@ -322,6 +323,29 @@ class TestIntegral:
                 assert sizes == [2 * DEFAULT_NODES], r
             with pytest.raises(HoloDomainError, match=text):
                 gateaux_derivative(ms, (800.0, 0.1, 0.1), 2, method="integral")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3, 1), ()])
+    def test_more_than_one_point_is_refused(self, all_monospecs, shape):
+        # The contour route takes one point: a batch is one ValueError that
+        # says so and names its shape, on both entry points.
+        ms = all_monospecs["alg_t4"]
+        p = np.full(shape, 0.2)
+        text = rf"takes one point \(x, y, z\), got an array of shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=text):
+            eval_integral(ms, p)
+        with pytest.raises(ValueError, match=text):
+            gateaux_derivative(ms, p, 2, method="integral")
+
+    def test_one_point_as_a_tuple_or_an_array(self, all_monospecs):
+        for name, ms in all_monospecs.items():
+            for r in range(3):
+                got = eval_integral(ms, (0.25, 0.4, -0.15), r)
+                assert got.shape == (ms.algebra.n,)
+                for p in (np.array([0.25, 0.4, -0.15]), [0.25, 0.4, -0.15]):
+                    assert eval_integral(ms, p, r).tobytes() == got.tobytes(), (name, r)
+                if r:
+                    same = gateaux_derivative(ms, np.array([0.25, 0.4, -0.15]), r, method="integral")
+                    assert same.tobytes() == got.tobytes(), (name, r)
 
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
         # On the x axis every xi_u collapses to x; the one circle around

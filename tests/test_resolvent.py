@@ -18,7 +18,6 @@ from monogenica.resolvent import (
     coordinates,
     inverse_powers,
     neumann_table,
-    spectrum,
 )
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
@@ -28,6 +27,7 @@ from oracles import (
     invert,
     resolvent_closed,
     resolvent_recurrence,
+    spectrum,
     spectrum_sum,
     stacked_inverse_powers,
     t_sum,

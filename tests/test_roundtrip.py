@@ -6,9 +6,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenica import AlgebraSpec, HoloFn, PdeSpec, algebra_from_dict, pde_from_dict, pde_to_dict
-from monogenica.algebra import algebra_to_dict
-from monogenica.holo import holo_from_dict, holo_to_dict
+from monogenica import AlgebraSpec, HoloFn, PdeSpec, algebra_from_dict, pde_from_dict
+from monogenica.holo import holo_from_dict
+
+from oracles import algebra_to_dict, holo_to_dict, pde_to_dict
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 # Moduli near 1 keep every triple product far above rounding noise.
