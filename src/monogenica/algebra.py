@@ -302,7 +302,9 @@ class ExplicitPlan:
     listed one product per (term, j), sorted by k: entries[t] is the table
     entry of row q at order j + 1, cells[t] the index of Q_{j+2,s} in the
     flattened (d+3, d) Q-table and weights[t] = Y[q, s, k] / (j+1)!.  The
-    products of component targets[c] start at starts[c].
+    products of component targets[c] start at starts[c].  Every radical
+    component has a term (I_{u_s} I_s = I_s), so targets is the slice
+    m..n - 1 on a valid algebra: a basic index, not a gather and scatter.
     """
 
     owner: np.ndarray
@@ -311,7 +313,7 @@ class ExplicitPlan:
     entries: np.ndarray
     cells: np.ndarray
     weights: np.ndarray  # (products, 1)
-    targets: np.ndarray
+    targets: Union[np.ndarray, slice]
     starts: np.ndarray
 
     @cached_property
@@ -342,7 +344,7 @@ class ExplicitPlan:
             entries=offsets[q][term] + j + 1,
             cells=j * d + s1[term] + (2 * d - 1),  # (j + 2) d + s - m
             weights=(y[term] * inv_fact[j]).reshape(-1, 1),
-            targets=k[head],
+            targets=slice(m, spec.n) if np.array_equal(k[head], np.arange(m, spec.n)) else k[head],
             starts=first[head],
         )
 

@@ -112,6 +112,19 @@ class HoloFn:
         return v
 
     @cached_property
+    def _safe_disc(self) -> tuple[float, complex, float] | None:
+        """(reach, centre, offset) of a series' safe disc in units of xi, None if it caps nothing.
+
+        reach = SAFE_FRACTION * radius / |scale| about centre = (center - shift) / scale;
+        offset = (|center| + |shift|) / |scale| scales the rounding margin.
+        """
+        if self.kind != "series" or self.scale == 0 or not math.isfinite(self.radius):
+            return None
+        size = abs(self.scale)
+        return (SAFE_FRACTION * self.radius / size, (self.center - self.shift) / self.scale,
+                (abs(self.center) + abs(self.shift)) / size)
+
+    @cached_property
     def _coeff_table(self) -> np.ndarray:
         """table[j, k]: coefficient of w^j in the k-th derivative of a poly/series.
 
@@ -481,23 +494,22 @@ def enclosing_contour(xi, fns: Sequence, nodes: int = DEFAULT_NODES) -> Contour:
     capped so that the circle stays inside the disc where each series leaf
     of fns (HoloSum parts included) may be evaluated: radius
     SAFE_FRACTION * radius / |scale| about (center - shift) / scale, less a
-    rounding margin.  If the cap leaves no radius above 1.1 delta, too
-    little room between the circle and the points for the trapezoid rule,
-    HoloDomainError is raised.  fns may be just their series leaves
-    (series_leaves, kept as MonogenicSpec.series_leaves).
+    rounding margin (HoloFn._safe_disc, built once per leaf).  If the cap
+    leaves no radius above 1.1 delta, too little room between the circle
+    and the points for the trapezoid rule, HoloDomainError is raised.  fns
+    may be just their series leaves (series_leaves, kept as
+    MonogenicSpec.series_leaves).
     """
     points = np.asarray(xi, dtype=np.complex128).ravel().tolist()
     center = sum(points) / len(points)
     delta = max(abs(v - center) for v in points)
     radius = max(2.0 * delta, 1.0)
     for leaf in series_leaves(fns):
-        if leaf.scale == 0 or not math.isfinite(leaf.radius):
+        if leaf._safe_disc is None:
             continue
-        size = abs(leaf.scale)
-        reach = SAFE_FRACTION * leaf.radius / size
-        disc = (leaf.center - leaf.shift) / leaf.scale
+        reach, disc, offset = leaf._safe_disc
         # Rounding in scale * t + shift - center, in units of t.
-        slack = 1e-13 * (abs(center) + reach + (abs(leaf.center) + abs(leaf.shift)) / size)
+        slack = 1e-13 * (abs(center) + reach + offset)
         radius = min(radius, reach - abs(center - disc) - slack)
     if not radius > 1.1 * delta:
         raise HoloDomainError(
@@ -561,10 +573,9 @@ def contour_integrate(
     then doubles, each time evaluating g only at the new nodes halfway
     between the old ones, until two successive rules agree to tol or the
     rule has max_nodes nodes (an UnstableQuadrature warning is emitted in
-    the latter case, and the last rule returned).  The finiteness and
-    stopping tests use count_nonzero and ndarray methods, not the np.max
-    and .all() wrappers: at one point each call costs more than its
-    arithmetic.
+    the latter case, and the last rule returned).  The tests use
+    count_nonzero and ndarray methods: the np.max and .all() wrappers cost
+    more than the arithmetic at one point.
     """
     finish = contract or (lambda v: v)
 
@@ -580,7 +591,10 @@ def contour_integrate(
         raise NonFiniteIntegrand("the integrand is not finite on the contour")
     prev, cur = rules[..., 0], rules[..., 1]
     acc = acc[..., 1]
-    while not abs(cur - prev).max() <= tol * (1.0 + abs(cur).max()):
+    # max |cur - prev| <= tol (1 + max |cur|).  For tol >= 0 the right side
+    # is at least tol, so a change within tol passes without the second
+    # maximum; NaN or inf in cur makes the change NaN or inf, failing both.
+    while not ((change := abs(cur - prev).max()) <= tol or change <= tol * (1.0 + abs(cur).max())):
         if n >= max_nodes:
             warnings.warn(
                 f"contour quadrature did not stabilize to {tol:g} at {n} nodes",

@@ -192,9 +192,8 @@ def eval_explicit(
         lo, hi = (int(order.min()), int(order.max())) if order.size else (0, 0)
     if lo < 0:
         raise ValueError("derivative order must be >= 0")
-    Z = rsv.coordinates(ms.triad, spec.m, *pts.T)
-    xi_v, T = Z[:, : spec.m], Z[:, spec.m :]
-    xi = xi_v.T.take(plan.owner, axis=0)
+    Z = rsv.coordinates(ms.triad, spec.m, pts[:, 0], pts[:, 1], pts[:, 2])
+    xi = Z.T.take(plan.owner, axis=0)  # owner < m: each row's xi_u
     if hi > lo:
         # Row i of the wide table has hi - lo more entries than the term
         # list's row i, so entry e of the term list's layout, in row
@@ -208,6 +207,7 @@ def eval_explicit(
         D = ms.derivative_stack(lo)(xi)  # (entries, N)
     out = D.take(plan.offsets, axis=0)
     if plan.starts.size:  # a term list, so a radical: B and the Q-table
+        T = Z[:, spec.m :]
         Q = rsv.q_table(spec, T, rsv.b_coeffs(spec, T))
         # No BLAS contraction here: its rounding depends on the batch size,
         # and a row of a batch must equal the same point evaluated alone.

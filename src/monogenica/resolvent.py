@@ -38,8 +38,7 @@ def coordinates(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
     on the first m, plus z*b: (y*a + x) + z*b is (x + y*a) + z*b with its
     first two operands swapped, which IEEE addition, being commutative,
     leaves bit for bit, signed zeros included.  x, y, z are scalars or
-    arrays of one shape (a batch of points).  Three products and sums of
-    the whole batch, the same numpy calls for one point as for many.
+    arrays of one shape (a batch of points).
     """
     Z = np.multiply(np.asarray(y)[..., None], triad.a_vec)
     Z[..., :m] += np.asarray(x)[..., None]
