@@ -113,10 +113,10 @@ class HoloFn:
 
     @cached_property
     def _safe_disc(self) -> tuple[float, complex, float] | None:
-        """(reach, centre, offset) of a series' safe disc in units of xi, None if it caps nothing.
+        """A series' safe disc in units of xi, for enclosing_contour; None if it caps nothing.
 
-        reach = SAFE_FRACTION * radius / |scale| about centre = (center - shift) / scale;
-        offset = (|center| + |shift|) / |scale| scales the rounding margin.
+        The radius SAFE_FRACTION * radius / |scale|, the centre (center - shift) / scale
+        and (|center| + |shift|) / |scale|, the rounding margin's scale.
         """
         if self.kind != "series" or self.scale == 0 or not math.isfinite(self.radius):
             return None

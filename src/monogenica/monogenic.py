@@ -264,7 +264,11 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     else:
         Z = rsv.coordinates(ms.triad, m, x, y, z)
     if Z is None or Z.shape != (n,):
-        raise ValueError(f"the contour route takes one point (x, y, z), got an array of shape {np.shape(p)}")
+        try:
+            got = f"an array of shape {np.shape(p)}"
+        except ValueError:  # a ragged sequence has no shape
+            got = repr(p)
+        raise ValueError(f"the contour route takes one point (x, y, z), got {got}")
     xi_v, T = Z[:m], Z[m:]
     E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
     G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)

@@ -336,6 +336,10 @@ class TestIntegral:
         with pytest.raises(ValueError, match=text):
             gateaux_derivative(ms, p, 2, method="integral")
 
+    def test_a_ragged_point_is_refused(self, all_monospecs):
+        with pytest.raises(ValueError, match=r"takes one point \(x, y, z\), got \[0\.1, \[0\.2, 0\.3\], 0\.4\]"):
+            eval_integral(all_monospecs["alg_t4"], [0.1, [0.2, 0.3], 0.4])
+
     def test_one_point_as_a_tuple_or_an_array(self, all_monospecs):
         for name, ms in all_monospecs.items():
             for r in range(3):
