@@ -5,9 +5,10 @@ optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
 grid writes every number as the bytes repr gives it, formatted by
-shortest.fields a block of BLOCK_ROWS rows at a time and written as bytes;
-the coordinate text is formatted once per axis value, with the first
-block, and gathered into the rows.  The argument parser is built once per
+shortest.fields a block of BLOCK_ROWS rows at a time and written as bytes,
+for a new or regular out to a temporary file that replaces out when the
+CSV is complete; the coordinate text is formatted once per axis value,
+with the first block, and gathered into the rows.  The argument parser is built once per
 process, when this module is imported: in-process callers of main()
 (tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
 it once as before.
@@ -20,10 +21,10 @@ derivative order per point: one call and one derivative table per job.
 eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
 stack by r, integral integrates W R^(r+1) r! over one circle around the
-spectrum, special sums the Taylor series in the algebra's radical.
---nodes (default 32) is the integral route's first trapezoid rule,
-doubled until two rules agree.  --compare prints the largest
-explicit-vs-integral deviation of the value at any order.
+spectrum, special sums the Taylor series in the algebra's radical.  The
+integral route has one contour rule (holo.contour_integrate) and no
+option of its own.  --compare prints the largest explicit-vs-integral
+deviation of the value at any order.
 
 A malformed job is rejected where its input is read, with exit 2.  Every
 number in a job file is read by one of holo's three readers: parse_real (a
@@ -38,17 +39,17 @@ three numbers (job_points) and a tolerance that is not positive
 
 Exit codes: 0 success; 1 failed checks, or contour quadrature that did not
 converge in eval; 2 parse/spec errors, holomorphic data, job points,
-usage errors (an option the subcommand does not take, such as --nodes
-outside eval or the former --h of check), numeric options (--nodes below
-16, a negative --order, a non-finite --point, an --h-cr, --h-pde, --tol-cr
-or --tol-pde that is not a positive finite number), and a grid axis with a
-non-finite bound or extent or a count that is not a JSON integer from 2 to
-MAX_COUNT included, a grid of more than MAX_COUNT points and one whose
-arrays do not fit in memory (no CSV either way); 3 evaluation outside a
-holomorphic function's domain,
-including a scale whose power at a needed derivative order overflows and
-an integral route whose circle around the spectrum cannot stay inside
-every series' safe disc, and a value of eval or grid that is not finite
+usage errors (an option the subcommand does not take, such as the former
+--nodes of eval or --h of check), numeric options (a negative --order, a
+non-finite --point, an --h-cr, --h-pde, --tol-cr or --tol-pde that is not
+a positive finite number), a grid out that is not a path string, and a
+grid axis with a non-finite bound or extent or a count that is not a JSON
+integer from 2 to MAX_COUNT included, a grid of more than MAX_COUNT points
+and one whose arrays do not fit in memory (no CSV either way); 3
+evaluation outside a holomorphic function's domain, including a scale
+whose power at a needed derivative order overflows and an integral route
+whose circle around the spectrum cannot stay inside every series' safe
+disc, and a value of eval or grid that is not finite
 (data that overflow at the point; grid then writes no CSV; the integral
 route stops at its first integrand call when that is not finite); 4
 output I/O errors, a closed stdout included (main flushes stdout before it
@@ -58,12 +59,12 @@ returns, and reports a broken pipe in one line, not a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ import numpy as np
 from . import monogenic, pde as pde_mod, resolvent
 from .algebra import AlgebraError, validate_algebra  # noqa: F401  (see cmd_validate)
 from .fixtures import fixture_path
-from .holo import DEFAULT_NODES, MIN_NODES, HoloDomainError, UnstableQuadrature, parse_int, parse_real
+from .holo import HoloDomainError, UnstableQuadrature, parse_int, parse_real
 from .monogenic import MonogenicSpec, validate_triad
 
 EXIT_OK = 0
@@ -160,8 +161,6 @@ def job_tolerance(job: dict, key: str, default: float) -> float:
 
 def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
-    if getattr(args, "nodes", MIN_NODES) < MIN_NODES:
-        raise JobError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
     for option in ("h_cr", "h_pde", "tol_cr", "tol_pde"):
         v = getattr(args, option, None)
         if v is not None and not (math.isfinite(v) and v > 0):
@@ -228,7 +227,7 @@ def cmd_eval(args) -> int:
     ms = build_spec(job)
     point = tuple(args.point)
     routes = {"explicit": monogenic.eval_explicit, "special": monogenic.eval_special,
-              "integral": partial(monogenic.eval_integral, nodes=args.nodes)}
+              "integral": monogenic.eval_integral}
 
     def run(method: str):
         return routes[method](ms, point, order=args.order)
@@ -282,6 +281,8 @@ def cmd_grid(args) -> int:
     out = args.out or job.get("out")
     if not out:
         raise JobError("no output path: set 'out' in the job or pass --out")
+    if not isinstance(out, str) or "\0" in out:
+        raise JobError(f"bad out: need a path string, got {out!r}")
     out_path = Path(out)
     if not out_path.is_absolute():
         out_path = Path.cwd() / out_path
@@ -300,8 +301,22 @@ def cmd_grid(args) -> int:
     except MemoryError:
         raise JobError(f"the grid's {total} points do not fit in memory") from None
     xyz = np.concatenate(axes)
+    # A new or regular out gets the CSV in a new file beside it (beside its
+    # target if out is a symlink) that replaces it only when complete: a
+    # failed write leaves an earlier out as it was.  A device or a pipe
+    # (/dev/null, /dev/stdout, a link to either), and an out whose directory
+    # takes no new file, is written directly.
+    made = None
     try:
-        with open(out_path, "wb") as fh:
+        if not os.path.exists(out_path) or os.path.isfile(out_path):
+            target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
+            # A random part, as a killed run leaves its file; "x" opens none that exists.
+            tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+            with contextlib.suppress(PermissionError):  # then out is opened as it is
+                fh, made = open(tmp, "xb"), tmp
+        if not made:
+            fh = open(out_path, "wb")
+        with fh:
             fh.write(header.encode("ascii"))
             for start in range(0, total, BLOCK_ROWS):
                 block = table[start:start + BLOCK_ROWS]
@@ -316,9 +331,16 @@ def cmd_grid(args) -> int:
                 at = np.unravel_index(np.arange(start, start + len(block)), counts)
                 cells = [c[i][:, None] for c, i in zip(coords, at)] + [texts]
                 fh.write(shortest.csv_rows(np.concatenate(cells, axis=1)))
+        if made:
+            os.replace(made, target)
+            made = None
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if made:  # a failed write, or any other exception after the open
+            with contextlib.suppress(OSError):
+                os.remove(made)
     print(f"wrote {total} rows to {out_path}")
     return EXIT_OK
 
@@ -432,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=("explicit", "integral", "special"), default="explicit")
     p_eval.add_argument("--order", type=int, default=0, help="Gateaux derivative order (0 = value)")
     p_eval.add_argument("--compare", action="store_true", help="print max cross-method deviation")
-    p_eval.add_argument("--nodes", type=int, default=DEFAULT_NODES,
-                        help="nodes of the first contour rule, doubled until it converges")
 
     p_grid = sub.add_parser("grid", parents=[common], help="emit component CSV over a grid")
     p_grid.add_argument("--out", default=None, help="output CSV path (overrides job)")
@@ -462,12 +482,9 @@ def main(argv=None) -> int:
         # Output still buffered meets a closed stdout here, not at exit.
         sys.stdout.flush()
         return code
-    except (JobError, AlgebraError) as exc:
+    except (JobError, AlgebraError, HoloDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HoloDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRUM
+        return EXIT_SPECTRUM if isinstance(exc, HoloDomainError) else EXIT_PARSE
     except BrokenPipeError as exc:
         # Python's recipe for a closed pipe: stdout goes to devnull, so the
         # interpreter's flush at shutdown has nothing more to report.

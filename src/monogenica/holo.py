@@ -21,12 +21,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-QUAD_TOL = 1e-10
-MIN_NODES = 16
-# The first rule's node count.  On a circle of radius at least 2 delta
-# around the poles (enclosing_contour) the N-node rule's error falls like
+# The contour rule, the same for every caller.  Two successive rules must
+# agree to QUAD_TOL; the first has DEFAULT_NODES nodes and the last at most
+# MAX_NODES.  On a circle of radius at least 2 delta around the poles
+# (enclosing_contour) the N-node rule's error falls like
 # (delta / radius)^N <= 2^-N (Trefethen & Weideman, SIAM Rev. 56 (2014)), so
 # the 32- and 64-node rules usually already agree to QUAD_TOL.
+QUAD_TOL = 1e-10
 DEFAULT_NODES = 32
 MAX_NODES = 4096
 SAFE_FRACTION = 0.9  # a series is evaluated within this fraction of its radius
@@ -477,16 +478,13 @@ def holo_from_dict(data: Mapping) -> HoloFn:
 class Contour:
     center: complex
     radius: float
-    nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("contour radius must be positive")
-        if self.nodes < MIN_NODES:
-            raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
 
 
-def enclosing_contour(xi, fns: Sequence, nodes: int = DEFAULT_NODES) -> Contour:
+def enclosing_contour(xi, fns: Sequence) -> Contour:
     """One circle around every point of xi, inside every series' safe disc.
 
     The centre is the mean of the points and the radius max(2 delta, 1),
@@ -516,7 +514,7 @@ def enclosing_contour(xi, fns: Sequence, nodes: int = DEFAULT_NODES) -> Contour:
             f"no circle around the spectrum points (within {delta:.3g} of {center:.6g}) "
             f"fits inside every series' safe disc"
         )
-    return Contour(center, radius, nodes)
+    return Contour(center, radius)
 
 
 @lru_cache(maxsize=32)
@@ -527,18 +525,19 @@ def _unit_roots(nn: int, offset: float) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=32)
-def _first_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _first_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first call's 2n nodes and the n- and 2n-node rules on them, read-only.
 
-    The nodes on the unit circle are the n-node rule's (the even ones),
-    then the n halfway between them.  The two rules' (2n, 2) weights are
-    the nodes, and zero for the n-node rule on the new nodes.  They are
+    n = DEFAULT_NODES; the nodes on the unit circle are the n-node rule's
+    (the even ones), then the n halfway between them.  The two rules' (2n,
+    2) weights are the nodes, and zero for the n-node rule on the new nodes,
     kept in real form, (4n, 4): one real matrix product of the integrand's
     real view gives both sums as (re, im) pairs, rounded about as each
     rule's own dot product is, where a complex matrix product rounded them
     two to three times worse.  The counts n and 2n divide the two sums.
     """
+    n = DEFAULT_NODES
     nodes = np.concatenate([_unit_roots(n, 0.0), _unit_roots(n, 0.5)])
     W = np.zeros((2 * n, 2), dtype=np.complex128)
     W[:n, 0], W[:, 1] = nodes[:n], nodes
@@ -553,9 +552,7 @@ def _first_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, R, counts
 
 
-def contour_integrate(
-    g, contour: Contour, tol: float = QUAD_TOL, max_nodes: int = MAX_NODES, contract=None
-):
+def contour_integrate(g, contour: Contour, contract=None):
     """(1 / 2*pi*i) * integral of g over the circle, adaptive trapezoid rule.
 
     g is called with an ndarray of nodes t_j and must return an array whose
@@ -565,25 +562,24 @@ def contour_integrate(
     it must keep a trailing axis, as a matrix product from the left does,
     since the first two rules come to it stacked on a last axis of two.
     The first call evaluates g on the 2n nodes of the 2n-node rule,
-    n = contour.nodes (DEFAULT_NODES = 32 unless set): the n-node rule's
-    nodes (the even ones) first, then the n halfway between them, and one
-    product with a (2n, 2) weight matrix, in real form (_first_rules),
-    gives both rules' sums.  If they are not finite, NonFiniteIntegrand (a
-    HoloDomainError) is raised: no rule would converge.  The node count
-    then doubles, each time evaluating g only at the new nodes halfway
-    between the old ones, until two successive rules agree to tol or the
-    rule has max_nodes nodes (an UnstableQuadrature warning is emitted in
-    the latter case, and the last rule returned).  The tests use
-    count_nonzero and ndarray methods: the np.max and .all() wrappers cost
-    more than the arithmetic at one point.
+    n = DEFAULT_NODES: the n-node rule's nodes (the even ones) first, then
+    the n halfway between them, and one product with a (2n, 2) weight
+    matrix, in real form (_first_rules), gives both rules' sums.  If they
+    are not finite, NonFiniteIntegrand (a HoloDomainError) is raised: no
+    rule would converge.  The node count then doubles, each time evaluating
+    g only at the new nodes halfway between the old ones, until two
+    successive rules agree to QUAD_TOL or the rule has MAX_NODES nodes (an
+    UnstableQuadrature warning is emitted in the latter case, and the last
+    rule returned).  The tests use count_nonzero and ndarray methods: the
+    np.max and .all() wrappers cost more than the arithmetic at one point.
     """
     finish = contract or (lambda v: v)
 
     def values(w: np.ndarray) -> np.ndarray:
         return np.asarray(g(contour.center + contour.radius * w), dtype=np.complex128)
 
-    n = 2 * contour.nodes
-    nodes, R, counts = _first_rules(contour.nodes)
+    nodes, R, counts = _first_rules()
+    n = len(nodes)
     vals = np.ascontiguousarray(values(nodes))
     acc = vals.view(np.float64).dot(R).view(np.complex128)  # the two rules' sums, (..., 2)
     rules = finish(acc * (contour.radius / counts))
@@ -591,16 +587,13 @@ def contour_integrate(
         raise NonFiniteIntegrand("the integrand is not finite on the contour")
     prev, cur = rules[..., 0], rules[..., 1]
     acc = acc[..., 1]
-    # max |cur - prev| <= tol (1 + max |cur|).  For tol >= 0 the right side
-    # is at least tol, so a change within tol passes without the second
+    # max |cur - prev| <= QUAD_TOL (1 + max |cur|).  The right side is at
+    # least QUAD_TOL, so a change within it passes without the second
     # maximum; NaN or inf in cur makes the change NaN or inf, failing both.
-    while not ((change := abs(cur - prev).max()) <= tol or change <= tol * (1.0 + abs(cur).max())):
-        if n >= max_nodes:
-            warnings.warn(
-                f"contour quadrature did not stabilize to {tol:g} at {n} nodes",
-                UnstableQuadrature,
-                stacklevel=2,
-            )
+    while not ((change := abs(cur - prev).max()) <= QUAD_TOL or change <= QUAD_TOL * (1.0 + abs(cur).max())):
+        if n >= MAX_NODES:
+            warnings.warn(f"contour quadrature did not stabilize to {QUAD_TOL:g} at {n} nodes",
+                          UnstableQuadrature, stacklevel=2)
             break
         w = _unit_roots(n, 0.5)
         acc = acc + values(w).dot(w)

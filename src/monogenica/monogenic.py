@@ -26,7 +26,6 @@ from .algebra import (
     load_algebra,
 )
 from .holo import (
-    DEFAULT_NODES,
     DerivativeStack,
     HoloDomainError,
     NonFiniteIntegrand,
@@ -226,7 +225,7 @@ def eval_explicit(
 # -- integral evaluation -------------------------------------------------------
 
 
-def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = DEFAULT_NODES) -> Element:
+def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
     p is one point (x, y, z), a 3-sequence or a (3,) array; any other shape
@@ -247,10 +246,10 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     G[(i, u, l), k] = sum_j E[u, l, j] * M[j, i, k], one matrix product
     (M is symmetric in i and j), so each rule's algebra arithmetic is one
     product with G; the first two rules are contracted together.  The
-    first rule has `nodes` nodes (holo.DEFAULT_NODES), doubled until two
-    successive rules agree.  An integrand that is not finite on the first
-    call (data that overflow on the circle) raises HoloDomainError naming
-    the point.
+    rule is holo's one contour rule (contour_integrate): 32 and 64 nodes
+    in the first call, doubled until two successive rules agree.  An
+    integrand that is not finite on the first call (data that overflow on
+    the circle) raises HoloDomainError naming the point.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -272,7 +271,7 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     xi_v, T = Z[:m], Z[m:]
     E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
     G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)
-    contour = enclosing_contour(xi_v, ms.series_leaves, nodes)
+    contour = enclosing_contour(xi_v, ms.series_leaves)
     stack = ms.value_stack
 
     def moments(t: np.ndarray) -> np.ndarray:
@@ -289,26 +288,16 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0, *, nodes: int = D
     return math.factorial(order) * value if order else value
 
 
-def gateaux_derivative(
-    ms: MonogenicSpec,
-    p: Union[Point, np.ndarray],
-    r: int,
-    nodes: int = DEFAULT_NODES,
-    method: str = "explicit",
-) -> Element:
-    """r-th Gateaux derivative Phi^(r), r >= 1: eval_explicit or eval_integral at order r.
+def gateaux_derivative(ms: MonogenicSpec, p: Union[Point, np.ndarray], r: int) -> Element:
+    """r-th Gateaux derivative Phi^(r), r >= 1, by the explicit route.
 
-    method "explicit" needs no quadrature, and p may be an (N, 3) array;
-    "integral" is the contour route at one point, kept as the cross-check:
-    it raises ValueError for any other shape.
+    p is one point or an (N, 3) array, as for eval_explicit.  The contour
+    route at order r is eval_integral(ms, p, r), and the Taylor route
+    eval_special(ms, p, r).
     """
     if r < 1:
         raise ValueError("derivative order must be >= 1")
-    if method == "explicit":
-        return eval_explicit(ms, p, order=r)
-    if method == "integral":
-        return eval_integral(ms, p, r, nodes=nodes)
-    raise ValueError(f"unknown method {method!r}: use 'explicit' or 'integral'")
+    return eval_explicit(ms, p, order=r)
 
 
 # -- Taylor evaluation ---------------------------------------------------------

@@ -1,9 +1,12 @@
+import errno
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from functools import partial
 from pathlib import Path
@@ -324,6 +327,7 @@ class TestGrid:
     def test_grid_io_error(self, capsys):
         code, _, err = run(capsys, "grid", JOB_OK, "--out", "/nonexistent-dir/x.csv")
         assert code == 4
+        assert err == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "axis",
@@ -433,6 +437,112 @@ class TestGrid:
         assert err.startswith("error: bad grid spec") and f"{math.prod(counts)} points" in err
         assert "wrote" not in out and not out_file.exists()
 
+    def test_failed_write_keeps_the_old_csv(self, capsys, monkeypatch, tmp_path):
+        # 11 x 11 x 11 = 1331 rows, two blocks of BLOCK_ROWS: the disk fills
+        # at the second block's write.  The earlier CSV keeps its bytes and
+        # no temporary file is left beside it.
+        from monogenica import cli
+
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"] = {a: [-0.5, 0.5, 11] for a in "xyz"}
+        out_file = tmp_path / "grid.csv"
+        out_file.write_bytes(b"an earlier csv\n")
+
+        class FullDisk:
+            """A file opened for writing whose third write, the second block of rows, fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        def full_disk_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return fh if mode == "r" else FullDisk(fh)
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: cannot write {out_file}: ") and err.count("\n") == 1
+        assert out_file.read_bytes() == b"an earlier csv\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "job.json"]
+
+    def test_grid_writes_through_a_symlink(self, capsys, tmp_path):
+        # The link stays and its target gets the CSV.
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "grid", JOB_OK, "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert target.read_text().count("\n") == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_grid_writes_a_fifo_in_place(self, capsys, tmp_path):
+        # An out that is no regular file (a FIFO here; /dev/null and
+        # /dev/stdout alike) is written directly: it stays what it was and no
+        # file is made beside it.
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "grid", JOB_OK, "--out", str(fifo))
+        reader.join(timeout=60)
+        assert code == 0 and got and got[0].count(b"\n") == 9
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe.csv"]
+
+    def test_grid_ignores_a_killed_runs_temporary_file(self, capsys, tmp_path):
+        # A run killed mid-write leaves its temporary file; the next run in a
+        # process with the same id still writes out and leaves that file be.
+        out_file = tmp_path / "grid.csv"
+        stale = [tmp_path / f"grid.csv.{os.getpid()}.tmp",
+                 tmp_path / f"grid.csv.{os.getpid()}.{os.urandom(4).hex()}.tmp"]
+        for path in stale:
+            path.write_bytes(b"x,y\n")
+        code, _, _ = run(capsys, "grid", JOB_OK, "--out", str(out_file))
+        assert code == 0 and out_file.read_text().count("\n") == 9
+        assert all(path.read_bytes() == b"x,y\n" for path in stale)
+        assert len(list(tmp_path.iterdir())) == 3
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_grid_in_a_directory_that_refuses_new_files(self, capsys, monkeypatch, tmp_path,
+                                                        exists):
+        # No new file can be made, the temporary one included: an existing
+        # out is written directly, as a writable file in a read-only
+        # directory can be; a new out fails, and the error names out alone.
+        from monogenica import cli
+
+        def no_new_files(file, mode="r", **kwargs):
+            if mode != "r" and not os.path.exists(file):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return open(file, mode, **kwargs)
+
+        out_file = tmp_path / "grid.csv"
+        if exists:
+            out_file.write_bytes(b"an earlier csv\n")
+        monkeypatch.setattr(cli, "open", no_new_files, raising=False)
+        code, out, err = run(capsys, "grid", JOB_OK, "--out", str(out_file))
+        if exists:
+            assert code == 0 and out_file.read_text().count("\n") == 9
+        else:
+            assert code == 4 and out == "" and not out_file.exists()
+            assert err == f"error: cannot write {out_file}: {os.strerror(errno.EACCES)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"] * exists
+
     @pytest.mark.parametrize("where", ["points", "values"])
     def test_grid_too_large_to_hold_exit_2(self, capsys, monkeypatch, tmp_path, where):
         def too_large(*args, **kwargs):
@@ -467,6 +577,19 @@ def test_closed_stdout_exits_4(tmp_path, command):
     assert done.returncode == 4
     assert done.stderr.startswith("error: cannot write to stdout:")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_grid_out_dev_stdout_writes_the_pipe():
+    # /dev/stdout links to the pipe, which has no directory to make a
+    # temporary file in: the CSV is written to it directly.
+    src = str(Path(monogenic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "monogenica.cli", "grid", JOB_OK, "--out",
+                           "/dev/stdout"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("x,y,z,") and done.stdout.count("\n") == 10
+    assert done.stdout.endswith("wrote 8 rows to /dev/stdout\n")
 
 
 class TestCheck:
@@ -729,6 +852,20 @@ def test_malformed_job_exits_2(capsys, tmp_path, name, command):
         assert code == 0  # only check reads the tolerances and the pde
     else:
         assert code == 2 and err.startswith("error: "), (code, err)
+
+
+@pytest.mark.parametrize("out", [5, ["a"], True, {"path": "a.csv"}, "a\u0000b.csv"],
+                         ids=["number", "list", "bool", "object", "nul"])
+def test_grid_out_that_is_no_path_exits_2(capsys, tmp_path, monkeypatch, out):
+    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+    job["algebra"] = str(fixture_path(job["algebra"]))
+    job["out"] = out
+    path = write_job(tmp_path, job)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "grid", path)
+    assert code == 2 and stdout == ""
+    assert err == f"error: bad out: need a path string, got {out!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
 def test_overflowing_scale_exits_3(capsys, tmp_path):

@@ -12,8 +12,8 @@ from monogenica import (
     contour_integrate,
     enclosing_contour,
 )
+from monogenica import holo
 from monogenica.holo import (
-    DEFAULT_NODES,
     DerivativeStack,
     HoloSum,
     NonFiniteIntegrand,
@@ -290,7 +290,7 @@ class TestDefaultContour:
 
     def test_plain(self):
         c = enclosing_contour([0.0, 2.0], [HoloFn.exp()])
-        assert c.center == 1.0 and c.radius == 2.0 and c.nodes == DEFAULT_NODES
+        assert c.center == 1.0 and c.radius == 2.0
 
     def test_no_others(self):
         c = enclosing_contour([0.3 + 0.1j], [HoloFn.exp()])
@@ -326,8 +326,6 @@ class TestDefaultContour:
     def test_contour_validation(self):
         with pytest.raises(ValueError):
             Contour(0.0, -1.0)
-        with pytest.raises(ValueError):
-            Contour(0.0, 1.0, nodes=4)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -375,7 +373,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("a", [0.0, 0.3 + 0.2j, -0.5j])
     def test_pole_family_inside(self, k, a):
         # |a| <= 0.5 * radius: residue is 1 for k = 1, else 0.
-        c = Contour(0.0, 1.0, nodes=256)
+        c = Contour(0.0, 1.0)
         val = contour_integrate(lambda t: 1.0 / (t - a) ** k, c)
         expect = 1.0 if k == 1 else 0.0
         assert abs(val - expect) < 1e-12
@@ -395,8 +393,8 @@ class TestQuadrature:
 
     def test_each_node_evaluated_once(self):
         # A smooth integrand converges at the first doubling, from one call
-        # on the 512 nodes: the 256-node rule is their even nodes.
-        c = Contour(0.1 + 0.2j, 0.5, nodes=256)
+        # on the 64 nodes: the 32-node rule is their even nodes.
+        c = Contour(0.1 + 0.2j, 0.5)
         calls = []
 
         def g(t):
@@ -404,40 +402,51 @@ class TestQuadrature:
             return np.exp(t) / (t - c.center) ** 2
 
         val = contour_integrate(g, c)
-        assert [len(t) for t in calls] == [512]
+        assert [len(t) for t in calls] == [64]
         theta = np.angle((np.concatenate(calls) - c.center) / c.radius)
-        slots = np.round(theta / (2 * np.pi) * 512).astype(int) % 512
-        assert sorted(slots) == list(range(512))
+        slots = np.round(theta / (2 * np.pi) * 64).astype(int) % 64
+        assert sorted(slots) == list(range(64))
         assert abs(val - np.exp(c.center)) < 1e-13
 
-    def test_contract_is_tested_and_returned(self):
+    def test_contract_is_tested_and_returned(self, monkeypatch):
         # Row 1 never settles (a pole almost on the circle); a contraction
         # that drops it converges at the first doubling and returns only
-        # the contracted value.
-        c = Contour(0.0, 1.0, nodes=16)
+        # the contracted value.  Without the contraction the 64-node first
+        # call already reaches the node cap, set to 64 here.
+        monkeypatch.setattr(holo, "MAX_NODES", 64)
+        c = Contour(0.0, 1.0)
         calls = []
 
         def g(t):
             calls.append(len(t))
             return np.stack([np.exp(t) / t**2, 1.0 / (t - 0.999999)])
 
-        val = contour_integrate(g, c, max_nodes=64, contract=lambda v: 3.0 * v[0])
-        assert calls == [32] and abs(val - 3.0) < 1e-13
+        val = contour_integrate(g, c, contract=lambda v: 3.0 * v[0])
+        assert calls == [64] and abs(val - 3.0) < 1e-13
         with pytest.warns(RuntimeWarning):
-            contour_integrate(g, c, max_nodes=64)
+            contour_integrate(g, c)
 
     def test_nested_doubling_equals_fresh_rule(self):
-        c = Contour(0.1 + 0.2j, 0.5, nodes=256)
-        g = lambda t: np.exp(t) / (t - c.center) ** 2
-        w = np.exp(2j * np.pi * np.arange(512) / 512)
-        fresh = c.radius / 512 * g(c.center + c.radius * w) @ w
-        assert abs(contour_integrate(g, c) - fresh) <= 1e-15
+        # A pole at 0.8 of the radius: the 64-node first call, then two
+        # doublings to the 256-node rule.
+        c = Contour(0.1 + 0.2j, 0.5)
+        calls = []
+
+        def g(t):
+            calls.append(len(t))
+            return np.exp(t) / (t - c.center - 0.4)
+
+        got = contour_integrate(g, c)
+        assert calls == [64, 64, 128]
+        w = np.exp(2j * np.pi * np.arange(256) / 256)
+        fresh = c.radius / 256 * g(c.center + c.radius * w) @ w
+        assert abs(got - fresh) <= 1e-15
 
     def test_first_two_rules_are_contracted_together(self):
-        # The contraction sees the 16- and 32-node rules stacked on a last
-        # axis, then each later rule alone; the 16-node rule is the sum over
+        # The contraction sees the 32- and 64-node rules stacked on a last
+        # axis, then each later rule alone; the 32-node rule is the sum over
         # the even nodes of the first call.
-        c = Contour(0.1, 0.9, nodes=16)
+        c = Contour(0.1, 0.9)
         g = lambda t: np.stack([np.exp(t) / (t - 0.7), np.cos(t) / (t - 0.8) ** 2])
         seen = []
 
@@ -447,7 +456,7 @@ class TestQuadrature:
 
         contour_integrate(g, c, contract=contract)
         assert seen[0].shape == (2, 2) and len(seen) > 1 and all(v.shape == (2,) for v in seen[1:])
-        for col, nn in enumerate((16, 32)):
+        for col, nn in enumerate((32, 64)):
             w = np.exp(2j * np.pi * np.arange(nn) / nn)
             rule = c.radius / nn * g(c.center + c.radius * w) @ w
             assert np.max(np.abs(seen[0][:, col] - rule)) <= 1e-15 * np.max(np.abs(rule)), nn
@@ -456,7 +465,7 @@ class TestQuadrature:
     def test_non_finite_integrand_raises_at_once(self, bad):
         # No rule converges on a non-finite integrand: one call, then
         # NonFiniteIntegrand (a HoloDomainError), not 4096 nodes.
-        c = Contour(0.0, 1.0, nodes=16)
+        c = Contour(0.0, 1.0)
         calls = []
 
         def g(t):
@@ -467,14 +476,23 @@ class TestQuadrature:
 
         with pytest.raises(NonFiniteIntegrand, match="not finite on the contour"), np.errstate(invalid="ignore"):
             contour_integrate(g, c)
-        assert calls == [32]
+        assert calls == [64]
         assert issubclass(NonFiniteIntegrand, HoloDomainError)
 
-    def test_warning_when_not_stabilized(self):
-        # A pole sitting almost on the circle defeats the trapezoid rule.
-        c = Contour(0.0, 1.0, nodes=16)
-        with pytest.warns(RuntimeWarning):
-            contour_integrate(lambda t: 1.0 / (t - 0.999999), c, max_nodes=64)
+    def test_warning_when_not_stabilized(self, monkeypatch):
+        # A pole sitting almost on the circle defeats the trapezoid rule;
+        # with a cap of 128 nodes the warning comes after one doubling.
+        monkeypatch.setattr(holo, "MAX_NODES", 128)
+        c = Contour(0.0, 1.0)
+        calls = []
+
+        def g(t):
+            calls.append(len(t))
+            return 1.0 / (t - 0.999999)
+
+        with pytest.warns(RuntimeWarning, match="did not stabilize to 1e-10 at 128 nodes"):
+            contour_integrate(g, c)
+        assert calls == [64, 64]
 
 
 class TestNumberReaders:

@@ -322,19 +322,19 @@ class TestIntegral:
                     eval_integral(ms, (800, 0.1, 0.1), r)
                 assert sizes == [2 * DEFAULT_NODES], r
             with pytest.raises(HoloDomainError, match=text):
-                gateaux_derivative(ms, (800.0, 0.1, 0.1), 2, method="integral")
+                eval_integral(ms, (800.0, 0.1, 0.1), 2)
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3, 1), ()])
     def test_more_than_one_point_is_refused(self, all_monospecs, shape):
         # The contour route takes one point: a batch is one ValueError that
-        # says so and names its shape, on both entry points.
+        # says so and names its shape, at every order.
         ms = all_monospecs["alg_t4"]
         p = np.full(shape, 0.2)
         text = rf"takes one point \(x, y, z\), got an array of shape {re.escape(str(shape))}"
         with pytest.raises(ValueError, match=text):
             eval_integral(ms, p)
         with pytest.raises(ValueError, match=text):
-            gateaux_derivative(ms, p, 2, method="integral")
+            eval_integral(ms, p, 2)
 
     def test_a_ragged_point_is_refused(self, all_monospecs):
         with pytest.raises(ValueError, match=r"takes one point \(x, y, z\), got \[0\.1, \[0\.2, 0\.3\], 0\.4\]"):
@@ -347,9 +347,6 @@ class TestIntegral:
                 assert got.shape == (ms.algebra.n,)
                 for p in (np.array([0.25, 0.4, -0.15]), [0.25, 0.4, -0.15]):
                     assert eval_integral(ms, p, r).tobytes() == got.tobytes(), (name, r)
-                if r:
-                    same = gateaux_derivative(ms, np.array([0.25, 0.4, -0.15]), r, method="integral")
-                    assert same.tobytes() == got.tobytes(), (name, r)
 
     def test_coincident_spectrum_shares_contour(self, all_monospecs):
         # On the x axis every xi_u collapses to x; the one circle around
@@ -466,7 +463,8 @@ class TestSpecial:
 
 # Each Gateaux test runs on both routes, so the contour route keeps its
 # coverage as the cross-check of the explicit one.
-METHODS = ("explicit", "integral")
+# Phi^(r), r >= 1, by the explicit and the contour route.
+ROUTES = {"explicit": gateaux_derivative, "integral": eval_integral}
 
 
 class TestGateaux:
@@ -475,16 +473,16 @@ class TestGateaux:
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.square(), HoloFn.square()])
         p = (0.6, 0.3, -0.2)
         xi_v = spectrum(triad, alg_ss2.m, *p)
-        for method in METHODS:
-            got = gateaux_derivative(ms, p, 1, method=method)
+        for method, derivative in ROUTES.items():
+            got = derivative(ms, p, 1)
             assert np.max(np.abs(got - 2 * xi_v)) < 1e-10, method
 
     def test_d2_exp_reproduces(self, alg_d2):
         triad = fixture_triad("alg_d2")
         ms = MonogenicSpec.create(alg_d2, triad, [HoloFn.exp()], [HoloFn.zero()])
         p = (0.1, 0.5, -0.3)
-        for method in METHODS:
-            got = gateaux_derivative(ms, p, 1, method=method)
+        for method, derivative in ROUTES.items():
+            got = derivative(ms, p, 1)
             assert np.max(np.abs(got - eval_explicit(ms, p))) < 1e-10, method
 
     def test_directional_definition(self, all_monospecs):
@@ -499,8 +497,8 @@ class TestGateaux:
                 "e3": (triad.b_vec, (0.0, 0.0, 1.0)),
             }
             scale = 1.0 + float(np.max(np.abs(base)))
-            for method in METHODS:
-                deriv = gateaux_derivative(ms, p, 1, method=method)
+            for method, derivative in ROUTES.items():
+                deriv = derivative(ms, p, 1)
                 for h_vec, h_dir in dirs.values():
                     q = tuple(c + eps * d for c, d in zip(p, h_dir))
                     quotient = (eval_explicit(ms, q) - base) / eps
@@ -512,18 +510,18 @@ class TestGateaux:
         h = 1e-4
         for name, ms in all_monospecs.items():
             p = (0.2, 0.3, -0.1)
-            for method in METHODS:
-                d2 = gateaux_derivative(ms, p, 2, method=method)
-                up = gateaux_derivative(ms, (p[0] + h, p[1], p[2]), 1, method=method)
-                dn = gateaux_derivative(ms, (p[0] - h, p[1], p[2]), 1, method=method)
+            for method, derivative in ROUTES.items():
+                d2 = derivative(ms, p, 2)
+                up = derivative(ms, (p[0] + h, p[1], p[2]), 1)
+                dn = derivative(ms, (p[0] - h, p[1], p[2]), 1)
                 fd = (up - dn) / (2 * h)  # d/dx Phi' = e1 * Phi'' = Phi''
                 assert np.max(np.abs(d2 - fd)) < 1e-4, (name, method)
 
     def test_derivative_is_monogenic(self, all_monospecs):
         for name, ms in all_monospecs.items():
             p = (0.35, -0.2, 0.45)
-            for method in METHODS:
-                deriv_at = lambda q: gateaux_derivative(ms, q, 1, method=method)
+            for method, derivative in ROUTES.items():
+                deriv_at = lambda q: derivative(ms, q, 1)
                 stencil = monogenic.cr_stencil(p, 1e-4)
                 ry, rz = cr_residual(ms, p, h=1e-4,
                                      values=np.array([deriv_at(tuple(q)) for q in stencil]))
@@ -531,22 +529,17 @@ class TestGateaux:
                 assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, (name, method)
 
     def test_order_must_be_positive(self, all_monospecs):
-        for method in METHODS:
-            with pytest.raises(ValueError):
-                gateaux_derivative(all_monospecs["alg_d2"], (0, 0, 0), 0, method=method)
+        with pytest.raises(ValueError):
+            gateaux_derivative(all_monospecs["alg_d2"], (0, 0, 0), 0)
         with pytest.raises(ValueError):
             eval_integral(all_monospecs["alg_d2"], (0.1, 0.2, 0.3), -1)
-
-    def test_unknown_method(self, all_monospecs):
-        with pytest.raises(ValueError, match="unknown method"):
-            gateaux_derivative(all_monospecs["alg_d2"], (0.1, 0.2, 0.3), 1, method="special")
 
     def test_routes_agree(self, all_monospecs):
         for name, ms in all_monospecs.items():
             for p in ((0.25, 0.4, -0.15), (-0.4, 0.6, 0.3)):
                 for r in (1, 2, 3):
                     ex = gateaux_derivative(ms, p, r)
-                    dev = np.max(np.abs(gateaux_derivative(ms, p, r, method="integral") - ex))
+                    dev = np.max(np.abs(eval_integral(ms, p, r) - ex))
                     assert dev < 1e-10 * (1.0 + np.max(np.abs(ex))), (name, p, r, dev)
 
     @pytest.mark.parametrize("y", [1e-6, 1e-7])
@@ -716,7 +709,7 @@ class TestRowsAtHigherOrder:
         assert np.max(np.abs(eval_integral(ms, p) - ex)) < 1e-10 * (1 + np.max(np.abs(ex)))
         for r in (1, 2):
             ex = eval_explicit(ms, p, order=r)
-            dev = np.max(np.abs(gateaux_derivative(ms, p, r, method="integral") - ex))
+            dev = np.max(np.abs(eval_integral(ms, p, r) - ex))
             assert dev < 1e-9 * (1 + np.max(np.abs(ex))), r
 
 
