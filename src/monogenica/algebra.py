@@ -61,10 +61,10 @@ class ValidationReport:
     def add(self, kind: str, where: tuple, detail: str) -> None:
         self.violations.append(Violation(kind, where, detail))
 
-    def raise_if_invalid(self, what: str = "algebra") -> None:
+    def raise_if_invalid(self) -> None:
         if not self.ok:
             lines = "\n  ".join(str(v) for v in self.violations)
-            raise AlgebraError(f"invalid {what}:\n  {lines}")
+            raise AlgebraError(f"invalid algebra:\n  {lines}")
 
 
 UpsilonEntry = tuple[int, int, int, complex]
@@ -336,7 +336,7 @@ class ExplicitPlan:
         term = rows.repeat(s1)
         j = np.arange(len(term)) - first[term]
         head = k.searchsorted(k) == rows  # the first term of each component k
-        inv_fact = np.array([1.0 / math.factorial(f) for f in range(1, d + 1)])
+        inv_fact = np.array([1 / math.factorial(f) for f in range(1, d + 1)])
         return cls(
             owner=np.concatenate([np.arange(m), spec.radical_owner]),
             orders=orders,

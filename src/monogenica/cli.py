@@ -45,11 +45,13 @@ non-finite --point, an --h-cr, --h-pde, --tol-cr or --tol-pde that is not
 a positive finite number), a grid out that is not a path string, and a
 grid axis with a non-finite bound or extent or a count that is not a JSON
 integer from 2 to MAX_COUNT included, a grid of more than MAX_COUNT points
-and one whose arrays do not fit in memory (no CSV either way); 3
+and one whose arrays do not fit in memory (no CSV either way), and any
+other command whose arrays do not fit in memory (a MemoryError); 3
 evaluation outside a holomorphic function's domain, including a scale
-whose power at a needed derivative order overflows and an integral route
+whose power at a needed derivative order overflows, an integral route
 whose circle around the spectrum cannot stay inside every series' safe
-disc, and a value of eval or grid that is not finite
+disc or whose order r has an r! beyond the float range (r >= 171), and a
+value of eval or grid that is not finite
 (data that overflow at the point; grid then writes no CSV; the integral
 route stops at its first integrand call when that is not finite); 4
 output I/O errors, a closed stdout included (main flushes stdout before it
@@ -485,6 +487,10 @@ def main(argv=None) -> int:
     except (JobError, AlgebraError, HoloDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPECTRUM if isinstance(exc, HoloDomainError) else EXIT_PARSE
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate.
+        print(f"error: the job does not fit in memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
+        return EXIT_PARSE
     except BrokenPipeError as exc:
         # Python's recipe for a closed pipe: stdout goes to devnull, so the
         # interpreter's flush at shutdown has nothing more to report.

@@ -12,8 +12,6 @@ from pathlib import Path
 
 from .algebra import AlgebraSpec, load_algebra
 
-ALGEBRA_NAMES = ("alg_ss2", "alg_d2", "alg_t4", "alg_p2", "alg_r5")
-
 
 def fixture_dir() -> Path:
     env = os.environ.get("MONOGENICA_FIXTURES")

@@ -96,9 +96,6 @@ class HoloFn:
     def square(cls) -> "HoloFn":
         return cls("poly", coeffs=(0.0, 0.0, 1.0))
 
-    def __add__(self, other: "HoloFn") -> "HoloSum":
-        return HoloSum((self, other))
-
     # -- evaluation ------------------------------------------------------
 
     def _series_arg(self, w):
@@ -155,16 +152,6 @@ class HoloFn:
         return self.amp * self.scale**k * self._g_derivative(k, w)
 
 
-@dataclass(frozen=True)
-class HoloSum:
-    """Pointwise sum of holomorphic functions (used by linearity tests)."""
-
-    parts: tuple
-
-    def eval(self, k: int, xi):
-        return sum(p.eval(k, xi) for p in self.parts)
-
-
 # -- stacked derivatives -------------------------------------------------------
 
 
@@ -182,16 +169,9 @@ def multiply_in_place(a: np.ndarray, b) -> None:
         a[...] = np.multiply(a, b)
 
 
-def _leaves(f) -> list:
-    """The HoloFn terms of f, the parts of a HoloSum expanded in order."""
-    if isinstance(f, HoloSum):
-        return [leaf for part in f.parts for leaf in _leaves(part)]
-    return [f]
-
-
-def series_leaves(fns: Sequence) -> tuple:
-    """The series leaves of fns, the parts of a HoloSum expanded: what caps a contour."""
-    return tuple(leaf for f in fns for leaf in _leaves(f) if leaf.kind == "series")
+def series_leaves(fns: Sequence[HoloFn]) -> tuple:
+    """The series among fns: what caps a contour."""
+    return tuple(f for f in fns if f.kind == "series")
 
 
 def _derivative_coeffs(coeffs: Sequence[Sequence[complex]]) -> np.ndarray:
@@ -217,34 +197,28 @@ class DerivativeStack:
 
     Row i holds f_i^(lo), ..., f_i^(lo + K_i) at its own arguments xi[i].
     The rows follow one another in one flat table, row i from entry
-    offsets[i] = sum_{i' < i} (K_i' + 1) on.  The leaves (the functions,
-    the parts of a HoloSum expanded) are kept in blocks by kind: exp; the
-    sin and cos leaves that need sin only, both, cos only; series; poly.
-    So each kind is one slice of the arguments w = scale * xi + shift: one
-    exp, one sin and one cos, each taken once per leaf that needs it; one
-    domain check for all series; one Horner sweep over a padded table of
-    derivative coefficients for every polynomial and series.  Their
-    results are rows of one array of values, and the table is one gather
-    of those values times one product by amp * scale^k (signed for the sin
-    and cos cycle); an entry that vanishes reads a zero row.  A HoloSum
-    row adds up the rows of its parts.  The constants (amp * scale^k, the tables, the index
-    arrays) are built here, once: list operations per leaf, then one array
-    per kind of constant.  Every operation is elementwise over the points,
-    so a column of the table does not depend on the other columns.
+    offsets[i] = sum_{i' < i} (K_i' + 1) on.  The functions are kept in
+    blocks by kind: exp; the sin and cos that need sin only, both, cos
+    only; series; poly.  So each kind is one slice of the arguments w =
+    scale * xi + shift: one exp, one sin and one cos, each taken once per
+    function that needs it; one domain check for all series; one Horner
+    sweep over a padded table of derivative coefficients for every
+    polynomial and series.  Their results are rows of one array of values,
+    and the table is one gather of those values times one product by amp *
+    scale^k (signed for the sin and cos cycle); an entry that vanishes
+    reads a zero row.  The constants (amp * scale^k, the tables, the index
+    arrays) are built here, once: list operations per function, then one
+    array per kind of constant.  Every operation is elementwise over the
+    points, so a column of the table does not depend on the other columns.
     """
 
-    def __init__(self, fns: Sequence, K: Sequence[int], lo: int = 0):
+    def __init__(self, fns: Sequence[HoloFn], K: Sequence[int], lo: int = 0):
         K = np.asarray(K, dtype=int).tolist()
         if lo < 0 or min(K, default=0) < 0:
             raise HoloDomainError("negative derivative order")
-        first = [0, *accumulate(k + 1 for k in K)]
-        self.offsets = np.array(first[:-1], dtype=int)
-        self.size = first[-1]
-        leaves = [(i, leaf) for i, f in enumerate(fns) for leaf in _leaves(f)]
-        rows = [i for i, _ in leaves]
-        # Leaf li fills the entries from start[li] on, orders lo.. in turn.
-        start = [0, *accumulate(K[i] + 1 for i in rows)]
-        self._leaf_size = start[-1]
+        start = [0, *accumulate(k + 1 for k in K)]
+        self.offsets = np.array(start[:-1], dtype=int)
+        self.size = start[-1]
 
         def block(i: int, f: HoloFn) -> int:
             """0 exp, 1 sin only, 2 sin and cos, 3 cos only, 4 series, 5 poly."""
@@ -254,18 +228,17 @@ class DerivativeStack:
                 return 2 if K[i] else 1 + 2 * ((lo + (f.kind == "cos")) % 2)
             return {"exp": 0, "series": 4, "poly": 5}[f.kind]
 
-        blocks = [block(i, f) for i, f in leaves]
-        order = sorted(range(len(leaves)), key=blocks.__getitem__)
+        blocks = [block(i, f) for i, f in enumerate(fns)]
+        order = sorted(range(len(fns)), key=blocks.__getitem__)
         exp_end, sin_end, both_end, cos_end = accumulate(blocks.count(b) for b in range(4))
-        X = [rows[li] for li in order]
-        self._leaf_row = None if X == list(range(len(fns))) else np.array(X, dtype=int)
+        self._order = None if order == list(range(len(fns))) else np.array(order, dtype=int)
         self._scale, self._shift = np.array(
-            [*(leaves[li][1].scale for li in order), *(leaves[li][1].shift for li in order)],
-            dtype=np.complex128,
+            [*(fns[i].scale for i in order), *(fns[i].shift for i in order)], dtype=np.complex128,
         ).reshape(2, -1, 1)
-        # Rows of the values: exp, sin and cos at the leaves of their blocks
-        # (sin of leaf q at row q, cos at row q + cos_shift), then the
-        # Horner sums, one per poly/series entry, then a row of zeros.
+        # Rows of the values: exp, sin and cos at the functions of their
+        # blocks (sin of the q-th function in block order at row q, cos at
+        # row q + cos_shift), then the Horner sums, one per poly/series
+        # entry, then a row of zeros.
         cos_shift = both_end - sin_end
         self._bases = [
             (fn, slice(a, b), slice(a + shift, b + shift))
@@ -275,20 +248,20 @@ class DerivativeStack:
         ]
         horner = cos_end + cos_shift
 
-        # Entry e of the leaf table is fac[e] times row src[e] of the values.
+        # Entry e of the table is fac[e] times row src[e] of the values.
         # An entry that vanishes (a derivative of a poly or series beyond its
         # degree) is 0 times the last row, which stays zero: +0, as 0 * 0 is.
-        src, fac = [-1] * self._leaf_size, [0j] * self._leaf_size
-        # Per poly/series entry: table entry, leaf (its place in the
+        src, fac = [-1] * self.size, [0j] * self.size
+        # Per poly/series entry: table entry, function (its place in the
         # poly/series block), factor, coefficient count and order.
         poly = ([], [], [], [], [])
         coeffs, centers, radii = [], [], []
-        for q, li in enumerate(order):
-            i, f = leaves[li]
-            at = slice(start[li], start[li] + K[i] + 1)
+        for q, i in enumerate(order):
+            f = fns[i]
+            at = slice(start[i], start[i] + K[i] + 1)
             # Python's power, not numpy's: the two differ in the last bit.
             try:
-                leaf_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
+                row_fac = [f.amp * f.scale**k for k in range(lo, lo + K[i] + 1)]
             except OverflowError:
                 raise HoloDomainError(f"scale^{lo + K[i]} of a {f.kind} overflows") from None
             if f.kind == "exp":
@@ -299,7 +272,7 @@ class DerivativeStack:
                 # negated, the orders t with (p + t) % 4 = 2 or 3.
                 p = lo + (f.kind == "cos")
                 for t in ((2 - p) % 4, (3 - p) % 4):
-                    leaf_fac[t::4] = map(neg, leaf_fac[t::4])
+                    row_fac[t::4] = map(neg, row_fac[t::4])
                 src[at] = ([q, q + cos_shift] * (K[i] // 2 + 2))[p % 2 : p % 2 + K[i] + 1]
             else:
                 if f.kind == "series":
@@ -309,12 +282,12 @@ class DerivativeStack:
                 top = len(f.coeffs) - lo
                 count = max(0, min(K[i] + 1, top))
                 for column, values in zip(poly, (range(at.start, at.stop)[:count], [len(coeffs)] * count,
-                                                 leaf_fac[:count], range(top, top - count, -1),
+                                                 row_fac[:count], range(top, top - count, -1),
                                                  range(lo, lo + count))):
                     column += values
                 coeffs.append(f.coeffs)
                 continue
-            fac[at] = leaf_fac
+            fac[at] = row_fac
 
         self._poly = None
         if coeffs:
@@ -322,11 +295,11 @@ class DerivativeStack:
             # a prefix: the entries with a coefficient of w^j or above.
             terms = poly[3]
             by_terms = sorted(range(len(terms)), key=terms.__getitem__, reverse=True)
-            poly_entries, leaf, poly_fac, terms, orders = ([column[c] for c in by_terms] for column in poly)
+            poly_entries, member, poly_fac, terms, orders = ([column[c] for c in by_terms] for column in poly)
             L = terms[0] if terms else 0
             # Column c of the table holds the coefficients of entry c, zero
             # above its top coefficient, where Horner's rule stays exact.
-            table = _derivative_coeffs(coeffs).transpose(2, 0, 1)[:L, orders, leaf]
+            table = _derivative_coeffs(coeffs).transpose(2, 0, 1)[:L, orders, member]
             tops = [0] * L  # entries by their top coefficient, w^(terms - 1)
             for t in terms:
                 tops[t - 1] += 1
@@ -334,7 +307,7 @@ class DerivativeStack:
                 cos_end,
                 np.array(centers, dtype=np.complex128).reshape(-1, 1),
                 SAFE_FRACTION * np.array(radii).reshape(-1, 1),
-                np.array(leaf, dtype=int),
+                np.array(member, dtype=int),
                 horner,
                 [(c[:n], n) for c, n in zip(table[::-1, :, None], accumulate(tops[::-1]))],
             )
@@ -342,15 +315,6 @@ class DerivativeStack:
                 src[e], fac[e] = horner + c, poly_fac[c]
         self._rows = horner + len(poly[0]) + 1
         self._gather = (np.array(src, dtype=int), np.array(fac, dtype=np.complex128).reshape(-1, 1))
-        self._sum = None
-        if rows != list(range(len(fns))):
-            # Leaf entries ordered by the row entry they add to, parts in order:
-            # a leaf's entries add to its row's, from offsets[row] on.
-            c = np.array(K, dtype=int)[rows] + 1
-            targets = (self.offsets[rows] + c - c.cumsum()).repeat(c) + np.arange(self._leaf_size)
-            by_target = np.argsort(targets, kind="stable")
-            sums, starts = np.unique(targets[by_target], return_index=True)
-            self._sum = (by_target, starts, sums)
 
     def __call__(self, xi) -> np.ndarray:
         """The flat table, shape (size, N), for arguments xi of shape (rows, N).
@@ -359,13 +323,7 @@ class DerivativeStack:
         nodes of the integral route): it is broadcast, not gathered.
         """
         src, fac = self._gather
-        out = np.multiply(fac, self._values(xi).take(src, axis=0))
-        if self._sum is None:
-            return out
-        by_target, starts, sums = self._sum
-        total = np.zeros((self.size, out.shape[1]), dtype=np.complex128)
-        total[sums] = np.add.reduceat(out.take(by_target, axis=0), starts, axis=0)
-        return total
+        return np.multiply(fac, self._values(xi).take(src, axis=0))
 
     def _values(self, xi) -> np.ndarray:
         """The rows the table gathers: exp, sin, cos, the Horner sums and a zero row.
@@ -374,20 +332,20 @@ class DerivativeStack:
         table is formed.
         """
         xi = np.asarray(xi, dtype=np.complex128)
-        X = xi if self._leaf_row is None or len(xi) == 1 else xi.take(self._leaf_row, axis=0)
+        X = xi if self._order is None or len(xi) == 1 else xi.take(self._order, axis=0)
         # Constants on the left of every product, as in eval: numpy's complex
         # multiply is not bitwise commutative, and `a * b` on a large
         # temporary b may be computed as b * a, so np.multiply is explicit.
         w = np.multiply(self._scale, X)
         w += self._shift
         values = np.zeros((self._rows, w.shape[1]), dtype=np.complex128)
-        for fn, leaves, rows in self._bases:
-            fn(w[leaves], out=values[rows])
+        for fn, at, rows in self._bases:
+            fn(w[at], out=values[rows])
         if self._poly is not None:
-            first, center, safe, leaf, horner, sweep = self._poly
+            first, center, safe, member, horner, sweep = self._poly
             v = w[first:]
             v -= center
-            # The series lead the block, in leaf order.  A series whose
+            # The series lead the block, in row order.  A series whose
             # largest distance is beyond its safe radius has a node beyond
             # it, so one elementwise test passes every valid call; the
             # largest distances (NaN if a distance is) are taken only when
@@ -404,7 +362,7 @@ class DerivativeStack:
                     )
             # Horner as in polyval, into the rows from horner on; an entry
             # joins at its top coefficient, where 0 * w + c = c.
-            v = v.take(leaf, axis=0)
+            v = v.take(member, axis=0)
             acc = values[horner:]
             for c, n in sweep:
                 a = acc[:n]
@@ -489,14 +447,13 @@ def enclosing_contour(xi, fns: Sequence) -> Contour:
 
     The centre is the mean of the points and the radius max(2 delta, 1),
     delta the largest distance of a point from the centre.  The radius is
-    capped so that the circle stays inside the disc where each series leaf
-    of fns (HoloSum parts included) may be evaluated: radius
-    SAFE_FRACTION * radius / |scale| about (center - shift) / scale, less a
-    rounding margin (HoloFn._safe_disc, built once per leaf).  If the cap
-    leaves no radius above 1.1 delta, too little room between the circle
-    and the points for the trapezoid rule, HoloDomainError is raised.  fns
-    may be just their series leaves (series_leaves, kept as
-    MonogenicSpec.series_leaves).
+    capped so that the circle stays inside the disc where each series of
+    fns may be evaluated: radius SAFE_FRACTION * radius / |scale| about
+    (center - shift) / scale, less a rounding margin (HoloFn._safe_disc,
+    built once per series).  If the cap leaves no radius above 1.1 delta,
+    too little room between the circle and the points for the trapezoid
+    rule, HoloDomainError is raised.  fns may be just their series
+    (series_leaves, kept as MonogenicSpec.series_leaves).
     """
     points = np.asarray(xi, dtype=np.complex128).ravel().tolist()
     center = sum(points) / len(points)

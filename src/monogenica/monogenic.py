@@ -129,7 +129,7 @@ class MonogenicSpec:
 
     @cached_property
     def series_leaves(self) -> tuple:
-        """The series leaves of F and G, HoloSum parts included: what caps the contour."""
+        """The series among F and G: what caps the contour."""
         return series_leaves(self.F + self.G)
 
 
@@ -249,7 +249,8 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     rule is holo's one contour rule (contour_integrate): 32 and 64 nodes
     in the first call, doubled until two successive rules agree.  An
     integrand that is not finite on the first call (data that overflow on
-    the circle) raises HoloDomainError naming the point.
+    the circle) raises HoloDomainError naming the point, and so does an
+    order whose r! is beyond the float range (r >= 171).
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -285,7 +286,10 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
         point = (float(x), float(y), float(z))
         raise HoloDomainError(f"the value at {point} is not finite: the data overflow there") from None
     # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
-    return math.factorial(order) * value if order else value
+    try:
+        return math.factorial(order) * value if order else value
+    except OverflowError:
+        raise HoloDomainError(f"{order}! overflows: the contour route has no value at order {order}") from None
 
 
 def gateaux_derivative(ms: MonogenicSpec, p: Union[Point, np.ndarray], r: int) -> Element:

@@ -10,6 +10,7 @@ the PDE and of the operator identity L_N(Phi) = Phi^(N) * (characteristic sum).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence, Union
@@ -166,15 +167,8 @@ def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
     if p_min < 0.0 < p_max:
         # Continuity forces a zero inside the box; bisect toward it along
         # the segment joining a negative and a positive sample.
-        lo = _AXIS[list(divmod(k_min, len(_AXIS)))]
-        hi = _AXIS[list(divmod(k_max, len(_AXIS)))]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if p_poly(pde, mid[0], mid[1]) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return ZeroAt(float(mid[0]), float(mid[1]))
+        return _bisect(pde, _AXIS[list(divmod(k_min, len(_AXIS)))],
+                       _AXIS[list(divmod(k_max, len(_AXIS)))], operator.lt)
 
     # Leading homogeneous part along directions: a sign change there means
     # P takes both signs far outside any box.
@@ -192,15 +186,23 @@ def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
             while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
                 r *= 2.0
             if p_poly(pde, *(r * direction)) < 0:
-                lo, hi = np.zeros(2), r * direction
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if p_poly(pde, mid[0], mid[1]) >= 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                return ZeroAt(float(mid[0]), float(mid[1]))
+                return _bisect(pde, np.zeros(2), r * direction, operator.ge)
     return NoZeroFound()
+
+
+def _bisect(pde: PdeSpec, lo: np.ndarray, hi: np.ndarray, keeps_lo) -> ZeroAt:
+    """The midpoint after 200 halvings of the segment from lo to hi.
+
+    Each midpoint replaces lo where keeps_lo(P(mid), 0), hi otherwise, so
+    a NaN value replaces hi under both tests that are used, < 0 and >= 0.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if keeps_lo(p_poly(pde, mid[0], mid[1]), 0):
+            lo = mid
+        else:
+            hi = mid
+    return ZeroAt(float(mid[0]), float(mid[1]))
 
 
 # -- finite-difference machinery -------------------------------------------------

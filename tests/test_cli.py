@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monogenica import monogenic
+from monogenica.algebra import AlgebraSpec
 from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
 
@@ -890,6 +891,79 @@ def test_eval_compare_of_overflowing_data_exits_3(capsys, method):
     code, out, err = run(capsys, "eval", JOB_OK, "--point", "800", "0.1", "0.1", "--method", method, "--compare")
     assert (code, out) == (3, "")
     assert err == "error: the value at (800.0, 0.1, 0.1) is not finite: the data overflow there\n"
+
+
+@pytest.mark.parametrize("compare", [False, True])
+@pytest.mark.parametrize("order", [171, 400, 700, 1500])
+def test_integral_route_beyond_the_float_factorial_exits_3(capsys, order, compare):
+    # The contour route multiplies by r!, which is beyond the float range
+    # from r = 171 on: no value, one error line, not an OverflowError.
+    argv = ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--method", "integral", "--order", str(order)]
+    code, out, err = run(capsys, *argv, *["--compare"] * compare)
+    assert (code, out) == (3, "")
+    assert err == f"error: {order}! overflows: the contour route has no value at order {order}\n"
+
+
+def truncated_job(n):
+    """C[eps]/eps^n with exp and eps-linear data and a valid triad, as an inlined job."""
+    return {
+        "algebra": {"n": n, "m": 1, "u_map": {str(s): 1 for s in range(2, n + 1)},
+                    "upsilon": [[r, s, r + s - 1, 1.0, 0.0] for r in range(2, n + 1) for s in range(r, n + 2 - r)]},
+        "triad": {"a": [[0.0, 1.0], [1.0, 0.0]] + [[0.0, 0.0]] * (n - 2),
+                  "b": [[0.5, 0.5], [0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * (n - 3)},
+        "F": [{"kind": "exp"}],
+        "G": [{"kind": "poly", "coeffs": [0.0, 1.0]}] * (n - 1),
+        "grid": {"x": [0.0, 0.1, 2], "y": [0.1, 0.2, 2], "z": [-0.1, 0.3, 2]},
+    }
+
+
+def test_algebra_with_a_radical_beyond_170_evaluates(capsys, tmp_path):
+    # The explicit route's weights 1 / f! for f up to n - m = 171: 171! is
+    # beyond the float range, and its reciprocal is subnormal.
+    path = write_job(tmp_path, truncated_job(172))
+    results = {}
+    for method in ("explicit", "special", "integral"):
+        code, out, err = run(capsys, "eval", path, "--point", "0.1", "0.2", "0.3", "--method", method)
+        assert (code, err) == (0, ""), method
+        results[method] = np.array(values(out))
+        assert len(results[method]) == 172 and np.all(np.isfinite(results[method])), method
+    for method in ("special", "integral"):
+        dev = np.max(np.abs(results[method] - results["explicit"]))
+        assert dev <= 1e-10 * (1 + np.max(np.abs(results["explicit"]))), method
+    out_file = tmp_path / "grid.csv"
+    code, out, err = run(capsys, "grid", path, "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert out_file.read_text().count("\n") == 9
+
+
+def refused_allocation(self):
+    raise MemoryError("Unable to allocate 402. GiB for an array with shape (3000, 3000, 3000) "
+                      "and data type complex128")
+
+
+@pytest.mark.parametrize(
+    "attr, argv",
+    [
+        # The integral route's product tensor holds n^3 values: at n = 3,000
+        # numpy refuses it.
+        ("mult_tensor", ["eval", "--method", "integral"]),
+        ("mult_tensor", ["eval", "--method", "integral", "--compare"]),
+        # Every command reads the algebra's nonzero products.
+        ("products", ["validate"]),
+        ("products", ["check"]),
+        ("products", ["eval"]),
+        ("products", ["grid"]),
+    ],
+    ids=["integral", "integral-compare", "validate", "check", "eval", "grid"],
+)
+def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, attr, argv):
+    monkeypatch.setattr(AlgebraSpec, attr, property(refused_allocation))
+    extra = {"eval": ["--point", "0.3", "0.4", "-0.2"], "grid": ["--out", str(tmp_path / "grid.csv")]}
+    code, out, err = run(capsys, argv[0], JOB_OK, *argv[1:], *extra.get(argv[0], []))
+    assert (code, out) == (2, "")
+    assert err == ("error: the job does not fit in memory (Unable to allocate 402. GiB for an array "
+                   "with shape (3000, 3000, 3000) and data type complex128)\n")
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_grid_of_overflowing_data_exits_3_and_writes_nothing(capsys, tmp_path):

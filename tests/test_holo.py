@@ -15,7 +15,6 @@ from monogenica import (
 from monogenica import holo
 from monogenica.holo import (
     DerivativeStack,
-    HoloSum,
     NonFiniteIntegrand,
     parse_complex,
     parse_int,
@@ -30,7 +29,9 @@ STACK_FNS = {
     "cos": HoloFn.cos(amp=2.0, scale=0.9j),
     "poly": HoloFn.poly([1.0, -2.0, 0.5j, 1.0, 0.25 - 0.5j], scale=1.1, shift=-0.2),
     "series": HoloFn.series(0.5, [1.0, 2.0, -1.0, 0.25, 1j, -0.3], radius=10.0, amp=1j),
-    "sum": HoloSum((HoloFn.exp(scale=0.5), HoloFn.poly([0.0, 1.0, 3.0]), HoloFn.cos())),
+    # a cos(0.5 xi + 0.3) = a cos(0.3) cos(0.5 xi) - a sin(0.3) sin(0.5 xi):
+    # a sum of a sin and a cos as one function.
+    "sum": HoloFn.cos(amp=0.5 + 1j, scale=0.5, shift=0.3),
 }
 
 
@@ -138,7 +139,9 @@ class TestStackedKernel:
         STACK_FNS["sum"],
         HoloFn.zero(),
         STACK_FNS["exp"],
-        HoloSum((STACK_FNS["series"], HoloSum((HoloFn.sin(), STACK_FNS["cos"])))),
+        # A second series, at orders beyond its degree.
+        HoloFn.series(-0.3j, [0.5, -1.0, 0.25j, 2.0, 0.1, 0.3 - 0.2j, 0.05, -0.02j], radius=8.0,
+                      scale=0.9 - 0.2j, shift=0.2),
     ]
 
     @pytest.mark.parametrize("lo", [0, 2])
@@ -178,11 +181,10 @@ class TestStackedKernel:
         [
             (HoloFn.series(0.0, [1.0, 1.0], radius=1.0), 0),
             (HoloFn.series(0.0, [1.0, 1.0], radius=1.0, scale=2.0), 0),
-            (HoloSum((HoloFn.exp(), HoloFn.series(0.0, [1.0, 1.0], radius=1.0))), 0),
             # Orders 2.. of a linear series vanish; the domain still counts.
             (HoloFn.series(0.0, [1.0, 1.0], radius=1.0), 2),
         ],
-        ids=["plain", "scaled", "in-sum", "vanishing-orders"],
+        ids=["plain", "scaled", "vanishing-orders"],
     )
     def test_series_out_of_domain_raises(self, row, lo):
         ok = HoloFn.series(0.0, [1.0, 2.0, 3.0], radius=10.0)
@@ -204,7 +206,7 @@ class TestStackNeighbours:
     """A row's bits, and the domain error a stack raises, do not depend on the other rows."""
 
     # Row orders of ROWS: as listed, reversed, grouped by kind, and shuffled;
-    # every kind interleaved, HoloSum rows, a repeated exp and the zero poly.
+    # every kind interleaved, two series, a repeated exp and the zero poly.
     PERMUTATIONS = [
         list(range(9)),
         list(range(8, -1, -1)),
@@ -252,19 +254,12 @@ class TestStackNeighbours:
         for rows, first in (
             ([HoloFn.poly([1.0, 2.0]), a, HoloFn.exp(), b, HoloFn.sin()], "a"),
             ([HoloFn.exp(), b, HoloFn.poly([1.0, 2.0]), HoloFn.cos(), a], "b"),
-            ([HoloFn.sin(), HoloSum((HoloFn.exp(), b)), a, HoloFn.zero(), HoloFn.exp()], "b"),
+            ([HoloFn.sin(), b, a, HoloFn.zero(), HoloFn.exp()], "b"),
         ):
             for lo in range(3):
                 with pytest.raises(HoloDomainError) as err:
                     DerivativeStack(rows, [1, 0, 2, 1, 0], lo)(xi)
                 assert str(err.value) == text[first], (first, lo)
-
-
-def _series_leaves(fns):
-    for f in fns:
-        for leaf in f.parts if isinstance(f, HoloSum) else (f,):
-            if leaf.kind == "series":
-                yield leaf
 
 
 def _outside(leaf, t):
@@ -281,8 +276,7 @@ _series = st.builds(
     st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(lambda s: abs(s) >= 0.1),
     _cplx,
 )
-_leaf = st.one_of(_series, st.just(HoloFn.exp()), st.just(HoloFn.poly([1.0, 2.0])))
-_fn = st.one_of(_leaf, st.builds(lambda a, b: HoloSum((a, b)), _leaf, _leaf))
+_fn = st.one_of(_series, st.just(HoloFn.exp()), st.just(HoloFn.poly([1.0, 2.0])))
 
 
 class TestDefaultContour:
@@ -310,10 +304,9 @@ class TestDefaultContour:
         # Safe disc of radius 0.9 about 0; the point sits 0.1 off its centre.
         c = enclosing_contour([0.1], [HoloFn.series(0.0, [1.0, 0.5], radius=1.0)])
         assert 0.8 - 1e-12 < c.radius < 0.8
-        # Scaled and shifted: f(xi) = g(2 xi + 1), disc 0.45 about -0.5,
-        # inside a HoloSum.
-        f = HoloSum((HoloFn.exp(), HoloFn.series(0.0, [1.0], radius=1.0, scale=2.0, shift=1.0)))
-        c = enclosing_contour([-0.5], [f])
+        # Scaled and shifted: f(xi) = g(2 xi + 1), disc 0.45 about -0.5.
+        f = HoloFn.series(0.0, [1.0], radius=1.0, scale=2.0, shift=1.0)
+        c = enclosing_contour([-0.5], [HoloFn.exp(), f])
         assert 0.45 - 1e-12 < c.radius < 0.45
 
     def test_no_circle_raises(self):
@@ -335,7 +328,7 @@ class TestDefaultContour:
     def test_nodes_inside_every_series_disc(self, xi, fns):
         center = np.mean(xi)
         delta = np.max(np.abs(np.array(xi) - center))
-        leaves = list(_series_leaves(fns))
+        leaves = [f for f in fns if f.kind == "series"]
         try:
             c = enclosing_contour(xi, fns)
         except HoloDomainError:
