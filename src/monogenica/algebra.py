@@ -174,7 +174,8 @@ class AlgebraSpec:
 
         Indices (3, T), rows q, s, k (0-based), and values: I_{u_s} I_s = I_s
         for every s, and the nonzero radical products.  The explicit term
-        list reads all of them, the B-coefficient levels those with q radical.
+        list and the Taylor route's Horner steps read all of them, the
+        B-coefficient levels those with q radical.
         """
         idx, y = self.products
         keep = idx[1:].min(axis=0) >= self.m

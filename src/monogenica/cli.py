@@ -4,11 +4,14 @@ A single JSON job file describes the algebra, triad, holomorphic data and
 optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
-grid writes every number as the bytes repr gives it, formatted by
-shortest.fields a block of BLOCK_ROWS rows at a time and written as bytes,
-for a new or regular out to a temporary file that replaces out when the
-CSV is complete; the coordinate text is formatted once per axis value,
-with the first block, and gathered into the rows.  The argument parser is built once per
+grid runs one pass per block of BLOCK_ROWS rows: it gathers the block's
+points from the three axes, evaluates them in one eval_explicit call,
+checks that the values are finite, formats every number as the bytes repr
+gives it (shortest.fields) and writes the rows, for a new or regular out
+to a temporary file that replaces out when the CSV is complete.  No array
+of the whole grid is made, so its size is bounded by its CSV, not by
+memory.  The coordinate text is formatted once per axis value, with the
+first block, and gathered into the rows.  The argument parser is built once per
 process, when this module is imported: in-process callers of main()
 (tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
 it once as before.
@@ -44,17 +47,21 @@ usage errors (an option the subcommand does not take, such as the former
 non-finite --point, an --h-cr, --h-pde, --tol-cr or --tol-pde that is not
 a positive finite number), a grid out that is not a path string, and a
 grid axis with a non-finite bound or extent or a count that is not a JSON
-integer from 2 to MAX_COUNT included, a grid of more than MAX_COUNT points
-and one whose arrays do not fit in memory (no CSV either way), and any
-other command whose arrays do not fit in memory (a MemoryError); 3
+integer from 2 to MAX_COUNT included, and a grid whose shortest possible
+CSV (4 (3 + 2n) bytes a point) would pass the largest file offset,
+sys.maxsize bytes (no CSV), and any command whose arrays do not fit in
+memory (a MemoryError; grid then leaves no CSV at a new or regular out); 3
 evaluation outside a holomorphic function's domain, including a scale
 whose power at a needed derivative order overflows, an integral route
 whose circle around the spectrum cannot stay inside every series' safe
 disc or whose order r has an r! beyond the float range (r >= 171), and a
 value of eval or grid that is not finite
-(data that overflow at the point; grid then writes no CSV; the integral
-route stops at its first integrand call when that is not finite); 4
-output I/O errors, a closed stdout included (main flushes stdout before it
+(data that overflow at the point; grid then leaves no CSV at a new or
+regular out, and a device or pipe keeps the blocks written before; the
+integral route stops at its first integrand call when that is not
+finite); 4 output I/O errors, a full disk and a grid out that cannot be
+opened included (grid opens out before it evaluates a block, so that
+comes before exit 3), and a closed stdout (main flushes stdout before it
 returns, and reports a broken pipe in one line, not a traceback).
 """
 
@@ -87,8 +94,8 @@ EXIT_IO = 4
 # directions plus a generic combination.
 AUDIT_PROBES = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.6180339887498949))
 
-MAX_COUNT = sys.maxsize // 8  # the largest grid count: float64 values in one array
-BLOCK_ROWS = 1024  # grid rows formatted and written at a time
+MAX_COUNT = sys.maxsize // 8  # the largest count of a grid axis: float64 values in one array
+BLOCK_ROWS = 1024  # grid rows evaluated, formatted and written at a time
 
 
 class JobError(Exception):
@@ -276,9 +283,13 @@ def cmd_grid(args) -> int:
                            f"to {MAX_COUNT})") from exc
     counts = tuple(count for _, _, count in specs)
     total = math.prod(counts)
-    if total > MAX_COUNT:
+    n = ms.algebra.n
+    # Each of a row's 3 + 2n fields takes at least 3 bytes and a separator.
+    least = total * 4 * (3 + 2 * n)
+    if least > sys.maxsize:
         raise JobError(f"bad grid spec: {' x '.join(map(str, counts))} = {total} points, "
-                       f"more than the {MAX_COUNT} float64 values one array holds")
+                       f"whose CSV of at least {least} bytes would pass the largest file "
+                       f"offset, {sys.maxsize}")
 
     out = args.out or job.get("out")
     if not out:
@@ -289,25 +300,15 @@ def cmd_grid(args) -> int:
     if not out_path.is_absolute():
         out_path = Path.cwd() / out_path
 
-    n = ms.algebra.n
     header = "x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1)) + "\n"
-    # x-major rows: x, y, z, then Re and Im of every component; the points
-    # follow meshgrid's "ij" order.
-    try:
-        axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = monogenic.eval_explicit(ms, points)
-        require_finite(values, points)
-        table = np.ascontiguousarray(values, dtype=complex).view(np.float64)
-    except MemoryError:
-        raise JobError(f"the grid's {total} points do not fit in memory") from None
+    axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
     xyz = np.concatenate(axes)
     # A new or regular out gets the CSV in a new file beside it (beside its
     # target if out is a symlink) that replaces it only when complete: a
-    # failed write leaves an earlier out as it was.  A device or a pipe
-    # (/dev/null, /dev/stdout, a link to either), and an out whose directory
-    # takes no new file, is written directly.
+    # failed write, or a block whose values are not finite, leaves an
+    # earlier out as it was.  A device or a pipe (/dev/null, /dev/stdout, a
+    # link to either), and an out whose directory takes no new file, is
+    # written directly, and keeps the blocks written before a failure.
     made = None
     try:
         if not os.path.exists(out_path) or os.path.isfile(out_path):
@@ -320,8 +321,16 @@ def cmd_grid(args) -> int:
             fh = open(out_path, "wb")
         with fh:
             fh.write(header.encode("ascii"))
+            # x-major rows: x, y, z, then Re and Im of every component.  A
+            # block's points are gathered from the axes, so no array of the
+            # whole grid is made.
             for start in range(0, total, BLOCK_ROWS):
-                block = table[start:start + BLOCK_ROWS]
+                at = np.unravel_index(np.arange(start, min(start + BLOCK_ROWS, total)), counts)
+                points = np.stack([a[i] for a, i in zip(axes, at)], axis=-1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = monogenic.eval_explicit(ms, points)
+                require_finite(values, points)
+                block = np.ascontiguousarray(values, dtype=complex).view(np.float64)
                 if start:
                     texts = shortest.fields(block)
                 else:
@@ -330,7 +339,6 @@ def cmd_grid(args) -> int:
                     texts = shortest.fields(np.concatenate([xyz, block.reshape(-1)]))
                     coords = np.split(texts[:len(xyz)], np.cumsum(counts[:-1]))
                     texts = texts[len(xyz):].reshape(block.shape + (shortest.WIDTH,))
-                at = np.unravel_index(np.arange(start, start + len(block)), counts)
                 cells = [c[i][:, None] for c, i in zip(coords, at)] + [texts]
                 fh.write(shortest.csv_rows(np.concatenate(cells, axis=1)))
         if made:

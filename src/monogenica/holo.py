@@ -169,11 +169,6 @@ def multiply_in_place(a: np.ndarray, b) -> None:
         a[...] = np.multiply(a, b)
 
 
-def series_leaves(fns: Sequence[HoloFn]) -> tuple:
-    """The series among fns: what caps a contour."""
-    return tuple(f for f in fns if f.kind == "series")
-
-
 def _derivative_coeffs(coeffs: Sequence[Sequence[complex]]) -> np.ndarray:
     """D[k, i, j]: coefficient of w^j in the k-th derivative of polynomial i.
 
@@ -452,14 +447,14 @@ def enclosing_contour(xi, fns: Sequence) -> Contour:
     (center - shift) / scale, less a rounding margin (HoloFn._safe_disc,
     built once per series).  If the cap leaves no radius above 1.1 delta,
     too little room between the circle and the points for the trapezoid
-    rule, HoloDomainError is raised.  fns may be just their series
-    (series_leaves, kept as MonogenicSpec.series_leaves).
+    rule, HoloDomainError is raised.  A function of another kind, or a
+    series that caps nothing, has no safe disc and is skipped.
     """
     points = np.asarray(xi, dtype=np.complex128).ravel().tolist()
     center = sum(points) / len(points)
     delta = max(abs(v - center) for v in points)
     radius = max(2.0 * delta, 1.0)
-    for leaf in series_leaves(fns):
+    for leaf in fns:
         if leaf._safe_disc is None:
             continue
         reach, disc, offset = leaf._safe_disc

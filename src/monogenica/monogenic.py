@@ -34,7 +34,6 @@ from .holo import (
     holo_from_dict,
     multiply_in_place,
     parse_complex,
-    series_leaves,
 )
 
 Point = tuple[float, float, float]
@@ -126,11 +125,6 @@ class MonogenicSpec:
     def value_stack(self) -> DerivativeStack:
         """F_u then G_q as rows, order 0 only: W(t) at the contour nodes."""
         return DerivativeStack(self.F + self.G, [0] * self.algebra.n)
-
-    @cached_property
-    def series_leaves(self) -> tuple:
-        """The series among F and G: what caps the contour."""
-        return series_leaves(self.F + self.G)
 
 
 def extract_components(v: Element) -> list[complex]:
@@ -232,9 +226,9 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     raises ValueError (the explicit route takes batches).  order = r gives
     the r-th Gateaux derivative Phi^(r), r = 0 the function itself.  W =
     sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from one affine map
-    (resolvent.coordinates).  The circle (enclosing_contour, capped by
-    ms.series_leaves) goes around every xi_u at once: W cancels R's poles
-    idempotent by idempotent, so they need no separate contours.  R^(r + 1)
+    (resolvent.coordinates).  The circle (enclosing_contour, capped by the
+    series among F and G) goes around every xi_u at once: W cancels R's
+    poles idempotent by idempotent, so they need no separate contours.  R^(r + 1)
     is the Neumann series sum_{u,l} E[u, l] * (t - xi_u)^(-(r + 1 + l)),
     E[u, l] = C(l + r, l) * I_u N^l with N zeta's radical part
     (resolvent.neumann_table), so the route reads no B or Q table.  The
@@ -272,7 +266,7 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     xi_v, T = Z[:m], Z[m:]
     E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
     G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)
-    contour = enclosing_contour(xi_v, ms.series_leaves)
+    contour = enclosing_contour(xi_v, ms.F + ms.G)
     stack = ms.value_stack
 
     def moments(t: np.ndarray) -> np.ndarray:
@@ -336,10 +330,7 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
     C = np.zeros((len(inv_fact), spec.n, len(pts)), dtype=np.complex128)
     C[k, rows] = np.multiply(stack(zeta[plan.owner]), inv_fact[k, None])
     # The products I_i I_j -> I_t with j radical, by t: Y[i, j, t] N_j at each point.
-    (i, j, t), y = spec.products
-    keep = j >= spec.m
-    by_t = np.argsort(t[keep], kind="stable")
-    i, j, t, y = (v[keep][by_t] for v in (i, j, t, y))
+    (i, j, t), y = spec.radical_terms
     starts = np.flatnonzero(np.diff(t, prepend=-1))
     YN = np.multiply(y[:, None], zeta[j])
     acc = C[-1]

@@ -546,18 +546,106 @@ class TestGrid:
 
     @pytest.mark.parametrize("where", ["points", "values"])
     def test_grid_too_large_to_hold_exit_2(self, capsys, monkeypatch, tmp_path, where):
+        # An axis (np.linspace) or a block's values (eval_explicit) that do
+        # not fit: main's one line, exit 2, and no CSV or temporary file.
         def too_large(*args, **kwargs):
             raise MemoryError
 
         if where == "points":
-            monkeypatch.setattr(np, "meshgrid", too_large)
+            monkeypatch.setattr(np, "linspace", too_large)
         else:
             monkeypatch.setattr(monogenic, "eval_explicit", too_large)
         out_file = tmp_path / "grid.csv"
         code, out, err = run(capsys, "grid", JOB_OK, "--out", str(out_file))
         assert code == 2
-        assert err == "error: the grid's 8 points do not fit in memory\n"
+        assert err == "error: the job does not fit in memory (MemoryError)\n"
         assert "wrote" not in out and not out_file.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_evaluates_one_block_at_a_time(self, capsys, monkeypatch, tmp_path):
+        # 11 x 11 x 11 = 1331 rows: two eval_explicit calls, of BLOCK_ROWS
+        # points and of the rest.
+        from monogenica import cli
+
+        sizes = []
+        eval_explicit = monogenic.eval_explicit
+
+        def counted(ms, points, *args, **kwargs):
+            sizes.append(len(points))
+            return eval_explicit(ms, points, *args, **kwargs)
+
+        monkeypatch.setattr(monogenic, "eval_explicit", counted)
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"] = {a: [-0.5, 0.5, 11] for a in "xyz"}
+        out_file = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        assert code == 0 and sizes == [cli.BLOCK_ROWS, 1331 - cli.BLOCK_ROWS]
+        assert out_file.read_text().count("\n") == 1332
+
+    def test_grid_peak_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
+        # The tracemalloc peak of a 40^3 grid on alg_r5 (63 blocks) stays
+        # near that of a 16^3 grid (4 blocks): one block is held at a time.
+        import tracemalloc
+
+        def peak(count):
+            job = grid_job("r5")
+            job["grid"] = {a: [-0.5, 0.5, count] for a in "xyz"}
+            path = write_job(tmp_path, job)
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "grid", path, "--out", str(tmp_path / "grid.csv"))
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # builds the formatter's table, which a process keeps
+        (small_code, small), (large_code, large) = peak(16), peak(40)
+        assert small_code == large_code == 0
+        assert large <= 1.5 * small
+
+    def test_late_non_finite_block_keeps_the_old_csv(self, capsys, tmp_path):
+        # 11 x 11 x 11 = 1331 rows; exp overflows from x = 720 on, row 1089,
+        # in the second block: the first block was written to the temporary
+        # file, which is removed, and the earlier CSV keeps its bytes.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"] = {"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]}
+        out_file = tmp_path / "grid.csv"
+        out_file.write_bytes(b"an earlier csv\n")
+        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        assert code == 3 and out == ""
+        assert err == "error: the value at (720.0, -1.0, -1.0) is not finite: the data overflow there\n"
+        assert out_file.read_bytes() == b"an earlier csv\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "job.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_late_non_finite_block_in_a_fifo_keeps_the_rows_written(self, capsys, tmp_path):
+        # A pipe cannot take back what it was sent: the header and the first
+        # block's 1024 rows reach the reader, then exit 3.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"] = {"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]}
+        path = write_job(tmp_path, job)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, err = run(capsys, "grid", path, "--out", str(fifo))
+        reader.join(timeout=60)
+        assert code == 3 and "(720.0, -1.0, -1.0) is not finite" in err
+        assert got and got[0].count(b"\n") == 1 + 1024
+
+    def test_unwritable_out_comes_before_overflowing_data(self, capsys, tmp_path):
+        # out is opened before the first block is evaluated: exit 4, not 3.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["grid"]["x"] = [700, 800, 2]
+        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out",
+                             "/nonexistent-dir/x.csv")
+        assert code == 4 and out == ""
+        assert err == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "check", "eval", "grid"])
