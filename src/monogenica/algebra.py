@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -222,20 +222,6 @@ class AlgebraSpec:
         e[: self.m] = 1.0
         return e
 
-    def basis(self, k: int) -> Element:
-        """Basis vector I_k, 1-based."""
-        e = np.zeros(self.n, dtype=np.complex128)
-        e[k - 1] = 1.0
-        return e
-
-    def element(self, coeffs: Sequence[complex]) -> Element:
-        v = np.asarray(coeffs, dtype=np.complex128)
-        if v.shape != (self.n,):
-            raise AlgebraError(f"expected {self.n} coefficients, got {v.shape}")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise AlgebraError("non-finite coefficient")
-        return v
-
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, a: Element, b: Element) -> Element:
@@ -255,17 +241,6 @@ class AlgebraSpec:
         out = np.array(a, dtype=np.complex128)
         for _ in range(k - 1):
             out = self.multiply(out, a)
-        return out
-
-    def functional_f(self, u: int, a: Element) -> complex:
-        """The multiplicative functional f_u: read the u-th coordinate."""
-        if not 1 <= u <= self.m:
-            raise AlgebraError(f"functional index {u} outside [1, {self.m}]")
-        return complex(a[u - 1])
-
-    def radical_project(self, a: Element) -> Element:
-        out = a.astype(np.complex128, copy=True)
-        out[: self.m] = 0.0
         return out
 
     def mult_matrix(self, a: Element) -> np.ndarray:

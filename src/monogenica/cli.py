@@ -10,8 +10,9 @@ checks that the values are finite, formats every number as the bytes repr
 gives it (shortest.fields) and writes the rows, for a new or regular out
 to a temporary file that replaces out when the CSV is complete.  No array
 of the whole grid is made, so its size is bounded by its CSV, not by
-memory.  The coordinate text is formatted once per axis value, with the
-first block, and gathered into the rows.  The argument parser is built once per
+memory.  Each axis value is formatted once, before the block loop, and
+every block gathers its x, y and z text from those per-axis tables, so
+every block runs the same body.  The argument parser is built once per
 process, when this module is imported: in-process callers of main()
 (tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
 it once as before.
@@ -28,6 +29,11 @@ spectrum, special sums the Taylor series in the algebra's radical.  The
 integral route has one contour rule (holo.contour_integrate) and no
 option of its own.  --compare prints the largest explicit-vs-integral
 deviation of the value at any order.
+
+Every value the command line prints, in eval's U_k lines, check's
+ZeroAt line and grid's CSV, is the text repr gives its float, so that
+float(text) gives back the computed bits; only error magnitudes (check's
+residuals and eval's --compare deviation) print as %.3e.
 
 A malformed job is rejected where its input is read, with exit 2.  Every
 number in a job file is read by one of holo's three readers: parse_real (a
@@ -192,10 +198,6 @@ def require_finite(values: np.ndarray, points) -> None:
         raise HoloDomainError(f"the value at {point} is not finite: the data overflow there")
 
 
-def _fmt_c(c: complex) -> str:
-    return f"{c.real:.15g} {c.imag:+.15g}i"
-
-
 def _status(ok: bool, label: str, detail: str = "") -> bool:
     tail = f"  ({detail})" if detail else ""
     print(f"{'PASS' if ok else 'FAIL'} {label}{tail}")
@@ -255,7 +257,8 @@ def cmd_eval(args) -> int:
             return EXIT_FAIL
     require_finite(np.stack([explicit, integral]) if args.compare else value, [point])
     for k, c in enumerate(monogenic.extract_components(value), start=1):
-        print(f"U_{k} = {_fmt_c(c)}")
+        im = repr(c.imag)
+        print(f"U_{k} = {c.real!r} {im if im.startswith('-') else '+' + im}i")
     if args.compare:
         print(f"max cross-method deviation = {dev:.3e}")
     return EXIT_OK
@@ -302,7 +305,10 @@ def cmd_grid(args) -> int:
 
     header = "x,y,z," + ",".join(f"Re_U{k},Im_U{k}" for k in range(1, n + 1)) + "\n"
     axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
-    xyz = np.concatenate(axes)
+    # Each axis value's text, formatted once: a (count, WIDTH) table of
+    # NUL-padded fields per axis, from which every block gathers its rows'.
+    coords = [np.fromiter(map(float.__repr__, a), dtype=f"S{shortest.WIDTH}", count=len(a))
+              .view(np.uint8).reshape(-1, shortest.WIDTH) for a in axes]
     # A new or regular out gets the CSV in a new file beside it (beside its
     # target if out is a symlink) that replaces it only when complete: a
     # failed write, or a block whose values are not finite, leaves an
@@ -331,15 +337,7 @@ def cmd_grid(args) -> int:
                     values = monogenic.eval_explicit(ms, points)
                 require_finite(values, points)
                 block = np.ascontiguousarray(values, dtype=complex).view(np.float64)
-                if start:
-                    texts = shortest.fields(block)
-                else:
-                    # Each axis value is formatted once, in the first
-                    # block's call; a row gathers its x, y and z.
-                    texts = shortest.fields(np.concatenate([xyz, block.reshape(-1)]))
-                    coords = np.split(texts[:len(xyz)], np.cumsum(counts[:-1]))
-                    texts = texts[len(xyz):].reshape(block.shape + (shortest.WIDTH,))
-                cells = [c[i][:, None] for c, i in zip(coords, at)] + [texts]
+                cells = [c[i][:, None] for c, i in zip(coords, at)] + [shortest.fields(block)]
                 fh.write(shortest.csv_rows(np.concatenate(cells, axis=1)))
         if made:
             os.replace(made, target)
@@ -416,7 +414,7 @@ def cmd_check(args) -> int:
 
         scan = pde_mod.p_nonvanishing_scan(pde)
         if isinstance(scan, pde_mod.ZeroAt):
-            print(f"P(a,b) scan: ZeroAt({scan.a:g}, {scan.b:g})")
+            print(f"P(a,b) scan: ZeroAt({scan.a!r}, {scan.b!r})")
         else:
             print("P(a,b) scan: NoZeroFound")
 

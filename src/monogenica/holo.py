@@ -92,10 +92,6 @@ class HoloFn:
     def zero(cls) -> "HoloFn":
         return cls("poly", coeffs=())
 
-    @classmethod
-    def square(cls) -> "HoloFn":
-        return cls("poly", coeffs=(0.0, 0.0, 1.0))
-
     # -- evaluation ------------------------------------------------------
 
     def _series_arg(self, w):

@@ -315,13 +315,14 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
-    spec, triad = ms.algebra, ms.triad
+    spec = ms.algebra
     plan = spec.explicit_plan
     pts = np.asarray(p, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
-    # The coordinates of zeta, one column per point: the xi_u, then N.
-    zeta = (pts[:, :1] * spec.unit() + pts[:, 1:2] * triad.a_vec + pts[:, 2:] * triad.b_vec).T
+    # The coordinates of zeta, one column per point, from the one affine
+    # map of every route: the xi_u, then N.
+    zeta = rsv.coordinates(ms.triad, spec.m, pts[:, 0], pts[:, 1], pts[:, 2]).T
     stack = ms.derivative_stack(order)
     # c_k / k! at C[k, i]: entry offsets[i] + k of the table is row i at order k.
     rows = plan.rows

@@ -2,8 +2,8 @@
 
 fields(values) turns every value into the bytes of repr(float(value)), each
 in a field of WIDTH bytes padded with NUL; csv_rows(cells) joins a table of
-such fields into CSV text.  These two functions are the one place where the
-command line turns a float into CSV text.
+such fields into CSV text.  fields is the vectorised form of repr, used
+for grid's value table.
 
 The digits are those of Ryu (Adams, PLDI 2018), d2d, over numpy uint64
 arrays: the shortest decimal in the value's rounding interval, the closest

@@ -4,34 +4,35 @@ import numpy as np
 import pytest
 
 from monogenica import HoloFn, MonogenicSpec, TriadSpec
-from monogenica.fixtures import load_fixture_algebra
+from monogenica.algebra import load_algebra
+from monogenica.fixtures import fixture_path
 
 SQRT3 = math.sqrt(3.0)
 
 
 @pytest.fixture(scope="session")
 def alg_ss2():
-    return load_fixture_algebra("alg_ss2")
+    return load_algebra(fixture_path("alg_ss2"))
 
 
 @pytest.fixture(scope="session")
 def alg_d2():
-    return load_fixture_algebra("alg_d2")
+    return load_algebra(fixture_path("alg_d2"))
 
 
 @pytest.fixture(scope="session")
 def alg_t4():
-    return load_fixture_algebra("alg_t4")
+    return load_algebra(fixture_path("alg_t4"))
 
 
 @pytest.fixture(scope="session")
 def alg_p2():
-    return load_fixture_algebra("alg_p2")
+    return load_algebra(fixture_path("alg_p2"))
 
 
 @pytest.fixture(scope="session")
 def alg_r5():
-    return load_fixture_algebra("alg_r5")
+    return load_algebra(fixture_path("alg_r5"))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ floating-point operations of a package function in another arrangement,
 so the tests compare their bits: xi_u and T_s as two separate sums, and
 the inverse powers of t - xi_u by cumprod over a stack of d + 1 arrays.
 The JSON writers of algebras, holomorphic functions and PDEs, which the
-package only reads, are the round-trip tests' other half.
+package only reads, are the round-trip tests' other half.  basis,
+functional_f and radical_project are element helpers only the tests use.
 """
 
 import numpy as np
@@ -30,6 +31,27 @@ class OnSpectrum(Exception):
 
 class Singular(AlgebraError):
     """Element is not invertible (some functional f_u vanishes)."""
+
+
+def basis(spec: AlgebraSpec, k: int) -> Element:
+    """Basis vector I_k, 1-based."""
+    e = np.zeros(spec.n, dtype=np.complex128)
+    e[k - 1] = 1.0
+    return e
+
+
+def functional_f(spec: AlgebraSpec, u: int, a: Element) -> complex:
+    """The multiplicative functional f_u: read the u-th coordinate."""
+    if not 1 <= u <= spec.m:
+        raise AlgebraError(f"functional index {u} outside [1, {spec.m}]")
+    return complex(a[u - 1])
+
+
+def radical_project(spec: AlgebraSpec, a: Element) -> Element:
+    """a with its idempotent coordinates set to zero."""
+    out = a.astype(np.complex128, copy=True)
+    out[: spec.m] = 0.0
+    return out
 
 
 def embed(spec: AlgebraSpec, triad: TriadSpec, p: Point) -> Element:
@@ -75,7 +97,7 @@ def invert(spec: AlgebraSpec, a: Element) -> Element:
     """
     scale = max(1.0, float(np.max(np.abs(a))))
     for u in range(1, spec.m + 1):
-        if abs(spec.functional_f(u, a)) <= 1e-14 * scale:
+        if abs(functional_f(spec, u, a)) <= 1e-14 * scale:
             raise Singular(f"f_{u}(a) = 0: element lies on line L_{u}")
     x = np.linalg.solve(spec.mult_matrix(a), spec.unit())
     residual = spec.multiply(a, x) - spec.unit()

@@ -16,7 +16,7 @@ from monogenica import (
 from monogenica.algebra import ASSOC_TOL
 
 from conftest import random_element
-from oracles import Singular, invert
+from oracles import Singular, basis, functional_f, invert, radical_project
 
 
 def poly_mod_rho4(a, b):
@@ -74,12 +74,12 @@ class TestValidation:
             for s in range(2, 5):
                 for p in range(2, 5):
                     lhs = alg_t4.multiply(
-                        alg_t4.multiply(alg_t4.basis(r), alg_t4.basis(s)),
-                        alg_t4.basis(p),
+                        alg_t4.multiply(basis(alg_t4, r), basis(alg_t4, s)),
+                        basis(alg_t4, p),
                     )
                     rhs = alg_t4.multiply(
-                        alg_t4.basis(r),
-                        alg_t4.multiply(alg_t4.basis(s), alg_t4.basis(p)),
+                        basis(alg_t4, r),
+                        alg_t4.multiply(basis(alg_t4, s), basis(alg_t4, p)),
                     )
                     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -122,7 +122,7 @@ def brute_force_assoc(spec):
     for i in range(1, spec.n + 1):
         for j in range(1, spec.n + 1):
             for p in range(1, spec.n + 1):
-                I, J, P = spec.basis(i), spec.basis(j), spec.basis(p)
+                I, J, P = basis(spec, i), basis(spec, j), basis(spec, p)
                 lhs = spec.multiply(spec.multiply(I, J), P)
                 rhs = spec.multiply(I, spec.multiply(J, P))
                 if np.max(np.abs(lhs - rhs)) > ASSOC_TOL * scale:
@@ -258,12 +258,12 @@ class TestArithmetic:
         assert np.allclose(all_algebras["alg_t4"].unit(), [1, 0, 0, 0])
 
     def test_dual_square(self, alg_d2):
-        one_plus_rho = alg_d2.element([1.0, 1.0])
+        one_plus_rho = np.array([1.0, 1.0], dtype=complex)
         sq = alg_d2.multiply(one_plus_rho, one_plus_rho)
         assert np.allclose(sq, [1.0, 2.0])
 
     def test_idempotents_orthogonal(self, alg_ss2):
-        prod = alg_ss2.multiply(alg_ss2.basis(1), alg_ss2.basis(2))
+        prod = alg_ss2.multiply(basis(alg_ss2, 1), basis(alg_ss2, 2))
         assert np.allclose(prod, 0.0)
 
     def test_t4_table_matches_truncated_polynomials(self, alg_t4, rng):
@@ -275,27 +275,27 @@ class TestArithmetic:
     def test_power(self, alg_d2, alg_t4, rng):
         a = random_element(alg_t4, rng)
         assert np.allclose(alg_t4.power(a, 0), alg_t4.unit())
-        rho = alg_d2.basis(2)
+        rho = basis(alg_d2, 2)
         assert np.allclose(alg_d2.power(rho, 2), 0.0)
-        assert np.allclose(alg_t4.power(alg_t4.basis(2), 3), alg_t4.basis(4))
+        assert np.allclose(alg_t4.power(basis(alg_t4, 2), 3), basis(alg_t4, 4))
 
     def test_functional(self, alg_ss2):
-        assert alg_ss2.functional_f(1, alg_ss2.unit()) == 1.0
-        assert alg_ss2.functional_f(2, alg_ss2.element([3.0, 5.0j])) == 5.0j
+        assert functional_f(alg_ss2, 1, alg_ss2.unit()) == 1.0
+        assert functional_f(alg_ss2, 2, np.array([3.0, 5.0j], dtype=complex)) == 5.0j
         with pytest.raises(AlgebraError):
-            alg_ss2.functional_f(3, alg_ss2.unit())
+            functional_f(alg_ss2, 3, alg_ss2.unit())
 
     def test_functional_kills_radical(self, alg_t4, rng):
-        w = alg_t4.radical_project(random_element(alg_t4, rng))
-        assert alg_t4.functional_f(1, w) == 0.0
+        w = radical_project(alg_t4, random_element(alg_t4, rng))
+        assert functional_f(alg_t4, 1, w) == 0.0
 
     def test_radical_project(self, alg_d2):
-        assert np.allclose(alg_d2.radical_project(alg_d2.unit()), 0.0)
-        assert np.allclose(alg_d2.radical_project(alg_d2.element([2.0, 7.0])), [0.0, 7.0])
+        assert np.allclose(radical_project(alg_d2, alg_d2.unit()), 0.0)
+        assert np.allclose(radical_project(alg_d2, np.array([2.0, 7.0], dtype=complex)), [0.0, 7.0])
 
     def test_radical_closed_under_product(self, alg_r5, rng):
-        w1 = alg_r5.radical_project(random_element(alg_r5, rng))
-        w2 = alg_r5.radical_project(random_element(alg_r5, rng))
+        w1 = radical_project(alg_r5, random_element(alg_r5, rng))
+        w2 = radical_project(alg_r5, random_element(alg_r5, rng))
         prod = alg_r5.multiply(w1, w2)
         assert np.allclose(prod[: alg_r5.m], 0.0)
 
@@ -303,18 +303,18 @@ class TestArithmetic:
         assert np.allclose(invert(alg_t4, alg_t4.unit()), alg_t4.unit())
 
     def test_invert_dual(self, alg_d2):
-        inv = invert(alg_d2, alg_d2.element([1j, 1.0]))
+        inv = invert(alg_d2, np.array([1j, 1.0], dtype=complex))
         assert np.max(np.abs(inv - np.array([-1j, 1.0]))) < 1e-14
 
     def test_invert_singular(self, alg_ss2):
         with pytest.raises(Singular):
-            invert(alg_ss2, alg_ss2.element([1.0, 0.0]))
+            invert(alg_ss2, np.array([1.0, 0.0], dtype=complex))
 
     def test_invert_roundtrip(self, all_algebras, rng):
         for spec in all_algebras.values():
             for _ in range(20):
                 a = random_element(spec, rng)
-                if min(abs(spec.functional_f(u, a)) for u in range(1, spec.m + 1)) <= 1e-6:
+                if min(abs(functional_f(spec, u, a)) for u in range(1, spec.m + 1)) <= 1e-6:
                     continue
                 back = spec.multiply(a, invert(spec, a))
                 assert np.max(np.abs(back - spec.unit())) < 1e-10
@@ -337,7 +337,7 @@ class TestClassify:
     def test_prop2_forces_zero_products(self, alg_p2):
         for s in range(3, 5):
             for p in range(3, 5):
-                assert np.allclose(alg_p2.multiply(alg_p2.basis(s), alg_p2.basis(p)), 0.0)
+                assert np.allclose(alg_p2.multiply(basis(alg_p2, s), basis(alg_p2, p)), 0.0)
 
     def test_prop2_with_nonzero_products_rejected(self):
         spec = AlgebraSpec.create(4, 2, [(3, 3, 4, 1.0)], {3: 1, 4: 2})
@@ -369,8 +369,8 @@ class TestAlgebraProperties:
             rhs = spec.multiply(a, spec.multiply(b, c))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
             for u in range(1, spec.m + 1):
-                fu = spec.functional_f(u, ab)
-                assert abs(fu - spec.functional_f(u, a) * spec.functional_f(u, b)) < 1e-13
+                fu = functional_f(spec, u, ab)
+                assert abs(fu - functional_f(spec, u, a) * functional_f(spec, u, b)) < 1e-13
 
     def test_unit_is_identity(self, all_algebras, rng):
         for spec in all_algebras.values():

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monogenica import monogenic
+from monogenica import monogenic, pde as pde_mod
 from monogenica.algebra import AlgebraSpec
 from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
+
+from oracles import basis
 
 
 def run(capsys, *argv):
@@ -160,6 +162,42 @@ class TestEval:
 
         v0, v1 = vals(out0), vals(out1)
         assert max(abs(x - y) for x, y in zip(v0, v1)) < 1e-8
+
+    @staticmethod
+    def assert_printed_round_trip(out, value):
+        """Each U_k line is repr of the component's parts, so its text gives back their bits."""
+        lines = re.findall(r"^U_(\d+) = (\S+) (\S+)i$", out, re.MULTILINE)
+        assert [int(k) for k, _, _ in lines] == list(range(1, len(value) + 1))
+        for (_, re_text, im_text), c in zip(lines, monogenic.extract_components(value)):
+            assert float(re_text).hex() == c.real.hex() and repr(float(re_text)) == re_text
+            im = repr(float(im_text))
+            assert float(im_text).hex() == c.imag.hex()
+            assert im_text == (im if im.startswith("-") else "+" + im)
+
+    @pytest.mark.parametrize("compare", [False, True], ids=["alone", "compare"])
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("method", ["explicit", "integral", "special"])
+    @pytest.mark.parametrize("job", [JOB_OK, JOB_T4, JOB_BAD], ids=["ss2", "t4", "broken"])
+    def test_printed_values_round_trip(self, capsys, job, method, order, compare):
+        point = (0.3, 0.4, -0.2)
+        argv = ["eval", job, "--point", *map(str, point), "--method", method, "--order", str(order)]
+        code, out, _ = run(capsys, *argv, *["--compare"] * compare)
+        assert code == 0
+        route = getattr(monogenic, f"eval_{method}")
+        self.assert_printed_round_trip(out, route(build_spec(load_job(job)), point, order=order))
+
+    @pytest.mark.parametrize("method", ["explicit", "special"])
+    def test_negative_zero_imaginary_part_prints_minus(self, capsys, tmp_path, method):
+        # amp = -1 - 0i times exp at a real xi: U_1 = -e^x - 0.0i.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["F"][0]["amp"] = [-1.0, -0.0]
+        path = write_job(tmp_path, job)
+        code, out, _ = run(capsys, "eval", path, "--point", "0.5", "0", "0", "--method", method)
+        assert code == 0
+        assert out.splitlines()[0] == f"U_1 = {-math.exp(0.5)!r} -0.0i"
+        self.assert_printed_round_trip(
+            out, getattr(monogenic, f"eval_{method}")(build_spec(load_job(path)), (0.5, 0.0, 0.0)))
 
     def test_exactly_coincident_spectrum_is_fine(self, capsys):
         # y = z = 0 collapses every xi_u to x; one circle goes around both.
@@ -586,11 +624,14 @@ class TestGrid:
     def test_grid_peak_memory_does_not_grow_with_the_grid(self, capsys, tmp_path):
         # The tracemalloc peak of a 40^3 grid on alg_r5 (63 blocks) stays
         # near that of a 16^3 grid (4 blocks): one block is held at a time.
+        # 2 x 2 x 20,000 and 40 x 20 x 100 are the same 80,000 points: the
+        # axis text is formatted once into a table of 24-byte fields, so a
+        # long axis adds its table, not the formatter's work on every value.
         import tracemalloc
 
-        def peak(count):
+        def peak(counts):
             job = grid_job("r5")
-            job["grid"] = {a: [-0.5, 0.5, count] for a in "xyz"}
+            job["grid"] = {a: [-0.5, 0.5, count] for a, count in zip("xyz", counts)}
             path = write_job(tmp_path, job)
             tracemalloc.start()
             try:
@@ -599,10 +640,11 @@ class TestGrid:
             finally:
                 tracemalloc.stop()
 
-        peak(2)  # builds the formatter's table, which a process keeps
-        (small_code, small), (large_code, large) = peak(16), peak(40)
-        assert small_code == large_code == 0
-        assert large <= 1.5 * small
+        peak((2, 2, 2))  # builds the formatter's table, which a process keeps
+        for small_counts, large_counts in [((16,) * 3, (40,) * 3), ((40, 20, 100), (2, 2, 20000))]:
+            (small_code, small), (large_code, large) = peak(small_counts), peak(large_counts)
+            assert small_code == large_code == 0
+            assert large <= 1.5 * small, (small_counts, large_counts)
 
     def test_late_non_finite_block_keeps_the_old_csv(self, capsys, tmp_path):
         # 11 x 11 x 11 = 1331 rows; exp overflows from x = 720 on, row 1089,
@@ -689,6 +731,21 @@ class TestCheck:
         assert "PASS characteristic residual" in out
         assert "P(a,b) scan: NoZeroFound" in out
         assert "PASS operator identity" in out
+
+    @pytest.mark.parametrize("terms", [[[2, 0, 0, 1.0], [0, 2, 0, -1.0]],
+                                       [[2, 0, 0, -0.5], [0, 2, 0, 1.0]]],
+                             ids=["wave-grid-zero", "wave-bisect"])
+    def test_zero_at_line_round_trips(self, capsys, tmp_path, terms):
+        # The scan's zero prints as repr of its floats: float(text) gives
+        # back p_nonvanishing_scan's bits.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        job["algebra"] = str(fixture_path(job["algebra"]))
+        job["pde"] = {"N": 2, "terms": terms}
+        _, out, _ = run(capsys, "check", write_job(tmp_path, job))
+        texts = re.search(r"^P\(a,b\) scan: ZeroAt\((\S+), (\S+)\)$", out, re.MULTILINE).groups()
+        scan = pde_mod.p_nonvanishing_scan(pde_mod.pde_from_dict(job["pde"]))
+        assert [float(t).hex() for t in texts] == [scan.a.hex(), scan.b.hex()]
+        assert [repr(float(t)) for t in texts] == list(texts)
 
     def test_broken_job_fails(self, capsys):
         code, out, _ = run(capsys, "check", JOB_BAD)
@@ -1305,7 +1362,7 @@ def laplace_c16_job():
            "upsilon": [[r, s, r + s - 1, 1.0, 0.0]
                        for r in range(2, n + 1) for s in range(r, n + 2 - r)]}
     spec = algebra_from_dict(alg)
-    e2 = 2j * spec.unit() + spec.basis(2)
+    e2 = 2j * spec.unit() + basis(spec, 2)
     x = (-spec.unit() - spec.multiply(e2, e2)) / 3.0 - spec.unit()
     e3 = np.zeros(n, dtype=complex)
     for k in range(n):

@@ -42,7 +42,7 @@ class TestHoloEval:
             assert f.eval(k, 0.0) == 1.0
 
     def test_poly_derivative(self):
-        f = HoloFn.square()
+        f = HoloFn.poly([0.0, 0.0, 1.0])
         assert f.eval(1, 2 + 1j) == 4 + 2j
         assert f.eval(2, 2 + 1j) == 2.0
         assert f.eval(3, 2 + 1j) == 0.0

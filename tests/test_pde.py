@@ -27,7 +27,7 @@ from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
 
 from conftest import fixture_triad
-from oracles import apply_operator, nonvanishing_scan, xi
+from oracles import apply_operator, functional_f, nonvanishing_scan, xi
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
 
@@ -338,7 +338,7 @@ class TestOperatorIdentity:
             scalar = sum(
                 c * a_u**beta * b_u**gamma for _, beta, gamma, c in LAPLACE.terms
             )
-            assert abs(alg_ss2.functional_f(u, res) - scalar) < 1e-13
+            assert abs(functional_f(alg_ss2, u, res) - scalar) < 1e-13
 
 
 class TestHarmonicComponents:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monogenica import MonogenicSpec, eval_explicit
-from monogenica.fixtures import load_fixture_algebra
+from monogenica import MonogenicSpec, eval_explicit, load_algebra
+from monogenica.fixtures import fixture_path
 from monogenica.holo import DerivativeStack
 
 from conftest import fixture_triad, random_triad
@@ -31,7 +31,7 @@ STACK_K = [3, 0, 6, 5, 7, 2, 1, 4, 9]
 
 def monospecs() -> dict:
     """The five fixture algebras, C[eps]/eps^16 and a General algebra, each with every kind of data."""
-    specs = {name: (load_fixture_algebra(name), fixture_triad(name)) for name in FIXTURES}
+    specs = {name: (load_algebra(fixture_path(name)), fixture_triad(name)) for name in FIXTURES}
     for name, spec in (("trunc16", truncated_poly(16)), ("general", general_cartan(np.random.default_rng(12)))):
         specs[name] = (spec, random_triad(spec, np.random.default_rng(spec.n)))
     return {name: MonogenicSpec.create(spec, triad, *mixed_data(spec)) for name, (spec, triad) in specs.items()}
