@@ -46,7 +46,6 @@ from .pde import (
 from .resolvent import (
     LineL,
     b_coeffs,
-    lemma2_audit,
     noninvertible_lines,
     q_table,
     t_coeffs,

@@ -254,10 +254,6 @@ class AlgebraSpec:
             return SpecialCase.SEMI_SIMPLE
         u_vals = [self.u_map[s] for s in range(self.m + 1, self.n + 1)]
         if len(set(u_vals)) == len(u_vals):
-            if any(abs(v) > 0 for v in self.upsilon.values()):
-                raise AlgebraError(
-                    "all u_s distinct but nilpotent products are nonzero"
-                )
             return SpecialCase.PROP2
         if len(set(u_vals)) == 1:
             return SpecialCase.PROP1
@@ -278,9 +274,9 @@ class ExplicitPlan:
     listed one product per (term, j), sorted by k: entries[t] is the table
     entry of row q at order j + 1, cells[t] the index of Q_{j+2,s} in the
     flattened (d+3, d) Q-table and weights[t] = Y[q, s, k] / (j+1)!.  The
-    products of component targets[c] start at starts[c].  Every radical
-    component has a term (I_{u_s} I_s = I_s), so targets is the slice
-    m..n - 1 on a valid algebra: a basic index, not a gather and scatter.
+    products of radical component m + c start at starts[c]: on a valid
+    algebra every radical component has a term (I_{u_s} I_s = I_s), so the
+    sums fill the components m..n - 1 in order, a basic slice.
     """
 
     owner: np.ndarray
@@ -289,7 +285,6 @@ class ExplicitPlan:
     entries: np.ndarray
     cells: np.ndarray
     weights: np.ndarray  # (products, 1)
-    targets: Union[np.ndarray, slice]
     starts: np.ndarray
 
     @cached_property
@@ -320,7 +315,6 @@ class ExplicitPlan:
             entries=offsets[q][term] + j + 1,
             cells=j * d + s1[term] + (2 * d - 1),  # (j + 2) d + s - m
             weights=(y[term] * inv_fact[j]).reshape(-1, 1),
-            targets=slice(m, spec.n) if np.array_equal(k[head], np.arange(m, spec.n)) else k[head],
             starts=first[head],
         )
 

@@ -212,7 +212,7 @@ def eval_explicit(
         terms = Q.reshape(len(pts), Q.shape[1] * Q.shape[2]).T[plan.cells]
         multiply_in_place(terms, plan.weights)
         multiply_in_place(terms, D.take(plan.entries, axis=0))
-        out[plan.targets] += np.add.reduceat(terms, plan.starts, axis=0)
+        out[spec.m :] += np.add.reduceat(terms, plan.starts, axis=0)
     return out.T.reshape(shape + (spec.n,))
 
 

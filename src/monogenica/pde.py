@@ -104,31 +104,17 @@ def characteristic_residual(spec: AlgebraSpec, triad: TriadSpec, pde: PdeSpec) -
     return out
 
 
-def p_poly(pde: PdeSpec, a: float, b: float) -> float:
-    """Scalar symbol P(a, b) = sum C * a^beta * b^gamma."""
-    return float(sum(c * a**beta * b**gamma for _, beta, gamma, c in pde.terms))
+def p_poly(terms: Sequence[tuple[int, int, int, float]], a, b):
+    """The symbol P(a, b) = sum C * a^beta * b^gamma over terms, broadcasting over a and b.
 
-
-def p_grid(pde: PdeSpec, axis: np.ndarray) -> np.ndarray:
-    """P(axis[i], axis[j]) at [i, j]: the terms (c a^beta) b^gamma summed in term order.
-
-    The sum is taken in the fewest dimensions that hold it: a term with
-    gamma = 0 is the column c a^beta, one with beta = 0 the row c b^gamma
-    (a factor x^0 = 1 changes no bit), and only a term in both variables,
-    or a row added to a column, fills the grid.  Each entry is the sum of
-    the same terms in the same order as over the full grid.  The result
-    may be a read-only broadcast view.
+    terms are (alpha, beta, gamma, C) rows, such as PdeSpec.terms.  Each
+    term is (C a^beta) b^gamma, summed in term order; a factor x^0 = 1
+    changes no bit.
     """
     P = 0.0
-    for _, beta, gamma, c in pde.terms:
-        column = c * axis**beta if beta else c
-        if gamma == 0:
-            P = P + (column[:, None] if beta else column)
-        elif beta == 0:
-            P = P + c * axis**gamma
-        else:
-            P = P + np.multiply.outer(column, axis**gamma)
-    return np.broadcast_to(P, (len(axis), len(axis)))
+    for _, beta, gamma, c in terms:
+        P = P + c * a**beta * b**gamma
+    return P
 
 
 # The grid of p_nonvanishing_scan, [-SCAN_BOX, SCAN_BOX]^2 sampled 101 times
@@ -145,13 +131,15 @@ def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
 
     Samples a uniform grid on [-SCAN_BOX, SCAN_BOX]^2, then sign-checks the
     leading homogeneous part along a circle of directions (zeros escaping
-    the box).  A reported NoZeroFound is evidence, not a proof.  The grid
-    (p_grid) is read by one argmin and one argmax: they give min P and max
-    P, hence max |P|, and where P keeps one sign the sample nearest zero;
-    only a grid on which P takes both signs (or holds a NaN) takes |P| as
-    well.
+    the box).  A reported NoZeroFound is evidence, not a proof.  Every
+    value of P, on the grid, along the directions (the top-degree terms at
+    their cosines and sines), on the ray and in the bisection, comes from
+    p_poly.  The grid is read by one argmin and one argmax: they give min P
+    and max P, hence max |P|, and where P keeps one sign the sample nearest
+    zero; only a grid on which P takes both signs (or holds a NaN) takes |P|
+    as well.
     """
-    P = p_grid(pde, _AXIS)
+    P = p_poly(pde.terms, _AXIS[:, None], _AXIS)
     k_min, k_max = int(P.argmin()), int(P.argmax())
     p_min, p_max = P.flat[k_min], P.flat[k_max]
     scale = max(1.0, -p_min, p_max)  # max(1, max |P|); a NaN compares false in both
@@ -174,18 +162,14 @@ def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
     # P takes both signs far outside any box.
     deg = max(beta + gamma for _, beta, gamma, _ in pde.terms)
     if deg > 0:
-        lead = 0.0
-        for _, beta, gamma, c in pde.terms:
-            if beta + gamma == deg:  # (c cos^beta) sin^gamma, no factor x^0 = 1
-                part = c * _COS**beta if beta else c
-                lead = lead + (part * _SIN**gamma if gamma else part)
+        lead = p_poly([t for t in pde.terms if t[1] + t[2] == deg], _COS, _SIN)
         if lead.min() < 0.0 < lead.max():
             k = int(np.argmin(lead))
             direction = np.array([np.cos(_THETA[k]), np.sin(_THETA[k])])
             r = SCAN_BOX
-            while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
+            while p_poly(pde.terms, *(r * direction)) >= 0 and r < 1e9:
                 r *= 2.0
-            if p_poly(pde, *(r * direction)) < 0:
+            if p_poly(pde.terms, *(r * direction)) < 0:
                 return _bisect(pde, np.zeros(2), r * direction, operator.ge)
     return NoZeroFound()
 
@@ -198,7 +182,7 @@ def _bisect(pde: PdeSpec, lo: np.ndarray, hi: np.ndarray, keeps_lo) -> ZeroAt:
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if keeps_lo(p_poly(pde, mid[0], mid[1]), 0):
+        if keeps_lo(p_poly(pde.terms, mid[0], mid[1]), 0):
             lo = mid
         else:
             hi = mid

@@ -28,8 +28,6 @@ from .algebra import AlgebraSpec, Element
 if TYPE_CHECKING:  # pragma: no cover
     from .monogenic import TriadSpec
 
-B_NONZERO_TOL = 1e-14
-
 
 def coordinates(triad: "TriadSpec", m: int, x, y, z) -> np.ndarray:
     """zeta's coordinates along a new last axis: xi_u, u = 1..m, then T_s, s = m+1..n.
@@ -83,17 +81,6 @@ def q_table(spec: AlgebraSpec, T: np.ndarray, B: np.ndarray) -> np.ndarray:
             "...kr,...r->...k", Q[..., 2 : si + 2, :si], B[..., :si, si]
         )
     return Q
-
-
-def lemma2_audit(spec: AlgebraSpec, T: np.ndarray, B: np.ndarray) -> list[tuple[int, int]]:
-    """Pairs (r, p) with B_{r,p} != 0 but u_r != u_p; empty for valid algebras."""
-    bad = []
-    for p in range(spec.m + 2, spec.n + 1):
-        for r in range(spec.m + 1, p):
-            if abs(B[r - spec.m - 1, p - spec.m - 1]) > B_NONZERO_TOL:
-                if spec.u_map[r] != spec.u_map[p]:
-                    bad.append((r, p))
-    return bad
 
 
 def closed_coeffs(spec: AlgebraSpec, Q: np.ndarray, power: int = 1) -> np.ndarray:

@@ -188,7 +188,7 @@ def nonvanishing_scan(pde: PdeSpec, box: float = 10.0, grid: int = 101):
         hi = axis[list(pos)]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if p_poly(pde, mid[0], mid[1]) < 0:
+            if p_poly(pde.terms, mid[0], mid[1]) < 0:
                 lo = mid
             else:
                 hi = mid
@@ -205,13 +205,13 @@ def nonvanishing_scan(pde: PdeSpec, box: float = 10.0, grid: int = 101):
             k = int(np.argmin(lead))
             direction = np.array([np.cos(theta[k]), np.sin(theta[k])])
             r = box
-            while p_poly(pde, *(r * direction)) >= 0 and r < 1e9:
+            while p_poly(pde.terms, *(r * direction)) >= 0 and r < 1e9:
                 r *= 2.0
-            if p_poly(pde, *(r * direction)) < 0:
+            if p_poly(pde.terms, *(r * direction)) < 0:
                 lo, hi = np.zeros(2), r * direction
                 for _ in range(200):
                     mid = 0.5 * (lo + hi)
-                    if p_poly(pde, mid[0], mid[1]) >= 0:
+                    if p_poly(pde.terms, mid[0], mid[1]) >= 0:
                         lo = mid
                     else:
                         hi = mid

@@ -1,4 +1,11 @@
+import cmath
+import contextlib
+import io
+import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from monogenica import (
 )
 
 from monogenica.algebra import ASSOC_TOL
+from monogenica.cli import main
 
 from conftest import random_element
 from oracles import Singular, basis, functional_f, invert, radical_project
@@ -340,9 +348,53 @@ class TestClassify:
                 assert np.allclose(alg_p2.multiply(basis(alg_p2, s), basis(alg_p2, p)), 0.0)
 
     def test_prop2_with_nonzero_products_rejected(self):
+        # I_3 I_3 = I_4 with u_3 = 1, u_4 = 2: the A2 triple (1, 3, 3) leaves I_4.
         spec = AlgebraSpec.create(4, 2, [(3, 3, 4, 1.0)], {3: 1, 4: 2})
-        with pytest.raises(AlgebraError):
-            spec.classify_special_case()
+        with pytest.raises(AlgebraError, match=r"assoc-A2 at \(1, 3, 3\): "):
+            validate_algebra(spec).raise_if_invalid()
+
+
+@st.composite
+def owner_joining_tables(draw):
+    """An algebra table with a product Y[r, s -> p], |Y| >= 1e-6, where u_p != u_r.
+
+    Every other entry is triangular and on a key of its own, so validation
+    reaches the associativity test.  (I_{u_r} I_r) I_s - I_{u_r} (I_r I_s)
+    is then Y I_p exactly: the residual of the A2 triple (u_r, r, s).
+    """
+    m, d = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    n = m + d
+    p = draw(st.integers(m + 2, n))
+    r, s = sorted(draw(st.lists(st.integers(m + 1, p - 1), min_size=2, max_size=2)))
+    u_map = {q: draw(st.integers(1, m)) for q in range(m + 1, n + 1)}
+    u_map[p] = draw(st.sampled_from([u for u in range(1, m + 1) if u != u_map[r]]))
+    size, phase = st.floats(1e-6, 1e3), st.floats(0.0, 2 * math.pi)
+    rows = {(r, s, p): cmath.rect(draw(size), draw(phase))}
+    for key in draw(st.lists(st.tuples(st.integers(m + 1, n), st.integers(m + 1, n),
+                                       st.integers(m + 2, n)), max_size=6)):
+        a, b, k = sorted(key[:2]) + [key[2]]
+        if b < k and (a, b, k) not in rows:
+            rows[a, b, k] = cmath.rect(draw(size), draw(phase))
+    return {"n": n, "m": m, "u_map": {str(q): u for q, u in u_map.items()},
+            "upsilon": [[*key, y.real, y.imag] for key, y in rows.items()]}, (u_map[r], r, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=owner_joining_tables())
+def test_products_joining_radicals_of_different_owners_are_rejected(case):
+    table, triple = case
+    with pytest.raises(AlgebraError) as info:
+        algebra_from_dict(table)
+    assert f"assoc-A2 at {triple}: " in str(info.value)
+    job = {"algebra": table, "triad": {"a": [1.0] * table["n"], "b": [0.0] * table["n"]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(job))
+        for command in ("validate", "check"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main([command, str(path)]) == 2
+            assert out.getvalue() == "" and f"assoc-A2 at {triple}: " in err.getvalue()
 
 
 coeff = st.floats(-1.0, 1.0, allow_nan=False)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monogenica import monogenic, pde as pde_mod
+from monogenica import monogenic, pde as pde_mod, resolvent
 from monogenica.algebra import AlgebraSpec
 from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
@@ -266,6 +266,26 @@ class TestEval:
         assert code == 0
         match = re.search(r"max cross-method deviation = (\S+)", out)
         assert match and float(match.group(1)) < 1e-8
+
+    def test_compare_deviation_beyond_tolerance_fails(self, capsys):
+        # The contour route's 20th derivative is off by about 1e6: the value
+        # and deviation lines stay, and a FAIL line names both figures.
+        argv = ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--method", "integral", "--order", "20"]
+        code, out, _ = run(capsys, *argv, "--compare")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 4 and len(values(out)) == 2
+        dev = float(re.fullmatch(r"max cross-method deviation = (\S+)", lines[2]).group(1))
+        fail = re.fullmatch(r"FAIL cross-method deviation  \((\S+) > tolerance (\S+)\)", lines[3])
+        assert float(fail.group(1)) == dev > 1e5 > float(fail.group(2))
+
+    def test_compare_catches_a_perturbed_explicit_route(self, capsys, monkeypatch):
+        # B scaled by 1.01 moves the explicit value only, by about 1.6e-3.
+        b_coeffs = resolvent.b_coeffs
+        monkeypatch.setattr(resolvent, "b_coeffs", lambda spec, T: 1.01 * b_coeffs(spec, T))
+        code, out, _ = run(capsys, "eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--compare")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAIL cross-method deviation  (")
 
     def test_special_at_order_1_equals_explicit(self, capsys):
         argv = ["eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--order", "1"]

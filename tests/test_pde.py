@@ -147,8 +147,8 @@ def symbols(draw):
 
 class TestSymbolScan:
     def test_p_poly_values(self):
-        assert p_poly(LAPLACE, 2.0, 3.0) == 14.0
-        assert p_poly(WAVE, 2.0, 7.0) == -3.0
+        assert p_poly(LAPLACE.terms, 2.0, 3.0) == 14.0
+        assert p_poly(WAVE.terms, 2.0, 7.0) == -3.0
 
     def test_laplace_has_no_real_zero(self):
         assert isinstance(p_nonvanishing_scan(LAPLACE), NoZeroFound)
@@ -160,7 +160,7 @@ class TestSymbolScan:
     def test_wave_zero_found(self):
         hit = p_nonvanishing_scan(WAVE)
         assert isinstance(hit, ZeroAt)
-        assert abs(p_poly(WAVE, hit.a, hit.b)) < 1e-6
+        assert abs(p_poly(WAVE.terms, hit.a, hit.b)) < 1e-6
 
     @pytest.mark.parametrize(
         "terms, expected",
@@ -205,7 +205,7 @@ class TestSymbolScan:
         pde = PdeSpec.create(2, [(0, 2, 0, 1.0), (0, 0, 2, 1.0)])
         hit = p_nonvanishing_scan(pde)
         assert isinstance(hit, ZeroAt)
-        assert abs(p_poly(pde, hit.a, hit.b)) < 1e-9
+        assert abs(p_poly(pde.terms, hit.a, hit.b)) < 1e-9
 
 
 class TestStencils:
@@ -359,12 +359,13 @@ SKEW_WAVE = PdeSpec.create(2, [(2, 0, 0, 0.7), (0, 2, 0, -1.3), (0, 1, 1, 0.3)])
 
 
 @pytest.mark.parametrize("pde", [LAPLACE, SKEW_WAVE], ids=["laplace", "skew-wave"])
-def test_p_grid_matches_meshgrid(pde):
-    # The outer products give the meshgrid form's bits.
+def test_p_poly_matches_meshgrid(pde):
+    # The broadcast form, as the scan samples its grid, gives the meshgrid
+    # form's bits.
     assert isinstance(p_nonvanishing_scan(pde), NoZeroFound if pde is LAPLACE else ZeroAt)
     axis = np.linspace(-10.0, 10.0, 101)
     A, B = np.meshgrid(axis, axis, indexing="ij")
     P = np.zeros_like(A)
     for _, beta, gamma, c in pde.terms:
         P += c * A**beta * B**gamma
-    assert np.array_equal(pde_mod.p_grid(pde, axis), P)
+    assert np.array_equal(p_poly(pde.terms, axis[:, None], axis), P)
