@@ -17,6 +17,14 @@ process, when this module is imported: in-process callers of main()
 (tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
 it once as before.
 
+Before its first block grid raises glibc's trim threshold (mallopt
+M_TRIM_THRESHOLD) to 64 MiB and its mmap threshold to 32 MiB, once per
+process (keep_freed_heap), so the memory a block frees stays mapped and
+later blocks, and later grid commands of the same process, reuse its
+pages instead of faulting them in again.  This policy holds for the rest
+of the process; it adds no option, changes no output byte, and does
+nothing where libc has no mallopt.
+
 check evaluates a job's points, their Cauchy-Riemann stencils (step
 --h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
 and Phi^(N) of the operator identity in one eval_explicit call, with one
@@ -27,8 +35,9 @@ names, on any algebra: explicit (the default) shifts every derivative
 stack by r, integral integrates W R^(r+1) r! over one circle around the
 spectrum, special sums the Taylor series in the algebra's radical.  The
 integral route has one contour rule (holo.contour_integrate) and no
-option of its own.  --compare prints the largest explicit-vs-integral
-deviation of the value at any order, and a FAIL line with exit 1 when it
+option of its own.  --compare prints the largest deviation from the
+explicit value of the integral value and of the printed one (special's
+with --method special), at any order, and a FAIL line with exit 1 when it
 exceeds QUAD_TOL (1 + max |Phi|), Phi the explicit value.
 
 Every value the command line prints, in eval's U_k lines, check's
@@ -53,7 +62,9 @@ parse/spec errors, holomorphic data, job points, usage errors (an option
 the subcommand does not take, such as the former --nodes of eval or --h
 of check), numeric options (a negative --order, a non-finite --point, an
 --h-cr, --h-pde, --tol-cr or --tol-pde that is not a positive finite
-number), a grid out that is not a path string, and a
+number, and a check step that vanishes: x, y or z +- the step equal to
+itself at a job point, or --h-pde to the power N underflowing to 0), a
+grid out that is not a path string, and a
 grid axis with a non-finite bound or extent or a count that is not a JSON
 integer from 2 to MAX_COUNT included, and a grid whose shortest possible
 CSV (4 (3 + 2n) bytes a point) would pass the largest file offset,
@@ -77,6 +88,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -100,6 +113,33 @@ EXIT_IO = 4
 
 MAX_COUNT = sys.maxsize // 8  # the largest count of a grid axis: float64 values in one array
 BLOCK_ROWS = 1024  # grid rows evaluated, formatted and written at a time
+# glibc's mallopt(3) parameters and grid's values for them.  The free heap
+# top kept mapped must exceed what one BLOCK_ROWS block frees (at its peak
+# 3.4 MB on alg_r5, n = 5, and 30 MB on C[eps]/eps^16), so that the next
+# block finds those pages mapped.  Setting it stops glibc from raising its
+# mmap threshold as large arrays are freed, so that threshold is set too, to
+# the 32 MiB cap of glibc's own adjustment: below it a block's arrays stay
+# on the heap, not in a mapping made and unmade on every block.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Raise the C allocator's trim and mmap thresholds, once per process.
+
+    glibc hands the freed top of its heap back to the kernel above 128 KiB
+    by default, so each grid block would fault in again the pages its
+    predecessor freed.  A libc without mallopt keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt (macOS), no CDLL(None) (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 class JobError(Exception):
@@ -184,6 +224,20 @@ def check_options(args) -> None:
         raise JobError(f"--point needs 3 finite numbers, got {args.point}")
 
 
+def check_step(option: str, h: float, points, power: int = 1) -> None:
+    """JobError for a stencil step that vanishes: x, y or z +- h equal to itself, or h^power 0.
+
+    Such a step samples the point itself, so every difference quotient is 0
+    or 0/0, a residual that shows nothing.
+    """
+    for p in points:
+        if any(c + h == c or c - h == c for c in p):
+            raise JobError(f"--{option} {h!r} vanishes at the point {p}: a coordinate +- the "
+                           f"step rounds to itself")
+    if h < 1 and h**power == 0:  # a power of h >= 1 cannot underflow, and may overflow
+        raise JobError(f"--{option} {h!r} vanishes: its power {power} underflows to 0")
+
+
 def require_finite(values: np.ndarray, points) -> None:
     """HoloDomainError naming the first of the points whose value is not finite.
 
@@ -236,13 +290,14 @@ def cmd_eval(args) -> int:
         try:
             value = run(args.method)
             if args.compare:
-                # The chosen route is not run a second time.
+                # The chosen route is not run a second time.  The value
+                # printed is judged too: special's, when it is the third.
                 explicit, integral = (value if m == args.method else run(m) for m in ("explicit", "integral"))
-                dev = float(np.max(np.abs(explicit - integral)))
+                dev = float(np.max(np.abs(np.stack([integral, value]) - explicit)))
         except UnstableQuadrature as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
-    require_finite(np.stack([explicit, integral]) if args.compare else value, [point])
+    require_finite(np.stack([explicit, integral, value]) if args.compare else value, [point])
     for k, c in enumerate(monogenic.extract_components(value), start=1):
         im = repr(c.imag)
         print(f"U_{k} = {c.real!r} {im if im.startswith('-') else '+' + im}i")
@@ -259,6 +314,8 @@ def cmd_grid(args) -> int:
     # Imported here, not with this module: no other command and no set-up
     # pays for it.
     from . import shortest
+
+    keep_freed_heap()
 
     job = load_job(args.job)
     ms = build_spec(job)
@@ -375,6 +432,9 @@ def cmd_check(args) -> int:
     ms = build_spec(job)
     pde = build_pde(job)
     points = job_points(job)
+    check_step("h-cr", args.h_cr, points)
+    if pde is not None:
+        check_step("h-pde", args.h_pde, points, pde.N)
     tol_cr = args.tol_cr if args.tol_cr is not None else job_tolerance(job, "cr", 1e-6)
     tol_pde = args.tol_pde if args.tol_pde is not None else job_tolerance(job, "pde", 1e-4)
     ok = True

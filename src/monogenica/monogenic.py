@@ -141,8 +141,11 @@ def eval_explicit(
     """Partial-fraction representation: exact holomorphic derivatives, no quadrature.
 
     p is one point (x, y, z), giving the (n,) element, or an (N, 3) array of
-    points, giving an (N, n) array with one row per point.  A call costs a
-    fixed number of numpy calls whatever n is, each over the whole batch:
+    points, giving an (N, n) array with one row per point.  Each numpy
+    call of a call runs over the whole batch, so their number does not
+    grow with N; it grows with the radical's dimension d = n - m in step 1
+    alone, where b_coeffs makes one pass per level of its terms and
+    q_table d - 1 einsum calls, one per column after the first:
 
     1. zeta's coordinates, the spectrum xi_u and T, from one affine map
        (resolvent.coordinates), then, if the algebra has a radical, B and

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import platform
 import re
 import stat
 import subprocess
@@ -284,6 +285,16 @@ class TestEval:
         b_coeffs = resolvent.b_coeffs
         monkeypatch.setattr(resolvent, "b_coeffs", lambda spec, T: 1.01 * b_coeffs(spec, T))
         code, out, _ = run(capsys, "eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--compare")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAIL cross-method deviation  (")
+
+    def test_compare_judges_the_printed_special_value(self, capsys, monkeypatch):
+        # Special's value 1% off, explicit and integral agreeing: the
+        # deviation is that of the printed U_k lines.
+        special = monogenic.eval_special
+        monkeypatch.setattr(monogenic, "eval_special", lambda *a, **kw: 1.01 * special(*a, **kw))
+        argv = ["eval", JOB_T4, "--point", "0.3", "0.4", "-0.2", "--method", "special", "--compare"]
+        code, out, _ = run(capsys, *argv)
         assert code == 1
         assert out.splitlines()[-1].startswith("FAIL cross-method deviation  (")
 
@@ -743,6 +754,32 @@ def test_grid_out_dev_stdout_writes_the_pipe():
     assert done.stdout.endswith("wrote 8 rows to /dev/stdout\n")
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+@pytest.mark.parametrize("name, count, bound", [("r5", 40, 2500), ("eps16", 20, 12000)])
+def test_grid_blocks_reuse_freed_pages(tmp_path, name, count, bound):
+    # With glibc's default thresholds each block's freed heap went back to
+    # the kernel: a 40^3 grid on alg_r5 (63 blocks) faulted in some 26,000
+    # to 32,000 pages more than a 2^3 grid (one block), and a 20^3 grid on
+    # C[eps]/eps^16 (8 blocks) about 34,000 more.  With the trim threshold
+    # alone the latter took 106,000 more, as its large arrays were mapped
+    # afresh on every block.  With grid's thresholds later blocks reuse the
+    # pages of the first: under 1,000 and about 6,000 more.
+    src = str(Path(monogenic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    faults = {}
+    for c in (count, 2):
+        job = grid_job(name) if name == "r5" else truncated_job(16)
+        job["grid"] = {a: [lo, hi, c] for a, (lo, hi, _) in job["grid"].items()}
+        proc = subprocess.Popen([sys.executable, "-m", "monogenica.cli", "grid",
+                                 write_job(tmp_path, job), "--out", os.devnull],
+                                stdout=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        faults[c] = usage.ru_minflt
+    assert faults[count] - faults[2] <= bound, faults
+
+
 class TestCheck:
     def test_good_job_all_pass(self, capsys):
         code, out, _ = run(capsys, "check", JOB_OK)
@@ -794,6 +831,21 @@ class TestCheck:
         assert len(cr_lines) == 3 and not set(cr_lines) & set(default.splitlines())
         assert ([line for line in out.splitlines() if "Cauchy-Riemann" not in line]
                 == [line for line in default.splitlines() if "Cauchy-Riemann" not in line])
+
+    @pytest.mark.parametrize("option, step, point", [
+        ("--h-cr", "1e-300", None), ("--h-pde", "1e-300", None), ("--h-pde", "1e-200", [0, 0, 0]),
+    ], ids=["cr-rounds-away", "pde-rounds-away", "pde-power-underflows"])
+    def test_vanishing_step_exits_2(self, capsys, tmp_path, option, step, point):
+        # 0.3 +- 1e-300 is 0.3, so every difference quotient would be 0 (a
+        # PASS on nothing) or 0/0; at the origin 1e-200 stays apart from 0,
+        # but its square, the PDE stencil's h^2, is 0.
+        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+        if point is not None:
+            job["points"] = [point]
+        code, out, err = run(capsys, "check", write_job(tmp_path, job), option, step)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} {step} vanishes") and err.count("\n") == 1
+        assert point is not None or "at the point (0.3, 0.4, -0.2)" in err
 
     def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
         # xi_2 - xi_1 = 1e-7 i, where the contour route's Phi'' does not
