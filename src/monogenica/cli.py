@@ -62,14 +62,15 @@ parse/spec errors, holomorphic data, job points, usage errors (an option
 the subcommand does not take, such as the former --nodes of eval or --h
 of check), numeric options (a negative --order, a non-finite --point, an
 --h-cr, --h-pde, --tol-cr or --tol-pde that is not a positive finite
-number, and a check step that vanishes: x, y or z +- the step equal to
-itself at a job point, or --h-pde to the power N underflowing to 0), a
-grid out that is not a path string, and a
-grid axis with a non-finite bound or extent or a count that is not a JSON
-integer from 2 to MAX_COUNT included, and a grid whose shortest possible
-CSV (4 (3 + 2n) bytes a point) would pass the largest file offset,
-sys.maxsize bytes (no CSV), and any command whose arrays do not fit in
-memory (a MemoryError; grid then leaves no CSV at a new or regular out); 3
+number, and a check step that vanishes or overflows: x, y or z +- the
+step equal to itself at a job point, or --h-pde to the power N
+underflowing to 0 or beyond the float range), a grid out that is not a
+path string, and a grid axis with a non-finite bound or extent or a count
+that is not a JSON integer from 2 to MAX_COUNT included, and a grid whose
+shortest possible CSV (4 (3 + 2n) bytes a point) would pass the largest
+file offset, sys.maxsize bytes (no CSV), and any command whose arrays do
+not fit in memory (a MemoryError; grid then leaves no CSV at a new or
+regular out); 3
 evaluation outside a holomorphic function's domain, including a scale
 whose power at a needed derivative order overflows, an integral route
 whose circle around the spectrum cannot stay inside every series' safe
@@ -225,17 +226,23 @@ def check_options(args) -> None:
 
 
 def check_step(option: str, h: float, points, power: int = 1) -> None:
-    """JobError for a stencil step that vanishes: x, y or z +- h equal to itself, or h^power 0.
+    """JobError for a stencil step that vanishes or overflows.
 
-    Such a step samples the point itself, so every difference quotient is 0
-    or 0/0, a residual that shows nothing.
+    A step vanishes when x, y or z +- h equals itself, or when h^power is
+    0: it samples the point itself, so every difference quotient is 0 or
+    0/0, a residual that shows nothing.  A step whose h^power is beyond the
+    float range leaves no scale to divide the stencil's sum by.
     """
     for p in points:
         if any(c + h == c or c - h == c for c in p):
             raise JobError(f"--{option} {h!r} vanishes at the point {p}: a coordinate +- the "
                            f"step rounds to itself")
-    if h < 1 and h**power == 0:  # a power of h >= 1 cannot underflow, and may overflow
-        raise JobError(f"--{option} {h!r} vanishes: its power {power} underflows to 0")
+    try:
+        if h**power == 0:
+            raise JobError(f"--{option} {h!r} vanishes: its power {power} underflows to 0")
+    except OverflowError:  # a float power raises rather than return inf
+        raise JobError(f"--{option} {h!r} overflows: its power {power} is beyond the float "
+                       f"range") from None
 
 
 def require_finite(values: np.ndarray, points) -> None:
@@ -402,7 +409,7 @@ def cmd_grid(args) -> int:
 
 
 def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
-                  pde: pde_mod.PdeSpec | None = None, h_pde: float = 1e-3):
+                  pde: pde_mod.PdeSpec | None = None, h_pde: float = pde_mod.H_PDE):
     """Values, CR residuals and (with a pde) PDE residuals and Phi^(N) from one eval_explicit call.
 
     The batch is the points, then cr_stencil(pts, h_cr), then, with a pde,
@@ -520,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser = sub.add_parser("check", parents=[common], help="run residual checks")
     check_parser.add_argument("--tol-cr", type=float, default=None)
     check_parser.add_argument("--tol-pde", type=float, default=None)
-    check_parser.add_argument("--h-cr", type=float, default=1e-5,
+    check_parser.add_argument("--h-cr", type=float, default=monogenic.H_CR,
                          help="finite-difference step of the Cauchy-Riemann stencil")
-    check_parser.add_argument("--h-pde", type=float, default=1e-3,
+    check_parser.add_argument("--h-pde", type=float, default=pde_mod.H_PDE,
                          help="finite-difference step of the PDE stencil")
     return parser
 

@@ -349,6 +349,7 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
 # -- differential checks ---------------------------------------------------------
 
 
+H_CR = 1e-5  # the default step of the Cauchy-Riemann stencil (check --h-cr)
 _CR_OFFSETS = np.array([
     (1, 0, 0), (-1, 0, 0),
     (0, 1, 0), (0, -1, 0),
@@ -369,7 +370,7 @@ def cr_stencil(p: Union[Point, np.ndarray], h: float) -> np.ndarray:
 def cr_residual(
     ms: MonogenicSpec,
     p: Union[Point, np.ndarray],
-    h: float = 1e-5,
+    h: float = H_CR,
     values: np.ndarray | None = None,
 ) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).

@@ -192,6 +192,9 @@ def _bisect(pde: PdeSpec, lo: np.ndarray, hi: np.ndarray, keeps_lo) -> ZeroAt:
 # -- finite-difference machinery -------------------------------------------------
 
 
+H_PDE = 1e-3  # the default step of the PDE stencil (check --h-pde)
+
+
 def central_stencil(order: int) -> tuple[range, list[float]]:
     """Offsets and weights of the O(h^2) central stencil for d^order/dx^order.
 
@@ -230,7 +233,7 @@ def pde_residual(
     ms: MonogenicSpec,
     pde: PdeSpec,
     p: Union[Point, np.ndarray],
-    h: float = 1e-3,
+    h: float = H_PDE,
     values: np.ndarray | None = None,
 ) -> Element:
     """Discrete L_N applied to the components of the monogenic function.
@@ -252,7 +255,7 @@ def operator_identity_check(
     ms: MonogenicSpec,
     pde: PdeSpec,
     p: Point,
-    h: float = 1e-3,
+    h: float = H_PDE,
     discrete: Element | None = None,
     char: Element | None = None,
     derivative: Element | None = None,

@@ -20,7 +20,7 @@ import numpy as np
 
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
 from monogenica.holo import DerivativeStack, HoloFn
-from monogenica.monogenic import Point, TriadSpec, stencil_points
+from monogenica.monogenic import MonogenicSpec, Point, TriadSpec, stencil_points
 from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
 from monogenica.resolvent import assemble_closed, b_coeffs, coordinates, q_table, t_coeffs
 
@@ -81,6 +81,23 @@ def t_sum(spec: AlgebraSpec, triad: TriadSpec, y, z) -> np.ndarray:
     """T_s = y*a_s + z*b_s for s = m+1..n, along a new last axis."""
     y, z = (np.asarray(v)[..., None] for v in (y, z))
     return y * triad.a_vec[spec.m :] + z * triad.b_vec[spec.m :]
+
+
+def wrong_xi_values(ms: MonogenicSpec, q: Point) -> Element:
+    """Negative control on alg_p2: Phi at q with each G_s fed the other idempotent's xi.
+
+    G_3 belongs to xi_1 and G_4 to xi_2; swapped, the values are no longer
+    monogenic, so their Cauchy-Riemann residuals must be large.
+    """
+    F, G = ms.F, ms.G
+    xi_v = spectrum(ms.triad, ms.algebra.m, *q)
+    T = t_coeffs(ms.algebra, ms.triad, q[1], q[2])
+    out = np.zeros(4, dtype=np.complex128)
+    out[0] = F[0].eval(0, xi_v[0])
+    out[1] = F[1].eval(0, xi_v[1])
+    out[2] = G[0].eval(0, xi_v[1]) + T[0] * F[0].eval(1, xi_v[0])
+    out[3] = G[1].eval(0, xi_v[0]) + T[1] * F[1].eval(1, xi_v[1])
+    return out
 
 
 def stacked_inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:

@@ -36,7 +36,8 @@ from monogenica.pde import LAPLACE
 from monogenica.resolvent import b_coeffs
 
 from conftest import fixture_triad, random_triad
-from oracles import embed, invert, resolvent_closed, resolvent_recurrence, spectrum
+from oracles import (embed, invert, resolvent_closed, resolvent_recurrence, spectrum,
+                     wrong_xi_values)
 from test_monogenic import truncated_poly
 from test_pde import ORDER3, ORDER5, ORDER5_TRIAD
 from test_resolvent import geometric_series_resolvent
@@ -180,19 +181,9 @@ def test_criterion_5_cauchy_riemann(all_monospecs, alg_p2):
     F = [HoloFn.exp(), HoloFn.sin()]
     G = [HoloFn.sin(), HoloFn.cos()]
     ms = MonogenicSpec.create(alg_p2, triad, F, G)
-
-    def broken(q):
-        xi_v = spectrum(triad, alg_p2.m, *q)
-        T = t_coeffs(alg_p2, triad, q[1], q[2])
-        out = np.zeros(4, dtype=np.complex128)
-        out[0] = F[0].eval(0, xi_v[0])
-        out[1] = F[1].eval(0, xi_v[1])
-        out[2] = G[0].eval(0, xi_v[1]) + T[0] * F[0].eval(1, xi_v[0])
-        out[3] = G[1].eval(0, xi_v[0]) + T[1] * F[1].eval(1, xi_v[1])
-        return out
-
     stencil = cr_stencil((0.4, 0.8, -0.3), 1e-5)
-    ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=np.array([broken(tuple(q)) for q in stencil]))
+    values = np.array([wrong_xi_values(ms, tuple(q)) for q in stencil])
+    ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
     control = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
     report(
         "criterion 5: Cauchy-Riemann residuals plus negative control",

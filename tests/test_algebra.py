@@ -54,6 +54,10 @@ class TestValidation:
         report = validate_algebra(spec)
         assert any(v.kind == "triangularity" for v in report.violations)
 
+    def test_more_idempotents_than_dimensions_rejected(self):
+        with pytest.raises(AlgebraError, match=r"need 1 <= m <= n, got n=2, m=3"):
+            AlgebraSpec.create(2, 3)
+
     def test_missing_u_map_rejected(self):
         # Rule 3 demands a unique acting idempotent for every radical index.
         spec = AlgebraSpec.create(2, 1, [], {})
@@ -286,6 +290,14 @@ class TestArithmetic:
         rho = basis(alg_d2, 2)
         assert np.allclose(alg_d2.power(rho, 2), 0.0)
         assert np.allclose(alg_t4.power(basis(alg_t4, 2), 3), basis(alg_t4, 4))
+
+    def test_multiply_rejects_a_wrong_shape(self, alg_t4):
+        with pytest.raises(AlgebraError, match="dimension mismatch"):
+            alg_t4.multiply(alg_t4.unit(), np.ones(3, dtype=complex))
+
+    def test_negative_power_rejected(self, alg_t4):
+        with pytest.raises(AlgebraError, match="negative power"):
+            alg_t4.power(alg_t4.unit(), -1)
 
     def test_functional(self, alg_ss2):
         assert functional_f(alg_ss2, 1, alg_ss2.unit()) == 1.0

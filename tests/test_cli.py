@@ -59,13 +59,30 @@ def grid_job(name):
     return job
 
 
-def cos_job(tmp_path):
-    """job_laplace_ss2 with F_1 = cos(60 xi), written to tmp_path."""
-    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-    job["F"][0] = {"kind": "cos", "scale": COS_SCALE}
-    path = tmp_path / "cos.json"
-    path.write_text(json.dumps(job))
-    return str(path)
+LAPLACE_JOB = json.loads(fixture_path("job_laplace_ss2.json").read_text())
+
+
+def laplace_job(tmp_path, pin=False, **changes):
+    """job_laplace_ss2.json with top-level keys replaced by changes, written to tmp_path.
+
+    A change to None removes its key.  pin replaces the bare algebra name by
+    the bundled file's path; without it the command falls back from the
+    name to the bundled fixtures.  Returns the job file's path.
+    """
+    job = dict(LAPLACE_JOB, **changes)
+    if pin:
+        job["algebra"] = str(fixture_path(job["algebra"]))
+    return write_job(tmp_path, {key: value for key, value in job.items() if value is not None})
+
+
+def bad_grid_error(capsys, tmp_path, grid):
+    """The error line of grid on job_laplace_ss2 with this grid: exit 2, a bad grid spec, no CSV."""
+    out_file = tmp_path / "grid.csv"
+    path = laplace_job(tmp_path, pin=True, grid=grid)
+    code, out, err = run(capsys, "grid", path, "--out", str(out_file))
+    assert code == 2 and err.startswith("error: bad grid spec")
+    assert "wrote" not in out and not out_file.exists()
+    return err
 
 
 class TestValidate:
@@ -190,10 +207,8 @@ class TestEval:
     @pytest.mark.parametrize("method", ["explicit", "special"])
     def test_negative_zero_imaginary_part_prints_minus(self, capsys, tmp_path, method):
         # amp = -1 - 0i times exp at a real xi: U_1 = -e^x - 0.0i.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["F"][0]["amp"] = [-1.0, -0.0]
-        path = write_job(tmp_path, job)
+        path = laplace_job(tmp_path, pin=True,
+                           F=[dict(LAPLACE_JOB["F"][0], amp=[-1.0, -0.0]), LAPLACE_JOB["F"][1]])
         code, out, _ = run(capsys, "eval", path, "--point", "0.5", "0", "0", "--method", method)
         assert code == 0
         assert out.splitlines()[0] == f"U_1 = {-math.exp(0.5)!r} -0.0i"
@@ -211,11 +226,8 @@ class TestEval:
 
     def test_near_coincident_spectrum_exit_code(self, capsys, tmp_path):
         # xi_1 and xi_2 a hair apart share one circle.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["triad"]["a"] = [[0.0, 1.0], [1e-11, 1.0]]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        argv = ["eval", str(path), "--point", "0.5", "1.0", "0.0"]
+        path = laplace_job(tmp_path, triad=dict(LAPLACE_JOB["triad"], a=[[0.0, 1.0], [1e-11, 1.0]]))
+        argv = ["eval", path, "--point", "0.5", "1.0", "0.0"]
         code, out, err = run(capsys, *argv, "--method", "integral")
         assert code == 0 and not err
         explicit = values(run(capsys, *argv)[1])
@@ -224,7 +236,7 @@ class TestEval:
     def test_unconverged_quadrature_fails(self, capsys, tmp_path):
         # cos(60 t) reaches e^60 on the circle, so rounding alone keeps
         # successive rules apart by far more than the tolerance.
-        path = cos_job(tmp_path)
+        path = laplace_job(tmp_path, F=[{"kind": "cos", "scale": COS_SCALE}, LAPLACE_JOB["F"][1]])
         code, out, err = run(
             capsys, "eval", path, "--point", "0.3", "1e-6", "0", "--order", "3",
             "--method", "integral",
@@ -238,7 +250,7 @@ class TestEval:
         # The explicit route (the default) needs no contour, so it gives
         # Phi^(3) = (F_1^(3)(xi_1), F_2^(3)(xi_2)) where the integral route
         # does not converge.
-        path = cos_job(tmp_path)
+        path = laplace_job(tmp_path, F=[{"kind": "cos", "scale": COS_SCALE}, LAPLACE_JOB["F"][1]])
         code, out, err = run(capsys, "eval", path, "--point", "0.3", y, "0", "--order", "3")
         assert code == 0 and not err
         xi = 0.3 + float(y) * np.array([2j, 1j])
@@ -315,9 +327,8 @@ class TestEval:
             "F": [{"kind": "exp"}, {"kind": "sin"}],
             "G": [{"kind": "cos"}, {"kind": "exp"}, {"kind": "sin"}],
         }
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        argv = ["eval", str(path), "--point", "0.1", "0.2", "0.3"]
+        path = write_job(tmp_path, job)
+        argv = ["eval", path, "--point", "0.1", "0.2", "0.3"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(values(out)) == 5
         explicit = values(out)
@@ -337,9 +348,8 @@ class TestEval:
                    "coeffs": [1.0, 0.5, 0.25, 0.125]}],
             "G": [{"kind": "exp"}],
         }
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        argv = ["eval", str(path), "--point"] + [str(v) for v in point]
+        path = write_job(tmp_path, job)
+        argv = ["eval", path, "--point"] + [str(v) for v in point]
         code, explicit, _ = run(capsys, *argv)
         assert code == 0
         code, out, err = run(capsys, *argv, "--method", "integral")
@@ -356,9 +366,8 @@ class TestEval:
                   {"kind": "exp"}],
             "G": [],
         }
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        argv = ["eval", str(path), "--point", "0", "1", "1"]
+        path = write_job(tmp_path, job)
+        argv = ["eval", path, "--point", "0", "1", "1"]
         assert run(capsys, *argv)[0] == 0
         code, out, err = run(capsys, *argv, "--method", "integral")
         assert code == 3
@@ -386,13 +395,15 @@ class TestGrid:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_grid_without_out_fails(self, capsys, tmp_path):
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        del job["out"]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, _, err = run(capsys, "grid", str(path))
+        code, _, err = run(capsys, "grid", laplace_job(tmp_path, out=None))
         assert code == 2
         assert "no output path" in err
+
+    def test_relative_out_is_resolved_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "grid", JOB_OK, "--out", "rel.csv")
+        assert code == 0 and out == f"wrote 8 rows to {Path.cwd() / 'rel.csv'}\n"
+        assert (tmp_path / "rel.csv").read_text().count("\n") == 9
 
     def test_grid_io_error(self, capsys):
         code, _, err = run(capsys, "grid", JOB_OK, "--out", "/nonexistent-dir/x.csv")
@@ -408,55 +419,29 @@ class TestGrid:
     def test_non_finite_axis_exit_2(self, capsys, tmp_path, axis):
         # json writes and reads -Infinity and NaN; hi - lo = 3.4e308 overflows;
         # a JSON integer of 401 digits has no float.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"]["x"] = axis
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        out_file = tmp_path / "grid.csv"
-        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
-        assert code == 2
-        assert err.startswith("error: bad grid spec")
-        assert "wrote" not in out and not out_file.exists()
+        bad_grid_error(capsys, tmp_path, dict(LAPLACE_JOB["grid"], x=axis))
 
     @pytest.mark.parametrize("count", [2**63, sys.maxsize, 2**64])
     def test_count_beyond_any_array_exit_2(self, capsys, tmp_path, count):
         # np.linspace raises IndexError, not ValueError, near 2**63.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"]["x"] = [-1, 1, count]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        out_file = tmp_path / "grid.csv"
-        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
-        assert code == 2
-        assert err.startswith("error: bad grid spec") and "count" in err
-        assert "wrote" not in out and not out_file.exists()
+        err = bad_grid_error(capsys, tmp_path, dict(LAPLACE_JOB["grid"], x=[-1, 1, count]))
+        assert "count" in err
 
     @pytest.mark.parametrize("count", [2.9, "3", True, 3.0],
                              ids=["fraction", "string", "bool", "float"])
     def test_non_integer_count_exit_2(self, capsys, tmp_path, count):
         # A count that is not a JSON integer was truncated by int().
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"]["y"] = [-1, 1, count]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        out_file = tmp_path / "grid.csv"
-        code, out, err = run(capsys, "grid", str(path), "--out", str(out_file))
-        assert code == 2
-        assert err.startswith("error: bad grid spec") and "count" in err
-        assert "wrote" not in out and not out_file.exists()
+        err = bad_grid_error(capsys, tmp_path, dict(LAPLACE_JOB["grid"], y=[-1, 1, count]))
+        assert "count" in err
 
     @pytest.mark.parametrize("name", ["t4", "r5"])
     def test_grid_csv_bytes(self, capsys, tmp_path, name):
         # 2 x 3 x 4 on asymmetric negative ranges: the grid is not cubic, so
         # rows in any order but x-major give other bytes.
         job = grid_job(name)
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
+        path = write_job(tmp_path, job)
         out_file = tmp_path / "grid.csv"
-        code, out, _ = run(capsys, "grid", str(path), "--out", str(out_file))
+        code, out, _ = run(capsys, "grid", path, "--out", str(out_file))
         assert code == 0 and out.startswith("wrote 24 rows")
 
         xs, ys, zs = (np.linspace(*job["grid"][a]).tolist() for a in "xyz")
@@ -474,20 +459,17 @@ class TestGrid:
         # 11 x 11 x 11 = 1331 rows, more than one block of BLOCK_ROWS; the
         # values near 1e20 and 1e-7 print as d.ddde+XX and d.ddde-XX, the
         # coordinates positionally.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["F"] = [{"kind": "poly", "coeffs": [[1e20, -3e19], 7e19]},
-                    {"kind": "poly", "coeffs": [1e-7, [2e-8, 5e-8]]}]
-        job["grid"] = {"x": [-0.7, 0.3, 11], "y": [-0.45, 0.55, 11], "z": [-1.0, 1.0, 11]}
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
+        grid = {"x": [-0.7, 0.3, 11], "y": [-0.45, 0.55, 11], "z": [-1.0, 1.0, 11]}
+        path = laplace_job(tmp_path, pin=True, grid=grid,
+                           F=[{"kind": "poly", "coeffs": [[1e20, -3e19], 7e19]},
+                              {"kind": "poly", "coeffs": [1e-7, [2e-8, 5e-8]]}])
         out_file = tmp_path / "grid.csv"
-        code, out, _ = run(capsys, "grid", str(path), "--out", str(out_file))
+        code, out, _ = run(capsys, "grid", path, "--out", str(out_file))
         assert code == 0 and out.startswith("wrote 1331 rows")
 
-        xs, ys, zs = (np.linspace(*job["grid"][a]).tolist() for a in "xyz")
+        xs, ys, zs = (np.linspace(*grid[a]).tolist() for a in "xyz")
         points = np.array([(x, y, z) for x in xs for y in ys for z in zs])
-        values = monogenic.eval_explicit(monogenic.monogenic_from_dict(job), points)
+        values = monogenic.eval_explicit(monogenic.monogenic_from_dict(load_job(path)), points)
         lines = ["x,y,z,Re_U1,Im_U1,Re_U2,Im_U2"]
         for p, v in zip(points.tolist(), values.tolist()):
             lines.append(",".join(map(repr, p + [part for c in v for part in (c.real, c.imag)])))
@@ -498,14 +480,8 @@ class TestGrid:
     @pytest.mark.parametrize("counts", [(2**21, 2**21, 2**21), (2, 2, sys.maxsize // 8)])
     def test_more_points_than_one_array_exit_2(self, capsys, tmp_path, counts):
         # Each count is at most MAX_COUNT; their product is not.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"] = {a: [0, 1, c] for a, c in zip("xyz", counts)}
-        out_file = tmp_path / "grid.csv"
-        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
-        assert code == 2
-        assert err.startswith("error: bad grid spec") and f"{math.prod(counts)} points" in err
-        assert "wrote" not in out and not out_file.exists()
+        err = bad_grid_error(capsys, tmp_path, {a: [0, 1, c] for a, c in zip("xyz", counts)})
+        assert f"{math.prod(counts)} points" in err
 
     def test_failed_write_keeps_the_old_csv(self, capsys, monkeypatch, tmp_path):
         # 11 x 11 x 11 = 1331 rows, two blocks of BLOCK_ROWS: the disk fills
@@ -513,9 +489,7 @@ class TestGrid:
         # no temporary file is left beside it.
         from monogenica import cli
 
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"] = {a: [-0.5, 0.5, 11] for a in "xyz"}
+        path = laplace_job(tmp_path, pin=True, grid={a: [-0.5, 0.5, 11] for a in "xyz"})
         out_file = tmp_path / "grid.csv"
         out_file.write_bytes(b"an earlier csv\n")
 
@@ -543,7 +517,7 @@ class TestGrid:
             return fh if mode == "r" else FullDisk(fh)
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        code, out, err = run(capsys, "grid", path, "--out", str(out_file))
         assert code == 4 and out == ""
         assert err.startswith(f"error: cannot write {out_file}: ") and err.count("\n") == 1
         assert out_file.read_bytes() == b"an earlier csv\n"
@@ -644,11 +618,9 @@ class TestGrid:
             return eval_explicit(ms, points, *args, **kwargs)
 
         monkeypatch.setattr(monogenic, "eval_explicit", counted)
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"] = {a: [-0.5, 0.5, 11] for a in "xyz"}
+        path = laplace_job(tmp_path, pin=True, grid={a: [-0.5, 0.5, 11] for a in "xyz"})
         out_file = tmp_path / "grid.csv"
-        code, _, _ = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        code, _, _ = run(capsys, "grid", path, "--out", str(out_file))
         assert code == 0 and sizes == [cli.BLOCK_ROWS, 1331 - cli.BLOCK_ROWS]
         assert out_file.read_text().count("\n") == 1332
 
@@ -681,12 +653,11 @@ class TestGrid:
         # 11 x 11 x 11 = 1331 rows; exp overflows from x = 720 on, row 1089,
         # in the second block: the first block was written to the temporary
         # file, which is removed, and the earlier CSV keeps its bytes.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"] = {"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]}
+        path = laplace_job(tmp_path, pin=True,
+                           grid={"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]})
         out_file = tmp_path / "grid.csv"
         out_file.write_bytes(b"an earlier csv\n")
-        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out_file))
+        code, out, err = run(capsys, "grid", path, "--out", str(out_file))
         assert code == 3 and out == ""
         assert err == "error: the value at (720.0, -1.0, -1.0) is not finite: the data overflow there\n"
         assert out_file.read_bytes() == b"an earlier csv\n"
@@ -696,10 +667,8 @@ class TestGrid:
     def test_late_non_finite_block_in_a_fifo_keeps_the_rows_written(self, capsys, tmp_path):
         # A pipe cannot take back what it was sent: the header and the first
         # block's 1024 rows reach the reader, then exit 3.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"] = {"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]}
-        path = write_job(tmp_path, job)
+        path = laplace_job(tmp_path, pin=True,
+                           grid={"x": [0, 800, 11], "y": [-1, 1, 11], "z": [-1, 1, 11]})
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         got = []
@@ -712,11 +681,8 @@ class TestGrid:
 
     def test_unwritable_out_comes_before_overflowing_data(self, capsys, tmp_path):
         # out is opened before the first block is evaluated: exit 4, not 3.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["grid"]["x"] = [700, 800, 2]
-        code, out, err = run(capsys, "grid", write_job(tmp_path, job), "--out",
-                             "/nonexistent-dir/x.csv")
+        path = laplace_job(tmp_path, pin=True, grid=dict(LAPLACE_JOB["grid"], x=[700, 800, 2]))
+        code, out, err = run(capsys, "grid", path, "--out", "/nonexistent-dir/x.csv")
         assert code == 4 and out == ""
         assert err == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
 
@@ -795,12 +761,10 @@ class TestCheck:
     def test_zero_at_line_round_trips(self, capsys, tmp_path, terms):
         # The scan's zero prints as repr of its floats: float(text) gives
         # back p_nonvanishing_scan's bits.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = str(fixture_path(job["algebra"]))
-        job["pde"] = {"N": 2, "terms": terms}
-        _, out, _ = run(capsys, "check", write_job(tmp_path, job))
+        pde = {"N": 2, "terms": terms}
+        _, out, _ = run(capsys, "check", laplace_job(tmp_path, pin=True, pde=pde))
         texts = re.search(r"^P\(a,b\) scan: ZeroAt\((\S+), (\S+)\)$", out, re.MULTILINE).groups()
-        scan = pde_mod.p_nonvanishing_scan(pde_mod.pde_from_dict(job["pde"]))
+        scan = pde_mod.p_nonvanishing_scan(pde_mod.pde_from_dict(pde))
         assert [float(t).hex() for t in texts] == [scan.a.hex(), scan.b.hex()]
         assert [repr(float(t)) for t in texts] == list(texts)
 
@@ -832,35 +796,33 @@ class TestCheck:
         assert ([line for line in out.splitlines() if "Cauchy-Riemann" not in line]
                 == [line for line in default.splitlines() if "Cauchy-Riemann" not in line])
 
-    @pytest.mark.parametrize("option, step, point", [
-        ("--h-cr", "1e-300", None), ("--h-pde", "1e-300", None), ("--h-pde", "1e-200", [0, 0, 0]),
-    ], ids=["cr-rounds-away", "pde-rounds-away", "pde-power-underflows"])
-    def test_vanishing_step_exits_2(self, capsys, tmp_path, option, step, point):
+    @pytest.mark.parametrize("option, step, point, says", [
+        ("--h-cr", "1e-300", None, "vanishes at the point (0.3, 0.4, -0.2)"),
+        ("--h-pde", "1e-300", None, "vanishes at the point (0.3, 0.4, -0.2)"),
+        ("--h-pde", "1e-200", [0, 0, 0], "vanishes: its power 2"),
+        ("--h-pde", "1e200", None, "overflows: its power 2"),
+        ("--h-pde", "1e155", None, "overflows: its power 2"),
+    ], ids=["cr-rounds-away", "pde-rounds-away", "pde-power-underflows", "pde-power-overflows",
+            "pde-square-just-overflows"])
+    def test_vanishing_step_exits_2(self, capsys, tmp_path, option, step, point, says):
         # 0.3 +- 1e-300 is 0.3, so every difference quotient would be 0 (a
         # PASS on nothing) or 0/0; at the origin 1e-200 stays apart from 0,
-        # but its square, the PDE stencil's h^2, is 0.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        if point is not None:
-            job["points"] = [point]
-        code, out, err = run(capsys, "check", write_job(tmp_path, job), option, step)
+        # but its square, the PDE stencil's h^2, is 0.  The square of 1e155
+        # or 1e200 is beyond the float range: no scale to divide by.
+        path = laplace_job(tmp_path, points=LAPLACE_JOB["points"] if point is None else [point])
+        code, out, err = run(capsys, "check", path, option, step)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {option} {step} vanishes") and err.count("\n") == 1
-        assert point is not None or "at the point (0.3, 0.4, -0.2)" in err
+        assert err.startswith(f"error: {option} {float(step)!r} {says}") and err.count("\n") == 1
 
     def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
         # xi_2 - xi_1 = 1e-7 i, where the contour route's Phi'' does not
         # converge.  check takes Phi'' from the explicit route, which needs no
         # contour: the identity passes, and Phi'' = exp(xi_u) componentwise.
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["points"] = [[0.3, 1e-7, 0.0]]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, out, _ = run(capsys, "check", str(path))
+        path = laplace_job(tmp_path, points=[[0.3, 1e-7, 0.0]])
+        code, out, _ = run(capsys, "check", path)
         assert code == 0
         assert "PASS operator identity" in out
-        code, out, _ = run(
-            capsys, "eval", str(path), "--point", "0.3", "1e-7", "0", "--order", "2"
-        )
+        code, out, _ = run(capsys, "eval", path, "--point", "0.3", "1e-7", "0", "--order", "2")
         assert code == 0
         # xi_u = x + y*a_u + z*b_u with a = (2i, i): not e^0.3, which is
         # about 2.7e-7 away at this y.
@@ -936,20 +898,13 @@ class TestErrors:
         assert err.startswith("error: cannot read job file") and err.count("\n") == 1
 
     def test_wrong_function_count(self, capsys, tmp_path):
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["F"] = job["F"][:1]
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, _, err = run(capsys, "validate", str(path))
+        code, _, err = run(capsys, "validate", laplace_job(tmp_path, F=LAPLACE_JOB["F"][:1]))
         assert code == 2
         assert "bad job spec" in err
 
     def test_unknown_algebra_name(self, capsys, tmp_path):
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["algebra"] = "no_such_algebra.json"
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, _, err = run(capsys, "validate", str(path))
+        path = laplace_job(tmp_path, algebra="no_such_algebra.json")
+        code, _, err = run(capsys, "validate", path)
         assert code == 2
 
     @pytest.mark.parametrize(
@@ -961,22 +916,15 @@ class TestErrors:
              "numeric-string", "huge-int", "object"],
     )
     def test_bad_points(self, capsys, tmp_path, points):
-        job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-        job["points"] = points
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, out, err = run(capsys, "check", str(path))
+        code, out, err = run(capsys, "check", laplace_job(tmp_path, points=points))
         assert code == 2
         assert "error: bad point" in err
         assert "Traceback" not in err
 
     def test_bad_holomorphic_data(self, capsys, tmp_path):
         for bad in ({"kind": "tan"}, {"kind": "series", "coeffs": [1.0], "radius": 0.0}):
-            job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-            job["F"][0] = bad
-            path = tmp_path / "job.json"
-            path.write_text(json.dumps(job))
-            code, _, err = run(capsys, "eval", str(path), "--point", "0.3", "0.4", "-0.2")
+            path = laplace_job(tmp_path, F=[bad, LAPLACE_JOB["F"][1]])
+            code, _, err = run(capsys, "eval", path, "--point", "0.3", "0.4", "-0.2")
             assert code == 2, bad
             assert "bad job spec" in err
 
@@ -1040,6 +988,8 @@ MALFORMED = {
     "upsilon-fractional-index": lambda job: set_path(job, ["algebra", "upsilon", 1, 2], 4.5),
     "upsilon-bool-value": lambda job: set_path(job, ["algebra", "upsilon", 0], [2, 2, 3, True]),
     "u_map-fraction": lambda job: set_path(job, ["algebra", "u_map", "2"], 1.5),
+    # upsilon tabulates products of radical elements only, not I_1 I_2.
+    "upsilon-idempotent-index": lambda job: set_path(job, ["algebra", "upsilon", 0], [1, 2, 3, 1.0]),
     # A u_map key is the text of a JSON integer: "3" is read, none of these.
     **{f"u_map-key-{name}": partial(rename_u_map_key, key=key)
        for name, key in (("leading-zero", "03"), ("plus", "+3"), ("space", " 3"),
@@ -1052,6 +1002,7 @@ MALFORMED = {
     "pde-string-coefficient": lambda job: set_path(job, ["pde"], laplace(c="1")),
     "pde-bool-coefficient": lambda job: set_path(job, ["pde"], laplace(c=True)),
     "pde-nan-coefficient": lambda job: set_path(job, ["pde"], laplace(c=float("nan"))),
+    "pde-no-terms": lambda job: set_path(job, ["pde"], {"N": 2, "terms": []}),
     "tolerances-infinite": lambda job: set_path(job, ["tolerances"], {"cr": float("inf")}),
     "tolerances-nan": lambda job: set_path(job, ["tolerances"], {"pde": float("nan")}),
     "tolerances-negative": lambda job: set_path(job, ["tolerances"], {"cr": -1}),
@@ -1075,10 +1026,7 @@ def test_malformed_job_exits_2(capsys, tmp_path, name, command):
 @pytest.mark.parametrize("out", [5, ["a"], True, {"path": "a.csv"}, "a\u0000b.csv"],
                          ids=["number", "list", "bool", "object", "nul"])
 def test_grid_out_that_is_no_path_exits_2(capsys, tmp_path, monkeypatch, out):
-    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-    job["algebra"] = str(fixture_path(job["algebra"]))
-    job["out"] = out
-    path = write_job(tmp_path, job)
+    path = laplace_job(tmp_path, pin=True, out=out)
     monkeypatch.chdir(tmp_path)
     code, stdout, err = run(capsys, "grid", path)
     assert code == 2 and stdout == ""
@@ -1184,11 +1132,9 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, tmp_path, attr, argv):
 
 
 def test_grid_of_overflowing_data_exits_3_and_writes_nothing(capsys, tmp_path):
-    job = json.loads(fixture_path("job_laplace_ss2.json").read_text())
-    job["algebra"] = str(fixture_path(job["algebra"]))
-    job["grid"]["x"] = [700, 800, 2]
+    path = laplace_job(tmp_path, pin=True, grid=dict(LAPLACE_JOB["grid"], x=[700, 800, 2]))
     out = tmp_path / "grid.csv"
-    code, _, err = run(capsys, "grid", write_job(tmp_path, job), "--out", str(out))
+    code, _, err = run(capsys, "grid", path, "--out", str(out))
     assert code == 3 and not out.exists()
     assert err == "error: the value at (800.0, -1.0, -1.0) is not finite: the data overflow there\n"
 
@@ -1460,11 +1406,10 @@ def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
 
     if name == "c16":
         job = laplace_c16_job()
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(job))
-        code, out, _ = run(capsys, "check", str(path))
+        path = write_job(tmp_path, job)
+        code, out, _ = run(capsys, "check", path)
         assert code == 0 and "FAIL" not in out and "PASS operator identity" in out
-        ms = cli.build_spec(cli.load_job(str(path)))
+        ms = cli.build_spec(cli.load_job(path))
     else:
         ms = cli.build_spec(cli.load_job(JOB_OK if name == "ss2" else JOB_T4))
         job = {"points": [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7], [0.9, -0.6, 0.2]]}

@@ -23,7 +23,7 @@ from monogenica.algebra import AlgebraSpec, SpecialCase
 from monogenica.holo import DEFAULT_NODES
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
-from oracles import basis, embed, functional_f, spectrum, xi
+from oracles import basis, embed, functional_f, spectrum, wrong_xi_values, xi
 from test_algebra import direct_sum_truncated, skewed_basis
 
 
@@ -65,6 +65,12 @@ class TestTriadValidation:
     def test_dimension_mismatch(self, alg_t4):
         report = validate_triad(alg_t4, TriadSpec.create([1j], [0.0]))
         assert any(v.kind == "dimension" for v in report.violations)
+
+
+def test_create_rejects_a_wrong_g_count(alg_t4):
+    # alg_t4 has n - m = 3 radical indices, so it needs 3 G functions.
+    with pytest.raises(ValueError, match="need 3 G functions, got 1"):
+        MonogenicSpec.create(alg_t4, fixture_triad("alg_t4"), [HoloFn.exp()], [HoloFn.exp()])
 
 
 class TestEmbedding:
@@ -603,19 +609,9 @@ class TestCauchyRiemann:
         F = [HoloFn.exp(), HoloFn.sin()]
         G = [HoloFn.sin(), HoloFn.cos()]
         ms = MonogenicSpec.create(alg_p2, triad, F, G)
-
-        def broken(q):
-            xi_v = spectrum(triad, alg_p2.m, *q)
-            T = t_coeffs(alg_p2, triad, q[1], q[2])
-            out = np.zeros(4, dtype=np.complex128)
-            out[0] = F[0].eval(0, xi_v[0])
-            out[1] = F[1].eval(0, xi_v[1])
-            out[2] = G[0].eval(0, xi_v[1]) + T[0] * F[0].eval(1, xi_v[0])
-            out[3] = G[1].eval(0, xi_v[0]) + T[1] * F[1].eval(1, xi_v[1])
-            return out
-
         stencil = monogenic.cr_stencil((0.4, 0.8, -0.3), 1e-5)
-        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=np.array([broken(tuple(q)) for q in stencil]))
+        values = np.array([wrong_xi_values(ms, tuple(q)) for q in stencil])
+        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
         assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) > 1e-3
 
 
