@@ -4,11 +4,12 @@ A single JSON job file describes the algebra, triad, holomorphic data and
 optional PDE; subcommands run validations (validate), point evaluations
 (eval), CSV grid emission (grid) and residual checks (check).
 
-grid runs one pass per block of BLOCK_ROWS rows: it gathers the block's
-points from the three axes, evaluates them in one eval_explicit call,
-checks that the values are finite, formats every number as the bytes repr
-gives it (shortest.fields) and writes the rows, for a new or regular out
-to a temporary file that replaces out when the CSV is complete.  No array
+grid runs one pass per block of at most BLOCK_ROWS rows (fewer where the
+explicit plan has many products): it gathers the block's points from the
+three axes, evaluates them in one eval_explicit call, checks that the
+values are finite, formats every number as the bytes repr gives it
+(shortest.fields) and writes the rows, for a new or regular out to a
+temporary file that replaces out when the CSV is complete.  No array
 of the whole grid is made, so its size is bounded by its CSV, not by
 memory.  Each axis value is formatted once, before the block loop, and
 every block gathers its x, y and z text from those per-axis tables, so
@@ -28,7 +29,8 @@ nothing where libc has no mallopt.
 check evaluates a job's points, their Cauchy-Riemann stencils (step
 --h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
 and Phi^(N) of the operator identity in one eval_explicit call, with one
-derivative order per point: one call and one derivative table per job.
+derivative order per point: one call and one derivative table per job,
+made before check prints its first status line.
 
 eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
@@ -53,36 +55,40 @@ parse_complex (a finite number or an [re, im] pair of them).  Also rejected:
 a job that is not a JSON object or is nested too deep to read (load_job),
 an algebra whose upsilon or u_map has the wrong type (algebra_from_dict), a
 triad without n coefficients (monogenic_from_dict), a point that is not
-three numbers (job_points) and a tolerance that is not positive
-(job_tolerance).
+three numbers (job_points) and a check job with a tolerances object, which
+no longer sets check's tolerances (--tol-cr and --tol-pde do).
+
+main holds the one failure policy: it runs the command under one
+np.errstate, since a value that overflows is rejected (require_finite), and
+maps each exception the library raises to its exit code and one error: line.
 
 Exit codes: 0 success; 1 failed checks, contour quadrature that did not
-converge in eval, or an eval --compare deviation beyond its tolerance; 2
-parse/spec errors, holomorphic data, job points, usage errors (an option
-the subcommand does not take, such as the former --nodes of eval or --h
-of check), numeric options (a negative --order, a non-finite --point, an
---h-cr, --h-pde, --tol-cr or --tol-pde that is not a positive finite
-number, and a check step that vanishes or overflows: x, y or z +- the
-step equal to itself at a job point, or --h-pde to the power N
-underflowing to 0 or beyond the float range), a grid out that is not a
-path string, and a grid axis with a non-finite bound or extent or a count
-that is not a JSON integer from 2 to MAX_COUNT included, and a grid whose
-shortest possible CSV (4 (3 + 2n) bytes a point) would pass the largest
-file offset, sys.maxsize bytes (no CSV), and any command whose arrays do
-not fit in memory (a MemoryError; grid then leaves no CSV at a new or
-regular out); 3
-evaluation outside a holomorphic function's domain, including a scale
-whose power at a needed derivative order overflows, an integral route
-whose circle around the spectrum cannot stay inside every series' safe
-disc or whose order r has an r! beyond the float range (r >= 171), and a
-value of eval or grid that is not finite
-(data that overflow at the point; grid then leaves no CSV at a new or
-regular out, and a device or pipe keeps the blocks written before; the
-integral route stops at its first integrand call when that is not
-finite); 4 output I/O errors, a full disk and a grid out that cannot be
-opened included (grid opens out before it evaluates a block, so that
-comes before exit 3), and a closed stdout (main flushes stdout before it
-returns, and reports a broken pipe in one line, not a traceback).
+converge in eval (contour_integrate raises UnstableQuadrature), or an eval
+--compare deviation beyond its tolerance; 2 parse/spec errors, holomorphic
+data, job points, usage errors (an option the subcommand does not take, such
+as the former --nodes of eval or --h of check), numeric options (a negative
+--order, a non-finite --point, an --h-cr, --h-pde, --tol-cr or --tol-pde
+that is not a positive finite number, and a check step that vanishes or
+overflows: x, y or z +- the step equal to itself at a job point, or --h-pde
+to the power N underflowing to 0 or beyond the float range), a grid out that
+is not a path string, and a grid axis with a non-finite bound or extent or a
+count that is not a JSON integer from 2 to MAX_COUNT included, and a grid
+whose shortest possible CSV (4 (3 + 2n) bytes a point) would pass the
+largest file offset, sys.maxsize bytes (no CSV), and any command whose
+arrays do not fit in memory (a MemoryError; grid then leaves no CSV at a new
+or regular out); 3 evaluation outside a holomorphic function's domain,
+including a scale whose power at a needed derivative order overflows, an
+integral route whose circle around the spectrum cannot stay inside every
+series' safe disc or whose order r has an r! beyond the float range
+(r >= 171), and a value of eval, grid or check that is not finite (data that
+overflow at the point, or at a point of check's stencils, so that check
+prints no PASS or FAIL line; grid then leaves no CSV at a new or regular
+out, and a device or pipe keeps the blocks written before; the integral
+route stops at its first integrand call when that is not finite); 4 output
+I/O errors, a full disk and a grid out that cannot be opened included (grid
+opens out before it evaluates a block, so that comes before exit 3), and a
+closed stdout (main flushes stdout before it returns, and reports a broken
+pipe in one line, not a traceback).
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +118,10 @@ EXIT_SPECTRUM = 3
 EXIT_IO = 4
 
 MAX_COUNT = sys.maxsize // 8  # the largest count of a grid axis: float64 values in one array
-BLOCK_ROWS = 1024  # grid rows evaluated, formatted and written at a time
+BLOCK_ROWS = 1024  # the most grid rows evaluated, formatted and written at a time
+# check's thresholds: --tol-cr's and --tol-pde's defaults, then the
+# characteristic residual's and the operator identity's.
+TOL_CR, TOL_PDE, CHARACTERISTIC_TOL, IDENTITY_TOL = 1e-6, 1e-4, 1e-10, 1e-3
 # glibc's mallopt(3) parameters and grid's values for them.  The free heap
 # top kept mapped must exceed what one BLOCK_ROWS block frees (at its peak
 # 3.4 MB on alg_r5, n = 5, and 30 MB on C[eps]/eps^16), so that the next
@@ -200,19 +208,6 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
     return out
 
 
-def job_tolerance(job: dict, key: str, default: float) -> float:
-    """The job's tolerances[key], a positive finite JSON number; JobError otherwise."""
-    tol = job.get("tolerances", {})
-    try:
-        value = parse_real(tol.get(key, default) if isinstance(tol, dict) else None)
-        if not value > 0:
-            raise ValueError
-    except ValueError:
-        raise JobError(f"bad tolerances: need an object of positive finite numbers, "
-                       f"got {tol!r}") from None
-    return value
-
-
 def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
     for option in ("h_cr", "h_pde", "tol_cr", "tol_pde"):
@@ -291,19 +286,12 @@ def cmd_eval(args) -> int:
     def run(method: str):
         return routes[method](ms, point, order=args.order)
 
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-        # A quadrature that did not converge gives no value to print.
-        warnings.simplefilter("error", UnstableQuadrature)
-        try:
-            value = run(args.method)
-            if args.compare:
-                # The chosen route is not run a second time.  The value
-                # printed is judged too: special's, when it is the third.
-                explicit, integral = (value if m == args.method else run(m) for m in ("explicit", "integral"))
-                dev = float(np.max(np.abs(np.stack([integral, value]) - explicit)))
-        except UnstableQuadrature as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+    value = run(args.method)
+    if args.compare:
+        # The chosen route is not run a second time.  The value printed is
+        # judged too: special's, when it is the third.
+        explicit, integral = (value if m == args.method else run(m) for m in ("explicit", "integral"))
+        dev = float(np.max(np.abs(np.stack([integral, value]) - explicit)))
     require_finite(np.stack([explicit, integral, value]) if args.compare else value, [point])
     for k, c in enumerate(monogenic.extract_components(value), start=1):
         im = repr(c.imag)
@@ -385,11 +373,15 @@ def cmd_grid(args) -> int:
             # x-major rows: x, y, z, then Re and Im of every component.  A
             # block's points are gathered from the axes, so no array of the
             # whole grid is made.
-            for start in range(0, total, BLOCK_ROWS):
-                at = np.unravel_index(np.arange(start, min(start + BLOCK_ROWS, total)), counts)
+            # A block's two largest arrays hold a complex per product of the
+            # explicit plan and row; together below MMAP_THRESHOLD, what a
+            # block frees stays below TRIM_THRESHOLD, on the kept heap.
+            products = len(ms.algebra.explicit_plan.weights)
+            rows = max(1, min(BLOCK_ROWS, MMAP_THRESHOLD // (32 * max(products, 1))))
+            for start in range(0, total, rows):
+                at = np.unravel_index(np.arange(start, min(start + rows, total)), counts)
                 points = np.stack([a[i] for a, i in zip(axes, at)], axis=-1)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values = monogenic.eval_explicit(ms, points)
+                values = monogenic.eval_explicit(ms, points)
                 require_finite(values, points)
                 block = np.ascontiguousarray(values, dtype=complex).view(np.float64)
                 cells = [c[i][:, None] for c, i in zip(coords, at)] + [shortest.fields(block)]
@@ -416,8 +408,9 @@ def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
     pde_stencil(pde, pts, h_pde) and pts[0] once more at order pde.N, the
     Phi^(N) of the operator identity.  A row of a batch equals the same
     point evaluated alone at its order, so each result equals its own
-    separate call bit for bit.  Returns (values, (ry, rz), pde residual,
-    Phi^(N) at pts[0]), the last two None without a pde.
+    separate call bit for bit.  A value of the batch that is not finite
+    raises HoloDomainError (require_finite).  Returns (values, (ry, rz),
+    pde residual, Phi^(N) at pts[0]), the last two None without a pde.
     """
     blocks = [pts, monogenic.cr_stencil(pts, h_cr)]
     order = 0
@@ -425,8 +418,10 @@ def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
         blocks += [pde_mod.pde_stencil(pde, pts, h_pde), pts[:1]]
         order = np.zeros(sum(map(len, blocks)), dtype=int)
         order[-1] = pde.N
-    rows = np.split(monogenic.eval_explicit(ms, np.concatenate(blocks), order=order),
-                    np.cumsum([len(b) for b in blocks[:-1]]))
+    batch = np.concatenate(blocks)
+    values = monogenic.eval_explicit(ms, batch, order=order)
+    require_finite(values, batch)
+    rows = np.split(values, np.cumsum([len(b) for b in blocks[:-1]]))
     cr = monogenic.cr_residual(ms, pts, h_cr, values=rows[1])
     if pde is None:
         return rows[0], cr, None, None
@@ -436,36 +431,35 @@ def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
 
 def cmd_check(args) -> int:
     job = load_job(args.job)
+    if "tolerances" in job:
+        raise JobError("a job's tolerances are not read: set them with --tol-cr and --tol-pde")
     ms = build_spec(job)
     pde = build_pde(job)
     points = job_points(job)
     check_step("h-cr", args.h_cr, points)
     if pde is not None:
         check_step("h-pde", args.h_pde, points, pde.N)
-    tol_cr = args.tol_cr if args.tol_cr is not None else job_tolerance(job, "cr", 1e-6)
-    tol_pde = args.tol_pde if args.tol_pde is not None else job_tolerance(job, "pde", 1e-4)
-    ok = True
-
-    ok &= _status(ms.algebra.report.ok, "algebra axioms")
     treport = validate_triad(ms.algebra, ms.triad)
-    ok &= _status(treport.ok, "triad")
 
     # PDE residuals only on a characteristic triad, so the characteristic
     # residual comes first; it is computed once and handed to the identity.
     char = None if pde is None else pde_mod.characteristic_residual(ms.algebra, ms.triad, pde)
     cres = None if char is None else float(np.max(np.abs(char)))
-    characteristic = cres is not None and cres <= 1e-10
+    characteristic = cres is not None and cres <= CHARACTERISTIC_TOL
 
     # One batched call for the values, the CR stencils and the PDE stencils
-    # of all points and Phi^(N) at the first; 1 + max |Phi(p)| scales every
-    # tolerance at p.
+    # of all points and Phi^(N) at the first, before the first status line:
+    # a value that is not finite exits 3 with no PASS or FAIL line.
+    # 1 + max |Phi(p)| scales every tolerance at p.
     pts = np.array(points)
     values, (ry, rz), r, phi_n = check_samples(ms, pts, args.h_cr,
                                                pde if characteristic else None, args.h_pde)
+    ok = _status(ms.algebra.report.ok, "algebra axioms")
+    ok &= _status(treport.ok, "triad")
     scales = 1.0 + np.max(np.abs(values), axis=-1)
     cr = np.maximum(np.max(np.abs(ry), axis=-1), np.max(np.abs(rz), axis=-1))
     for p, scale, res in zip(points, scales, cr):
-        ok &= _status(res <= tol_cr * scale, f"Cauchy-Riemann at {p}", f"residual {res:.3e}")
+        ok &= _status(res <= args.tol_cr * scale, f"Cauchy-Riemann at {p}", f"residual {res:.3e}")
 
     if pde is not None:
         ok &= _status(characteristic, "characteristic residual", f"{cres:.3e}")
@@ -478,11 +472,11 @@ def cmd_check(args) -> int:
 
         if characteristic:
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
-                ok &= _status(rmax <= tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
+                ok &= _status(rmax <= args.tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
             d = pde_mod.operator_identity_check(ms, pde, points[0], h=args.h_pde,
                                                 discrete=r[0], char=char, derivative=phi_n)
             dmax = float(np.max(np.abs(d)))
-            ok &= _status(dmax <= 1e-3 * scales[0], "operator identity", f"{dmax:.3e}")
+            ok &= _status(dmax <= IDENTITY_TOL * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -525,8 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid_parser.add_argument("--out", default=None, help="output CSV path (overrides job)")
 
     check_parser = sub.add_parser("check", parents=[common], help="run residual checks")
-    check_parser.add_argument("--tol-cr", type=float, default=None)
-    check_parser.add_argument("--tol-pde", type=float, default=None)
+    check_parser.add_argument("--tol-cr", type=float, default=TOL_CR,
+                              help="Cauchy-Riemann residual tolerance, relative to 1 + max |Phi|")
+    check_parser.add_argument("--tol-pde", type=float, default=TOL_PDE,
+                              help="PDE residual tolerance, relative to 1 + max |Phi|")
     check_parser.add_argument("--h-cr", type=float, default=monogenic.H_CR,
                          help="finite-difference step of the Cauchy-Riemann stencil")
     check_parser.add_argument("--h-pde", type=float, default=pde_mod.H_PDE,
@@ -543,14 +539,17 @@ def main(argv=None) -> int:
         args = PARSER.parse_args(argv)
         check_options(args)
         # Looked up by name at call time, so that wrappers installed on
-        # cli.cmd_* (perfbench/spans.py) see every command.
-        code = globals()[f"cmd_{args.command}"](args)
+        # cli.cmd_* (perfbench/spans.py) see every command.  Overflow gives
+        # inf or NaN, which require_finite rejects: no numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = globals()[f"cmd_{args.command}"](args)
         # Output still buffered meets a closed stdout here, not at exit.
         sys.stdout.flush()
         return code
-    except (JobError, AlgebraError, HoloDomainError) as exc:
+    except (JobError, AlgebraError, HoloDomainError, UnstableQuadrature) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPECTRUM if isinstance(exc, HoloDomainError) else EXIT_PARSE
+        return (EXIT_FAIL if isinstance(exc, UnstableQuadrature)
+                else EXIT_SPECTRUM if isinstance(exc, HoloDomainError) else EXIT_PARSE)
     except MemoryError as exc:
         # numpy's message names the array it could not allocate.
         print(f"error: the job does not fit in memory ({str(exc) or 'MemoryError'})", file=sys.stderr)

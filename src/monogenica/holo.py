@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -39,7 +38,7 @@ class HoloDomainError(Exception):
     """Evaluation outside the declared domain or derivative cap."""
 
 
-class UnstableQuadrature(RuntimeWarning):
+class UnstableQuadrature(Exception):
     """Contour quadrature did not converge within the node limit."""
 
 
@@ -516,10 +515,11 @@ def contour_integrate(g, contour: Contour, contract=None):
     are not finite, NonFiniteIntegrand (a HoloDomainError) is raised: no
     rule would converge.  The node count then doubles, each time evaluating
     g only at the new nodes halfway between the old ones, until two
-    successive rules agree to QUAD_TOL or the rule has MAX_NODES nodes (an
-    UnstableQuadrature warning is emitted in the latter case, and the last
-    rule returned).  The tests use count_nonzero and ndarray methods: the
-    np.max and .all() wrappers cost more than the arithmetic at one point.
+    successive rules agree to QUAD_TOL; it raises UnstableQuadrature when
+    the MAX_NODES-node rule still disagrees with the rule before it, so no
+    unconverged rule is returned.  The tests use count_nonzero and ndarray
+    methods: the np.max and .all() wrappers cost more than the arithmetic
+    at one point.
     """
     finish = contract or (lambda v: v)
 
@@ -540,9 +540,7 @@ def contour_integrate(g, contour: Contour, contract=None):
     # maximum; NaN or inf in cur makes the change NaN or inf, failing both.
     while not ((change := abs(cur - prev).max()) <= QUAD_TOL or change <= QUAD_TOL * (1.0 + abs(cur).max())):
         if n >= MAX_NODES:
-            warnings.warn(f"contour quadrature did not stabilize to {QUAD_TOL:g} at {n} nodes",
-                          UnstableQuadrature, stacklevel=2)
-            break
+            raise UnstableQuadrature(f"contour quadrature did not stabilize to {QUAD_TOL:g} at {n} nodes")
         w = _unit_roots(n, 0.5)
         acc = acc + values(w).dot(w)
         n *= 2

@@ -244,7 +244,9 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     (M is symmetric in i and j), so each rule's algebra arithmetic is one
     product with G; the first two rules are contracted together.  The
     rule is holo's one contour rule (contour_integrate): 32 and 64 nodes
-    in the first call, doubled until two successive rules agree.  An
+    in the first call, doubled until two successive rules agree; it raises
+    UnstableQuadrature when they still disagree at its node cap, so no
+    unconverged value is returned.  An
     integrand that is not finite on the first call (data that overflow on
     the circle) raises HoloDomainError naming the point, and so does an
     order whose r! is beyond the float range (r >= 171).

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the criterion lines.
 
 import math
 import time
-import warnings
 
 import mpmath
 import numpy as np
@@ -30,7 +29,6 @@ from monogenica import (
 )
 from monogenica.cli import main as cli_main
 from monogenica.fixtures import fixture_path
-from monogenica.holo import UnstableQuadrature
 from monogenica.monogenic import cr_stencil
 from monogenica.pde import LAPLACE
 from monogenica.resolvent import b_coeffs
@@ -303,15 +301,13 @@ def test_criterion_10_gateaux_routes_closed_form(alg_ss2):
     generic = [(0.3, 0.4, -0.2), (-0.5, 0.1, 0.7), (0.9, -0.6, 0.2)]
     near = [(0.3, 1e-6, 0.0), (0.3, 1e-7, 0.0)]
     worst = {"explicit": 0.0, "integral": 0.0, "integral near": 0.0}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableQuadrature)
-        for p in generic + near:
-            expect = np.exp(spectrum(triad, alg_ss2.m, *p))
-            for r in (1, 2, 3):
-                for method, derivative in (("explicit", gateaux_derivative), ("integral", eval_integral)):
-                    err = float(np.max(np.abs(derivative(ms, p, r) - expect)))
-                    key = method + (" near" if method == "integral" and p in near else "")
-                    worst[key] = max(worst[key], err / (1.0 + float(np.max(np.abs(expect)))))
+    for p in generic + near:
+        expect = np.exp(spectrum(triad, alg_ss2.m, *p))
+        for r in (1, 2, 3):
+            for method, derivative in (("explicit", gateaux_derivative), ("integral", eval_integral)):
+                err = float(np.max(np.abs(derivative(ms, p, r) - expect)))
+                key = method + (" near" if method == "integral" and p in near else "")
+                worst[key] = max(worst[key], err / (1.0 + float(np.max(np.abs(expect)))))
     report(
         "criterion 10: Gateaux derivatives r = 1..3 against exp(xi_u)",
         worst["explicit"] <= 1e-14 and worst["integral"] <= 1e-10,
@@ -405,8 +401,7 @@ def test_criterion_11_absolute_accuracy(all_algebras):
     start = time.perf_counter()
     # The contour route is gated at r <= 3, the orders --compare and the
     # benchmark use; above that its error grows with r and is only reported.
-    with mpmath.workdps(50), warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnstableQuadrature)
+    with mpmath.workdps(50):
         for name, spec in algebras.items():
             data = [ACCURACY_DATA[i % len(ACCURACY_DATA)] for i in range(spec.n)]
             ms = MonogenicSpec.create(spec, triads[name], data[: spec.m], data[spec.m :])

@@ -245,6 +245,27 @@ class TestEval:
         assert "error:" in err and "did not stabilize" in err
         assert "U_1" not in out
 
+    def test_unconverged_quadrature_fails_under_any_warning_filter(self, capsys, monkeypatch,
+                                                                   tmp_path):
+        # An exception, not a warning: a filter that records every warning,
+        # around main or around the quadrature itself (as a tracer's wrapper
+        # is), cannot turn the failure into a printed value.
+        quad = monogenic.contour_integrate
+
+        def recording(*args, **kwargs):
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                return quad(*args, **kwargs)
+
+        monkeypatch.setattr(monogenic, "contour_integrate", recording)
+        path = laplace_job(tmp_path, F=[{"kind": "cos", "scale": COS_SCALE}, LAPLACE_JOB["F"][1]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "eval", path, "--point", "0.3", "1e-6", "0", "--order", "3",
+                                 "--method", "integral")
+        assert code == 1 and "U_" not in out and caught == []
+        assert err.startswith("error: contour quadrature did not stabilize")
+
     @pytest.mark.parametrize("y", ["1e-6", "1e-7"])
     def test_order_follows_method(self, capsys, tmp_path, y):
         # The explicit route (the default) needs no contour, so it gives
@@ -814,6 +835,22 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {option} {float(step)!r} {says}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("option, step", [("--h-cr", "1e3"), ("--h-pde", "1e100")])
+    def test_stencil_beyond_the_data_exits_3(self, capsys, option, step):
+        # exp overflows at a stencil point x +- step: the one batched call
+        # comes before the first status line, so no PASS or FAIL line.
+        code, out, err = run(capsys, "check", JOB_OK, option, step)
+        assert code == 3 and out == ""
+        assert err.startswith("error: the value at (") and "is not finite" in err
+        assert err.count("\n") == 1
+
+    def test_tolerances_in_the_job_exit_2(self, capsys, tmp_path):
+        # Even well-formed tolerances: the flags are their one source.
+        path = laplace_job(tmp_path, tolerances={"cr": 1e-6, "pde": 1e-4})
+        code, out, err = run(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert "--tol-cr" in err and "--tol-pde" in err and err.count("\n") == 1
+
     def test_unconverged_quadrature_fails_operator_identity(self, capsys, tmp_path):
         # xi_2 - xi_1 = 1e-7 i, where the contour route's Phi'' does not
         # converge.  check takes Phi'' from the explicit route, which needs no
@@ -976,11 +1013,13 @@ MALFORMED = {
     "infinite-amp": lambda job: set_path(job, ["F", 0], {"kind": "exp", "amp": float("inf")}),
     "u_map-list": lambda job: set_path(job, ["algebra", "u_map"], [1, 1, 1]),
     "upsilon-number": lambda job: set_path(job, ["algebra", "upsilon"], 3),
-    "tolerances-list": lambda job: set_path(job, ["tolerances"], [1e-6]),
-    "tolerances-string": lambda job: set_path(job, ["tolerances"], {"cr": "tight"}),
-    "tolerances-number": lambda job: set_path(job, ["tolerances"], 1e-6),
-    "tolerances-bool": lambda job: set_path(job, ["tolerances"], {"cr": True}),
-    "tolerances-huge-int": lambda job: set_path(job, ["tolerances"], {"pde": 10**400}),
+    # check's tolerances come from --tol-cr and --tol-pde only: a job's
+    # tolerances, whatever they hold, exit 2 rather than go unread.
+    **{f"tolerances-{name}": partial(set_path, path=["tolerances"], value=value)
+       for name, value in (("list", [1e-6]), ("string", {"cr": "tight"}), ("number", 1e-6),
+                           ("bool", {"cr": True}), ("huge-int", {"pde": 10**400}),
+                           ("infinite", {"cr": float("inf")}), ("nan", {"pde": float("nan")}),
+                           ("negative", {"cr": -1}), ("zero", {"pde": 0}))},
     # Truncated, each of these is a valid number: n = 4, an index of 4, u_2 = 1.
     "n-fraction": lambda job: set_path(job, ["algebra", "n"], 4.9),
     "n-string": lambda job: set_path(job, ["algebra", "n"], "4"),
@@ -1003,10 +1042,6 @@ MALFORMED = {
     "pde-bool-coefficient": lambda job: set_path(job, ["pde"], laplace(c=True)),
     "pde-nan-coefficient": lambda job: set_path(job, ["pde"], laplace(c=float("nan"))),
     "pde-no-terms": lambda job: set_path(job, ["pde"], {"N": 2, "terms": []}),
-    "tolerances-infinite": lambda job: set_path(job, ["tolerances"], {"cr": float("inf")}),
-    "tolerances-nan": lambda job: set_path(job, ["tolerances"], {"pde": float("nan")}),
-    "tolerances-negative": lambda job: set_path(job, ["tolerances"], {"cr": -1}),
-    "tolerances-zero": lambda job: set_path(job, ["tolerances"], {"pde": 0}),
 }
 
 
@@ -1018,7 +1053,7 @@ def test_malformed_job_exits_2(capsys, tmp_path, name, command):
     argv += ["--point", "0.3", "0.4", "-0.2"] if command == "eval" else []
     code, _, err = run(capsys, *argv)
     if command != "check" and name.startswith(("tolerances", "pde")):
-        assert code == 0  # only check reads the tolerances and the pde
+        assert code == 0  # only check reads the pde and refuses tolerances
     else:
         assert code == 2 and err.startswith("error: "), (code, err)
 

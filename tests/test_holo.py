@@ -9,6 +9,7 @@ from monogenica import (
     Contour,
     HoloDomainError,
     HoloFn,
+    UnstableQuadrature,
     contour_integrate,
     enclosing_contour,
 )
@@ -416,8 +417,9 @@ class TestQuadrature:
 
         val = contour_integrate(g, c, contract=lambda v: 3.0 * v[0])
         assert calls == [64] and abs(val - 3.0) < 1e-13
-        with pytest.warns(RuntimeWarning):
+        with pytest.raises(UnstableQuadrature, match="did not stabilize to 1e-10 at 64 nodes"):
             contour_integrate(g, c)
+        assert calls == [64, 64]
 
     def test_nested_doubling_equals_fresh_rule(self):
         # A pole at 0.8 of the radius: the 64-node first call, then two
@@ -472,9 +474,10 @@ class TestQuadrature:
         assert calls == [64]
         assert issubclass(NonFiniteIntegrand, HoloDomainError)
 
-    def test_warning_when_not_stabilized(self, monkeypatch):
+    def test_raises_when_not_stabilized(self, monkeypatch):
         # A pole sitting almost on the circle defeats the trapezoid rule;
-        # with a cap of 128 nodes the warning comes after one doubling.
+        # with a cap of 128 nodes UnstableQuadrature, an exception and not a
+        # warning, comes after one doubling: no unconverged rule is returned.
         monkeypatch.setattr(holo, "MAX_NODES", 128)
         c = Contour(0.0, 1.0)
         calls = []
@@ -483,9 +486,10 @@ class TestQuadrature:
             calls.append(len(t))
             return 1.0 / (t - 0.999999)
 
-        with pytest.warns(RuntimeWarning, match="did not stabilize to 1e-10 at 128 nodes"):
+        with pytest.raises(UnstableQuadrature, match="did not stabilize to 1e-10 at 128 nodes"):
             contour_integrate(g, c)
         assert calls == [64, 64]
+        assert not issubclass(UnstableQuadrature, Warning)
 
 
 class TestNumberReaders:

@@ -20,7 +20,7 @@ from monogenica import (
 )
 from monogenica import monogenic, resolvent
 from monogenica.algebra import AlgebraSpec, SpecialCase
-from monogenica.holo import DEFAULT_NODES
+from monogenica.holo import DEFAULT_NODES, MAX_NODES, UnstableQuadrature
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
 from oracles import basis, embed, functional_f, spectrum, wrong_xi_values, xi
@@ -324,7 +324,7 @@ class TestIntegral:
 
     def test_overflowing_data_raise_after_one_call(self, all_monospecs, monkeypatch):
         # exp(800) overflows on the circle: HoloDomainError naming the point
-        # after the first integrand call, not 4096 nodes and a warning.
+        # after the first integrand call, not 4096 nodes and UnstableQuadrature.
         ms = all_monospecs["alg_ss2"]
         _, sizes = record_quadrature(monkeypatch)
         text = r"the value at \(800\.0, 0\.1, 0\.1\) is not finite: the data overflow there"
@@ -336,6 +336,17 @@ class TestIntegral:
                 assert sizes == [2 * DEFAULT_NODES], r
             with pytest.raises(HoloDomainError, match=text):
                 eval_integral(ms, (800.0, 0.1, 0.1), 2)
+
+    def test_unconverged_quadrature_raises(self, alg_ss2, monkeypatch):
+        # F_1 = cos(60 xi) reaches e^60 on the circle around the near-
+        # coincident spectrum at (0.3, 1e-6, 0), so rounding keeps successive
+        # rules apart: UnstableQuadrature at the node cap, never a value.
+        ms = MonogenicSpec.create(alg_ss2, fixture_triad("alg_ss2"),
+                                  [HoloFn.cos(scale=60.0), HoloFn.exp()])
+        _, sizes = record_quadrature(monkeypatch)
+        with pytest.raises(UnstableQuadrature, match=f"did not stabilize to 1e-10 at {MAX_NODES} nodes"):
+            eval_integral(ms, (0.3, 1e-6, 0.0), 3)
+        assert sum(sizes) == MAX_NODES
 
     @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3, 1), ()])
     def test_more_than_one_point_is_refused(self, all_monospecs, shape):
