@@ -37,6 +37,7 @@ from .pde import (
     ZeroAt,
     central_stencil,
     characteristic_residual,
+    definite_sign,
     operator_identity_check,
     p_nonvanishing_scan,
     p_poly,

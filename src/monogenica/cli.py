@@ -79,11 +79,13 @@ arrays do not fit in memory (a MemoryError; grid then leaves no CSV at a new
 or regular out); 3 evaluation outside a holomorphic function's domain,
 including a scale whose power at a needed derivative order overflows, an
 integral route whose circle around the spectrum cannot stay inside every
-series' safe disc or whose order r has an r! beyond the float range
-(r >= 171), and a value of eval, grid or check that is not finite (data that
-overflow at the point, or at a point of check's stencils, so that check
-prints no PASS or FAIL line; grid then leaves no CSV at a new or regular
-out, and a device or pipe keeps the blocks written before; the integral
+series' safe disc, whose radius is lost in the rounding of its centre, or
+whose order r has an r! beyond the float range (r >= 171), and a value of
+eval, grid or check that is not finite (data that overflow at the point, or
+at a point of check's stencils, named with its job point and the option of
+its step, so that check prints no PASS or FAIL line; grid then leaves no
+CSV at a new or regular out, and a device or pipe keeps the blocks written
+before; the integral
 route stops at its first integrand call when that is not finite); 4 output
 I/O errors, a full disk and a grid out that cannot be opened included (grid
 opens out before it evaluates a block, so that comes before exit 3), and a
@@ -100,6 +102,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -240,16 +243,18 @@ def check_step(option: str, h: float, points, power: int = 1) -> None:
                        f"range") from None
 
 
-def require_finite(values: np.ndarray, points) -> None:
+def require_finite(values: np.ndarray, points, name=None) -> None:
     """HoloDomainError naming the first of the points whose value is not finite.
 
     values holds one row per point.  Data that overflow at a point give inf
-    or NaN there, which is no value to print.
+    or NaN there, which is no value to print.  name, if given, maps the
+    index of that point to the text naming the value.
     """
     finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
     if not finite.all():
-        point = tuple(float(v) for v in points[int(finite.argmin())])
-        raise HoloDomainError(f"the value at {point} is not finite: the data overflow there")
+        k = int(finite.argmin())
+        what = name(k) if name else f"the value at {tuple(float(v) for v in points[k])}"
+        raise HoloDomainError(f"{what} is not finite: the data overflow there")
 
 
 def _status(ok: bool, label: str, detail: str = "") -> bool:
@@ -409,8 +414,10 @@ def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
     Phi^(N) of the operator identity.  A row of a batch equals the same
     point evaluated alone at its order, so each result equals its own
     separate call bit for bit.  A value of the batch that is not finite
-    raises HoloDomainError (require_finite).  Returns (values, (ry, rz),
-    pde residual, Phi^(N) at pts[0]), the last two None without a pde.
+    raises HoloDomainError (require_finite); at a stencil point, its text
+    names the stencil point, its job point and the option of its step.
+    Returns (values, (ry, rz), pde residual, Phi^(N) at pts[0]), the last
+    two None without a pde.
     """
     blocks = [pts, monogenic.cr_stencil(pts, h_cr)]
     order = 0
@@ -419,9 +426,25 @@ def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
         order = np.zeros(sum(map(len, blocks)), dtype=int)
         order[-1] = pde.N
     batch = np.concatenate(blocks)
+    ends = np.cumsum([len(b) for b in blocks])
+
+    def name(k: int) -> str:
+        # Row k is in block i, whose rows come in equal runs, one per job
+        # point (the last block, Phi^(N), has the first point's one row).
+        i = int(np.searchsorted(ends, k, side="right"))
+        size = len(blocks[i])
+        job = tuple(float(v) for v in pts[(k - ends[i] + size) * len(pts) // size])
+        if i == 0:
+            return f"the value at {job}"
+        if i == 3:
+            return f"Phi^({pde.N}) at the job point {job}"
+        option, step = ("--h-cr", h_cr) if i == 1 else ("--h-pde", h_pde)
+        return (f"the value at {tuple(float(v) for v in batch[k])}, a point of the {option} "
+                f"{step!r} stencil at the job point {job},")
+
     values = monogenic.eval_explicit(ms, batch, order=order)
-    require_finite(values, batch)
-    rows = np.split(values, np.cumsum([len(b) for b in blocks[:-1]]))
+    require_finite(values, batch, name)
+    rows = np.split(values, ends[:-1])
     cr = monogenic.cr_residual(ms, pts, h_cr, values=rows[1])
     if pde is None:
         return rows[0], cr, None, None
@@ -487,11 +510,14 @@ class _Parser(argparse.ArgumentParser):
     """A usage error is a JobError, so main returns exit 2 for it like any bad spec.
 
     Options are never abbreviated: --h would otherwise be taken as --help
-    by a subcommand with no other option starting with it.
+    by a subcommand with no other option starting with it.  A negative
+    number with an exponent, such as --point -1e16 0 0, is a value, not an
+    option: argparse before Python 3.13 reads only -1 and -1.5 as numbers.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise JobError(f"{message} (see {self.prog} --help)")

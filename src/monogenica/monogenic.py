@@ -249,7 +249,11 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     unconverged value is returned.  An
     integrand that is not finite on the first call (data that overflow on
     the circle) raises HoloDomainError naming the point, and so does an
-    order whose r! is beyond the float range (r >= 171).
+    order whose r! is beyond the float range (r >= 171).  So does a circle
+    whose radius is lost in the rounding of its centre, centre + radius or
+    centre + i radius equal to the centre in float64 (a point near 1e16
+    with a radius-1 circle): its nodes would round onto the centre, and
+    onto a spectrum point there.  That test is two scalar sums.
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
@@ -272,6 +276,11 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
     G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)
     contour = enclosing_contour(xi_v, ms.F + ms.G)
+    c, radius = contour.center, contour.radius
+    if c + radius == c or c + 1j * radius == c:
+        raise HoloDomainError(f"no contour route at the point {(float(x), float(y), float(z))}: "
+                              f"the circle of radius {radius!r} about {c!r} is narrower than "
+                              f"the rounding of its centre, so its nodes round onto it")
     stack = ms.value_stack
 
     def moments(t: np.ndarray) -> np.ndarray:

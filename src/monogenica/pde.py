@@ -3,13 +3,20 @@
 A triad satisfying the characteristic equation
 sum C_{a,b,g} * e2^b * e3^g = 0 makes every component of every monogenic
 function a solution of the corresponding order-N equation.  This module
-evaluates the characteristic residual, the scalar symbol P(a, b), a
-heuristic non-vanishing scan for it, and finite-difference verification of
-the PDE and of the operator identity L_N(Phi) = Phi^(N) * (characteristic sum).
+evaluates the characteristic residual, the scalar symbol P(a, b), a scan
+for the real zeros of P, and finite-difference verification of the PDE and
+of the operator identity L_N(Phi) = Phi^(N) * (characteristic sum).
+
+The scan's NoZeroFound is a proof for a definite symbol, a constant plus
+even monomials of that constant's sign (definite_sign), which is settled
+from the signs of its terms without a sample; for any other symbol it is
+evidence from samples.  A ZeroAt is a sampled or bisected point near a
+zero, as it always was.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,19 +133,48 @@ _THETA = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
 _COS, _SIN = np.cos(_THETA), np.sin(_THETA)
 
 
-def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
-    """Heuristic witness that P(a, b) != 0 on the reals.
+def definite_sign(terms: Sequence[tuple[int, int, int, float]]) -> float:
+    """The sign P(a, b) keeps on all of R^2 by the signs of its terms: 1.0, -1.0, or 0.0 if none.
 
-    Samples a uniform grid on [-SCAN_BOX, SCAN_BOX]^2, then sign-checks the
-    leading homogeneous part along a circle of directions (zeros escaping
-    the box).  A reported NoZeroFound is evidence, not a proof.  Every
-    value of P, on the grid, along the directions (the top-degree terms at
-    their cosines and sines), on the ray and in the bisection, comes from
-    p_poly.  The grid is read by one argmin and one argmax: they give min P
-    and max P, hence max |P|, and where P keeps one sign the sample nearest
-    zero; only a grid on which P takes both signs (or holds a NaN) takes |P|
-    as well.
+    terms are (alpha, beta, gamma, C) rows, such as PdeSpec.terms.  The
+    terms with a nonzero coefficient settle the sign when every one has
+    even beta and gamma and a finite coefficient, at least one is a
+    constant (beta = gamma = 0), and all have one sign: then P is a
+    constant c0 plus even monomials of c0's sign, and |P| >= |c0|
+    everywhere.  This is P's natural interval extension over the
+    unbounded box, each even power taken as [0, inf] (Moore, Kearfott and
+    Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 5-6), on the
+    symbols whose constants share one sign.  No sum is formed: constants
+    of both signs settle nothing, and the scan samples such a symbol.
     """
+    live = [(beta, gamma, c) for _, beta, gamma, c in terms if c != 0.0]
+    if (not any(beta == gamma == 0 for beta, gamma, _ in live)
+            or any(beta % 2 or gamma % 2 or not math.isfinite(c) for beta, gamma, c in live)):
+        return 0.0
+    if all(c > 0.0 for _, _, c in live):
+        return 1.0
+    if all(c < 0.0 for _, _, c in live):
+        return -1.0
+    return 0.0
+
+
+def p_nonvanishing_scan(pde: PdeSpec) -> Union[NoZeroFound, ZeroAt]:
+    """Whether P(a, b) has a real zero: NoZeroFound, or ZeroAt a point near one.
+
+    A definite symbol (definite_sign) is settled first, from the signs of
+    its terms: its NoZeroFound is a proof, and no value of P is computed.
+    Any other symbol is sampled on a uniform grid on [-SCAN_BOX, SCAN_BOX]^2,
+    then its leading homogeneous part is sign-checked along a circle of
+    directions (zeros escaping the box); its NoZeroFound is evidence, not a
+    proof.  Every value of P, on the grid, along the directions (the
+    top-degree terms at their cosines and sines), on the ray and in the
+    bisection, comes from p_poly.  The grid is read by one argmin and one
+    argmax: they give min P and max P, hence max |P|, and where P keeps one
+    sign the sample nearest zero; only a grid on which P takes both signs
+    (or holds a NaN) takes |P| as well.
+    """
+    if definite_sign(pde.terms):
+        return NoZeroFound()
     P = p_poly(pde.terms, _AXIS[:, None], _AXIS)
     k_min, k_max = int(P.argmin()), int(P.argmax())
     p_min, p_max = P.flat[k_min], P.flat[k_max]

@@ -13,7 +13,8 @@ so the tests compare their bits: xi_u and T_s as two separate sums, and
 the inverse powers of t - xi_u by cumprod over a stack of d + 1 arrays.
 The JSON writers of algebras, holomorphic functions and PDEs, which the
 package only reads, are the round-trip tests' other half.  basis,
-functional_f and radical_project are element helpers only the tests use.
+functional_f and radical_project are element helpers only the tests use,
+and EXTREMES the extreme numbers that the property tests draw from.
 """
 
 import numpy as np
@@ -23,6 +24,10 @@ from monogenica.holo import DerivativeStack, HoloFn
 from monogenica.monogenic import MonogenicSpec, Point, TriadSpec, stencil_points
 from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
 from monogenica.resolvent import assemble_closed, b_coeffs, coordinates, q_table, t_coeffs
+
+
+# The extremes of every number a command or the scan reads, each with either sign.
+EXTREMES = [s * v for v in (0.0, 5e-324, 1e-300, 1e8, 1e16, 1e200, 1.7e308) for s in (1.0, -1.0)]
 
 
 class OnSpectrum(Exception):

@@ -22,7 +22,7 @@ from monogenica.algebra import AlgebraSpec
 from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
 
-from oracles import basis
+from oracles import EXTREMES, basis
 
 
 def run(capsys, *argv):
@@ -838,11 +838,34 @@ class TestCheck:
     @pytest.mark.parametrize("option, step", [("--h-cr", "1e3"), ("--h-pde", "1e100")])
     def test_stencil_beyond_the_data_exits_3(self, capsys, option, step):
         # exp overflows at a stencil point x +- step: the one batched call
-        # comes before the first status line, so no PASS or FAIL line.
+        # comes before the first status line, so no PASS or FAIL line.  The
+        # one error line names the stencil point, the job point whose
+        # stencil it is and the option of the step.
         code, out, err = run(capsys, "check", JOB_OK, option, step)
         assert code == 3 and out == ""
-        assert err.startswith("error: the value at (") and "is not finite" in err
-        assert err.count("\n") == 1
+        x = 0.3 + float(step)
+        assert err == (f"error: the value at {(x, 0.4, -0.2)}, a point of the {option} "
+                       f"{float(step)!r} stencil at the job point (0.3, 0.4, -0.2), is not "
+                       f"finite: the data overflow there\n")
+
+    def test_stencil_names_its_job_point(self, capsys, tmp_path):
+        # Overflow first at the second job point's stencil: that job point
+        # is named, with the stencil point that overflowed.
+        path = laplace_job(tmp_path, points=[[0.3, 0.4, -0.2], [700.0, 0.1, 0.1]])
+        code, out, err = run(capsys, "check", path, "--h-cr", "20")
+        assert code == 3 and out == ""
+        assert err == ("error: the value at (720.0, 0.1, 0.1), a point of the --h-cr 20.0 stencil "
+                       "at the job point (700.0, 0.1, 0.1), is not finite: the data overflow there\n")
+
+    def test_derivative_beyond_the_data_exits_3(self, capsys, tmp_path):
+        # 1.5e308 xi^2 is finite near the point, at every stencil point, but
+        # its second derivative 3e308 is not: Phi'' of the operator identity.
+        path = laplace_job(tmp_path, points=[[0.3, 0.4, -0.2]],
+                           F=[{"kind": "poly", "coeffs": [0.0, 0.0, 1.5e308]}, {"kind": "exp"}])
+        code, out, err = run(capsys, "check", path)
+        assert code == 3 and out == ""
+        assert err == ("error: Phi^(2) at the job point (0.3, 0.4, -0.2) is not finite: the data "
+                       "overflow there\n")
 
     def test_tolerances_in_the_job_exit_2(self, capsys, tmp_path):
         # Even well-formed tolerances: the flags are their one source.
@@ -1093,6 +1116,42 @@ def test_eval_compare_of_overflowing_data_exits_3(capsys, method):
     assert err == "error: the value at (800.0, 0.1, 0.1) is not finite: the data overflow there\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--method", "integral"],
+    ["--method", "integral", "--compare"],
+    ["--method", "explicit", "--compare"],
+    ["--method", "special", "--compare"],
+])
+@pytest.mark.parametrize("job, x, centre", [(JOB_T4, "1e16", "(1e+16+0j)"), (JOB_OK, "1e17", "(1e+17+0j)")],
+                         ids=["t4-1e16", "ss2-1e17"])
+def test_contour_whose_nodes_round_onto_its_centre_exits_3(capsys, recwarn, job, x, centre, argv):
+    # The radius-1 circle about x is lost in x's rounding, so its nodes
+    # would round onto the centre and divide by zero.  The explicit route
+    # alone has a value there: U_1 = 1e+32 on t4 at 1e16.
+    code, out, err = run(capsys, "eval", job, "--point", x, "0", "0", *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: no contour route at the point ({float(x)!r}, 0.0, 0.0): the circle of "
+                   f"radius 1.0 about {centre} is narrower than the rounding of its centre, so its "
+                   f"nodes round onto it\n")
+    assert len(recwarn) == 0
+
+
+def test_far_point_explicit_route_has_a_value(capsys):
+    code, out, err = run(capsys, "eval", JOB_T4, "--point", "1e16", "0", "0")
+    assert (code, err) == (0, "")
+    assert values(out)[0] == 1e32
+
+
+def test_negative_exponent_point_is_a_value(capsys):
+    # -1e16 and -5e-324 are numbers, not options, whatever argparse's own
+    # rule for negative numbers.
+    point = (-1e16, -5e-324, -0.2)
+    code, out, err = run(capsys, "eval", JOB_T4, "--point", *map(repr, point))
+    assert (code, err) == (0, "")
+    value = monogenic.eval_explicit(build_spec(load_job(JOB_T4)), point)
+    assert values(out) == list(monogenic.extract_components(value))
+
+
 @pytest.mark.parametrize("compare", [False, True])
 @pytest.mark.parametrize("order", [171, 400, 700, 1500])
 def test_integral_route_beyond_the_float_factorial_exits_3(capsys, order, compare):
@@ -1275,12 +1334,78 @@ def test_mutated_jobs_map_to_exit_codes(capsys, tmp_path, job, order):
     point = ["--point", "0.3", "0.4", "-0.2", "--order", str(order)]
     runs = [["validate", path], ["check", path]]
     runs += [["eval", path, *point, "--method", method] for method in ("explicit", "integral", "special")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for argv in runs:
-            code = main(argv)
-            assert code in range(5), argv
+    for argv in runs:
+        code = main(argv)
+        assert code in range(5), argv
     capsys.readouterr()
+
+
+COORDINATES = st.sampled_from(EXTREMES) | st.sampled_from([0.3, 0.4, -0.2, -0.5])
+
+
+@st.composite
+def contract_cases(draw):
+    """(job, argv): a bundled job, algebra inlined, and one command on it with extreme numbers.
+
+    eval takes a drawn point and order (up to 400) on each route, with or
+    without --compare; check takes drawn job points and steps; grid takes
+    drawn axes of two or three values.  The argv's job path and grid out
+    are "JOB" and "OUT", for the test to fill in.
+    """
+    job = inlined(draw(st.sampled_from(["job_laplace_ss2.json", "job_square_t4.json",
+                                        "job_broken_triad.json"])))
+    point = [draw(COORDINATES) for _ in range(3)]
+    command = draw(st.sampled_from(["eval", "check", "grid"]))
+    if command == "eval":
+        order = draw(st.integers(0, 400) | st.sampled_from([0, 1, 2, 3, 20, 170, 171, 400]))
+        argv = ["eval", "JOB", "--point", *map(repr, point), "--order", str(order),
+                "--method", draw(st.sampled_from(["explicit", "integral", "special"]))]
+        argv += ["--compare"] * draw(st.booleans())
+    elif command == "check":
+        job["points"] = [point] + [[draw(COORDINATES) for _ in range(3)]] * draw(st.booleans())
+        argv = ["check", "JOB"]
+        for option in ("--h-cr", "--h-pde"):
+            if draw(st.booleans()):
+                argv += [option, repr(draw(st.sampled_from(EXTREMES)))]
+    else:
+        job["grid"] = {axis: sorted([draw(COORDINATES), draw(COORDINATES)]) + [draw(st.integers(2, 3))]
+                       for axis in "xyz"}
+        argv = ["grid", "JOB", "--out", "OUT"]
+    return job, argv
+
+
+def printed_numbers(text):
+    """Every token of text that float() reads, a U_k line's imaginary part without its i."""
+    numbers = []
+    for token in re.split(r"[\s,()=]+", text):
+        try:
+            numbers.append(float(token[:-1] if token.endswith("i") else token))
+        except ValueError:
+            pass
+    return numbers
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=contract_cases())
+def test_every_input_gives_one_exit_code_and_one_error_line(capsys, tmp_path, case):
+    # No warning filter: a warning fails the test as an exception.
+    job, argv = case
+    out_file = tmp_path / "grid.csv"
+    argv = [write_job(tmp_path, job) if a == "JOB" else str(out_file) if a == "OUT" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code in range(5), argv
+    if code == 0:
+        assert err == "", argv
+        assert all(map(math.isfinite, printed_numbers(out))), (argv, out)
+        if argv[0] == "grid":
+            fields = out_file.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in fields for v in row.split(",")), argv
+    elif code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    out_file.unlink(missing_ok=True)
 
 
 def counting_validations(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,24 @@ class TestIntegral:
                 assert sizes == [2 * DEFAULT_NODES], r
             with pytest.raises(HoloDomainError, match=text):
                 eval_integral(ms, (800.0, 0.1, 0.1), 2)
+
+    @pytest.mark.parametrize("name", ["alg_ss2", "alg_t4"])
+    def test_circle_lost_in_the_rounding_of_its_centre_raises(self, all_monospecs, monkeypatch,
+                                                             name):
+        # At 1e16 a float64 steps by 2, so centre + 1 is the centre: the
+        # radius-1 circle's nodes would round onto it, and onto the spectrum
+        # point there.  Refused before the first integrand call, without a
+        # divide-by-zero warning.
+        ms = all_monospecs[name]
+        _, sizes = record_quadrature(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e16, -3e16):
+                with pytest.raises(HoloDomainError, match=rf"no contour route at the point "
+                                                          rf"\({re.escape(repr(x))}, 0\.0, 0\.0\): "
+                                                          rf"the circle of radius 1\.0 about"):
+                    eval_integral(ms, (x, 0.0, 0.0))
+        assert sizes == []
 
     def test_unconverged_quadrature_raises(self, alg_ss2, monkeypatch):
         # F_1 = cos(60 xi) reaches e^60 on the circle around the near-

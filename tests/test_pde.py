@@ -15,6 +15,7 @@ from monogenica import (
     ZeroAt,
     central_stencil,
     characteristic_residual,
+    definite_sign,
     eval_explicit,
     operator_identity_check,
     p_nonvanishing_scan,
@@ -27,7 +28,7 @@ from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
 
 from conftest import fixture_triad
-from oracles import apply_operator, functional_f, nonvanishing_scan, xi
+from oracles import EXTREMES, apply_operator, functional_f, nonvanishing_scan, xi
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
 
@@ -116,14 +117,16 @@ def scan_bits(result):
 
 @st.composite
 def symbols(draw):
-    """Symbols P(a, b) of order 2 or 4 from four families, one per branch of the scan.
+    """(family, P(a, b)): symbols of order 2 or 4 from four families, one per branch of the scan.
 
     Each is drawn with either sign, so P <= 0 everywhere, the scan's argmax
     branch, is drawn as often as P >= 0.  definite: a positive constant
-    plus positive even terms; grid-zero: c a^k, zero along a = 0 and of one
-    sign for even k, or c (a^k - b^k); interior: c0 + c1 a^2 - c2 b^2, a
-    sign change inside the box; leading: a constant above 100 plus a^2 -
-    b^2, of one sign on the box with a leading part of both signs.
+    plus positive even terms, which definite_sign settles; grid-zero: c
+    a^k, zero along a = 0 and of one sign for even k, or c (a^k - b^k);
+    interior: c0 + c1 a^2 - c2 b^2, a sign change inside the box; leading:
+    a constant above 100 plus a^2 - b^2, of one sign on the box with a
+    leading part of both signs.  The last three have an odd exponent, mixed
+    signs or no constant, so the grid, rays and bisection run on them.
     """
     family = draw(st.sampled_from(["definite", "grid-zero", "interior", "leading"]))
     N = draw(st.sampled_from([2, 4]))
@@ -142,7 +145,7 @@ def symbols(draw):
     else:
         terms = [(N, 0, 0, draw(st.floats(101.0, 1e4))), (N - 2, 2, 0, 1.0), (N - 2, 0, 2, -1.0)]
     sign = draw(st.sampled_from([1.0, -1.0]))
-    return PdeSpec.create(N, draw(st.permutations([(*t[:3], sign * t[3]) for t in terms])))
+    return family, PdeSpec.create(N, draw(st.permutations([(*t[:3], sign * t[3]) for t in terms])))
 
 
 class TestSymbolScan:
@@ -189,17 +192,97 @@ class TestSymbolScan:
             assert (hit.a.hex(), hit.b.hex()) == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(pde=symbols())
+    @given(case=symbols())
     # P >= 0 and P <= 0 with zeros along a = 0: the sample nearest zero is
     # argmin P in one, argmax P in the other.
-    @example(pde=PdeSpec.create(2, [(0, 2, 0, 1.0)]))
-    @example(pde=PdeSpec.create(2, [(0, 2, 0, -1.0)]))
-    # P < 0 with a sample within 1e-9 max |P| of zero but not within 1e-9.
-    @example(pde=PdeSpec.create(2, [(2, 0, 0, -1e-8), (0, 2, 0, -1.0)]))
+    @example(case=("grid-zero", PdeSpec.create(2, [(0, 2, 0, 1.0)])))
+    @example(case=("grid-zero", PdeSpec.create(2, [(0, 2, 0, -1.0)])))
+    # P <= 0 on the grid, with a sample within 1e-9 max |P| of zero but not
+    # within 1e-9; the tiny b^2 term of the other sign leaves it unsettled.
+    @example(case=("grid-zero", PdeSpec.create(2, [(2, 0, 0, -1e-8), (0, 2, 0, -1.0),
+                                                   (0, 0, 2, 1e-30)])))
     # P < 0 everywhere, and its leading part too.
-    @example(pde=PdeSpec.create(2, [(2, 0, 0, -1.0), (0, 2, 0, -2.0), (0, 0, 2, -3.0)]))
-    def test_scan_matches_the_abs_grid_oracle(self, pde):
-        assert scan_bits(p_nonvanishing_scan(pde)) == scan_bits(nonvanishing_scan(pde))
+    @example(case=("definite", PdeSpec.create(2, [(2, 0, 0, -1.0), (0, 2, 0, -2.0),
+                                                  (0, 0, 2, -3.0)])))
+    def test_scan_matches_the_abs_grid_oracle(self, case):
+        # A definite symbol is settled by the signs of its terms; every
+        # other one runs through the grid, rays and bisection as before.
+        family, pde = case
+        if family == "definite":
+            assert definite_sign(pde.terms) != 0.0
+            assert isinstance(p_nonvanishing_scan(pde), NoZeroFound)
+        else:
+            assert definite_sign(pde.terms) == 0.0
+            assert scan_bits(p_nonvanishing_scan(pde)) == scan_bits(nonvanishing_scan(pde))
+
+    @pytest.mark.parametrize("terms", [
+        [(2, 0, 0, 1e-12), (0, 2, 0, 1.0), (0, 0, 2, 1.0)],
+        [(2, 0, 0, -1e-8), (0, 2, 0, -1.0)],
+    ], ids=["tiny-positive-constant", "tiny-negative-constant"])
+    def test_definite_symbol_is_settled_without_a_sample(self, monkeypatch, terms):
+        # |P| >= |c0| > 0 on all of R^2.  The sampled scan reported
+        # ZeroAt(0.0, 0.0) and ZeroAt(0.0, -10.0) here: its tolerance,
+        # 1e-9 max |P| on the box, exceeds |c0|.
+        pde = PdeSpec.create(2, terms)
+
+        def no_samples(*args):
+            raise AssertionError("P was evaluated")
+
+        monkeypatch.setattr(pde_mod, "p_poly", no_samples)
+        assert isinstance(p_nonvanishing_scan(pde), NoZeroFound)
+
+    @pytest.mark.parametrize("terms", [
+        [(2, 0, 0, 1.0), (1, 1, 0, 1e-30), (0, 2, 0, 1.0)],  # an odd exponent
+        [(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, -1e-30)],  # mixed signs
+        [(0, 2, 0, 1.0), (0, 0, 2, 1.0)],  # no constant
+        [(2, 0, 0, 1.0), (2, 0, 0, -1.0), (0, 2, 0, 1.0)],  # constants that cancel
+        # Constants of both signs, summing to 1: no sum is formed.
+        [(2, 0, 0, 1.0), (2, 0, 0, 1e16), (2, 0, 0, -1e16), (0, 2, 0, 3.0)],
+        [(2, 0, 0, -1.0), (0, 2, 0, 1.0)],  # a constant of the other sign
+        [(2, 0, 0, math.nan), (0, 2, 0, 1.0)],
+        [(2, 0, 0, 1.0), (0, 2, 0, math.inf)],
+    ], ids=["odd-exponent", "mixed-signs", "no-constant", "cancelling-constants",
+            "constants-of-both-signs", "opposite-constant", "nan", "inf"])
+    def test_other_symbols_are_never_settled(self, terms):
+        assert definite_sign(PdeSpec.create(2, terms).terms) == 0.0
+
+    def test_zero_terms_are_dropped_and_constants_may_repeat(self):
+        # Terms with a zero coefficient, odd exponents included, are
+        # dropped.  Repeated constants of one sign settle, also where their
+        # float sum overflows.
+        terms = [(2, 0, 0, 1.0), (0, 2, 0, 3.0), (1, 1, 0, 0.0), (1, 0, 1, -0.0)]
+        assert definite_sign(PdeSpec.create(2, terms).terms) == 1.0
+        assert definite_sign([(2, 0, 0, 1.7e308), (2, 0, 0, 1.7e308), (0, 2, 0, 1.0)]) == 1.0
+        assert definite_sign([(2, 0, 0, -1e16), (2, 0, 0, -1.0), (0, 0, 2, -2.0)]) == -1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c0=st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-300, 1e-12, 1.0, 1.7e308]),
+        others=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                  st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1.7e308])),
+                        max_size=4),
+        sign=st.sampled_from([1.0, -1.0]),
+        a=st.floats(-1e300, 1e300) | st.sampled_from(EXTREMES),
+        b=st.floats(-1e300, 1e300) | st.sampled_from(EXTREMES),
+    )
+    def test_settled_symbol_keeps_the_sign_of_its_constant(self, c0, others, sign, a, b):
+        # A constant plus even monomials of its sign: p_poly, in float64 as
+        # the scan samples, gives P with sign * P >= c0 > 0, never 0 nor the
+        # other sign.  p_poly forms each term as (C a^beta) b^gamma, so a
+        # term whose one factor overflows to inf while the other is 0 is
+        # NaN: a float limit of the evaluator, not a zero of P.
+        terms = [(4, 0, 0, sign * c0)] + [(4 - 2 * i - 2 * j, 2 * i, 2 * j, sign * c)
+                                          for i, j, c in others if i + j <= 2]
+        assert definite_sign(terms) == sign
+        assert isinstance(p_nonvanishing_scan(PdeSpec.create(4, terms)), NoZeroFound)
+        a, b = np.float64(a), np.float64(b)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            P = p_poly(terms, a, b)
+            if np.isnan(P):
+                assert any(sorted([abs(c * a**beta), b**gamma]) == [0.0, np.inf]
+                           for _, beta, gamma, c in terms)
+            else:
+                assert sign * P >= c0
 
     def test_missing_pure_x_term_zero_at_origin(self):
         pde = PdeSpec.create(2, [(0, 2, 0, 1.0), (0, 0, 2, 1.0)])
