@@ -14,9 +14,8 @@ of the whole grid is made, so its size is bounded by its CSV, not by
 memory.  Each axis value is formatted once, before the block loop, and
 every block gathers its x, y and z text from those per-axis tables, so
 every block runs the same body.  The argument parser is built once per
-process, when this module is imported: in-process callers of main()
-(tests, scripts, benchmarks) do not rebuild it, and a one-shot run builds
-it once as before.
+process, when this module is imported, so in-process callers of main()
+(tests, scripts, benchmarks) do not rebuild it.
 
 Before its first block grid raises glibc's trim threshold (mallopt
 M_TRIM_THRESHOLD) to 64 MiB and its mmap threshold to 32 MiB, once per
@@ -47,50 +46,18 @@ ZeroAt line and grid's CSV, is the text repr gives its float, so that
 float(text) gives back the computed bits; only error magnitudes (check's
 residuals and eval's --compare deviation) print as %.3e.
 
-A malformed job is rejected where its input is read, with exit 2.  Every
-number in a job file is read by one of holo's three readers: parse_real (a
-finite JSON number; true and false are not numbers), parse_int (a JSON
-integer, not even 3.0: every dimension, index, order and count) and
-parse_complex (a finite number or an [re, im] pair of them).  Also rejected:
-a job that is not a JSON object or is nested too deep to read (load_job),
-an algebra whose upsilon or u_map has the wrong type (algebra_from_dict), a
-triad without n coefficients (monogenic_from_dict), a point that is not
-three numbers (job_points) and a check job with a tolerances object, which
-no longer sets check's tolerances (--tol-cr and --tol-pde do).
+A malformed job is rejected where its input is read, each of its numbers
+by one of holo's readers (parse_real, parse_int, parse_complex).  main holds
+the one failure policy: it runs the command under one np.errstate, since a
+value that overflows is rejected (require_finite), and maps each exception
+the library raises to its exit code and one error: line.
 
-main holds the one failure policy: it runs the command under one
-np.errstate, since a value that overflows is rejected (require_finite), and
-maps each exception the library raises to its exit code and one error: line.
-
-Exit codes: 0 success; 1 failed checks, contour quadrature that did not
-converge in eval (contour_integrate raises UnstableQuadrature), or an eval
---compare deviation beyond its tolerance; 2 parse/spec errors, holomorphic
-data, job points, usage errors (an option the subcommand does not take, such
-as the former --nodes of eval or --h of check), numeric options (a negative
---order, a non-finite --point, an --h-cr, --h-pde, --tol-cr or --tol-pde
-that is not a positive finite number, and a check step that vanishes or
-overflows: x, y or z +- the step equal to itself at a job point, or --h-pde
-to the power N underflowing to 0 or beyond the float range), a grid out that
-is not a path string, and a grid axis with a non-finite bound or extent or a
-count that is not a JSON integer from 2 to MAX_COUNT included, and a grid
-whose shortest possible CSV (4 (3 + 2n) bytes a point) would pass the
-largest file offset, sys.maxsize bytes (no CSV), and any command whose
-arrays do not fit in memory (a MemoryError; grid then leaves no CSV at a new
-or regular out); 3 evaluation outside a holomorphic function's domain,
-including a scale whose power at a needed derivative order overflows, an
-integral route whose circle around the spectrum cannot stay inside every
-series' safe disc, whose radius is lost in the rounding of its centre, or
-whose order r has an r! beyond the float range (r >= 171), and a value of
-eval, grid or check that is not finite (data that overflow at the point, or
-at a point of check's stencils, named with its job point and the option of
-its step, so that check prints no PASS or FAIL line; grid then leaves no
-CSV at a new or regular out, and a device or pipe keeps the blocks written
-before; the integral
-route stops at its first integrand call when that is not finite); 4 output
-I/O errors, a full disk and a grid out that cannot be opened included (grid
-opens out before it evaluates a block, so that comes before exit 3), and a
-closed stdout (main flushes stdout before it returns, and reports a broken
-pipe in one line, not a traceback).
+Exit codes (README's table states each case):
+0 success;
+1 a FAIL line, or eval's contour quadrature that did not converge;
+2 a malformed job, spec or option, or arrays that do not fit in memory;
+3 no finite value: a domain overrun, data that overflow, or an r! beyond floats;
+4 output that cannot be written, a closed stdout included.
 """
 
 from __future__ import annotations
@@ -496,8 +463,8 @@ def cmd_check(args) -> int:
         if characteristic:
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= args.tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
-            d = pde_mod.operator_identity_check(ms, pde, points[0], h=args.h_pde,
-                                                discrete=r[0], char=char, derivative=phi_n)
+            d = pde_mod.operator_identity_check(ms, pde, points[0], discrete=r[0], char=char,
+                                                derivative=phi_n)
             dmax = float(np.max(np.abs(d)))
             ok &= _status(dmax <= IDENTITY_TOL * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL

@@ -221,6 +221,8 @@ def eval_explicit(
 
 # -- integral evaluation -------------------------------------------------------
 
+MAX_FACTORIAL_ORDER = 170  # the largest r whose r! is a finite float: 171! > 1.8e308
+
 
 def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
@@ -246,10 +248,11 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     rule is holo's one contour rule (contour_integrate): 32 and 64 nodes
     in the first call, doubled until two successive rules agree; it raises
     UnstableQuadrature when they still disagree at its node cap, so no
-    unconverged value is returned.  An
-    integrand that is not finite on the first call (data that overflow on
-    the circle) raises HoloDomainError naming the point, and so does an
-    order whose r! is beyond the float range (r >= 171).  So does a circle
+    unconverged value is returned.  An order whose r! is beyond the float
+    range (r > MAX_FACTORIAL_ORDER) raises HoloDomainError before anything
+    is computed, since no value can come out.  An integrand that is not
+    finite on the first call (data that overflow on the circle) raises
+    HoloDomainError naming the point.  So does a circle
     whose radius is lost in the rounding of its centre, centre + radius or
     centre + i radius equal to the centre in float64 (a point near 1e16
     with a radius-1 circle): its nodes would round onto the centre, and
@@ -257,6 +260,8 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     """
     if order < 0:
         raise ValueError("derivative order must be >= 0")
+    if order > MAX_FACTORIAL_ORDER:
+        raise HoloDomainError(f"{order}! overflows: the contour route has no value at order {order}")
     spec = ms.algebra
     m, n, d = spec.m, spec.n, spec.n - spec.m
     power = order + 1
@@ -294,10 +299,7 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
         point = (float(x), float(y), float(z))
         raise HoloDomainError(f"the value at {point} is not finite: the data overflow there") from None
     # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
-    try:
-        return math.factorial(order) * value if order else value
-    except OverflowError:
-        raise HoloDomainError(f"{order}! overflows: the contour route has no value at order {order}") from None
+    return math.factorial(order) * value if order else value
 
 
 def gateaux_derivative(ms: MonogenicSpec, p: Union[Point, np.ndarray], r: int) -> Element:

@@ -11,7 +11,7 @@ The scan's NoZeroFound is a proof for a definite symbol, a constant plus
 even monomials of that constant's sign (definite_sign), which is settled
 from the signs of its terms without a sample; for any other symbol it is
 evidence from samples.  A ZeroAt is a sampled or bisected point near a
-zero, as it always was.
+zero.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogenica import (
@@ -393,6 +393,9 @@ def owner_joining_tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=owner_joining_tables())
+# T4's shape with I_3 I_3 = I_4, u_3 = 1 and u_4 = 2.
+@example(case=({"n": 4, "m": 2, "u_map": {"3": 1, "4": 2}, "upsilon": [[3, 3, 4, 1.0, 0.0]]},
+               (1, 3, 3)))
 def test_products_joining_radicals_of_different_owners_are_rejected(case):
     table, triple = case
     with pytest.raises(AlgebraError) as info:

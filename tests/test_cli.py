@@ -61,6 +61,20 @@ def grid_job(name):
 
 LAPLACE_JOB = json.loads(fixture_path("job_laplace_ss2.json").read_text())
 
+# Jobs on a General algebra (m = 2, u_s not all equal).  "kinds" holds every
+# kind of data: F = (poly, series of radius 50) runs the Horner sweep and the
+# series domain check, G = (exp, sin, cos) the other three kinds.
+GENERAL = {"algebra": {"n": 5, "m": 2, "u_map": {"3": 1, "4": 1, "5": 2}},
+           "triad": {"a": [[0.0, 1.0], [0.3, 2.0], 1.0, 0.0, 0.5], "b": [0.4, 0.7, 0.0, 1.0, 0.2]}}
+GENERAL_JOBS = {
+    "general": dict(GENERAL, F=[{"kind": "exp"}, {"kind": "sin"}],
+                    G=[{"kind": "cos"}, {"kind": "exp"}, {"kind": "sin"}]),
+    "kinds": dict(GENERAL, F=[{"kind": "poly", "coeffs": [1.0, [0.0, -0.5], 0.25, 0.1]},
+                              {"kind": "series", "center": [0.1, 0.0], "radius": 50.0,
+                               "coeffs": [1.0, 0.5, [0.0, -0.25], 0.125, 0.1]}],
+                  G=[{"kind": "exp"}, {"kind": "sin"}, {"kind": "cos"}]),
+}
+
 
 def laplace_job(tmp_path, pin=False, **changes):
     """job_laplace_ss2.json with top-level keys replaced by changes, written to tmp_path.
@@ -286,9 +300,12 @@ class TestEval:
     def test_near_coincident_integral_converges(self, capsys):
         # xi_2 - xi_1 = 1e-6 i: one circle of radius 1 around both.
         argv = ["eval", JOB_OK, "--point", "0.3", "1e-6", "0", "--order", "3"]
+        expect = np.exp(0.3 + 1e-6 * np.array([2j, 1j]))
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err
+        assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
         code, out, err = run(capsys, *argv, "--method", "integral", "--compare")
         assert code == 0 and not err
-        expect = np.exp(0.3 + 1e-6 * np.array([2j, 1j]))
         assert np.max(np.abs(np.array(values(out)) - expect)) < 1e-12
         match = re.search(r"max cross-method deviation = (\S+)", out)
         assert match and float(match.group(1)) < 1e-12
@@ -341,21 +358,28 @@ class TestEval:
         assert np.allclose(special, values(out), rtol=1e-12, atol=1e-12)
 
     def test_special_on_general_algebra(self, capsys, tmp_path):
-        job = {
-            "algebra": {"n": 5, "m": 2, "u_map": {"3": 1, "4": 1, "5": 2}},
-            "triad": {"a": [[0.0, 1.0], [0.3, 2.0], 1.0, 0.0, 0.5],
-                      "b": [0.4, 0.7, 0.0, 1.0, 0.2]},
-            "F": [{"kind": "exp"}, {"kind": "sin"}],
-            "G": [{"kind": "cos"}, {"kind": "exp"}, {"kind": "sin"}],
-        }
-        path = write_job(tmp_path, job)
-        argv = ["eval", path, "--point", "0.1", "0.2", "0.3"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and len(values(out)) == 5
-        explicit = values(out)
-        code, out, _ = run(capsys, *argv, "--method", "special")
-        assert code == 0 and len(values(out)) == 5
-        assert np.allclose(values(out), explicit, rtol=1e-12, atol=1e-12)
+        for job in GENERAL_JOBS.values():
+            path = write_job(tmp_path, job)
+            for order in (0, 2):
+                argv = ["eval", path, "--point", "0.1", "0.2", "0.3", "--order", str(order)]
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and len(values(out)) == 5
+                explicit = np.array(values(out))
+                self.assert_printed_round_trip(out, monogenic.eval_explicit(
+                    build_spec(load_job(path)), (0.1, 0.2, 0.3), order=order))
+                code, out, _ = run(capsys, *argv, "--method", "special")
+                assert code == 0 and len(values(out)) == 5
+                dev = np.max(np.abs(values(out) - explicit))
+                assert dev <= 1e-12 * (1 + np.max(np.abs(explicit))), (job, order)
+
+    @pytest.mark.parametrize("name", list(GENERAL_JOBS))
+    def test_integral_on_general_algebra(self, capsys, tmp_path, name):
+        # The contour route's Phi^(3) on each General job agrees with explicit.
+        argv = ["eval", write_job(tmp_path, GENERAL_JOBS[name]), "--point", "0.1", "0.2", "0.3",
+                "--order", "3", "--method", "integral", "--compare"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert float(re.search(r"max cross-method deviation = (\S+)", out).group(1)) < 1e-10
 
     def test_domain_overrun_exit_code(self, capsys, tmp_path):
         # A series F of radius 1 centred on xi: the integral route's circle
@@ -498,11 +522,13 @@ class TestGrid:
         assert "e+" in text and "e-" in text
         assert out_file.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
-    @pytest.mark.parametrize("counts", [(2**21, 2**21, 2**21), (2, 2, sys.maxsize // 8)])
+    @pytest.mark.parametrize("counts", [(2**21, 2**21, 2**21), (2, 2, sys.maxsize // 8),
+                                        (10**6, 10**6, 10**6)])
     def test_more_points_than_one_array_exit_2(self, capsys, tmp_path, counts):
-        # Each count is at most MAX_COUNT; their product is not.
+        # Each count is at most MAX_COUNT; their product is not, and 10^18
+        # points, which do fit, have a shortest CSV past any file offset.
         err = bad_grid_error(capsys, tmp_path, {a: [0, 1, c] for a, c in zip("xyz", counts)})
-        assert f"{math.prod(counts)} points" in err
+        assert f"{math.prod(counts)} points" in err and "largest file offset" in err
 
     def test_failed_write_keeps_the_old_csv(self, capsys, monkeypatch, tmp_path):
         # 11 x 11 x 11 = 1331 rows, two blocks of BLOCK_ROWS: the disk fills
@@ -708,19 +734,53 @@ class TestGrid:
         assert err == "error: cannot write /nonexistent-dir/x.csv: No such file or directory\n"
 
 
+# The command line in a process of its own, with this src first on its path.
+CLI = [sys.executable, "-m", "monogenica.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(monogenic.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+# Run by a small interpreter of its own: Linux carries a process's peak
+# RSS across exec, so a child forked from the test process would report
+# the test process's RSS.  Prints the child's exit code, its stdout's line
+# count (read in chunks, not held) and its peak RSS and minor faults.
+USAGE = """
+import resource, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+lines = sum(chunk.count(b"\\n") for chunk in iter(lambda: proc.stdout.read(1 << 16), b""))
+code = proc.wait()
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(code, lines, usage.ru_maxrss, usage.ru_minflt)
+"""
+
+
+def child_usage(*argv):
+    """The command line's exit code, stdout lines, peak RSS (KiB on Linux) and minor faults."""
+    done = subprocess.run([sys.executable, "-c", USAGE, *CLI, *argv], capture_output=True,
+                          text=True, env=CLI_ENV, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return tuple(map(int, done.stdout.split()))
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: monogenica [-h]"),
+                                         (["grid", "--help"], "usage: monogenica grid [-h]")],
+                         ids=["monogenica", "grid"])
+def test_help_exits_0(argv, usage):
+    done = subprocess.run([*CLI, *argv], capture_output=True, text=True, env=CLI_ENV, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(usage)
+
+
 @pytest.mark.parametrize("command", ["validate", "check", "eval", "grid"])
 def test_closed_stdout_exits_4(tmp_path, command):
     # The pipe's read end is closed before the command starts, so its
     # first write to stdout fails.
     argv = {"eval": ["--point", "0.1", "0.2", "0.3"], "grid": ["--out", str(tmp_path / "g.csv")]}
-    src = str(Path(monogenic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "monogenica.cli", command, JOB_OK,
-                               *argv.get(command, [])], stdout=write, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=120)
+        done = subprocess.run([*CLI, command, JOB_OK, *argv.get(command, [])], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=CLI_ENV, timeout=120)
     finally:
         os.close(write)
     assert done.returncode == 4
@@ -732,10 +792,8 @@ def test_closed_stdout_exits_4(tmp_path, command):
 def test_grid_out_dev_stdout_writes_the_pipe():
     # /dev/stdout links to the pipe, which has no directory to make a
     # temporary file in: the CSV is written to it directly.
-    src = str(Path(monogenic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-m", "monogenica.cli", "grid", JOB_OK, "--out",
-                           "/dev/stdout"], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([*CLI, "grid", JOB_OK, "--out", "/dev/stdout"], capture_output=True,
+                          text=True, env=CLI_ENV, timeout=120)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.startswith("x,y,z,") and done.stdout.count("\n") == 10
     assert done.stdout.endswith("wrote 8 rows to /dev/stdout\n")
@@ -751,20 +809,43 @@ def test_grid_blocks_reuse_freed_pages(tmp_path, name, count, bound):
     # alone the latter took 106,000 more, as its large arrays were mapped
     # afresh on every block.  With grid's thresholds later blocks reuse the
     # pages of the first: under 1,000 and about 6,000 more.
-    src = str(Path(monogenic.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     faults = {}
     for c in (count, 2):
         job = grid_job(name) if name == "r5" else truncated_job(16)
         job["grid"] = {a: [lo, hi, c] for a, (lo, hi, _) in job["grid"].items()}
-        proc = subprocess.Popen([sys.executable, "-m", "monogenica.cli", "grid",
-                                 write_job(tmp_path, job), "--out", os.devnull],
-                                stdout=subprocess.DEVNULL, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        faults[c] = usage.ru_minflt
+        code, _, _, faults[c] = child_usage("grid", write_job(tmp_path, job), "--out", os.devnull)
+        assert code == 0
     assert faults[count] - faults[2] <= bound, faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.exists("/dev/stdout"),
+                    reason="needs ru_maxrss in KiB and /dev/stdout")
+def test_grid_peak_rss_is_bounded(tmp_path):
+    # grid holds one block of rows at a time: a 60^3 grid on alg_r5 (211
+    # blocks) writes its 216,001 lines at a peak RSS of at most 80 MB,
+    # measured on the grid's own process (about 35 MB on Linux x86-64).
+    job = grid_job("r5")
+    job["grid"] = {a: [lo, hi, 60] for a, (lo, hi, _) in job["grid"].items()}
+    code, lines, rss, _ = child_usage("grid", write_job(tmp_path, job), "--out", "/dev/stdout")
+    assert code == 0 and lines == 216_001 + 1  # the CSV, then "wrote 216000 rows"
+    assert rss / 1024 <= 80, rss
+
+
+@pytest.mark.parametrize("n, argv", [(48, ["validate"]), (172, ["eval", "--point", "0.1", "0.2", "0.3"])],
+                         ids=["validate-eps48", "eval-eps172"])
+def test_large_algebra_finishes_in_time(tmp_path, n, argv):
+    # C[eps]/eps^n with BLAS at its default thread count, each in a process
+    # of its own under a 20 s limit (well under 1 s on a 2-vCPU VM).  At
+    # n = 172 the explicit route's weights 1 / f! reach f = 171.
+    env = {k: v for k, v in CLI_ENV.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    done = subprocess.run([*CLI, argv[0], write_job(tmp_path, truncated_job(n)), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    if argv[0] == "eval":
+        assert len(values(done.stdout)) == n and np.all(np.isfinite(values(done.stdout)))
+    else:
+        assert "PASS algebra axioms" in done.stdout and "PASS triad" in done.stdout
 
 
 class TestCheck:
@@ -782,12 +863,21 @@ class TestCheck:
     def test_zero_at_line_round_trips(self, capsys, tmp_path, terms):
         # The scan's zero prints as repr of its floats: float(text) gives
         # back p_nonvanishing_scan's bits.
+        # The Laplace triad is not characteristic for a wave operator: exit 1.
         pde = {"N": 2, "terms": terms}
-        _, out, _ = run(capsys, "check", laplace_job(tmp_path, pin=True, pde=pde))
+        code, out, _ = run(capsys, "check", laplace_job(tmp_path, pin=True, pde=pde))
+        assert code == 1 and "FAIL characteristic residual" in out
         texts = re.search(r"^P\(a,b\) scan: ZeroAt\((\S+), (\S+)\)$", out, re.MULTILINE).groups()
         scan = pde_mod.p_nonvanishing_scan(pde_mod.pde_from_dict(pde))
         assert [float(t).hex() for t in texts] == [scan.a.hex(), scan.b.hex()]
         assert [repr(float(t)) for t in texts] == list(texts)
+
+    def test_definite_symbol_has_no_zero(self, capsys, tmp_path):
+        # 1e-12 + a^2 + b^2 is settled from the signs of its terms, however
+        # small its constant; the Laplace triad is not characteristic for it.
+        code, out, _ = run(capsys, "check", laplace_job(tmp_path, pde=laplace(c=1e-12)))
+        assert code == 1 and "FAIL characteristic residual" in out
+        assert "\nP(a,b) scan: NoZeroFound\n" in out
 
     def test_broken_job_fails(self, capsys):
         code, out, _ = run(capsys, "check", JOB_BAD)
@@ -1153,14 +1243,21 @@ def test_negative_exponent_point_is_a_value(capsys):
 
 
 @pytest.mark.parametrize("compare", [False, True])
-@pytest.mark.parametrize("order", [171, 400, 700, 1500])
-def test_integral_route_beyond_the_float_factorial_exits_3(capsys, order, compare):
+@pytest.mark.parametrize("order", [171, 400, 700, 1500, 100000])
+def test_integral_route_beyond_the_float_factorial_exits_3(capsys, monkeypatch, order, compare):
     # The contour route multiplies by r!, which is beyond the float range
-    # from r = 171 on: no value, one error line, not an OverflowError.
+    # from r = 171 on: no value, one error line, not an OverflowError.  The
+    # order is refused before the route integrates: at 100000 the inverse
+    # powers on the circle overflow too, yet the data are fine.
+    monkeypatch.setattr(monogenic, "contour_integrate", refuse)
     argv = ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--method", "integral", "--order", str(order)]
     code, out, err = run(capsys, *argv, *["--compare"] * compare)
     assert (code, out) == (3, "")
     assert err == f"error: {order}! overflows: the contour route has no value at order {order}\n"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the contour route integrated")
 
 
 def truncated_job(n):
@@ -1442,6 +1539,7 @@ def test_validate_validates_algebra_once(capsys, monkeypatch):
     "argv",
     [
         ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--order", "1", "--nodes", "8"],
+        ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--method", "integral", "--nodes", "64"],
         ["check", JOB_OK, "--nodes", "8"],
         ["grid", JOB_OK, "--nodes", "999"],
         ["validate", JOB_OK, "--nodes", "8"],
@@ -1453,6 +1551,7 @@ def test_validate_validates_algebra_once(capsys, monkeypatch):
         ["check", JOB_OK, "--h-cr=-1e-3"],
         ["check", JOB_OK, "--h-pde", "inf"],
         ["check", JOB_OK, "--tol-pde", "inf"],
+        ["check", JOB_OK, "--tol-cr", "inf"],
         ["check", JOB_OK, "--tol-cr", "nan"],
         ["check", JOB_OK, "--tol-cr=-1"],
         ["check", JOB_OK, "--tol-pde", "0"],
@@ -1461,16 +1560,19 @@ def test_validate_validates_algebra_once(capsys, monkeypatch):
         ["eval", JOB_OK, "--point", "0.3", "0.4", "-0.2", "--h", "1e-3"],
         ["validate", JOB_OK, "--h", "1e-3"],
     ],
-    ids=["eval-nodes", "check-nodes", "grid-nodes", "validate-nodes", "negative-order",
-         "nan-point", "inf-point", "nan-h", "zero-h", "negative-h", "inf-h-pde",
-         "inf-tol-pde", "nan-tol-cr", "negative-tol-cr", "zero-tol-pde", "old-h",
+    ids=["eval-nodes", "eval-integral-nodes", "check-nodes", "grid-nodes", "validate-nodes",
+         "negative-order", "nan-point", "inf-point", "nan-h", "zero-h", "negative-h", "inf-h-pde",
+         "inf-tol-pde", "inf-tol-cr", "nan-tol-cr", "negative-tol-cr", "zero-tol-pde", "old-h",
          "grid-old-h", "eval-old-h", "validate-old-h"],
 )
-def test_bad_numeric_options_exit_2(capsys, argv):
+def test_bad_numeric_options_exit_2(capsys, monkeypatch, tmp_path, argv):
+    # The job's out is relative: grid would write it in the working directory.
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err and "U_1" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
