@@ -7,13 +7,15 @@ optional PDE; subcommands run validations (validate), point evaluations
 grid runs one pass per block of at most BLOCK_ROWS rows (fewer where the
 explicit plan has many products): it gathers the block's points from the
 three axes, evaluates them in one eval_explicit call, checks that the
-values are finite, formats every number as the bytes repr gives it
-(shortest.fields) and writes the rows, for a new or regular out to a
-temporary file that replaces out when the CSV is complete.  No array
-of the whole grid is made, so its size is bounded by its CSV, not by
-memory.  Each axis value is formatted once, before the block loop, and
-every block gathers its x, y and z text from those per-axis tables, so
-every block runs the same body.  The argument parser is built once per
+values are finite and writes the block's rows, every number as the bytes
+repr gives it, for a new or regular out to a temporary file that replaces
+out when the CSV is complete.  shortest.csv_rows lays a block's fields
+and separators into one buffer and removes its NUL padding in one pass;
+it formats the values with Dragonbox's main path and repr for the few that
+path leaves undecided.  No array of the whole grid is made, so its size is
+bounded by its CSV, not by memory.  Each axis value is formatted once,
+before the block loop, and every block gathers its x, y and z text from
+those per-axis tables, so every block runs the same body.  The argument parser is built once per
 process, when this module is imported, so in-process callers of main()
 (tests, scripts, benchmarks) do not rebuild it.
 
@@ -356,8 +358,7 @@ def cmd_grid(args) -> int:
                 values = monogenic.eval_explicit(ms, points)
                 require_finite(values, points)
                 block = np.ascontiguousarray(values, dtype=complex).view(np.float64)
-                cells = [c[i][:, None] for c, i in zip(coords, at)] + [shortest.fields(block)]
-                fh.write(shortest.csv_rows(np.concatenate(cells, axis=1)))
+                fh.write(shortest.csv_rows([c[i] for c, i in zip(coords, at)], block))
         if made:
             os.replace(made, target)
             made = None

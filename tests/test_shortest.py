@@ -27,6 +27,12 @@ def assert_repr(values) -> None:
     assert not wrong, f"{len(wrong)} of {len(values)} differ, first {wrong[:5]}"
 
 
+def undecided(values) -> np.ndarray:
+    """Where the Dragonbox main path leaves a value to repr."""
+    bits = np.asarray(values, dtype=np.float64).ravel().view(np.uint64)
+    return shortest._decimal(bits, (bits >> np.uint64(52)).astype(np.intp))[2]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_any_float(v):
@@ -48,6 +54,52 @@ def test_random_bit_patterns():
 def test_powers_of_two():
     p = np.ldexp(1.0, np.arange(-1074, 1024))
     assert_repr(np.concatenate([p, -p]))
+
+
+def test_neighbours_of_powers_of_two_use_every_cache_entry():
+    # 2^e (1 + 2^-52), 2^e (1 - 2^-53) and the next ulp out: each biased
+    # exponent, so each row of Dragonbox's table, settles some of them on
+    # the main path.
+    p = np.ldexp(1.0, np.arange(-1022, 1024))
+    up, down = np.nextafter(p, np.inf), np.nextafter(p, 0.0)
+    values = np.concatenate([up, down, np.nextafter(up, np.inf), np.nextafter(down, 0.0)])
+    values = np.concatenate([values, -values])
+    assert_repr(values)
+    biased = (values.view(np.uint64) >> np.uint64(52)) & np.uint64(0x7FF)
+    assert set(biased[~undecided(values)].tolist()) == set(range(1, 2047))
+
+
+# One value for each case the main path leaves to repr.
+UNDECIDED = {
+    "r = delta": 5.7977887502325824,
+    "r = 0, F odd": -4.703605927754269,
+    "r - delta // 2 + 50 divisible by 100": 0.9295133780449572,
+    "carry into z unknown": 2.4327116823077517e21,
+    "power of two": 0.5,
+    "zero": 0.0,
+    "subnormal": 5e-324,
+}
+
+
+@pytest.mark.parametrize("case", UNDECIDED)
+def test_each_undecided_case_prints_repr(case):
+    values = [UNDECIDED[case], -UNDECIDED[case]]
+    assert undecided(values).all()
+    assert_repr(values)
+
+
+def test_undecided_share_is_small():
+    # A fault that sent most values to repr would keep every byte right
+    # and only be slow.
+    rng = np.random.default_rng(34)
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    for values in (bits[np.isfinite(bits)], rng.uniform(-1, 1, 10**5)):
+        assert undecided(values).mean() <= 0.02
+
+
+@pytest.mark.parametrize("value", [1.0, -0.5])
+def test_constant_column(value):
+    assert_repr(np.full(10**5, value))
 
 
 def test_powers_of_ten_and_their_neighbours():
@@ -89,5 +141,5 @@ def test_non_finite_values_are_refused(bad):
 
 def test_csv_rows_join_fields():
     table = np.array([[0.1, -2.0, 1e16], [3.0, 5e-324, -0.0]])
-    data = shortest.csv_rows(shortest.fields(table))
+    data = shortest.csv_rows([shortest.fields(table[:, 0])], table[:, 1:])
     assert data == b"".join((",".join(map(repr, row)) + "\n").encode() for row in table.tolist())
