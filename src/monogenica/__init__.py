@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraError,
     Element,
     SpecialCase,
-    ValidationReport,
     algebra_from_dict,
     load_algebra,
     validate_algebra,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -50,23 +50,6 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, kind: str, where: tuple, detail: str) -> None:
-        self.violations.append(Violation(kind, where, detail))
-
-    def raise_if_invalid(self) -> None:
-        if not self.ok:
-            lines = "\n  ".join(str(v) for v in self.violations)
-            raise AlgebraError(f"invalid algebra:\n  {lines}")
-
-
 UpsilonEntry = tuple[int, int, int, complex]
 
 
@@ -97,7 +80,9 @@ class AlgebraSpec:
 
     upsilon entries may be given as (r, s, k, value); (r, s) is
     canonicalized to r <= s, so symmetry is enforced by construction.
-    Conflicting duplicates are kept aside and surfaced by validate().
+    Conflicting duplicates are kept aside and surfaced by
+    validate_algebra.  The u_map keys and values are read by
+    holo.parse_int: Python ints, not floats, bools or strings.
     """
 
     n: int
@@ -117,8 +102,8 @@ class AlgebraSpec:
         if n < 1 or m < 1 or m > n:
             raise AlgebraError(f"need 1 <= m <= n, got n={n}, m={m}")
         table, conflicts = _canonicalize_upsilon(upsilon)
-        u_clean = {int(s): int(u) for s, u in (u_map or {}).items()}
-        return cls(n, m, table, u_clean, tuple(conflicts))
+        owners = {parse_int(s): parse_int(u) for s, u in (u_map or {}).items()}
+        return cls(n, m, table, owners, tuple(conflicts))
 
     # -- basic structure ---------------------------------------------------
 
@@ -211,11 +196,6 @@ class AlgebraSpec:
     def explicit_plan(self) -> "ExplicitPlan":
         """The term list of the explicit formula, built on first use."""
         return ExplicitPlan.build(self)
-
-    @cached_property
-    def report(self) -> "ValidationReport":
-        """validate_algebra(self), run once per algebra."""
-        return validate_algebra(self)
 
     def unit(self) -> Element:
         e = np.zeros(self.n, dtype=np.complex128)
@@ -319,29 +299,27 @@ class ExplicitPlan:
         )
 
 
-def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
-    """Check every structural axiom; violations are report entries."""
-    report = ValidationReport()
+def validate_algebra(spec: AlgebraSpec) -> list[Violation]:
+    """Check every structural axiom; returns the violations, none on a valid algebra."""
     n, m = spec.n, spec.m
-
-    for key, detail in spec._symmetry_conflicts:
-        report.add("symmetry", key, detail)
+    violations = [Violation("symmetry", key, detail) for key, detail in spec._symmetry_conflicts]
 
     for (r, s, k), value in spec.upsilon.items():
         if not (m + 1 <= r <= n and m + 1 <= s <= n):
-            report.add("triangularity", (r, s, k), "indices outside radical")
+            violations.append(Violation("triangularity", (r, s, k), "indices outside radical"))
         elif not (r < k and s < k <= n):
-            report.add("triangularity", (r, s, k), f"need k > max(r, s) = {max(r, s)}")
+            violations.append(Violation("triangularity", (r, s, k),
+                                        f"need k > max(r, s) = {max(r, s)}"))
 
     for s in range(m + 1, n + 1):
         u = spec.u_map.get(s)
         if u is None:
-            report.add("u-map", (s,), "no idempotent acts as identity on I_s")
+            violations.append(Violation("u-map", (s,), "no idempotent acts as identity on I_s"))
         elif not 1 <= u <= m:
-            report.add("u-map", (s, u), f"u_s outside [1, {m}]")
+            violations.append(Violation("u-map", (s, u), f"u_s outside [1, {m}]"))
 
-    if not report.ok:
-        return report  # the product list would be ill-formed
+    if violations:
+        return violations  # the product list would be ill-formed
 
     scale = max(1.0, max(map(abs, spec.upsilon.values()), default=0.0))
     # (I_i I_j) I_p against I_i (I_j I_p), coefficientwise over the nonzero
@@ -372,16 +350,16 @@ def validate_algebra(spec: AlgebraSpec) -> ValidationReport:
     D = np.add.reduceat(np.concatenate((term, -term, [0]))[order][1:], starts)
     bad = abs(D) > ASSOC_TOL * scale
     if not bad.any():
-        return report
+        return violations
     last = -1
     for ijp in (keys[1:][starts[bad]] // n).tolist():
         if ijp != last:  # one entry per triple, in C order
             i, jp = divmod(ijp, n * n)
             trip = (i + 1, jp // n + 1, jp % n + 1)
             kind = "assoc-A1" if min(trip) > m else "assoc-A2"
-            report.add(kind, trip, "triple product mismatch")
+            violations.append(Violation(kind, trip, "triple product mismatch"))
         last = ijp
-    return report
+    return violations
 
 
 # -- file format -----------------------------------------------------------
@@ -410,11 +388,13 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
             raise TypeError("upsilon must be a list and u_map an object")
         rows = [(parse_int(r), parse_int(s), parse_int(k), parse_complex(v[0] if len(v) == 1 else v))
                 for r, s, k, *v in upsilon]
-        owners = {parse_key(s): parse_int(u) for s, u in u_map.items()}
-        spec = AlgebraSpec.create(n, m, rows, owners)
+        spec = AlgebraSpec.create(n, m, rows, {parse_key(s): u for s, u in u_map.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
-    spec.report.raise_if_invalid()
+    violations = validate_algebra(spec)
+    if violations:
+        lines = "\n  ".join(map(str, violations))
+        raise AlgebraError(f"invalid algebra:\n  {lines}")
     return spec
 
 

@@ -54,12 +54,8 @@ the one failure policy: it runs the command under one np.errstate, since a
 value that overflows is rejected (require_finite), and maps each exception
 the library raises to its exit code and one error: line.
 
-Exit codes (README's table states each case):
-0 success;
-1 a FAIL line, or eval's contour quadrature that did not converge;
-2 a malformed job, spec or option, or arrays that do not fit in memory;
-3 no finite value: a domain overrun, data that overflow, or an r! beyond floats;
-4 output that cannot be written, a closed stdout included.
+The exit codes, and the case each input falls in, are stated in one
+place: README's exit-code table.
 """
 
 from __future__ import annotations
@@ -167,7 +163,7 @@ def build_pde(job: dict):
 
 def job_points(job: dict) -> list[tuple[float, float, float]]:
     """The job's points, each a list of exactly three finite JSON numbers; JobError otherwise."""
-    pts = job.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]])
+    pts = job.get("points")
     if not isinstance(pts, list) or not pts:
         raise JobError(f"bad points: need a non-empty list of points, got {pts!r}")
     out = []
@@ -238,14 +234,15 @@ def _status(ok: bool, label: str, detail: str = "") -> bool:
 def cmd_validate(args) -> int:
     job = load_job(args.job)
     ms = build_spec(job)
-    # build_spec has validated the algebra once (AlgebraSpec.report) and
-    # exits 2 on any violation, so the report read here is clean; the name
-    # validate_algebra stays bound in this module so that wrappers around
-    # it, such as perfbench/spans.py, see every call.
-    ok = _status(ms.algebra.report.ok, "algebra axioms")
-    treport = validate_triad(ms.algebra, ms.triad)
-    ok &= _status(treport.ok, "triad",
-                  "; ".join(str(v) for v in treport.violations))
+    # build_spec has validated the algebra once (algebra_from_dict) and
+    # exits 2 on any violation, so this line always reads PASS.  It stays
+    # only because perfbench/run.py's expected_statuses expects it from
+    # check, which prints the same line.  The name validate_algebra stays
+    # bound in this module so that perfbench/spans.py, which wraps it here
+    # too, finds it.
+    print("PASS algebra axioms")
+    violations = validate_triad(ms.algebra, ms.triad)
+    ok = _status(not violations, "triad", "; ".join(map(str, violations)))
     print(f"special-case: {ms.algebra.classify_special_case().value}")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -311,12 +308,10 @@ def cmd_grid(args) -> int:
                        f"whose CSV of at least {least} bytes would pass the largest file "
                        f"offset, {sys.maxsize}")
 
-    out = args.out or job.get("out")
-    if not out:
-        raise JobError("no output path: set 'out' in the job or pass --out")
-    if not isinstance(out, str) or "\0" in out:
-        raise JobError(f"bad out: need a path string, got {out!r}")
-    out_path = Path(out)
+    # argv from the shell holds no NUL, but in-process main(argv) can.
+    if "\0" in args.out:
+        raise JobError(f"bad --out: need a path without NUL, got {args.out!r}")
+    out_path = Path(args.out)
     if not out_path.is_absolute():
         out_path = Path.cwd() / out_path
 
@@ -430,7 +425,7 @@ def cmd_check(args) -> int:
     check_step("h-cr", args.h_cr, points)
     if pde is not None:
         check_step("h-pde", args.h_pde, points, pde.N)
-    treport = validate_triad(ms.algebra, ms.triad)
+    triad_ok = not validate_triad(ms.algebra, ms.triad)
 
     # PDE residuals only on a characteristic triad, so the characteristic
     # residual comes first; it is computed once and handed to the identity.
@@ -445,8 +440,8 @@ def cmd_check(args) -> int:
     pts = np.array(points)
     values, (ry, rz), r, phi_n = check_samples(ms, pts, args.h_cr,
                                                pde if characteristic else None, args.h_pde)
-    ok = _status(ms.algebra.report.ok, "algebra axioms")
-    ok &= _status(treport.ok, "triad")
+    print("PASS algebra axioms")  # always PASS (see cmd_validate)
+    ok = _status(triad_ok, "triad")
     scales = 1.0 + np.max(np.abs(values), axis=-1)
     cr = np.maximum(np.max(np.abs(ry), axis=-1), np.max(np.abs(rz), axis=-1))
     for p, scale, res in zip(points, scales, cr):
@@ -510,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument("--compare", action="store_true", help="print max cross-method deviation")
 
     grid_parser = sub.add_parser("grid", parents=[common], help="emit component CSV over a grid")
-    grid_parser.add_argument("--out", default=None, help="output CSV path (overrides job)")
+    grid_parser.add_argument("--out", required=True, help="output CSV path")
 
     check_parser = sub.add_parser("check", parents=[common], help="run residual checks")
     check_parser.add_argument("--tol-cr", type=float, default=TOL_CR,

@@ -18,13 +18,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import resolvent as rsv
-from .algebra import (
-    AlgebraSpec,
-    Element,
-    ValidationReport,
-    algebra_from_dict,
-    load_algebra,
-)
+from .algebra import AlgebraSpec, Element, Violation, algebra_from_dict, load_algebra
 from .holo import (
     DerivativeStack,
     HoloDomainError,
@@ -59,27 +53,25 @@ class TriadSpec:
         return np.asarray(self.b, dtype=np.complex128)
 
 
-def validate_triad(spec: AlgebraSpec, triad: TriadSpec) -> ValidationReport:
-    """Real linear independence of {e1, e2, e3} plus the surjectivity condition."""
-    report = ValidationReport()
-    if len(triad.a) != spec.n or len(triad.b) != spec.n:
-        report.add("dimension", (len(triad.a), len(triad.b)), f"expected length {spec.n}")
-        return report
+def validate_triad(spec: AlgebraSpec, triad: TriadSpec) -> list[Violation]:
+    """Real linear independence of {e1, e2, e3} plus the surjectivity condition.
+
+    Returns the violations, none on a valid triad.  The triad has n
+    coefficients in a and in b (MonogenicSpec.create checks that).
+    """
+    violations = []
     # The real 2n x 3 matrix of the columns e1, e2, e3: real parts over
     # imaginary parts.  Its rank is the number of singular values above 1e-10.
     cols = np.array([[1.0] * spec.m + [0.0] * (spec.n - spec.m), triad.a, triad.b])
     real_mat = cols.view(np.float64).reshape(3, spec.n, 2).transpose(2, 1, 0).reshape(-1, 3)
     rank = int((np.linalg.svd(real_mat, compute_uv=False) > 1e-10).sum())
     if rank < 3:
-        report.add("rank", (rank,), "e1, e2, e3 are linearly dependent over R")
+        violations.append(Violation("rank", (rank,), "e1, e2, e3 are linearly dependent over R"))
     for u in range(1, spec.m + 1):
         if abs(triad.a[u - 1].imag) <= 1e-12 and abs(triad.b[u - 1].imag) <= 1e-12:
-            report.add(
-                "surjectivity",
-                (u,),
-                "both a_u and b_u are real, so f_u does not map onto C",
-            )
-    return report
+            violations.append(Violation("surjectivity", (u,),
+                                        "both a_u and b_u are real, so f_u does not map onto C"))
+    return violations
 
 
 @dataclass(frozen=True)
@@ -95,13 +87,16 @@ class MonogenicSpec:
     def create(cls, algebra: AlgebraSpec, triad: TriadSpec, F: Sequence, G: Sequence = ()) -> "MonogenicSpec":
         F = tuple(F)
         G = tuple(G)
+        if not len(triad.a) == len(triad.b) == algebra.n:
+            raise ValueError(f"triad a and b need {algebra.n} coefficients each, "
+                             f"got {len(triad.a)} and {len(triad.b)}")
         if len(F) != algebra.m:
             raise ValueError(f"need {algebra.m} F functions, got {len(F)}")
         if len(G) != algebra.n - algebra.m:
             raise ValueError(f"need {algebra.n - algebra.m} G functions, got {len(G)}")
         return cls(algebra, triad, F, G)
 
-    def validate(self) -> ValidationReport:
+    def validate(self) -> list[Violation]:
         return validate_triad(self.algebra, self.triad)
 
     @cached_property
@@ -421,9 +416,6 @@ def monogenic_from_dict(data: Mapping) -> MonogenicSpec:
         [parse_complex(v) for v in data["triad"]["a"]],
         [parse_complex(v) for v in data["triad"]["b"]],
     )
-    if not len(triad.a) == len(triad.b) == algebra.n:
-        raise ValueError(f"triad a and b need {algebra.n} coefficients each, "
-                         f"got {len(triad.a)} and {len(triad.b)}")
     F = [holo_from_dict(d) for d in data.get("F", [])]
     G = [holo_from_dict(d) for d in data.get("G", [])]
     return MonogenicSpec.create(algebra, triad, F, G)

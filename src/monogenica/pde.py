@@ -45,14 +45,16 @@ class PdeSpec:
 
     @classmethod
     def create(cls, N: int, terms: Sequence[Sequence]) -> "PdeSpec":
+        """N and the exponents are read by holo.parse_int, each coefficient by parse_real."""
+        N = parse_int(N)
         if N < 1:
             raise ValueError("PDE order must be positive")
         clean = []
         for alpha, beta, gamma, c in terms:
-            alpha, beta, gamma = int(alpha), int(beta), int(gamma)
+            alpha, beta, gamma = parse_int(alpha), parse_int(beta), parse_int(gamma)
             if min(alpha, beta, gamma) < 0 or alpha + beta + gamma != N:
                 raise ValueError(f"exponents ({alpha},{beta},{gamma}) must be >= 0 and sum to N={N}")
-            clean.append((alpha, beta, gamma, float(c)))
+            clean.append((alpha, beta, gamma, parse_real(c)))
         if not clean:
             raise ValueError("PDE needs at least one term")
         return cls(N, tuple(clean))
@@ -316,6 +318,4 @@ def operator_identity_check(
 
 def pde_from_dict(data: Mapping) -> PdeSpec:
     """The JSON form: N and the exponents are JSON integers, each coefficient a real number."""
-    terms = [(parse_int(a), parse_int(b), parse_int(g), parse_real(c))
-             for a, b, g, c in data["terms"]]
-    return PdeSpec.create(parse_int(data["N"]), terms)
+    return PdeSpec.create(data["N"], data["terms"])

@@ -39,20 +39,18 @@ def poly_mod_rho4(a, b):
 class TestValidation:
     def test_fixtures_valid(self, all_algebras):
         for name, spec in all_algebras.items():
-            report = validate_algebra(spec)
-            assert report.ok, f"{name}: {report.violations}"
+            violations = validate_algebra(spec)
+            assert violations == [], f"{name}: {violations}"
 
     def test_symmetry_conflict_reported(self):
         spec = AlgebraSpec.create(
             4, 1, [(2, 3, 4, 1.0), (3, 2, 4, 2.0)], {2: 1, 3: 1, 4: 1}
         )
-        report = validate_algebra(spec)
-        assert any(v.kind == "symmetry" for v in report.violations)
+        assert any(v.kind == "symmetry" for v in validate_algebra(spec))
 
     def test_triangularity_violation(self):
         spec = AlgebraSpec.create(4, 1, [(2, 3, 3, 1.0)], {2: 1, 3: 1, 4: 1})
-        report = validate_algebra(spec)
-        assert any(v.kind == "triangularity" for v in report.violations)
+        assert any(v.kind == "triangularity" for v in validate_algebra(spec))
 
     def test_more_idempotents_than_dimensions_rejected(self):
         with pytest.raises(AlgebraError, match=r"need 1 <= m <= n, got n=2, m=3"):
@@ -61,13 +59,14 @@ class TestValidation:
     def test_missing_u_map_rejected(self):
         # Rule 3 demands a unique acting idempotent for every radical index.
         spec = AlgebraSpec.create(2, 1, [], {})
-        report = validate_algebra(spec)
-        assert any(v.kind == "u-map" for v in report.violations)
+        assert any(v.kind == "u-map" for v in validate_algebra(spec))
 
     def test_u_map_out_of_range(self):
         spec = AlgebraSpec.create(2, 1, [], {2: 5})
-        report = validate_algebra(spec)
-        assert any(v.kind == "u-map" for v in report.violations)
+        assert any(v.kind == "u-map" for v in validate_algebra(spec))
+        # An owner that is no integer is refused, not truncated to 1.
+        with pytest.raises(ValueError, match="not an integer: 1.7"):
+            AlgebraSpec.create(2, 1, [], {2: 1.7})
 
     def test_a1_violation_detected(self):
         # I2^2 = I3, I2*I3 = I4, I2*I4 = I5 but I3^2 = 2*I5: then
@@ -78,8 +77,7 @@ class TestValidation:
             [(2, 2, 3, 1.0), (2, 3, 4, 1.0), (2, 4, 5, 1.0), (3, 3, 5, 2.0)],
             {2: 1, 3: 1, 4: 1, 5: 1},
         )
-        report = validate_algebra(spec)
-        assert any(v.kind == "assoc-A1" for v in report.violations)
+        assert any(v.kind == "assoc-A1" for v in validate_algebra(spec))
 
     def test_a1_brute_force_oracle_on_t4(self, alg_t4):
         for r in range(2, 5):
@@ -98,8 +96,7 @@ class TestValidation:
     def test_a2_violation_detected(self):
         # Distinct u_s with a nonzero nilpotent product breaks (A2).
         spec = AlgebraSpec.create(4, 2, [(3, 3, 4, 1.0)], {3: 1, 4: 2})
-        report = validate_algebra(spec)
-        assert any(v.kind == "assoc-A2" for v in report.violations)
+        assert any(v.kind == "assoc-A2" for v in validate_algebra(spec))
 
     def test_loader_rejects_invalid(self):
         with pytest.raises(AlgebraError):
@@ -122,7 +119,7 @@ class TestValidation:
     )
     def test_loader_reads_json_integers(self, change):
         data = {"n": 3, "m": 1, "upsilon": [[2, 2, 3, 1.0]], "u_map": {"2": 1, "3": 1}}
-        assert algebra_from_dict(data).report.ok
+        assert validate_algebra(algebra_from_dict(data)) == []
         with pytest.raises(AlgebraError, match="malformed algebra spec"):
             algebra_from_dict({**data, **change})
 
@@ -200,7 +197,7 @@ class TestSparseAssociativity:
         invalid = 0
         for _ in range(320):
             spec = random_cartan(rng)
-            got = [(v.kind, v.where) for v in validate_algebra(spec).violations]
+            got = [(v.kind, v.where) for v in validate_algebra(spec)]
             assert got == dense_assoc(spec)
             assert got == sorted(brute_force_assoc(spec), key=lambda v: v[1])
             invalid += bool(got)
@@ -228,7 +225,7 @@ class TestSparseAssociativity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.report.ok
+        assert validate_algebra(spec) == []
         assert peak < 64 * 2**20, peak
 
 
@@ -236,7 +233,7 @@ class TestAssociativityTensor:
     def test_fixtures_match_brute_force(self, all_algebras):
         for name, spec in all_algebras.items():
             assert brute_force_assoc(spec) == set(), name
-            assert validate_algebra(spec).ok, name
+            assert validate_algebra(spec) == [], name
 
     @pytest.mark.parametrize(
         "name, extra, replace, kind",
@@ -254,11 +251,11 @@ class TestAssociativityTensor:
     )
     def test_mutations_match_brute_force(self, all_algebras, name, extra, replace, kind):
         spec = mutated(all_algebras[name], extra, replace)
-        report = validate_algebra(spec)
-        found = {(v.kind, v.where) for v in report.violations if v.kind.startswith("assoc")}
+        violations = validate_algebra(spec)
+        found = {(v.kind, v.where) for v in violations if v.kind.startswith("assoc")}
         assert found == brute_force_assoc(spec)
         if kind is None:
-            assert report.ok
+            assert violations == []
         else:
             assert any(k == kind for k, _ in found)
 
@@ -361,9 +358,9 @@ class TestClassify:
 
     def test_prop2_with_nonzero_products_rejected(self):
         # I_3 I_3 = I_4 with u_3 = 1, u_4 = 2: the A2 triple (1, 3, 3) leaves I_4.
-        spec = AlgebraSpec.create(4, 2, [(3, 3, 4, 1.0)], {3: 1, 4: 2})
+        data = {"n": 4, "m": 2, "upsilon": [[3, 3, 4, 1.0]], "u_map": {"3": 1, "4": 2}}
         with pytest.raises(AlgebraError, match=r"assoc-A2 at \(1, 3, 3\): "):
-            validate_algebra(spec).raise_if_invalid()
+            algebra_from_dict(data)
 
 
 @st.composite
@@ -451,7 +448,7 @@ class TestAlgebraProperties:
             k1 = int(rng.integers(2, 4))
             k2 = int(rng.integers(2, 4))
             spec = direct_sum_truncated(k1, k2)
-            assert validate_algebra(spec).ok
+            assert validate_algebra(spec) == []
 
 
 def direct_sum_truncated(k1, k2):

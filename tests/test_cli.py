@@ -439,10 +439,13 @@ class TestGrid:
         assert run(capsys, "grid", JOB_OK, "--out", str(f2))[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_grid_without_out_fails(self, capsys, tmp_path):
-        code, _, err = run(capsys, "grid", laplace_job(tmp_path, out=None))
-        assert code == 2
-        assert "no output path" in err
+    def test_grid_without_out_fails(self, capsys, tmp_path, monkeypatch):
+        # --out is the one source of the output path: a job's "out" is not read.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "grid", laplace_job(tmp_path, pin=True, out="grid.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--out" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
     def test_relative_out_is_resolved_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -677,11 +680,16 @@ class TestGrid:
         # 2 x 2 x 20,000 and 40 x 20 x 100 are the same 80,000 points: the
         # axis text is formatted once into a table of 24-byte fields, so a
         # long axis adds its table, not the formatter's work on every value.
+        # The formatter's memory for a value grows with its magnitude (more
+        # for values from 1 up than below 1), so the two grids of a pair
+        # hold values of like magnitude: the second pair's x and y span a
+        # narrow range, where 2 or 40 values sample nearly the same data.
         import tracemalloc
 
-        def peak(counts):
+        def peak(counts, xy):
             job = grid_job("r5")
-            job["grid"] = {a: [-0.5, 0.5, count] for a, count in zip("xyz", counts)}
+            job["grid"] = {a: [*(xy if a != "z" else (-0.5, 0.5)), count]
+                           for a, count in zip("xyz", counts)}
             path = write_job(tmp_path, job)
             tracemalloc.start()
             try:
@@ -690,9 +698,10 @@ class TestGrid:
             finally:
                 tracemalloc.stop()
 
-        peak((2, 2, 2))  # builds the formatter's table, which a process keeps
-        for small_counts, large_counts in [((16,) * 3, (40,) * 3), ((40, 20, 100), (2, 2, 20000))]:
-            (small_code, small), (large_code, large) = peak(small_counts), peak(large_counts)
+        peak((2, 2, 2), (-0.5, 0.5))  # builds the formatter's table, which a process keeps
+        for small_counts, large_counts, xy in [((16,) * 3, (40,) * 3, (-0.5, 0.5)),
+                                               ((40, 20, 100), (2, 2, 20000), (-0.5, -0.45))]:
+            (small_code, small), (large_code, large) = peak(small_counts, xy), peak(large_counts, xy)
             assert small_code == large_code == 0
             assert large <= 1.5 * small, (small_counts, large_counts)
 
@@ -1061,14 +1070,15 @@ class TestErrors:
         "points",
         [[], [[0.1, 0.2]], [[0.1, 0.2, 0.3, 0.4]], [[0.1, float("nan"), 0.3]],
          [[0.1, "y", 0.3]], [0.1, 0.2, 0.3], [[True, 0.4, -0.2]], [[0.1, "0.2", 0.3]],
-         [[10**400, 0.2, 0.3]], {"x": 0.1}],
+         [[10**400, 0.2, 0.3]], {"x": 0.1}, None],
         ids=["empty", "two-coords", "four-coords", "nan", "not-a-number", "flat-list", "bool",
-             "numeric-string", "huge-int", "object"],
+             "numeric-string", "huge-int", "object", "missing"],
     )
     def test_bad_points(self, capsys, tmp_path, points):
+        # None removes the key: a job's points have no default.
         code, out, err = run(capsys, "check", laplace_job(tmp_path, points=points))
-        assert code == 2
-        assert "error: bad point" in err
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad point") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_bad_holomorphic_data(self, capsys, tmp_path):
@@ -1171,14 +1181,14 @@ def test_malformed_job_exits_2(capsys, tmp_path, name, command):
         assert code == 2 and err.startswith("error: "), (code, err)
 
 
-@pytest.mark.parametrize("out", [5, ["a"], True, {"path": "a.csv"}, "a\u0000b.csv"],
-                         ids=["number", "list", "bool", "object", "nul"])
+@pytest.mark.parametrize("out", ["a\u0000b.csv"], ids=["nul"])
 def test_grid_out_that_is_no_path_exits_2(capsys, tmp_path, monkeypatch, out):
-    path = laplace_job(tmp_path, pin=True, out=out)
+    # argv from a shell holds no NUL; in-process main(argv) can pass one.
+    path = laplace_job(tmp_path, pin=True)
     monkeypatch.chdir(tmp_path)
-    code, stdout, err = run(capsys, "grid", path)
+    code, stdout, err = run(capsys, "grid", path, "--out", out)
     assert code == 2 and stdout == ""
-    assert err == f"error: bad out: need a path string, got {out!r}\n"
+    assert err == f"error: bad --out: need a path without NUL, got {out!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
 
 
@@ -1613,7 +1623,7 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
         open(job, "w").write(json.dumps(data))
     code, out, _ = run(capsys, "check", job)
     assert code == 0 and "FAIL" not in out
-    npts = len(data.get("points", [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7]]))
+    npts = len(data["points"])
     assert len(seen) == 1
     shape, order = seen[0]
     if "pde" in data:

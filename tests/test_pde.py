@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ class TestPdeSpec:
             PdeSpec.create(0, [])
         with pytest.raises(ValueError):
             PdeSpec.create(2, [(-1, 3, 0, 1.0)])
+
+    @pytest.mark.parametrize("N, term, error", [
+        (2, (2.5, 0, 0, 1.0), "not an integer: 2.5"),
+        (2, ("2", 0, 0, 1.0), "not an integer: '2'"),
+        (2, (True, 1, 0, 1.0), "not an integer: True"),
+        (2.0, (2, 0, 0, 1.0), "not an integer: 2.0"),
+        (2, (2, 0, 0, "1e0"), "not a finite number: '1e0'"),
+        (2, (2, 0, 0, math.nan), "not a finite number: nan"),
+    ], ids=["fraction", "string", "bool", "float-order", "string-coefficient", "nan-coefficient"])
+    def test_numbers_are_read_as_a_job_files_are(self, N, term, error):
+        # holo.parse_int and parse_real, not int() and float(): 2.5 is not
+        # truncated to 2, nor "2" or True read as an integer.
+        with pytest.raises(ValueError, match=re.escape(error)):
+            PdeSpec.create(N, [term])
 
     def test_laplace_terms(self):
         assert LAPLACE.N == 2
@@ -244,7 +259,9 @@ class TestSymbolScan:
     ], ids=["odd-exponent", "mixed-signs", "no-constant", "cancelling-constants",
             "constants-of-both-signs", "opposite-constant", "nan", "inf"])
     def test_other_symbols_are_never_settled(self, terms):
-        assert definite_sign(PdeSpec.create(2, terms).terms) == 0.0
+        # The terms as given: PdeSpec.create refuses the NaN and inf rows,
+        # and definite_sign must not settle them either.
+        assert definite_sign(terms) == 0.0
 
     def test_zero_terms_are_dropped_and_constants_may_repeat(self):
         # Terms with a zero coefficient, odd exponents included, are

@@ -6,11 +6,11 @@ import pytest
 from monogenica import (
     AlgebraError,
     TriadSpec,
+    algebra_from_dict,
     b_coeffs,
     noninvertible_lines,
     q_table,
     t_coeffs,
-    validate_algebra,
 )
 
 from monogenica.resolvent import (
@@ -358,7 +358,7 @@ class TestLemma2:
         B = b_coeffs(bad, t_coeffs(bad, triad, 1.0, 0.0))
         assert abs(B[0, 1]) > 0.1
         with pytest.raises(AlgebraError, match=r"assoc-A2 at \(1, 3, 3\): "):
-            validate_algebra(bad).raise_if_invalid()
+            algebra_from_dict({"n": 4, "m": 2, "upsilon": [[3, 3, 4, 1.0]], "u_map": {"3": 1, "4": 2}})
 
 
 class TestLines:
