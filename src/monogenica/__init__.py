@@ -1,21 +1,20 @@
-"""Numerical engine for monogenic functions in commutative associative algebras."""
+"""Numerical engine for monogenic functions in commutative associative algebras.
+
+The package exports the user API; everything else is reached through its module.
+"""
 
 from .algebra import (
     AlgebraSpec,
     AlgebraError,
-    Element,
-    SpecialCase,
     algebra_from_dict,
     load_algebra,
     validate_algebra,
 )
 from .holo import (
-    Contour,
     HoloDomainError,
     HoloFn,
     UnstableQuadrature,
-    contour_integrate,
-    enclosing_contour,
+    holo_from_dict,
 )
 from .monogenic import (
     MonogenicSpec,
@@ -24,31 +23,33 @@ from .monogenic import (
     eval_explicit,
     eval_integral,
     eval_special,
-    extract_components,
     gateaux_derivative,
     monogenic_from_dict,
     validate_triad,
 )
 from .pde import (
-    LAPLACE,
     NoZeroFound,
     PdeSpec,
     ZeroAt,
-    central_stencil,
     characteristic_residual,
-    definite_sign,
     operator_identity_check,
     p_nonvanishing_scan,
-    p_poly,
     pde_from_dict,
     pde_residual,
 )
-from .resolvent import (
-    LineL,
-    b_coeffs,
-    noninvertible_lines,
-    q_table,
-    t_coeffs,
-)
+
+__all__ = [
+    # the specs, their loaders and validators
+    "AlgebraSpec", "TriadSpec", "HoloFn", "MonogenicSpec", "PdeSpec",
+    "algebra_from_dict", "load_algebra", "holo_from_dict", "monogenic_from_dict", "pde_from_dict",
+    "validate_algebra", "validate_triad",
+    # the three routes and the Gateaux derivative
+    "eval_explicit", "eval_integral", "eval_special", "gateaux_derivative",
+    # the checks of monogenicity and of a PDE
+    "cr_residual", "characteristic_residual", "pde_residual", "operator_identity_check",
+    "p_nonvanishing_scan", "NoZeroFound", "ZeroAt",
+    # the errors
+    "AlgebraError", "HoloDomainError", "UnstableQuadrature",
+]
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .holo import parse_complex, parse_int
+from .holo import parse_complex, parse_int, parse_list
 
 Element = np.ndarray  # length-n complex128 coefficient vector over {I_k}
 
@@ -53,36 +53,13 @@ class Violation:
 UpsilonEntry = tuple[int, int, int, complex]
 
 
-def _canonicalize_upsilon(
-    entries: Iterable[UpsilonEntry],
-) -> tuple[dict[tuple[int, int, int], complex], list[tuple[tuple, str]]]:
-    """Fold (r, s, k, value) entries into a dict keyed by (min, max, k).
-
-    Returns the table and a list of symmetry conflicts: pairs of entries
-    that land on the same canonical key with different values.
-    """
-    table: dict[tuple[int, int, int], complex] = {}
-    conflicts: list[tuple[tuple, str]] = []
-    for r, s, k, value in entries:
-        key = (min(r, s), max(r, s), k)
-        if key in table and abs(table[key] - value) > 1e-15:
-            conflicts.append(
-                (key, f"conflicting values {table[key]} and {value}")
-            )
-        else:
-            table[key] = value
-    return table, conflicts
-
-
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Multiplication data of an algebra A_n^m in Cartan form.
 
-    upsilon entries may be given as (r, s, k, value); (r, s) is
-    canonicalized to r <= s, so symmetry is enforced by construction.
-    Conflicting duplicates are kept aside and surfaced by
-    validate_algebra.  The u_map keys and values are read by
-    holo.parse_int: Python ints, not floats, bools or strings.
+    upsilon entries are (r, s, k, value); (r, s) is canonicalized to
+    r <= s, so symmetry is enforced by construction.  Conflicting
+    duplicates are kept aside and surfaced by validate_algebra.
     """
 
     n: int
@@ -99,9 +76,20 @@ class AlgebraSpec:
         upsilon: Iterable[UpsilonEntry] = (),
         u_map: Mapping[int, int] | None = None,
     ) -> "AlgebraSpec":
+        """Reads n, m, the u_map and each row's r, s, k by holo.parse_int, and its value by parse_complex."""
+        n, m = parse_int(n), parse_int(m)
         if n < 1 or m < 1 or m > n:
             raise AlgebraError(f"need 1 <= m <= n, got n={n}, m={m}")
-        table, conflicts = _canonicalize_upsilon(upsilon)
+        if u_map is not None and not isinstance(u_map, Mapping):
+            raise ValueError(f"u_map must map radical indices to idempotents, got {u_map!r}")
+        table, conflicts = {}, []
+        for r, s, k, value in map(parse_list, parse_list(upsilon)):
+            r, s, k, value = parse_int(r), parse_int(s), parse_int(k), parse_complex(value)
+            key = (min(r, s), max(r, s), k)
+            if key in table and abs(table[key] - value) > 1e-15:
+                conflicts.append((key, f"conflicting values {table[key]} and {value}"))
+            else:
+                table[key] = value
         owners = {parse_int(s): parse_int(u) for s, u in (u_map or {}).items()}
         return cls(n, m, table, owners, tuple(conflicts))
 
@@ -311,12 +299,16 @@ def validate_algebra(spec: AlgebraSpec) -> list[Violation]:
             violations.append(Violation("triangularity", (r, s, k),
                                         f"need k > max(r, s) = {max(r, s)}"))
 
-    for s in range(m + 1, n + 1):
-        u = spec.u_map.get(s)
-        if u is None:
-            violations.append(Violation("u-map", (s,), "no idempotent acts as identity on I_s"))
-        elif not 1 <= u <= m:
+    # A run of radical indices with no owner is one violation, so an n far
+    # beyond the u_map's keys costs no more to check than the keys do.
+    last = m
+    for s, u in sorted((s, u) for s, u in spec.u_map.items() if m < s <= n) + [(n + 1, 1)]:
+        if s > last + 1:
+            rest = f" (nor on I_{last + 2} .. I_{s - 1})" if s > last + 2 else ""
+            violations.append(Violation("u-map", (last + 1,), f"no idempotent acts as identity on I_s{rest}"))
+        if not 1 <= u <= m:
             violations.append(Violation("u-map", (s, u), f"u_s outside [1, {m}]"))
+        last = s
 
     if violations:
         return violations  # the product list would be ill-formed
@@ -367,29 +359,25 @@ def validate_algebra(spec: AlgebraSpec) -> list[Violation]:
 
 def parse_key(text: str) -> int:
     """A u_map key: the text of a JSON integer that is not negative ("3", not "03", "+3" or "3.0")."""
-    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+    if isinstance(text, str) and text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
         return int(text)
     raise ValueError(f"not the text of a JSON integer: {text!r}")
 
 
 def algebra_from_dict(data: Mapping) -> AlgebraSpec:
-    """Build and validate an AlgebraSpec from its JSON object form.
+    """Build and validate an AlgebraSpec from its JSON object form; AlgebraSpec.create reads the numbers.
 
-    n, m, the upsilon indices and the u_map values are JSON integers (a
-    u_map key is the text of one, read by parse_key); an upsilon row is
-    [r, s, k, value], the value a complex number (holo.parse_complex), or
-    [r, s, k, re, im].
+    An upsilon row [r, s, k, re, im] is read as [r, s, k, [re, im]], and a
+    u_map key is the text of a JSON integer (parse_key).
     """
     try:
-        n, m = parse_int(data["n"]), parse_int(data["m"])
-        upsilon = data.get("upsilon", [])
-        u_map = data.get("u_map", {})
+        n, m = data["n"], data["m"]
+        upsilon, u_map = data.get("upsilon", []), data.get("u_map", {})
         if not isinstance(upsilon, (list, tuple)) or not isinstance(u_map, Mapping):
             raise TypeError("upsilon must be a list and u_map an object")
-        rows = [(parse_int(r), parse_int(s), parse_int(k), parse_complex(v[0] if len(v) == 1 else v))
-                for r, s, k, *v in upsilon]
+        rows = [(r, s, k, v[0] if len(v) == 1 else v) for r, s, k, *v in upsilon]
         spec = AlgebraSpec.create(n, m, rows, {parse_key(s): u for s, u in u_map.items()})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise AlgebraError(f"malformed algebra spec: {exc}") from exc
     violations = validate_algebra(spec)
     if violations:

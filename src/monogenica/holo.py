@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from operator import neg
 from typing import Mapping, Sequence
@@ -59,17 +59,24 @@ class HoloFn:
     shift: complex = 0.0 + 0.0j
 
     def __post_init__(self):
+        """Reads coeffs, center, amp, scale and shift by parse_complex, a radius by parse_real or as float +inf."""
         if self.kind not in _KINDS:
             raise HoloDomainError(f"unknown holomorphic variant {self.kind!r}")
-        if self.kind == "series" and not self.radius > 0:
-            raise HoloDomainError("power series needs a positive radius")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        store = partial(object.__setattr__, self)
+        store("coeffs", tuple(map(parse_complex, parse_list(self.coeffs))))
+        for name in ("center", "amp", "scale", "shift"):
+            store(name, parse_complex(getattr(self, name)))
+        radius = self.radius
+        store("radius", math.inf if isinstance(radius, (float, np.floating)) and radius == math.inf
+              else parse_real(radius))
+        if not self.radius > 0:
+            raise HoloDomainError(f"a radius must be above 0, got {radius!r}")
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def poly(cls, coeffs: Sequence[complex], **kw) -> "HoloFn":
-        return cls("poly", coeffs=tuple(coeffs), **kw)
+        return cls("poly", coeffs=coeffs, **kw)
 
     @classmethod
     def exp(cls, **kw) -> "HoloFn":
@@ -85,7 +92,7 @@ class HoloFn:
 
     @classmethod
     def series(cls, center: complex, coeffs: Sequence[complex], radius: float, **kw) -> "HoloFn":
-        return cls("series", coeffs=tuple(coeffs), center=center, radius=radius, **kw)
+        return cls("series", coeffs=coeffs, center=center, radius=radius, **kw)
 
     @classmethod
     def zero(cls) -> "HoloFn":
@@ -365,58 +372,61 @@ class DerivativeStack:
 
 
 def parse_real(value) -> float:
-    """A finite JSON number, a Python int or float, as a float; ValueError otherwise.
+    """A finite JSON number, Python int or float, or numpy integer or float, as a float; ValueError otherwise.
 
     JSON true and false are not numbers, though Python's bool is a subclass of int.
     """
-    if type(value) is float:  # most job numbers: the float itself
-        if math.isfinite(value):
-            return value
-    elif type(value) is int:
+    if type(value) in (float, int) or isinstance(value, (np.integer, np.floating)):
         try:
-            if math.isfinite(value):
-                return float(value)
+            number = float(value)
         except OverflowError:  # an int beyond the float range
-            pass
+            number = math.inf
+        if math.isfinite(number):
+            return number
     raise ValueError(f"not a finite number: {value!r}")
 
 
 def parse_int(value) -> int:
-    """A JSON integer: a Python int, not a bool or float, not even 3.0; ValueError otherwise."""
+    """A JSON integer, Python int or numpy integer, not a bool or a float, even 3.0; ValueError otherwise."""
     if type(value) is int:
         return value
+    if isinstance(value, np.integer):
+        return int(value)
     raise ValueError(f"not an integer: {value!r}")
 
 
-def parse_complex(pair) -> complex:
-    """A JSON complex number: a finite real number or a [re, im] pair of them; ValueError otherwise."""
-    if type(pair) is list and len(pair) == 2 and type(pair[0]) is float and type(pair[1]) is float:
-        # Most job numbers: [re, im] as two floats.
-        value = complex(*pair)
-        if cmath.isfinite(value):
-            return value
-    re, im = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (pair, 0.0)
+def parse_complex(value) -> complex:
+    """A finite number (parse_real), a [re, im] pair of them or a Python or numpy complex; else ValueError."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is float and type(value[1]) is float:
+        number = complex(*value)  # most job numbers: [re, im] as two floats
+    elif isinstance(value, (complex, np.complexfloating)):
+        number = complex(value)
+    else:
+        re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+        try:
+            number = complex(parse_real(re), parse_real(im))
+        except ValueError:
+            number = math.nan  # refused below, naming the whole value
+    if cmath.isfinite(number):
+        return number
+    raise ValueError(f"not a complex number (a finite number or [re, im]): {value!r}")
+
+
+def parse_list(values) -> list:
+    """The items of an iterable (a list, tuple or array); ValueError for a value with none, such as None."""
     try:
-        return complex(parse_real(re), parse_real(im))
-    except ValueError:
-        raise ValueError(f"not a complex number (a finite number or [re, im]): {pair!r}") from None
+        return list(values)
+    except TypeError:
+        raise ValueError(f"not a list: {values!r}") from None
 
 
 def holo_from_dict(data: Mapping) -> HoloFn:
-    kw = {}
-    if "coeffs" in data:
-        kw["coeffs"] = tuple(parse_complex(p) for p in data["coeffs"])
-    if "center" in data:
-        kw["center"] = parse_complex(data["center"])
-    if "radius" in data:
-        kw["radius"] = parse_real(data["radius"])
-    if "amp" in data:
-        kw["amp"] = parse_complex(data["amp"])
-    if "scale" in data:
-        kw["scale"] = parse_complex(data["scale"])
-    if "shift" in data:
-        kw["shift"] = parse_complex(data["shift"])
-    return HoloFn(data["kind"], **kw)
+    """The JSON form: "kind" and any of coeffs, center, radius, amp, scale and shift, which HoloFn reads."""
+    try:
+        return HoloFn(data["kind"], **{key: data[key] for key in ("coeffs", "center", "radius", "amp",
+                                                                  "scale", "shift") if key in data})
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"malformed holomorphic data: {exc}") from exc
 
 
 # -- contours ----------------------------------------------------------------

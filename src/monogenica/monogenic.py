@@ -22,12 +22,16 @@ from .algebra import AlgebraSpec, Element, Violation, algebra_from_dict, load_al
 from .holo import (
     DerivativeStack,
     HoloDomainError,
+    HoloFn,
     NonFiniteIntegrand,
     contour_integrate,
     enclosing_contour,
     holo_from_dict,
     multiply_in_place,
     parse_complex,
+    parse_int,
+    parse_list,
+    parse_real,
 )
 
 Point = tuple[float, float, float]
@@ -42,7 +46,8 @@ class TriadSpec:
 
     @classmethod
     def create(cls, a: Sequence[complex], b: Sequence[complex]) -> "TriadSpec":
-        return cls(tuple(complex(v) for v in a), tuple(complex(v) for v in b))
+        """Reads each coefficient of a and b by holo.parse_complex."""
+        return cls(tuple(map(parse_complex, parse_list(a))), tuple(map(parse_complex, parse_list(b))))
 
     @cached_property
     def a_vec(self) -> np.ndarray:
@@ -85,8 +90,13 @@ class MonogenicSpec:
 
     @classmethod
     def create(cls, algebra: AlgebraSpec, triad: TriadSpec, F: Sequence, G: Sequence = ()) -> "MonogenicSpec":
-        F = tuple(F)
-        G = tuple(G)
+        """ValueError unless algebra and triad are specs and F and G hold as many HoloFn as it needs."""
+        if not isinstance(algebra, AlgebraSpec) or not isinstance(triad, TriadSpec):
+            raise ValueError(f"need an AlgebraSpec and a TriadSpec, got {algebra!r} and {triad!r}")
+        F, G = tuple(parse_list(F)), tuple(parse_list(G))
+        for f in F + G:
+            if not isinstance(f, HoloFn):
+                raise ValueError(f"F and G hold HoloFn data, not {f!r}")
         if not len(triad.a) == len(triad.b) == algebra.n:
             raise ValueError(f"triad a and b need {algebra.n} coefficients each, "
                              f"got {len(triad.a)} and {len(triad.b)}")
@@ -127,6 +137,22 @@ def extract_components(v: Element) -> list[complex]:
     return [complex(c) for c in np.asarray(v)]
 
 
+def read_order(order, least: int = 0) -> int:
+    """A derivative order, the routes' one reader: an int (holo.parse_int) >= least; ValueError otherwise."""
+    order = parse_int(order)
+    if order < least:
+        raise ValueError(f"derivative order must be >= {least}, got {order}")
+    return order
+
+
+def read_step(h) -> float:
+    """A finite-difference step: a real number (holo.parse_real) above 0; ValueError otherwise."""
+    h = parse_real(h)
+    if not h > 0:
+        raise ValueError(f"the step h must be above 0, got {h!r}")
+    return h
+
+
 # -- explicit evaluation -------------------------------------------------------
 
 
@@ -165,7 +191,10 @@ def eval_explicit(
     Phi^(N) at once.  Then the stack covers the orders lo..hi of the batch
     on every row (ms.derivative_stack(lo, hi - lo)), and one gather moves
     each point's orders into the term list's layout; a row equals the same
-    point evaluated alone at its order, bit for bit.
+    point evaluated alone at its order, bit for bit.  Every order is read
+    by read_order.  No coordinate is tested (that would cost a one-point
+    call a few percent): a NaN coordinate gives a row of NaN, an infinite
+    one a row that is not finite, with numpy's invalid-value warning.
     """
     spec = ms.algebra
     plan = spec.explicit_plan
@@ -174,15 +203,15 @@ def eval_explicit(
     pts = np.asarray(p, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
-    lo = hi = order
-    if not isinstance(order, (int, np.integer)):
+    if isinstance(order, (np.ndarray, list, tuple)):
         order = np.asarray(order)
         if order.shape != (len(pts),) or order.dtype.kind not in "iu":
             raise ValueError(f"order must be an int or {len(pts)} ints, one per point, "
                              f"got {order.dtype} of shape {order.shape}")
         lo, hi = (int(order.min()), int(order.max())) if order.size else (0, 0)
-    if lo < 0:
-        raise ValueError("derivative order must be >= 0")
+        read_order(lo)
+    else:
+        lo = hi = order = read_order(order)
     Z = rsv.coordinates(ms.triad, spec.m, pts[:, 0], pts[:, 1], pts[:, 2])
     xi = Z.T.take(plan.owner, axis=0)  # owner < m: each row's xi_u
     if hi > lo:
@@ -222,9 +251,10 @@ MAX_FACTORIAL_ORDER = 170  # the largest r whose r! is a finite float: 171! > 1.
 def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
-    p is one point (x, y, z), a 3-sequence or a (3,) array; any other shape
-    raises ValueError (the explicit route takes batches).  order = r gives
-    the r-th Gateaux derivative Phi^(r), r = 0 the function itself.  W =
+    p is one point (x, y, z), a 3-sequence or a (3,) array; any other shape,
+    or a coordinate that is no finite number, raises ValueError naming it (the
+    explicit route takes batches).  order = r (read_order) gives the r-th
+    Gateaux derivative Phi^(r), r = 0 the function itself.  W =
     sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from one affine map
     (resolvent.coordinates).  The circle (enclosing_contour, capped by the
     series among F and G) goes around every xi_u at once: W cancels R's
@@ -253,32 +283,30 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     with a radius-1 circle): its nodes would round onto the centre, and
     onto a spectrum point there.  That test is two scalar sums.
     """
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    order = read_order(order)
     if order > MAX_FACTORIAL_ORDER:
         raise HoloDomainError(f"{order}! overflows: the contour route has no value at order {order}")
     spec = ms.algebra
     m, n, d = spec.m, spec.n, spec.n - spec.m
     power = order + 1
     try:
-        x, y, z = p
-    except (TypeError, ValueError):
-        Z = None
-    else:
-        Z = rsv.coordinates(ms.triad, m, x, y, z)
-    if Z is None or Z.shape != (n,):
-        try:
-            got = f"an array of shape {np.shape(p)}"
-        except ValueError:  # a ragged sequence has no shape
-            got = repr(p)
+        pts = np.asarray(p)
+    except ValueError:  # a ragged sequence has no shape
+        pts = np.array(None)
+    if pts.shape != (3,) or pts.dtype.kind not in "biuf":
+        got = f"an array of shape {pts.shape}" if pts.dtype.kind in "biuf" else repr(p)
         raise ValueError(f"the contour route takes one point (x, y, z), got {got}")
+    point = tuple(map(float, pts.tolist()))
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"the contour route needs a finite point, got {point}")
+    Z = rsv.coordinates(ms.triad, m, *point)
     xi_v, T = Z[:m], Z[m:]
     E = rsv.neumann_table(spec, T, power).reshape(-1, n)  # rows (u, l)
     G = np.dot(E, spec.mult_tensor.reshape(n, -1)).reshape(-1, n, n).transpose(1, 0, 2).reshape(-1, n)
     contour = enclosing_contour(xi_v, ms.F + ms.G)
     c, radius = contour.center, contour.radius
     if c + radius == c or c + 1j * radius == c:
-        raise HoloDomainError(f"no contour route at the point {(float(x), float(y), float(z))}: "
+        raise HoloDomainError(f"no contour route at the point {point}: "
                               f"the circle of radius {radius!r} about {c!r} is narrower than "
                               f"the rounding of its centre, so its nodes round onto it")
     stack = ms.value_stack
@@ -291,7 +319,6 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     try:
         value = contour_integrate(moments, contour, contract=G.T.dot)
     except NonFiniteIntegrand:
-        point = (float(x), float(y), float(z))
         raise HoloDomainError(f"the value at {point} is not finite: the data overflow there") from None
     # Not times 0! = 1 at order 0: a complex product by 1 turns -0.0 into 0.0.
     return math.factorial(order) * value if order else value
@@ -304,9 +331,7 @@ def gateaux_derivative(ms: MonogenicSpec, p: Union[Point, np.ndarray], r: int) -
     route at order r is eval_integral(ms, p, r), and the Taylor route
     eval_special(ms, p, r).
     """
-    if r < 1:
-        raise ValueError("derivative order must be >= 1")
-    return eval_explicit(ms, p, order=r)
+    return eval_explicit(ms, p, order=read_order(r, 1))
 
 
 # -- Taylor evaluation ---------------------------------------------------------
@@ -322,10 +347,11 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
     Horner's rule takes one batched product by N per order over the nonzero
     products I_i I_j -> I_t, j radical, in a fixed order: no T, B or Q table,
     no term list, no contour.  p is one point or an (N, 3) array, as for
-    eval_explicit, and a row of a batch equals the point evaluated alone.
+    eval_explicit, and a row of a batch equals the point evaluated alone; a
+    coordinate that is not finite gives a row that is not finite, as there.
+    order is read by read_order.
     """
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    order = read_order(order)
     spec = ms.algebra
     plan = spec.explicit_plan
     pts = np.asarray(p, dtype=float)
@@ -388,9 +414,10 @@ def cr_residual(
     residuals, or an (N, 3) array, giving two (N, n) arrays.  values, if
     given, are the values at cr_stencil(p, h), for example rows of a larger
     batched call or of another evaluator, and nothing is evaluated.
-    Near-zero certifies monogenicity at the point, a large value is a
-    broken-data signal.
+    h is read by read_step.  Near-zero certifies monogenicity at the
+    point, a large value is a broken-data signal.
     """
+    h = read_step(h)
     spec = ms.algebra
     shape = np.shape(p)[:-1]
     if values is None:
@@ -409,13 +436,12 @@ def cr_residual(
 
 
 def monogenic_from_dict(data: Mapping) -> MonogenicSpec:
-    """The JSON form; a string algebra is a file path, read as given (cli.build_spec resolves it)."""
-    alg = data["algebra"]
-    algebra = load_algebra(alg) if isinstance(alg, str) else algebra_from_dict(alg)
-    triad = TriadSpec.create(
-        [parse_complex(v) for v in data["triad"]["a"]],
-        [parse_complex(v) for v in data["triad"]["b"]],
-    )
-    F = [holo_from_dict(d) for d in data.get("F", [])]
-    G = [holo_from_dict(d) for d in data.get("G", [])]
-    return MonogenicSpec.create(algebra, triad, F, G)
+    """The JSON form, whose constructors read the numbers; a string algebra is a file path, read as given."""
+    try:
+        alg = data["algebra"]
+        algebra = load_algebra(alg) if isinstance(alg, str) else algebra_from_dict(alg)
+        triad = TriadSpec.create(data["triad"]["a"], data["triad"]["b"])
+        F, G = ([holo_from_dict(d) for d in data.get(key, [])] for key in ("F", "G"))
+        return MonogenicSpec.create(algebra, triad, F, G)
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"malformed monogenic spec: {exc}") from exc

@@ -25,13 +25,14 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .holo import parse_int, parse_real
+from .holo import parse_int, parse_list, parse_real
 from .monogenic import (
     MonogenicSpec,
     Point,
     TriadSpec,
     eval_explicit,
     gateaux_derivative,
+    read_step,
     stencil_points,
 )
 
@@ -45,12 +46,12 @@ class PdeSpec:
 
     @classmethod
     def create(cls, N: int, terms: Sequence[Sequence]) -> "PdeSpec":
-        """N and the exponents are read by holo.parse_int, each coefficient by parse_real."""
+        """N and the exponents are read by holo.parse_int, each coefficient by parse_real, a term as four."""
         N = parse_int(N)
         if N < 1:
             raise ValueError("PDE order must be positive")
         clean = []
-        for alpha, beta, gamma, c in terms:
+        for alpha, beta, gamma, c in map(parse_list, parse_list(terms)):
             alpha, beta, gamma = parse_int(alpha), parse_int(beta), parse_int(gamma)
             if min(alpha, beta, gamma) < 0 or alpha + beta + gamma != N:
                 raise ValueError(f"exponents ({alpha},{beta},{gamma}) must be >= 0 and sum to N={N}")
@@ -279,8 +280,9 @@ def pde_residual(
     p is one point, giving an (n,) residual, or an (N, 3) array, giving
     (N, n).  The distinct stencil points of all of them go through
     eval_explicit in one batched call, unless values, the values at
-    pde_stencil(pde, p, h), are given.
+    pde_stencil(pde, p, h), are given.  h is read by monogenic.read_step.
     """
+    h = read_step(h)
     offsets, weights = pde.stencil
     shape = np.shape(p)[:-1]
     if values is None:
@@ -317,5 +319,8 @@ def operator_identity_check(
 
 
 def pde_from_dict(data: Mapping) -> PdeSpec:
-    """The JSON form: N and the exponents are JSON integers, each coefficient a real number."""
-    return PdeSpec.create(data["N"], data["terms"])
+    """The JSON form, {"N": N, "terms": [...]}, which PdeSpec.create reads; ValueError if it is malformed."""
+    try:
+        return PdeSpec.create(data["N"], data["terms"])
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"malformed pde spec: {exc}") from exc

@@ -24,14 +24,12 @@ from monogenica import (
     operator_identity_check,
     p_nonvanishing_scan,
     pde_residual,
-    q_table,
-    t_coeffs,
 )
 from monogenica.cli import main as cli_main
 from monogenica.fixtures import fixture_path
 from monogenica.monogenic import cr_stencil
 from monogenica.pde import LAPLACE
-from monogenica.resolvent import b_coeffs
+from monogenica.resolvent import b_coeffs, q_table, t_coeffs
 
 from conftest import fixture_triad, random_triad
 from oracles import (embed, invert, resolvent_closed, resolvent_recurrence, spectrum,

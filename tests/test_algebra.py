@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 from monogenica import (
     AlgebraError,
     AlgebraSpec,
-    SpecialCase,
     algebra_from_dict,
     validate_algebra,
 )
 
-from monogenica.algebra import ASSOC_TOL
+from monogenica.algebra import ASSOC_TOL, SpecialCase
 from monogenica.cli import main
 
 from conftest import random_element
@@ -60,6 +59,15 @@ class TestValidation:
         # Rule 3 demands a unique acting idempotent for every radical index.
         spec = AlgebraSpec.create(2, 1, [], {})
         assert any(v.kind == "u-map" for v in validate_algebra(spec))
+
+    def test_missing_owners_are_one_violation_per_run(self):
+        # An n far beyond the u_map's keys is checked at the cost of the keys.
+        spec = AlgebraSpec.create(10**400, 1, [], {3: 1, 4: 1, 6: 1})
+        assert [(v.where, v.detail) for v in validate_algebra(spec)] == [
+            ((2,), "no idempotent acts as identity on I_s"),
+            ((5,), "no idempotent acts as identity on I_s"),
+            ((7,), f"no idempotent acts as identity on I_s (nor on I_8 .. I_{10**400})"),
+        ]
 
     def test_u_map_out_of_range(self):
         spec = AlgebraSpec.create(2, 1, [], {2: 5})

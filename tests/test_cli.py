@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import errno
 import json
 import math
@@ -14,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from monogenica import monogenic, pde as pde_mod, resolvent
+from monogenica import AlgebraError, HoloDomainError, HoloFn, monogenic, pde as pde_mod, resolvent
 from monogenica.algebra import AlgebraSpec
 from monogenica.cli import build_spec, load_job, main
 from monogenica.fixtures import fixture_path
@@ -1513,6 +1515,125 @@ def test_every_input_gives_one_exit_code_and_one_error_line(capsys, tmp_path, ca
     elif code >= 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     out_file.unlink(missing_ok=True)
+
+
+# Values a library caller may pass where a number, a list or a spec is due.
+LIBRARY_VALUES = st.sampled_from([
+    *EXTREMES, math.inf, -math.inf, math.nan, np.inf, float("inf"), True, False, None, "", "2", "exp",
+    -1, 0, 1, 2, 3, 170, 171, 10**400, 2.0, 1.5, np.int64(2), np.int64(-1), np.float64(0.5),
+    np.float64(math.nan), np.complex128(1j), np.complex128(complex(1.0, math.inf)), np.bool_(True),
+    [], [1.0], [0.0, 1.0], [[1.0, 0.0]], [2, 2, 3, 1.0], [[2, 2, 3, 1.0]], {"kind": "exp"},
+])
+
+
+def library_calls() -> dict:
+    """name: (callable, args, kwargs, the paths it may change, None for every path).
+
+    Every public constructor and loader on valid data, and the four routes
+    on job_square_t4 at one valid point, where only the order may change.
+    """
+    from monogenica import (MonogenicSpec, PdeSpec, TriadSpec, algebra_from_dict,
+                            eval_explicit, eval_integral, eval_special, gateaux_derivative,
+                            holo_from_dict, monogenic_from_dict, pde_from_dict)
+
+    job = inlined("job_square_t4.json")
+    ms = build_spec(load_job(JOB_T4))
+    kw = {"amp": 0.5, "scale": 2j, "shift": [0.1, 0.0]}
+    laplace = [[2, 0, 0, 1.0], [0, 2, 0, 1.0], [0, 0, 2, 1.0]]
+    calls = {
+        "AlgebraSpec.create": (AlgebraSpec.create, [4, 1, [[2, 2, 3, 1.0], [2, 3, 4, 1j]],
+                                                    {2: 1, 3: 1, 4: 1}], {}, None),
+        "algebra_from_dict": (algebra_from_dict, [job["algebra"]], {}, None),
+        "TriadSpec.create": (TriadSpec.create, [[2j, 1j], [math.sqrt(3.0), 0.0]], {}, None),
+        "HoloFn": (HoloFn, ["series", [1.0, 0.5j], 0.1j, 50.0, 0.7, 1.0, 0.0], {}, None),
+        "HoloFn.poly": (HoloFn.poly, [[1.0, 2.0]], kw, None),
+        "HoloFn.exp": (HoloFn.exp, [], kw, None),
+        "HoloFn.sin": (HoloFn.sin, [], kw, None),
+        "HoloFn.cos": (HoloFn.cos, [], kw, None),
+        "HoloFn.series": (HoloFn.series, [0.1j, [1.0, 0.5], 50.0], kw, None),
+        "holo_from_dict": (holo_from_dict, [{"kind": "series", "coeffs": [[1.0, 0.0], 0.5],
+                                             "center": [0.1, 0.0], "radius": 50.0, **kw}], {}, None),
+        "MonogenicSpec.create": (MonogenicSpec.create, [ms.algebra, ms.triad, list(ms.F), list(ms.G)],
+                                 {}, None),
+        "monogenic_from_dict": (monogenic_from_dict, [{key: job[key] for key in ("algebra", "triad", "F", "G")}],
+                                {}, None),
+        "PdeSpec.create": (PdeSpec.create, [2, laplace], {}, None),
+        "pde_from_dict": (pde_from_dict, [{"N": 2, "terms": laplace}], {}, None),
+    }
+    for route, order in ((eval_explicit, 0), (eval_integral, 0), (eval_special, 0), (gateaux_derivative, 1)):
+        calls[route.__name__] = (route, [ms, (0.3, 0.4, -0.2), order], {}, [(0, 2)])
+    return calls
+
+
+LIBRARY_CALLS = library_calls()
+
+
+def tree_paths(node, path=()):
+    """The path of every node below node: list indices and dict keys."""
+    items = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from tree_paths(child, path + (key,))
+
+
+def replaced(node, path, value):
+    """node with the node at path replaced by value; the rest is shared, not copied."""
+    if not path:
+        return value
+    if isinstance(node, list):
+        return [replaced(v, path[1:], value) if i == path[0] else v for i, v in enumerate(node)]
+    return {k: replaced(v, path[1:], value) if k == path[0] else v for k, v in node.items()}
+
+
+@st.composite
+def library_cases(draw):
+    """(name, callable, args, kwargs): one entry of LIBRARY_CALLS with up to two of its nodes replaced."""
+    name = draw(st.sampled_from(sorted(LIBRARY_CALLS)))
+    fn, args, kwargs, mutable = LIBRARY_CALLS[name]
+    tree = [args, kwargs]
+    for _ in range(draw(st.integers(0, 2))):
+        # Below the args and kwargs themselves: an argument or a part of one.
+        path = draw(st.sampled_from(mutable or [p for p in tree_paths(tree) if len(p) > 1]))
+        value = draw(LIBRARY_VALUES)
+        # A string algebra is a file path, and a missing file is an OSError.
+        assume(not (name == "monogenic_from_dict" and path == (0, 0, "algebra") and isinstance(value, str)))
+        tree = replaced(tree, path, value)
+    return name, fn, *tree
+
+
+def holds_finite_numbers(obj) -> bool:
+    """Whether every number a spec, a container or an array holds is a finite int, float or complex.
+
+    A spec's private fields are skipped, and so are a HoloFn's kind, a
+    name, and a radius of +inf, the default, which caps nothing.
+    """
+    if dataclasses.is_dataclass(obj):
+        return all(holds_finite_numbers(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                   if not f.name.startswith("_") and not (isinstance(obj, HoloFn) and (
+                       f.name == "kind" or f.name == "radius" and obj.radius == math.inf)))
+    if isinstance(obj, (tuple, list)):
+        return all(map(holds_finite_numbers, obj))
+    if isinstance(obj, dict):
+        return all(map(holds_finite_numbers, [*obj, *obj.values()]))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind in "fc" and bool(np.isfinite(obj).all())
+    return type(obj) is int or type(obj) in (float, complex) and cmath.isfinite(obj)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(case=library_cases())
+def test_every_library_input_gives_finite_numbers_or_one_error(case):
+    # Each call returns an object that holds only finite numbers or raises
+    # ValueError, AlgebraError or HoloDomainError; any other exception, or
+    # a warning (an error here), fails the test.
+    name, fn, args, kwargs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = fn(*args, **kwargs)
+        except (ValueError, AlgebraError, HoloDomainError):
+            return
+    assert holds_finite_numbers(got), (name, args, kwargs, got)
 
 
 def counting_validations(monkeypatch) -> list:

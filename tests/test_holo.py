@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monogenica import (
-    Contour,
-    HoloDomainError,
-    HoloFn,
-    UnstableQuadrature,
-    contour_integrate,
-    enclosing_contour,
-)
-from monogenica import holo
+from monogenica import HoloDomainError, HoloFn, UnstableQuadrature, holo
 from monogenica.holo import (
+    Contour,
     DerivativeStack,
     NonFiniteIntegrand,
+    contour_integrate,
+    enclosing_contour,
     parse_complex,
     parse_int,
     parse_real,
@@ -63,6 +58,18 @@ class TestHoloEval:
         f = HoloFn.series(0.0, [1.0, 1.0], radius=1.0)
         with pytest.raises(HoloDomainError):
             f.eval(0, 0.95)
+
+    @pytest.mark.parametrize("radius", [math.inf, float("inf"), np.inf, np.float64(np.inf)])
+    def test_an_infinite_radius_caps_nothing(self, radius):
+        # Any float +inf, not only math.inf itself, is the default radius.
+        f = HoloFn.series(0.0, [1.0, 1.0], radius=radius)
+        assert type(f.radius) is float and f.radius == math.inf and f._safe_disc is None
+        assert f.eval(0, 1e6) == 1 + 1e6
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, -math.inf, math.nan, "inf", None, True])
+    def test_a_radius_must_be_a_real_above_zero(self, radius):
+        with pytest.raises((ValueError, HoloDomainError)):
+            HoloFn.series(0.0, [1.0, 1.0], radius=radius)
 
     def test_negative_order_rejected(self):
         with pytest.raises(HoloDomainError):
@@ -517,6 +524,21 @@ class TestNumberReaders:
     def test_complex(self, value, expect):
         got = parse_complex(value)
         assert type(got) is complex and got == expect
+
+    @pytest.mark.parametrize("reader, value, expect", [
+        (parse_real, np.float64(-2.5), -2.5), (parse_real, np.int32(3), 3.0), (parse_int, np.int64(-7), -7),
+        (parse_complex, np.complex128(1 - 2j), 1 - 2j), (parse_complex, 2j, 2j), (parse_complex, np.float32(0.5), 0.5 + 0j),
+    ])
+    def test_numpy_scalars_and_a_python_complex(self, reader, value, expect):
+        got = reader(value)
+        assert type(got) is type(expect) and got == expect
+
+    @pytest.mark.parametrize("reader", [parse_real, parse_int, parse_complex])
+    @pytest.mark.parametrize("value", [np.bool_(True), np.float64("nan"), np.float32("inf"),
+                                       np.complex128(complex(1.0, math.inf)), complex(math.nan, 0.0)])
+    def test_numpy_scalars_that_are_no_finite_number(self, reader, value):
+        with pytest.raises(ValueError, match="not a"):
+            reader(value)
 
     @pytest.mark.parametrize("value", [True, [False, True], "1", ["1", "2"], [1.0, 0.0, 2.0], [],
                                        [1.0, float("nan")], 10**400, None])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -14,19 +15,43 @@ from monogenica import (
     eval_explicit,
     eval_integral,
     eval_special,
-    extract_components,
     gateaux_derivative,
-    t_coeffs,
     validate_algebra,
     validate_triad,
 )
 from monogenica import monogenic, resolvent
 from monogenica.algebra import AlgebraSpec, SpecialCase
 from monogenica.holo import DEFAULT_NODES, MAX_NODES, UnstableQuadrature
+from monogenica.monogenic import extract_components
+from monogenica.resolvent import t_coeffs
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
 from oracles import basis, embed, functional_f, spectrum, wrong_xi_values, xi
 from test_algebra import direct_sum_truncated, skewed_basis
+
+# A coordinate of a point and a value that is not finite for it.
+NON_FINITE = [(c, v) for c in range(3) for v in (math.nan, math.inf, -math.inf)]
+BAD_STEPS = [0.0, -1e-5, math.nan, math.inf]
+
+
+def assert_non_finite_row(route, ms, coordinate, value):
+    """route at a batch whose first point has value at coordinate.
+
+    No coordinate is tested: a NaN gives a row of NaN and no warning, an
+    infinite value a row that is not finite (numpy's invalid-value warning
+    silenced), and the other row keeps the bits it has alone.
+    """
+    pts = np.array([[0.3, 0.4, -0.2], [0.1, -0.5, 0.6]])
+    bad = pts.copy()
+    bad[0, coordinate] = value
+    with warnings.catch_warnings(), np.errstate(invalid="ignore" if math.isinf(value) else "raise"):
+        warnings.simplefilter("error")
+        got = route(ms, bad)
+    if math.isnan(value):
+        assert np.isnan(got[0]).all()
+    else:
+        assert not np.isfinite(got[0]).all()
+    assert np.array_equal(got[1], route(ms, pts[1]))
 
 
 def exp_series_oracle(spec, zeta, terms=40):
@@ -158,6 +183,10 @@ class TestExplicit:
 
 
 class TestBatchedExplicit:
+    @pytest.mark.parametrize("coordinate, value", NON_FINITE)
+    def test_non_finite_coordinate_gives_a_row_that_is_not_finite(self, all_monospecs, coordinate, value):
+        assert_non_finite_row(eval_explicit, all_monospecs["alg_t4"], coordinate, value)
+
     @pytest.mark.parametrize("count", [1, 7, 64])
     def test_batch_equals_rows(self, all_monospecs, rng, count):
         for name, ms in all_monospecs.items():
@@ -236,6 +265,20 @@ def record_quadrature(monkeypatch):
 
 
 class TestIntegral:
+    @pytest.mark.parametrize("coordinate, value", NON_FINITE)
+    def test_non_finite_point_is_refused(self, all_monospecs, monkeypatch, coordinate, value):
+        # A ValueError naming the point before any arithmetic, not a message
+        # about a circle within nan of nan+nanj.
+        p = [0.3, 0.4, -0.2]
+        p[coordinate] = value
+        _, sizes = record_quadrature(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"the contour route needs a finite point, "
+                                                           f"got {tuple(p)}")):
+                eval_integral(all_monospecs["alg_t4"], p)
+        assert sizes == []
+
     def test_three_way_agreement(self, all_monospecs, rng):
         for name, ms in all_monospecs.items():
             for _ in range(5):
@@ -384,6 +427,12 @@ class TestIntegral:
         with pytest.raises(ValueError, match=r"takes one point \(x, y, z\), got \[0\.1, \[0\.2, 0\.3\], 0\.4\]"):
             eval_integral(all_monospecs["alg_t4"], [0.1, [0.2, 0.3], 0.4])
 
+    @pytest.mark.parametrize("p", [("0.3", 0.4, -0.2), (0.3, None, -0.2), (0.3, 0.4, 10**400)])
+    def test_a_point_that_is_not_three_numbers_is_refused(self, all_monospecs, p):
+        # Refused by its type, not parsed: a string coordinate is no number.
+        with pytest.raises(ValueError, match=re.escape(f"takes one point (x, y, z), got {p!r}")):
+            eval_integral(all_monospecs["alg_t4"], p)
+
     def test_one_point_as_a_tuple_or_an_array(self, all_monospecs):
         for name, ms in all_monospecs.items():
             for r in range(3):
@@ -504,6 +553,10 @@ class TestSpecial:
         with pytest.raises(ValueError):
             eval_special(all_monospecs["alg_t4"], (0.1, 0.2, 0.3), order=-1)
 
+    @pytest.mark.parametrize("coordinate, value", NON_FINITE)
+    def test_non_finite_coordinate_gives_a_row_that_is_not_finite(self, all_monospecs, coordinate, value):
+        assert_non_finite_row(eval_special, all_monospecs["alg_t4"], coordinate, value)
+
 
 # Each Gateaux test runs on both routes, so the contour route keeps its
 # coverage as the cross-check of the explicit one.
@@ -609,6 +662,14 @@ class TestGateaux:
 
 
 class TestCauchyRiemann:
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    def test_step_must_be_a_real_above_zero(self, all_monospecs, h):
+        # A step of 0 samples the point itself: every quotient would be 0/0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the step h must be above 0|not a finite number"):
+                cr_residual(all_monospecs["alg_t4"], (0.3, 0.4, -0.2), h)
+
     def test_polynomial_data_tight(self, alg_t4):
         triad = fixture_triad("alg_t4")
         ms = MonogenicSpec.create(

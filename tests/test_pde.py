@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,26 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogenica import (
-    LAPLACE,
     HoloFn,
     MonogenicSpec,
     NoZeroFound,
     PdeSpec,
     TriadSpec,
     ZeroAt,
-    central_stencil,
     characteristic_residual,
-    definite_sign,
     eval_explicit,
     operator_identity_check,
     p_nonvanishing_scan,
-    p_poly,
     pde_from_dict,
     pde_residual,
 )
 
 from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
+from monogenica.pde import LAPLACE, central_stencil, definite_sign, p_poly
 
 from conftest import fixture_triad
 from oracles import EXTREMES, apply_operator, functional_f, nonvanishing_scan, xi
@@ -333,6 +331,15 @@ class TestStencils:
 
 
 class TestPdeResidual:
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_step_must_be_a_real_above_zero(self, alg_ss2, h):
+        # A step of 0 samples the point itself and divides by h^N = 0.
+        ms = MonogenicSpec.create(alg_ss2, fixture_triad("alg_ss2"), [HoloFn.exp(), HoloFn.exp()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the step h must be above 0|not a finite number"):
+                pde_residual(ms, LAPLACE, (0.3, 0.4, -0.2), h)
+
     def test_polynomial_data_tight(self, alg_ss2):
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(

@@ -3,22 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from monogenica import (
-    AlgebraError,
-    TriadSpec,
-    algebra_from_dict,
-    b_coeffs,
-    noninvertible_lines,
-    q_table,
-    t_coeffs,
-)
+from monogenica import AlgebraError, TriadSpec, algebra_from_dict
 
 from monogenica.resolvent import (
     assemble_closed,
+    b_coeffs,
     closed_coeffs,
     coordinates,
     inverse_powers,
     neumann_table,
+    noninvertible_lines,
+    q_table,
+    t_coeffs,
 )
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
