@@ -387,5 +387,10 @@ def algebra_from_dict(data: Mapping) -> AlgebraSpec:
 
 
 def load_algebra(path: Union[str, Path]) -> AlgebraSpec:
+    """The algebra of a JSON file; AlgebraError if json cannot read it for its depth (RecursionError)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise AlgebraError(f"cannot read algebra file {path}: arrays or objects nested too deep") from None
+    return algebra_from_dict(data)

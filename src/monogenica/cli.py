@@ -27,11 +27,11 @@ pages instead of faulting them in again.  This policy holds for the rest
 of the process; it adds no option, changes no output byte, and does
 nothing where libc has no mallopt.
 
-check evaluates a job's points, their Cauchy-Riemann stencils (step
---h-cr) and, on a characteristic triad, their PDE stencils (step --h-pde)
-and Phi^(N) of the operator identity in one eval_explicit call, with one
-derivative order per point: one call and one derivative table per job,
-made before check prints its first status line.
+check evaluates a job's points, the samples of their exact partials
+(monogenic.circle_stencil: Cauchy-Riemann's and, on a characteristic
+triad, the PDE's) and Phi^(N) of the operator identity in one
+eval_explicit call, with one derivative order per point: one call and one
+derivative table per job, made before check prints its first status line.
 
 eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
@@ -178,7 +178,7 @@ def job_points(job: dict) -> list[tuple[float, float, float]]:
 
 def check_options(args) -> None:
     """JobError for a numeric option outside its domain."""
-    for option in ("h_cr", "h_pde", "tol_cr", "tol_pde"):
+    for option in ("tol_cr", "tol_pde"):
         v = getattr(args, option, None)
         if v is not None and not (math.isfinite(v) and v > 0):
             raise JobError(f"--{option.replace('_', '-')} must be a positive finite number, got {v}")
@@ -186,26 +186,6 @@ def check_options(args) -> None:
         raise JobError(f"--order must be >= 0, got {args.order}")
     if not all(math.isfinite(v) for v in getattr(args, "point", None) or ()):
         raise JobError(f"--point needs 3 finite numbers, got {args.point}")
-
-
-def check_step(option: str, h: float, points, power: int = 1) -> None:
-    """JobError for a stencil step that vanishes or overflows.
-
-    A step vanishes when x, y or z +- h equals itself, or when h^power is
-    0: it samples the point itself, so every difference quotient is 0 or
-    0/0, a residual that shows nothing.  A step whose h^power is beyond the
-    float range leaves no scale to divide the stencil's sum by.
-    """
-    for p in points:
-        if any(c + h == c or c - h == c for c in p):
-            raise JobError(f"--{option} {h!r} vanishes at the point {p}: a coordinate +- the "
-                           f"step rounds to itself")
-    try:
-        if h**power == 0:
-            raise JobError(f"--{option} {h!r} vanishes: its power {power} underflows to 0")
-    except OverflowError:  # a float power raises rather than return inf
-        raise JobError(f"--{option} {h!r} overflows: its power {power} is beyond the float "
-                       f"range") from None
 
 
 def require_finite(values: np.ndarray, points, name=None) -> None:
@@ -368,51 +348,47 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def check_samples(ms: MonogenicSpec, pts: np.ndarray, h_cr: float,
-                  pde: pde_mod.PdeSpec | None = None, h_pde: float = pde_mod.H_PDE):
+def check_samples(ms: MonogenicSpec, pts: np.ndarray, pde: pde_mod.PdeSpec | None = None):
     """Values, CR residuals and (with a pde) PDE residuals and Phi^(N) from one eval_explicit call.
 
-    The batch is the points, then cr_stencil(pts, h_cr), then, with a pde,
-    pde_stencil(pde, pts, h_pde) and pts[0] once more at order pde.N, the
-    Phi^(N) of the operator identity.  A row of a batch equals the same
-    point evaluated alone at its order, so each result equals its own
-    separate call bit for bit.  A value of the batch that is not finite
-    raises HoloDomainError (require_finite); at a stencil point, its text
-    names the stencil point, its job point and the option of its step.
+    The batch is the points, then the circle_samples of every point
+    (Cauchy-Riemann's stencil, or pde.exponents', which starts with it) at
+    their orders, then, with a pde, pts[0] at order pde.N, the Phi^(N) of the
+    operator identity.  A row of a batch equals the same point evaluated
+    alone at its order, so each result equals its own separate call bit for
+    bit.  A value that is not finite raises HoloDomainError (require_finite)
+    naming its job point, and the circle's radius for a sample on one.
     Returns (values, (ry, rz), pde residual, Phi^(N) at pts[0]), the last
     two None without a pde.
     """
-    blocks = [pts, monogenic.cr_stencil(pts, h_cr)]
-    order = 0
+    exponents = monogenic.CR_TERMS if pde is None else pde.exponents
+    rho = monogenic.circle_radius(ms, pts, exponents)
+    samples, orders = monogenic.circle_samples(pts, rho, exponents)
+    offsets = monogenic.circle_stencil(exponents)[0]
+    blocks, order = [pts, samples], [np.zeros(len(pts), dtype=int), orders]
     if pde is not None:
-        blocks += [pde_mod.pde_stencil(pde, pts, h_pde), pts[:1]]
-        order = np.zeros(sum(map(len, blocks)), dtype=int)
-        order[-1] = pde.N
-    batch = np.concatenate(blocks)
-    ends = np.cumsum([len(b) for b in blocks])
+        blocks.append(pts[:1])
+        order.append([pde.N])
+    order = np.concatenate(order)
 
     def name(k: int) -> str:
-        # Row k is in block i, whose rows come in equal runs, one per job
-        # point (the last block, Phi^(N), has the first point's one row).
-        i = int(np.searchsorted(ends, k, side="right"))
-        size = len(blocks[i])
-        job = tuple(float(v) for v in pts[(k - ends[i] + size) * len(pts) // size])
-        if i == 0:
-            return f"the value at {job}"
-        if i == 3:
-            return f"Phi^({pde.N}) at the job point {job}"
-        option, step = ("--h-cr", h_cr) if i == 1 else ("--h-pde", h_pde)
-        return (f"the value at {tuple(float(v) for v in batch[k])}, a point of the {option} "
-                f"{step!r} stencil at the job point {job},")
+        # Row k is a job point's value, one of its samples, or Phi^(N) at the first.
+        if k < len(pts):
+            return f"the value at {tuple(pts[k].tolist())}"
+        i, s = divmod(k - len(pts), len(offsets))
+        i, s = (0, None) if i == len(pts) else (i, s)
+        what = f"Phi^({order[k]})" if order[k] else "the value"
+        where = "at" if s is None or not offsets[s].any() else f"on the circle of radius {float(rho[i])!r} about"
+        return f"{what} {where} the job point {tuple(pts[i].tolist())}"
 
+    batch = np.concatenate(blocks)
     values = monogenic.eval_explicit(ms, batch, order=order)
     require_finite(values, batch, name)
-    rows = np.split(values, ends[:-1])
-    cr = monogenic.cr_residual(ms, pts, h_cr, values=rows[1])
+    at_samples = values[len(pts) : len(pts) + len(samples)]
+    cr = monogenic.cr_residual(ms, pts, values=at_samples)
     if pde is None:
-        return rows[0], cr, None, None
-    r = pde_mod.pde_residual(ms, pde, pts, h_pde, values=rows[2])
-    return rows[0], cr, r, rows[3][0]
+        return values[: len(pts)], cr, None, None
+    return values[: len(pts)], cr, pde_mod.pde_residual(ms, pde, pts, values=at_samples), values[-1]
 
 
 def cmd_check(args) -> int:
@@ -422,9 +398,6 @@ def cmd_check(args) -> int:
     ms = build_spec(job)
     pde = build_pde(job)
     points = job_points(job)
-    check_step("h-cr", args.h_cr, points)
-    if pde is not None:
-        check_step("h-pde", args.h_pde, points, pde.N)
     triad_ok = not validate_triad(ms.algebra, ms.triad)
 
     # PDE residuals only on a characteristic triad, so the characteristic
@@ -433,13 +406,13 @@ def cmd_check(args) -> int:
     cres = None if char is None else float(np.max(np.abs(char)))
     characteristic = cres is not None and cres <= CHARACTERISTIC_TOL
 
-    # One batched call for the values, the CR stencils and the PDE stencils
-    # of all points and Phi^(N) at the first, before the first status line:
-    # a value that is not finite exits 3 with no PASS or FAIL line.
-    # 1 + max |Phi(p)| scales every tolerance at p.
+    # One batched call for the values and the samples of the CR and PDE
+    # partials of all points and Phi^(N) at the first, before the first
+    # status line: a value that is not finite, or a circle lost in rounding,
+    # exits 3 with no PASS or FAIL line.  1 + max |Phi(p)| scales every
+    # tolerance at p.
     pts = np.array(points)
-    values, (ry, rz), r, phi_n = check_samples(ms, pts, args.h_cr,
-                                               pde if characteristic else None, args.h_pde)
+    values, (ry, rz), r, phi_n = check_samples(ms, pts, pde if characteristic else None)
     print("PASS algebra axioms")  # always PASS (see cmd_validate)
     ok = _status(triad_ok, "triad")
     scales = 1.0 + np.max(np.abs(values), axis=-1)
@@ -512,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Cauchy-Riemann residual tolerance, relative to 1 + max |Phi|")
     check_parser.add_argument("--tol-pde", type=float, default=TOL_PDE,
                               help="PDE residual tolerance, relative to 1 + max |Phi|")
-    check_parser.add_argument("--h-cr", type=float, default=monogenic.H_CR,
-                         help="finite-difference step of the Cauchy-Riemann stencil")
-    check_parser.add_argument("--h-pde", type=float, default=pde_mod.H_PDE,
-                         help="finite-difference step of the PDE stencil")
     return parser
 
 

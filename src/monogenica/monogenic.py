@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -24,6 +24,7 @@ from .holo import (
     HoloDomainError,
     HoloFn,
     NonFiniteIntegrand,
+    _unit_roots,
     contour_integrate,
     enclosing_contour,
     holo_from_dict,
@@ -31,7 +32,6 @@ from .holo import (
     parse_complex,
     parse_int,
     parse_list,
-    parse_real,
 )
 
 Point = tuple[float, float, float]
@@ -131,6 +131,16 @@ class MonogenicSpec:
         """F_u then G_q as rows, order 0 only: W(t) at the contour nodes."""
         return DerivativeStack(self.F + self.G, [0] * self.algebra.n)
 
+    @cached_property
+    def _circle(self) -> tuple:
+        """circle_radius's: 1 / (16 tau c) with tau = max(1, |scale|), 16 c, each series' owner and disc."""
+        fns = self.F + self.G
+        c16 = 16.0 * max([1.0] + list(map(abs, self.triad.a + self.triad.b)))
+        discs = [(i, *f._safe_disc[:2]) for i, f in enumerate(fns) if f.kind == "series" and f._safe_disc]
+        rows, reach, centre = (list(c) for c in zip(*discs)) if discs else ([], [], [])
+        rho0 = 1.0 / (c16 * max([1.0] + [abs(f.scale) for f in fns]))
+        return rho0, c16, self.algebra.explicit_plan.owner[rows], np.array(centre), np.array(reach)
+
 
 def extract_components(v: Element) -> list[complex]:
     """Coordinates U_k of v over the basis; Re/Im are the PDE-facing fields."""
@@ -145,12 +155,20 @@ def read_order(order, least: int = 0) -> int:
     return order
 
 
-def read_step(h) -> float:
-    """A finite-difference step: a real number (holo.parse_real) above 0; ValueError otherwise."""
-    h = parse_real(h)
-    if not h > 0:
-        raise ValueError(f"the step h must be above 0, got {h!r}")
-    return h
+def read_points(p, takes: str = "a point is three numbers (x, y, z)") -> np.ndarray:
+    """Points, the routes' one reader: bool, int or float numbers as float64, complex ones as complex128.
+
+    Any other array (a string or None coordinate, an int beyond int64, a
+    ragged sequence) is a ValueError naming p, f"{takes}, got {p!r}".  The
+    shape is the caller's to test.
+    """
+    try:
+        pts = np.asarray(p)
+    except ValueError:  # a ragged sequence has no shape
+        pts = np.array(None)
+    if pts.dtype.kind not in "biufc":
+        raise ValueError(f"{takes}, got {p!r}")
+    return pts.astype(np.complex128 if pts.dtype.kind == "c" else np.float64, copy=False)
 
 
 # -- explicit evaluation -------------------------------------------------------
@@ -192,15 +210,17 @@ def eval_explicit(
     on every row (ms.derivative_stack(lo, hi - lo)), and one gather moves
     each point's orders into the term list's layout; a row equals the same
     point evaluated alone at its order, bit for bit.  Every order is read
-    by read_order.  No coordinate is tested (that would cost a one-point
-    call a few percent): a NaN coordinate gives a row of NaN, an infinite
-    one a row that is not finite, with numpy's invalid-value warning.
+    by read_order, and the points by read_points: real points take float64
+    arithmetic, complex ones (the samples of circle_stencil) complex128.
+    No coordinate is tested (that would cost a one-point call a few
+    percent): a NaN coordinate gives a row of NaN, an infinite one a row
+    that is not finite, with numpy's invalid-value warning.
     """
     spec = ms.algebra
     plan = spec.explicit_plan
     # One point is a batch of one, so it takes the same arithmetic (and the
     # same rounding) as a row of a larger batch.
-    pts = np.asarray(p, dtype=float)
+    pts = read_points(p)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
     if isinstance(order, (np.ndarray, list, tuple)):
@@ -251,10 +271,11 @@ MAX_FACTORIAL_ORDER = 170  # the largest r whose r! is a finite float: 171! > 1.
 def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     """Cauchy-type integral: (r! / 2 pi i) * integral of W(t) * R(t)^(r + 1) over one circle.
 
-    p is one point (x, y, z), a 3-sequence or a (3,) array; any other shape,
-    or a coordinate that is no finite number, raises ValueError naming it (the
-    explicit route takes batches).  order = r (read_order) gives the r-th
-    Gateaux derivative Phi^(r), r = 0 the function itself.  W =
+    p is one real point (x, y, z), a 3-sequence or a (3,) array, read by
+    read_points; any other shape, or a coordinate that is no finite real
+    number, raises ValueError naming it (the explicit route takes batches).
+    order = r (read_order) gives the r-th Gateaux derivative Phi^(r), r = 0
+    the function itself.  W =
     sum_u I_u F_u + sum_s I_s G_s.  The xi_u and T come from one affine map
     (resolvent.coordinates).  The circle (enclosing_contour, capped by the
     series among F and G) goes around every xi_u at once: W cancels R's
@@ -289,14 +310,12 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     spec = ms.algebra
     m, n, d = spec.m, spec.n, spec.n - spec.m
     power = order + 1
-    try:
-        pts = np.asarray(p)
-    except ValueError:  # a ragged sequence has no shape
-        pts = np.array(None)
-    if pts.shape != (3,) or pts.dtype.kind not in "biuf":
-        got = f"an array of shape {pts.shape}" if pts.dtype.kind in "biuf" else repr(p)
-        raise ValueError(f"the contour route takes one point (x, y, z), got {got}")
-    point = tuple(map(float, pts.tolist()))
+    takes = "the contour route takes one point (x, y, z)"
+    pts = read_points(p, takes)
+    if pts.shape != (3,) or pts.dtype.kind == "c":
+        got = repr(p) if pts.dtype.kind == "c" else f"an array of shape {pts.shape}"
+        raise ValueError(f"{takes}, got {got}")
+    point = tuple(pts.tolist())
     if not all(map(math.isfinite, point)):
         raise ValueError(f"the contour route needs a finite point, got {point}")
     Z = rsv.coordinates(ms.triad, m, *point)
@@ -347,14 +366,14 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
     Horner's rule takes one batched product by N per order over the nonzero
     products I_i I_j -> I_t, j radical, in a fixed order: no T, B or Q table,
     no term list, no contour.  p is one point or an (N, 3) array, as for
-    eval_explicit, and a row of a batch equals the point evaluated alone; a
-    coordinate that is not finite gives a row that is not finite, as there.
-    order is read by read_order.
+    eval_explicit, real or complex (read_points), and a row of a batch equals
+    the point evaluated alone; a coordinate that is not finite gives a row
+    that is not finite, as there.  order is read by read_order.
     """
     order = read_order(order)
     spec = ms.algebra
     plan = spec.explicit_plan
-    pts = np.asarray(p, dtype=float)
+    pts = read_points(p)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 3)
     # The coordinates of zeta, one column per point, from the one affine
@@ -382,51 +401,110 @@ def eval_special(ms: MonogenicSpec, p: Union[Point, np.ndarray], order: int = 0)
 
 # -- differential checks ---------------------------------------------------------
 
-
-H_CR = 1e-5  # the default step of the Cauchy-Riemann stencil (check --h-cr)
-_CR_OFFSETS = np.array([
-    (1, 0, 0), (-1, 0, 0),
-    (0, 1, 0), (0, -1, 0),
-    (0, 0, 1), (0, 0, -1),
-], dtype=float)
+# The exponents (alpha, beta, gamma) of d/dx, d/dy and d/dz: the Cauchy-Riemann partials.
+CR_TERMS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+CIRCLE_NODES = 6  # the least K of a circle
 
 
-def stencil_points(p: Union[Point, np.ndarray], h: float, offsets: np.ndarray) -> np.ndarray:
-    """p + h * offsets at every point p: (K N, 3) for K offsets, K rows per point."""
-    return (np.asarray(p, dtype=float).reshape(-1, 1, 3) + h * offsets).reshape(-1, 3)
+@lru_cache(maxsize=32)
+def circle_stencil(exponents: tuple) -> tuple[np.ndarray, ...]:
+    """Samples and weights of the exact partials d^(alpha + beta + gamma) / dx^alpha dy^beta dz^gamma.
 
-
-def cr_stencil(p: Union[Point, np.ndarray], h: float) -> np.ndarray:
-    """The six central-difference points of every point: (6 N, 3), six rows per point."""
-    return stencil_points(p, h, _CR_OFFSETS)
-
-
-def cr_residual(
-    ms: MonogenicSpec,
-    p: Union[Point, np.ndarray],
-    h: float = H_CR,
-    values: np.ndarray | None = None,
-) -> tuple[Element, Element]:
-    """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3).
-
-    Central differences of the explicit evaluation, one batched call on the
-    six stencil points of every point.  p is one point, giving two (n,)
-    residuals, or an (N, 3) array, giving two (N, n) arrays.  values, if
-    given, are the values at cr_stencil(p, h), for example rows of a larger
-    batched call or of another evaluator, and nothing is evaluated.
-    h is read by read_step.  Near-zero certifies monogenicity at the
-    point, a large value is a broken-data signal.
+    x enters Phi only through every xi_u, with coefficient 1, and T not at
+    all, so d^alpha/dx^alpha is the Gateaux order alpha.  Phi is
+    holomorphic in y and in z, so d^beta/dy^beta = beta! / K sum_j w_j^-beta
+    Phi(y + rho w_j) / rho^beta, Cauchy's formula by the K-node trapezoid
+    rule (holo's unit roots w_j; Lyness & Moler, SIAM J. Numer. Anal. 4
+    (1967)), on a circle in y, in z, or the K^2 nodes of both for a mixed
+    partial, K = max(CIRCLE_NODES, e + 2) for its largest y or z exponent e.
+    A sample, an offset (dy, dz) in units of rho and a Gateaux order, shared
+    by several partials is taken once, where the first needs it: a stencil
+    whose exponents start with CR_TERMS starts with their samples.  Returns
+    the (S, 2) offsets, (S,) orders, (partials, S) weights and the powers
+    beta + gamma of 1 / rho, read-only.
     """
-    h = read_step(h)
-    spec = ms.algebra
-    shape = np.shape(p)[:-1]
+    index: dict[tuple[complex, complex, int], int] = {}
+    rows = []
+    for alpha, beta, gamma in exponents:
+        K = max(CIRCLE_NODES, beta + 2, gamma + 2)
+        w = _unit_roots(K, 0.0).tolist()
+        y_axis, z_axis = ([(w[j], math.factorial(e) / K * w[-j * e % K]) for j in range(K)] if e
+                          else [(0j, 1.0)] for e in (beta, gamma))
+        rows.append({index.setdefault((dy, dz, alpha), len(index)): cy * cz
+                     for dy, cy in y_axis for dz, cz in z_axis})
+    stencil = (np.array([key[:2] for key in index], dtype=np.complex128).reshape(-1, 2),
+               np.array([key[2] for key in index], dtype=int),
+               np.array([[row.get(s, 0.0) for s in range(len(index))] for row in rows], dtype=np.complex128),
+               np.array([beta + gamma for _, beta, gamma in exponents], dtype=int))
+    for a in stencil:
+        a.flags.writeable = False
+    return stencil
+
+
+def circle_radius(ms: MonogenicSpec, pts: np.ndarray, exponents: tuple) -> np.ndarray:
+    """rho = 1 / (16 tau c) at every point of pts (N, 3), the radius of circle_stencil(exponents).
+
+    c = max(1, |a_k|, |b_k|) and tau = max(1, |scale| of every F and G,
+    1 / the point's margin in each series' safe disc), so a sample moves
+    every xi_u by at most 1 / (8 tau).  HoloDomainError naming the point
+    and rho if y + rho or z + rho rounds to y or z, or rho to the stencil's
+    largest power beta + gamma underflows to 0, so 1 / rho^(beta + gamma)
+    overflows.
+    """
+    rho0, c16, owner, centre, reach = ms._circle
+    rho = np.full(len(pts), rho0)
+    if len(owner):  # each series' margin, where the point lies inside its disc
+        margin = reach - np.abs(rsv.coordinates(ms.triad, ms.algebra.m, *pts.T)[:, owner] - centre)
+        rho = np.minimum(rho, np.where(margin > 0, margin, np.inf).min(axis=1) / c16)
+    top, yz = max(beta + gamma for _, beta, gamma in exponents), pts[:, 1:]
+    if np.count_nonzero(yz + rho[:, None] == yz) or rho.min(initial=np.inf) ** top == 0:
+        k = int(((yz + rho[:, None] == yz).any(axis=1) | (rho**top == 0)).argmax())
+        why = f"1 / radius^{top} overflows" if rho[k] ** top == 0 else "y or z + it rounds to y or z"
+        raise HoloDomainError(f"no circle of radius {float(rho[k])!r} about the point "
+                              f"{tuple(pts[k].tolist())}: {why}")
+    return rho
+
+
+def circle_samples(pts: np.ndarray, rho: np.ndarray, exponents: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The (N S, 3) sample points of circle_stencil(exponents) about pts (N, 3), S per point, and their orders."""
+    offsets, orders = circle_stencil(exponents)[:2]
+    samples = np.empty((len(pts), len(orders), 3), dtype=np.complex128)
+    samples[:] = pts[:, None]
+    samples[..., 1:] += rho[:, None, None] * offsets
+    return samples.reshape(-1, 3), np.broadcast_to(orders, samples.shape[:2]).ravel()
+
+
+def circle_partials(exponents: tuple, values: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The (N, partials, n) partials from the values at circle_samples (or at more per point, starting with them).
+
+    The sums are elementwise in a fixed order: a point's partials do not
+    depend on the batch.
+    """
+    _, orders, weights, powers = circle_stencil(exponents)
+    values = np.asarray(values)
+    v = values.reshape(len(rho), -1 if len(rho) else len(orders), values.shape[-1])[:, : len(orders)]
+    return np.einsum("ts,psn->ptn", weights, v) / rho[:, None, None] ** powers[:, None]
+
+
+def cr_residual(ms: MonogenicSpec, p: Union[Point, np.ndarray], *, values=None) -> tuple[Element, Element]:
+    """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3), by exact partials.
+
+    circle_stencil(CR_TERMS): one eval_explicit call on the samples of every
+    point, unless values, the values at its circle_samples (or at a longer
+    stencil's that starts with them), come from a larger call or from
+    another evaluator.  p is one point (read_points), giving two (n,)
+    residuals, or an (N, 3) array, giving two (N, n) arrays.  Near-zero
+    certifies monogenicity at the point, a large value is a broken-data
+    signal.
+    """
+    pts = read_points(p)
+    shape, pts = pts.shape[:-1], pts.reshape(-1, 3)
+    rho = circle_radius(ms, pts, CR_TERMS)
     if values is None:
-        values = eval_explicit(ms, cr_stencil(p, h))
-    v = np.reshape(values, (-1, 6, spec.n))
-    dx = (v[:, 0] - v[:, 1]) / (2 * h)
-    dy = (v[:, 2] - v[:, 3]) / (2 * h)
-    dz = (v[:, 4] - v[:, 5]) / (2 * h)
+        values = eval_explicit(ms, *circle_samples(pts, rho, CR_TERMS))
+    dx, dy, dz = circle_partials(CR_TERMS, values, rho).transpose(1, 0, 2)
     # Row-wise products dx * e2 and dx * e3 by the multiplication matrices.
+    spec = ms.algebra
     ry = dy - dx @ spec.mult_matrix(ms.triad.a_vec).T
     rz = dz - dx @ spec.mult_matrix(ms.triad.b_vec).T
     return ry.reshape(shape + (spec.n,)), rz.reshape(shape + (spec.n,))

@@ -4,8 +4,9 @@ A triad satisfying the characteristic equation
 sum C_{a,b,g} * e2^b * e3^g = 0 makes every component of every monogenic
 function a solution of the corresponding order-N equation.  This module
 evaluates the characteristic residual, the scalar symbol P(a, b), a scan
-for the real zeros of P, and finite-difference verification of the PDE and
-of the operator identity L_N(Phi) = Phi^(N) * (characteristic sum).
+for the real zeros of P, and, by exact partials (monogenic.circle_stencil),
+the PDE residual and the operator identity L_N(Phi) = Phi^(N) *
+(characteristic sum).
 
 The scan's NoZeroFound is a proof for a definite symbol, a constant plus
 even monomials of that constant's sign (definite_sign), which is settled
@@ -27,13 +28,16 @@ import numpy as np
 from .algebra import AlgebraSpec, Element
 from .holo import parse_int, parse_list, parse_real
 from .monogenic import (
+    CR_TERMS,
     MonogenicSpec,
     Point,
     TriadSpec,
+    circle_partials,
+    circle_radius,
+    circle_samples,
     eval_explicit,
     gateaux_derivative,
-    read_step,
-    stencil_points,
+    read_points,
 )
 
 
@@ -61,29 +65,9 @@ class PdeSpec:
         return cls(N, tuple(clean))
 
     @cached_property
-    def stencil(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct grid offsets (K, 3) of discrete L_N, and weights (terms, K).
-
-        Row t of the weights is the tensor product of 1-D central stencils
-        of term t, without its coefficient or 1/h^N; an offset shared by
-        several terms is sampled once.  The sample points are p + h *
-        offsets.  Built once per PdeSpec.
-        """
-        index: dict[tuple[int, int, int], int] = {}
-        rows = []
-        for *exponents, _ in self.terms:
-            (ox, wx), (oy, wy), (oz, wz) = map(central_stencil, exponents)
-            row = {}
-            # Python ints and floats throughout, one array per output at the end.
-            for i, cx in zip(ox, wx):
-                for j, cy in zip(oy, wy):
-                    for k, cz in zip(oz, wz):
-                        w = cx * cy * cz
-                        if w != 0.0:
-                            row[index.setdefault((i, j, k), len(index))] = w
-            rows.append(row)
-        weights = [[row.get(c, 0.0) for c in range(len(index))] for row in rows]
-        return np.array(list(index), dtype=float), np.array(weights)
+    def exponents(self) -> tuple[tuple[int, int, int], ...]:
+        """CR_TERMS, then each term's (alpha, beta, gamma): one circle_stencil gives check both residuals."""
+        return CR_TERMS + tuple(term[:3] for term in self.terms)
 
 
 LAPLACE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0)])
@@ -228,82 +212,38 @@ def _bisect(pde: PdeSpec, lo: np.ndarray, hi: np.ndarray, keeps_lo) -> ZeroAt:
     return ZeroAt(float(mid[0]), float(mid[1]))
 
 
-# -- finite-difference machinery -------------------------------------------------
+# -- exact partials ---------------------------------------------------------------
 
 
-H_PDE = 1e-3  # the default step of the PDE stencil (check --h-pde)
+def pde_residual(ms: MonogenicSpec, pde: PdeSpec, p: Union[Point, np.ndarray], *, values=None) -> Element:
+    """L_N applied to the components of the monogenic function, by exact partials.
 
-
-def central_stencil(order: int) -> tuple[range, list[float]]:
-    """Offsets and weights of the O(h^2) central stencil for d^order/dx^order.
-
-    [1, -2, 1] convolved order // 2 times, then [-1/2, 0, 1/2] for an odd
-    order, in Python floats; the weights are small dyadic numbers, exact in
-    any summation order.
+    Each term's partial comes from monogenic.circle_stencil(pde.exponents),
+    by one eval_explicit call on the samples of every point, unless values,
+    the values at its circle_samples, are given.  p is one point
+    (read_points), giving an (n,) residual, or an (N, 3) array, giving (N, n).
     """
-    coeffs = [1.0]
-    for factor in [(1.0, -2.0, 1.0)] * (order // 2) + [(-0.5, 0.0, 0.5)] * (order % 2):
-        out = [0.0] * (len(coeffs) + 2)
-        for i, c in enumerate(coeffs):
-            for j, f in enumerate(factor):
-                out[i + j] += c * f
-        coeffs = out
-    half = len(coeffs) // 2
-    return range(-half, half + 1), coeffs
-
-
-def _combine(pde: PdeSpec, weights: np.ndarray, values: np.ndarray, h: float) -> Element:
-    """sum_t C_t * (stencil of term t applied to values) / h^N.
-
-    values is (..., K, n), one stencil per leading index.  Each term's
-    stencil is summed on its own first, so its differences of nearby
-    samples cancel before the 1/h^N scaling.
-    """
-    coeffs = np.array([c for *_, c in pde.terms])
-    return coeffs @ (weights @ values) / h**pde.N
-
-
-def pde_stencil(pde: PdeSpec, p: Union[Point, np.ndarray], h: float) -> np.ndarray:
-    """The distinct sample points of discrete L_N at every point: (K N, 3), K rows per point."""
-    return stencil_points(p, h, pde.stencil[0])
-
-
-def pde_residual(
-    ms: MonogenicSpec,
-    pde: PdeSpec,
-    p: Union[Point, np.ndarray],
-    h: float = H_PDE,
-    values: np.ndarray | None = None,
-) -> Element:
-    """Discrete L_N applied to the components of the monogenic function.
-
-    p is one point, giving an (n,) residual, or an (N, 3) array, giving
-    (N, n).  The distinct stencil points of all of them go through
-    eval_explicit in one batched call, unless values, the values at
-    pde_stencil(pde, p, h), are given.  h is read by monogenic.read_step.
-    """
-    h = read_step(h)
-    offsets, weights = pde.stencil
-    shape = np.shape(p)[:-1]
+    pts = read_points(p)
+    shape, pts = pts.shape[:-1], pts.reshape(-1, 3)
+    rho = circle_radius(ms, pts, pde.exponents)
     if values is None:
-        values = eval_explicit(ms, stencil_points(p, h, offsets))
-    values = np.reshape(values, (-1, len(offsets), ms.algebra.n))
-    return _combine(pde, weights, values, h).reshape(shape + (ms.algebra.n,))
+        values = eval_explicit(ms, *circle_samples(pts, rho, pde.exponents))
+    partials = circle_partials(pde.exponents, values, rho)[:, len(CR_TERMS):]
+    return (np.array([c for *_, c in pde.terms]) @ partials).reshape(shape + (ms.algebra.n,))
 
 
 def operator_identity_check(
     ms: MonogenicSpec,
     pde: PdeSpec,
     p: Point,
-    h: float = H_PDE,
     discrete: Element | None = None,
     char: Element | None = None,
     derivative: Element | None = None,
 ) -> Element:
-    """Difference Phi^(N) * (sum C e2^b e3^g) - discrete L_N(Phi); near zero on valid data.
+    """Difference Phi^(N) * (sum C e2^b e3^g) - L_N(Phi); near zero on valid data.
 
     Phi^(N) comes from the explicit route, so no quadrature runs here.
-    discrete is pde_residual(ms, pde, p, h), char is
+    discrete is pde_residual(ms, pde, p), char is
     characteristic_residual(ms.algebra, ms.triad, pde) and derivative is
     Phi^(N) at p, if the caller already has them.
     """
@@ -314,7 +254,7 @@ def operator_identity_check(
         derivative = gateaux_derivative(ms, p, pde.N)
     analytic = spec.multiply(derivative, char)
     if discrete is None:
-        discrete = pde_residual(ms, pde, p, h)
+        discrete = pde_residual(ms, pde, p)
     return analytic - discrete
 
 

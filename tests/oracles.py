@@ -4,7 +4,8 @@ Each computes something that monogenica computes another way, so the tests
 compare the two: the resolvent (t e1 - zeta)^(-1) by its coefficient
 recurrence and by the closed form at one t, inversion in the algebra by a
 dense linear system, zeta and xi_u at one point, L_N applied to a
-function evaluated one point at a time, and the derivatives of one
+function by central differences, one point at a time, the values of an
+evaluator at the samples of a circle stencil, and the derivatives of one
 holomorphic function by a one-row DerivativeStack.  nonvanishing_scan is
 the symbol scan by |P| on a zero-filled grid, whose results
 pde.p_nonvanishing_scan must match bit for bit.  Three take the
@@ -21,7 +22,7 @@ import numpy as np
 
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
 from monogenica.holo import DerivativeStack, HoloFn
-from monogenica.monogenic import MonogenicSpec, Point, TriadSpec, stencil_points
+from monogenica.monogenic import CR_TERMS, MonogenicSpec, Point, TriadSpec, circle_radius, circle_samples
 from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
 from monogenica.resolvent import assemble_closed, b_coeffs, coordinates, q_table, t_coeffs
 
@@ -88,21 +89,34 @@ def t_sum(spec: AlgebraSpec, triad: TriadSpec, y, z) -> np.ndarray:
     return y * triad.a_vec[spec.m :] + z * triad.b_vec[spec.m :]
 
 
-def wrong_xi_values(ms: MonogenicSpec, q: Point) -> Element:
+def wrong_xi_values(ms: MonogenicSpec, q: Point, order: int = 0) -> Element:
     """Negative control on alg_p2: Phi at q with each G_s fed the other idempotent's xi.
 
     G_3 belongs to xi_1 and G_4 to xi_2; swapped, the values are no longer
-    monogenic, so their Cauchy-Riemann residuals must be large.
+    monogenic, so their Cauchy-Riemann residuals must be large.  q may be
+    complex; order r gives the r-th x-derivative of these values, each
+    derivative order raised by r, as x enters every xi_u with coefficient 1.
     """
     F, G = ms.F, ms.G
     xi_v = spectrum(ms.triad, ms.algebra.m, *q)
     T = t_coeffs(ms.algebra, ms.triad, q[1], q[2])
     out = np.zeros(4, dtype=np.complex128)
-    out[0] = F[0].eval(0, xi_v[0])
-    out[1] = F[1].eval(0, xi_v[1])
-    out[2] = G[0].eval(0, xi_v[1]) + T[0] * F[0].eval(1, xi_v[0])
-    out[3] = G[1].eval(0, xi_v[0]) + T[1] * F[1].eval(1, xi_v[1])
+    out[0] = F[0].eval(order, xi_v[0])
+    out[1] = F[1].eval(order, xi_v[1])
+    out[2] = G[0].eval(order, xi_v[1]) + T[0] * F[0].eval(order + 1, xi_v[0])
+    out[3] = G[1].eval(order, xi_v[0]) + T[1] * F[1].eval(order + 1, xi_v[1])
     return out
+
+
+def circle_values(ms: MonogenicSpec, p: Point, evaluate, exponents=CR_TERMS) -> np.ndarray:
+    """evaluate(q, r) at each sample q, Gateaux order r, of monogenic.circle_stencil(exponents) about p.
+
+    One call per sample: the values that cr_residual and pde_residual take
+    as values= from an evaluator of one point at a time.
+    """
+    pts = np.array([p], dtype=float)
+    samples, orders = circle_samples(pts, circle_radius(ms, pts, exponents), exponents)
+    return np.array([evaluate(tuple(q), int(r)) for q, r in zip(samples, orders)])
 
 
 def stacked_inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:
@@ -166,16 +180,40 @@ def resolvent_closed(spec: AlgebraSpec, triad: TriadSpec, point: Point, t: compl
     return assemble_closed(spec, xi_v, Q, t)
 
 
-def apply_operator(fn, pde: PdeSpec, p: Point, h: float) -> Element:
-    """L_N applied to a pointwise fn at p, one sample per call of fn.
+def central_stencil(order: int) -> tuple[range, list[float]]:
+    """Offsets and weights of the O(h^2) central stencil for d^order/dx^order.
 
-    The same stencil and the same sums as pde.pde_residual, whose batched
-    evaluation it checks.
+    [1, -2, 1] convolved order // 2 times, then [-1/2, 0, 1/2] for an odd
+    order; the weights are small dyadic numbers, exact in any summation order.
     """
-    offsets, weights = pde.stencil
-    values = np.array([np.asarray(fn(tuple(q))) for q in stencil_points(p, h, offsets)])
-    coeffs = np.array([c for *_, c in pde.terms])
-    return coeffs @ (weights @ values) / h**pde.N
+    coeffs = [1.0]
+    for factor in [(1.0, -2.0, 1.0)] * (order // 2) + [(-0.5, 0.0, 0.5)] * (order % 2):
+        out = [0.0] * (len(coeffs) + 2)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                out[i + j] += c * f
+        coeffs = out
+    half = len(coeffs) // 2
+    return range(-half, half + 1), coeffs
+
+
+def apply_operator(fn, pde: PdeSpec, p: Point, h: float) -> Element:
+    """L_N applied to a pointwise fn at real points about p, by central differences of step h.
+
+    The finite-difference oracle: one call of fn per sample of each term's
+    tensor-product stencil.  Unlike pde.pde_residual's exact partials it
+    needs no holomorphy, so it also differentiates the real part of a
+    component.
+    """
+    total = 0.0
+    for alpha, beta, gamma, c in pde.terms:
+        (ox, wx), (oy, wy), (oz, wz) = map(central_stencil, (alpha, beta, gamma))
+        for i, cx in zip(ox, wx):
+            for j, cy in zip(oy, wy):
+                for k, cz in zip(oz, wz):
+                    q = (p[0] + h * i, p[1] + h * j, p[2] + h * k)
+                    total = total + c * cx * cy * cz * np.asarray(fn(q))
+    return total / h**pde.N
 
 
 def derivatives(f, K: int, xi) -> np.ndarray:

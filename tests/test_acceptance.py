@@ -27,12 +27,11 @@ from monogenica import (
 )
 from monogenica.cli import main as cli_main
 from monogenica.fixtures import fixture_path
-from monogenica.monogenic import cr_stencil
 from monogenica.pde import LAPLACE
 from monogenica.resolvent import b_coeffs, q_table, t_coeffs
 
 from conftest import fixture_triad, random_triad
-from oracles import (embed, invert, resolvent_closed, resolvent_recurrence, spectrum,
+from oracles import (circle_values, embed, invert, resolvent_closed, resolvent_recurrence, spectrum,
                      wrong_xi_values)
 from test_monogenic import truncated_poly
 from test_pde import ORDER3, ORDER5, ORDER5_TRIAD
@@ -168,7 +167,7 @@ def test_criterion_5_cauchy_riemann(all_monospecs, alg_p2):
         for _ in range(20):
             p = tuple(rng.uniform(-1.5, 1.5, 3))
             scale = 1.0 + float(np.max(np.abs(eval_explicit(ms, p))))
-            ry, rz = cr_residual(ms, p, h=1e-5)
+            ry, rz = cr_residual(ms, p)
             res = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
             worst_rel = max(worst_rel, res / scale)
 
@@ -177,8 +176,7 @@ def test_criterion_5_cauchy_riemann(all_monospecs, alg_p2):
     F = [HoloFn.exp(), HoloFn.sin()]
     G = [HoloFn.sin(), HoloFn.cos()]
     ms = MonogenicSpec.create(alg_p2, triad, F, G)
-    stencil = cr_stencil((0.4, 0.8, -0.3), 1e-5)
-    values = np.array([wrong_xi_values(ms, tuple(q)) for q in stencil])
+    values = circle_values(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
     ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
     control = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
     report(
@@ -208,7 +206,7 @@ def test_criterion_6_derivative_definition(all_monospecs):
             dev = float(np.max(np.abs(quotient - spec.multiply(h_vec, deriv))))
             worst_quot = max(worst_quot, dev / scale)
         dscale = 1.0 + float(np.max(np.abs(deriv)))
-        ry, rz = cr_residual(ms, p, h=1e-4, values=gateaux_derivative(ms, cr_stencil(p, 1e-4), 1))
+        ry, rz = cr_residual(ms, p, values=circle_values(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1)))
         worst_cr = max(
             worst_cr,
             max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz)))) / dscale,
@@ -227,13 +225,13 @@ def test_criterion_7_pde_bridge(alg_ss2):
     p = (0.3, 0.4, -0.2)
     ms_exp = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.exp()])
     scale = 1.0 + float(np.max(np.abs(eval_explicit(ms_exp, p))))
-    r = pde_residual(ms_exp, LAPLACE, p, h=1e-3)
+    r = pde_residual(ms_exp, LAPLACE, p)
     exp_res = max(float(np.max(np.abs(r.real))), float(np.max(np.abs(r.imag))))
 
     ms_poly = MonogenicSpec.create(
         alg_ss2, triad, [HoloFn.poly([0.25, 0.5, 0.25]), HoloFn.poly([0.0, 0.25j, 0.25])]
     )
-    r = pde_residual(ms_poly, LAPLACE, p, h=1e-3)
+    r = pde_residual(ms_poly, LAPLACE, p)
     poly_res = max(float(np.max(np.abs(r.real))), float(np.max(np.abs(r.imag))))
 
     control_triad = TriadSpec.create([2j, 1j], [1.0, 0.5j])

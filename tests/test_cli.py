@@ -906,63 +906,39 @@ class TestCheck:
         assert code == 1
         assert "FAIL Cauchy-Riemann" in out
 
-    def test_split_steps(self, capsys):
-        # --h-cr moves the CR stencil only: 1e-6 passes, the PDE lines are
-        # those of the default run.  One --h of 1e-6 failed every PDE residual.
-        code, default, _ = run(capsys, "check", JOB_OK)
-        assert code == 0
-        code, out, _ = run(capsys, "check", JOB_OK, "--h-cr", "1e-6")
-        assert code == 0 and "FAIL" not in out
-        cr_lines = [line for line in out.splitlines() if "Cauchy-Riemann" in line]
-        assert len(cr_lines) == 3 and not set(cr_lines) & set(default.splitlines())
-        assert ([line for line in out.splitlines() if "Cauchy-Riemann" not in line]
-                == [line for line in default.splitlines() if "Cauchy-Riemann" not in line])
-
-    @pytest.mark.parametrize("option, step, point, says", [
-        ("--h-cr", "1e-300", None, "vanishes at the point (0.3, 0.4, -0.2)"),
-        ("--h-pde", "1e-300", None, "vanishes at the point (0.3, 0.4, -0.2)"),
-        ("--h-pde", "1e-200", [0, 0, 0], "vanishes: its power 2"),
-        ("--h-pde", "1e200", None, "overflows: its power 2"),
-        ("--h-pde", "1e155", None, "overflows: its power 2"),
-    ], ids=["cr-rounds-away", "pde-rounds-away", "pde-power-underflows", "pde-power-overflows",
-            "pde-square-just-overflows"])
-    def test_vanishing_step_exits_2(self, capsys, tmp_path, option, step, point, says):
-        # 0.3 +- 1e-300 is 0.3, so every difference quotient would be 0 (a
-        # PASS on nothing) or 0/0; at the origin 1e-200 stays apart from 0,
-        # but its square, the PDE stencil's h^2, is 0.  The square of 1e155
-        # or 1e200 is beyond the float range: no scale to divide by.
-        path = laplace_job(tmp_path, points=LAPLACE_JOB["points"] if point is None else [point])
-        code, out, err = run(capsys, "check", path, option, step)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {option} {float(step)!r} {says}") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("option, step", [("--h-cr", "1e3"), ("--h-pde", "1e100")])
-    def test_stencil_beyond_the_data_exits_3(self, capsys, option, step):
-        # exp overflows at a stencil point x +- step: the one batched call
-        # comes before the first status line, so no PASS or FAIL line.  The
-        # one error line names the stencil point, the job point whose
-        # stencil it is and the option of the step.
-        code, out, err = run(capsys, "check", JOB_OK, option, step)
+    @pytest.mark.parametrize("point, F, why", [
+        ([0.3, 1e16, -0.2], None, "y or z + it rounds to y or z"),
+        ([0.3, 0.4, -0.2], [{"kind": "poly", "coeffs": [0.0, 1.0], "scale": 1e170}, {"kind": "exp"}],
+         "1 / radius^2 overflows"),
+    ], ids=["rounds-away", "power-underflows"])
+    def test_circle_lost_in_rounding_exits_3(self, capsys, tmp_path, point, F, why):
+        # rho = 1 / (16 tau c), c = |a_1| = 2: 1e16 + 1/32 is 1e16, and with
+        # tau = 1e170 the Laplace partials' 1 / rho^2 has no rho^2 to divide
+        # by.  One error line names the point and rho, before any status line.
+        path = laplace_job(tmp_path, points=[point], **({"F": F} if F else {}))
+        code, out, err = run(capsys, "check", path)
         assert code == 3 and out == ""
-        x = 0.3 + float(step)
-        assert err == (f"error: the value at {(x, 0.4, -0.2)}, a point of the {option} "
-                       f"{float(step)!r} stencil at the job point (0.3, 0.4, -0.2), is not "
-                       f"finite: the data overflow there\n")
+        rho = 1.0 / (32.0 * (1e170 if F else 1.0))
+        assert err == f"error: no circle of radius {rho!r} about the point {tuple(point)}: {why}\n"
 
     def test_stencil_names_its_job_point(self, capsys, tmp_path):
-        # Overflow first at the second job point's stencil: that job point
-        # is named, with the stencil point that overflowed.
-        path = laplace_job(tmp_path, points=[[0.3, 0.4, -0.2], [700.0, 0.1, 0.1]])
-        code, out, err = run(capsys, "check", path, "--h-cr", "20")
+        # exp(xi_1) is finite at x = 709.75, but not on the circle of radius
+        # 1/32 in y about it, where Re xi_1 = x - 2 Im(y) reaches 709.80: the
+        # second job point's circle overflows first, and the error line names
+        # that job point and the radius.  The one batched call comes before
+        # the first status line, so no PASS or FAIL line.
+        path = laplace_job(tmp_path, points=[[0.3, 0.4, -0.2], [709.75, 0.0, 0.0]])
+        code, out, err = run(capsys, "check", path)
         assert code == 3 and out == ""
-        assert err == ("error: the value at (720.0, 0.1, 0.1), a point of the --h-cr 20.0 stencil "
-                       "at the job point (700.0, 0.1, 0.1), is not finite: the data overflow there\n")
+        assert err == ("error: the value on the circle of radius 0.03125 about the job point "
+                       "(709.75, 0.0, 0.0) is not finite: the data overflow there\n")
 
     def test_derivative_beyond_the_data_exits_3(self, capsys, tmp_path):
-        # 1.5e308 xi^2 is finite near the point, at every stencil point, but
-        # its second derivative 3e308 is not: Phi'' of the operator identity.
+        # 5e307 xi^3 and its first derivative are finite near the point, at
+        # every sample, but its second derivative 3e308 xi is not: the
+        # Laplace partial d^2/dx^2, Phi''.
         path = laplace_job(tmp_path, points=[[0.3, 0.4, -0.2]],
-                           F=[{"kind": "poly", "coeffs": [0.0, 0.0, 1.5e308]}, {"kind": "exp"}])
+                           F=[{"kind": "poly", "coeffs": [0.0, 0.0, 0.0, 5e307]}, {"kind": "exp"}])
         code, out, err = run(capsys, "check", path)
         assert code == 3 and out == ""
         assert err == ("error: Phi^(2) at the job point (0.3, 0.4, -0.2) is not finite: the data "
@@ -1057,6 +1033,13 @@ class TestErrors:
         code, out, err = run(capsys, "check", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read job file") and err.count("\n") == 1
+
+    def test_deeply_nested_algebra_file(self, capsys, tmp_path):
+        # The algebra file the job names is too deep for json: one error line.
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        code, out, err = run(capsys, "validate", laplace_job(tmp_path, algebra="deep.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad job spec: cannot read algebra file") and err.count("\n") == 1
 
     def test_wrong_function_count(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", laplace_job(tmp_path, F=LAPLACE_JOB["F"][:1]))
@@ -1349,20 +1332,20 @@ PINNED_CHECK = {
     "job_laplace_ss2": (0, """\
 PASS algebra axioms
 PASS triad
-PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 1.492e-10)
-PASS Cauchy-Riemann at (-0.5, 0.1, 0.7)  (residual 3.642e-10)
-PASS Cauchy-Riemann at (0.9, -0.6, 0.2)  (residual 4.915e-10)
+PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 2.258e-11)
+PASS Cauchy-Riemann at (-0.5, 0.1, 0.7)  (residual 4.823e-11)
+PASS Cauchy-Riemann at (0.9, -0.6, 0.2)  (residual 8.226e-11)
 PASS characteristic residual  (4.441e-16)
 P(a,b) scan: NoZeroFound
-PASS PDE residual at (0.3, 0.4, -0.2)  (2.068e-06)
-PASS PDE residual at (-0.5, 0.1, 0.7)  (4.417e-06)
-PASS PDE residual at (0.9, -0.6, 0.2)  (7.536e-06)
-PASS operator identity  (2.068e-06)
+PASS PDE residual at (0.3, 0.4, -0.2)  (1.473e-11)
+PASS PDE residual at (-0.5, 0.1, 0.7)  (3.124e-11)
+PASS PDE residual at (0.9, -0.6, 0.2)  (5.302e-11)
+PASS operator identity  (1.473e-11)
 """),
     "job_broken_triad": (1, """\
 PASS algebra axioms
 FAIL triad
-PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 1.310e-09)
+PASS Cauchy-Riemann at (0.3, 0.4, -0.2)  (residual 6.384e-11)
 FAIL characteristic residual  (2.100e+01)
 P(a,b) scan: NoZeroFound
 """),
@@ -1370,20 +1353,20 @@ P(a,b) scan: NoZeroFound
     "job_laplace_eps16": (0, """\
 PASS algebra axioms
 PASS triad
-PASS Cauchy-Riemann at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (residual 9.492e-10)
-PASS Cauchy-Riemann at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (residual 1.005e-09)
+PASS Cauchy-Riemann at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (residual 1.029e-10)
+PASS Cauchy-Riemann at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (residual 5.766e-11)
 PASS characteristic residual  (5.551e-16)
 P(a,b) scan: NoZeroFound
-PASS PDE residual at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (3.079e-06)
-PASS PDE residual at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (2.026e-06)
-PASS operator identity  (3.079e-06)
+PASS PDE residual at (-0.1910403379581106, -0.5314899876449024, -0.32423604371786685)  (8.146e-11)
+PASS PDE residual at (0.11494474025627532, 0.5091596283812118, -0.33127525378751443)  (4.927e-11)
+PASS operator identity  (8.146e-11)
 """),
     # C[eps]/eps^6 with 0.5 added to Re b_2: not characteristic.
     "job_noncharacteristic_eps6": (1, """\
 PASS algebra axioms
 PASS triad
-PASS Cauchy-Riemann at (-0.06796890047869475, -0.022565874702173503, 0.01529371662762724)  (residual 6.226e-10)
-PASS Cauchy-Riemann at (-0.15371483368003835, -0.4123626230200045, 0.011932407467607375)  (residual 6.317e-10)
+PASS Cauchy-Riemann at (-0.06796890047869475, -0.022565874702173503, 0.01529371662762724)  (residual 4.225e-12)
+PASS Cauchy-Riemann at (-0.15371483368003835, -0.4123626230200045, 0.011932407467607375)  (residual 4.800e-12)
 FAIL characteristic residual  (1.856e+00)
 P(a,b) scan: NoZeroFound
 """),
@@ -1397,6 +1380,43 @@ def test_check_output_is_pinned(capsys, name):
         path = Path(__file__).parent / "data" / f"{name}.json"
     code, out, _ = run(capsys, "check", str(path))
     assert (code, out) == PINNED_CHECK[name]
+
+
+def fail_labels(out):
+    """The label of every FAIL line, without its point and figure."""
+    return [line[5:].split("  (")[0].split(" at ")[0] for line in out.splitlines() if line.startswith("FAIL")]
+
+
+@pytest.mark.parametrize("name, factor, fails", [
+    ("job_laplace_eps16", 1.0001, ["Cauchy-Riemann"] * 2),
+    ("job_laplace_eps16", 1.01, ["Cauchy-Riemann"] * 2 + ["PDE residual"] * 2 + ["operator identity"]),
+    ("job_square_t4", 1.0001, ["Cauchy-Riemann"]),
+], ids=["eps16-b-1.0001", "eps16-b-1.01", "t4-b-1.0001"])
+def test_faults_keep_their_fail_lines(capsys, monkeypatch, name, factor, fails):
+    # A B table off by a factor (a fault in the explicit route's resolvent
+    # coefficients) makes Phi no longer monogenic: exit 1 and exactly these
+    # FAIL lines.  The non-characteristic and broken triads' FAIL lines are
+    # pinned above.
+    from monogenica import resolvent
+
+    path = fixture_path(f"{name}.json")
+    if not path.exists():
+        path = Path(__file__).parent / "data" / f"{name}.json"
+    b_coeffs = resolvent.b_coeffs
+    monkeypatch.setattr(resolvent, "b_coeffs", lambda spec, T: b_coeffs(spec, T) * factor)
+    code, out, _ = run(capsys, "check", str(path))
+    assert (code, fail_labels(out)) == (1, fails)
+
+
+@pytest.mark.parametrize("s", [10, 30, 60])
+def test_steep_harmonic_data_pass(capsys, tmp_path, s):
+    # F = (exp(s xi / 10), sin(s xi)) on the Laplace triad is monogenic and
+    # harmonic, so every line passes, however steep the data: the partials
+    # have no step whose truncation (of order h^2 s^4 for central
+    # differences) grows with s.
+    code, out, _ = run(capsys, "check", laplace_job(tmp_path, F=[{"kind": "exp", "scale": s / 10},
+                                                                 {"kind": "sin", "scale": s}]))
+    assert code == 0 and fail_labels(out) == [] and out.count("PASS") == 10
 
 
 # Values that replace values of a bundled job: any JSON, small and bounded.
@@ -1457,7 +1477,7 @@ def contract_cases(draw):
     """(job, argv): a bundled job, algebra inlined, and one command on it with extreme numbers.
 
     eval takes a drawn point and order (up to 400) on each route, with or
-    without --compare; check takes drawn job points and steps; grid takes
+    without --compare; check takes one to three drawn job points; grid takes
     drawn axes of two or three values.  The argv's job path and grid out
     are "JOB" and "OUT", for the test to fill in.
     """
@@ -1471,11 +1491,10 @@ def contract_cases(draw):
                 "--method", draw(st.sampled_from(["explicit", "integral", "special"]))]
         argv += ["--compare"] * draw(st.booleans())
     elif command == "check":
-        job["points"] = [point] + [[draw(COORDINATES) for _ in range(3)]] * draw(st.booleans())
+        # One to three points, extremes among them: a circle lost in the
+        # rounding of y or z, or data that overflow on one.
+        job["points"] = [point] + [[draw(COORDINATES) for _ in range(3)] for _ in range(draw(st.integers(0, 2)))]
         argv = ["check", "JOB"]
-        for option in ("--h-cr", "--h-pde"):
-            if draw(st.booleans()):
-                argv += [option, repr(draw(st.sampled_from(EXTREMES)))]
     else:
         job["grid"] = {axis: sorted([draw(COORDINATES), draw(COORDINATES)]) + [draw(st.integers(2, 3))]
                        for axis in "xyz"}
@@ -1708,15 +1727,16 @@ def test_bad_numeric_options_exit_2(capsys, monkeypatch, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "job, points, rows",
-    [(JOB_OK, None, 14), (JOB_OK, [[0.3, 0.4, -0.2]], 14),
-     (JOB_OK, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 14),
-     (JOB_T4, None, 7), (JOB_T4, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 7)],
+    [(JOB_OK, None, 15), (JOB_OK, [[0.3, 0.4, -0.2]], 15),
+     (JOB_OK, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 15),
+     (JOB_T4, None, 14), (JOB_T4, [[0.1 * k, 0.2, -0.1 * k] for k in range(1, 6)], 14)],
     ids=["ss2", "ss2-1pt", "ss2-5pt", "t4", "t4-5pt"],
 )
 def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, rows):
-    # One call per job: every point's value and its six CR stencil points at
-    # order 0, and with a pde its seven Laplace stencil points at order 0
-    # and the first point once more at order N = 2 for the operator identity.
+    # One call per job: every point's value at order 0, then its samples:
+    # Phi' at the point and 6 on each of the circles in y and z, and with a
+    # pde Phi'' at the point, then the first point once more at order N = 2
+    # for the operator identity.
     from monogenica import monogenic, pde
 
     seen = []
@@ -1747,15 +1767,13 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
     npts = len(data["points"])
     assert len(seen) == 1
     shape, order = seen[0]
-    if "pde" in data:
-        assert shape == (npts * rows + 1, 3)
-        assert np.array_equal(order, [0] * (npts * rows) + [2])
-    else:
-        assert shape == (npts * rows, 3) and order == 0
-    # One derivative table, from order 0, N = 2 orders wider with a pde.
+    samples = [1] + [0] * 12 + [2] * ("pde" in data)
+    assert shape == (npts * rows + ("pde" in data), 3)
+    assert np.array_equal(order, [0] * npts + samples * npts + [2] * ("pde" in data))
+    # One derivative table, from order 0, N = 2 orders wider with a pde, 1 without.
     K = build_spec(load_job(job)).algebra.explicit_plan.orders
     assert len(stacks) == 1 and stacks[0][1] == 0
-    assert np.array_equal(stacks[0][0], K + (2 if "pde" in data else 0))
+    assert np.array_equal(stacks[0][0], K + (2 if "pde" in data else 1))
 
 
 def laplace_c16_job():
@@ -1807,13 +1825,12 @@ def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
         ms = cli.build_spec(cli.load_job(JOB_OK if name == "ss2" else JOB_T4))
         job = {"points": [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7], [0.9, -0.6, 0.2]]}
     pts = np.array(job["points"])
-    for h_cr, h_pde in ((1e-5, 1e-3), (1e-6, 2e-3)):
-        values, (ry, rz), r, phi_n = cli.check_samples(ms, pts, h_cr, LAPLACE, h_pde)
-        assert np.array_equal(values, monogenic.eval_explicit(ms, pts))
-        sy, sz = monogenic.cr_residual(ms, pts, h=h_cr)
-        assert np.array_equal(ry, sy) and np.array_equal(rz, sz)
-        assert np.array_equal(r, pde_residual(ms, LAPLACE, pts, h=h_pde))
-        assert np.array_equal(phi_n, monogenic.gateaux_derivative(ms, tuple(pts[0]), LAPLACE.N))
-        values_cr, cr, none, no_phi = cli.check_samples(ms, pts, h_cr)
-        assert none is None and no_phi is None and np.array_equal(values_cr, values)
-        assert np.array_equal(cr[0], sy) and np.array_equal(cr[1], sz)
+    values, (ry, rz), r, phi_n = cli.check_samples(ms, pts, LAPLACE)
+    assert np.array_equal(values, monogenic.eval_explicit(ms, pts))
+    sy, sz = monogenic.cr_residual(ms, pts)
+    assert np.array_equal(ry, sy) and np.array_equal(rz, sz)
+    assert np.array_equal(r, pde_residual(ms, LAPLACE, pts))
+    assert np.array_equal(phi_n, monogenic.gateaux_derivative(ms, tuple(pts[0]), LAPLACE.N))
+    values_cr, cr, none, no_phi = cli.check_samples(ms, pts)
+    assert none is None and no_phi is None and np.array_equal(values_cr, values)
+    assert np.array_equal(cr[0], sy) and np.array_equal(cr[1], sz)

@@ -10,6 +10,7 @@ from monogenica import (
     HoloDomainError,
     HoloFn,
     MonogenicSpec,
+    PdeSpec,
     TriadSpec,
     cr_residual,
     eval_explicit,
@@ -26,12 +27,12 @@ from monogenica.monogenic import extract_components
 from monogenica.resolvent import t_coeffs
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
-from oracles import basis, embed, functional_f, spectrum, wrong_xi_values, xi
+from oracles import (apply_operator, basis, circle_values, embed, functional_f, spectrum, wrong_xi_values,
+                     xi)
 from test_algebra import direct_sum_truncated, skewed_basis
 
 # A coordinate of a point and a value that is not finite for it.
 NON_FINITE = [(c, v) for c in range(3) for v in (math.nan, math.inf, -math.inf)]
-BAD_STEPS = [0.0, -1e-5, math.nan, math.inf]
 
 
 def assert_non_finite_row(route, ms, coordinate, value):
@@ -187,6 +188,25 @@ class TestBatchedExplicit:
     def test_non_finite_coordinate_gives_a_row_that_is_not_finite(self, all_monospecs, coordinate, value):
         assert_non_finite_row(eval_explicit, all_monospecs["alg_t4"], coordinate, value)
 
+    @pytest.mark.parametrize("p", [("0.3", 0.4, -0.2), (0.3, None, -0.2), (0.3, 0.4, 10**400),
+                                   [0.1, [0.2, 0.3], 0.4]], ids=["string", "none", "big-int", "ragged"])
+    def test_a_point_that_is_not_numbers_is_refused(self, all_monospecs, p):
+        # Refused by its dtype, not parsed: the routes and the residuals
+        # share one reader, read_points.
+        for fn in (eval_explicit, eval_special, cr_residual):
+            with pytest.raises(ValueError, match=re.escape(f"a point is three numbers (x, y, z), got {p!r}")):
+                fn(all_monospecs["alg_t4"], p)
+
+    def test_complex_points(self, all_monospecs, rng):
+        # Complex points, such as the circle rule's samples: the explicit and
+        # Taylor routes agree there, and zero imaginary parts give the real
+        # points' bits.
+        for name, ms in all_monospecs.items():
+            pts = rng.uniform(-1.0, 1.0, (4, 3)) + 1j * rng.uniform(-0.1, 0.1, (4, 3))
+            ex = eval_explicit(ms, pts, order=1)
+            assert np.max(np.abs(eval_special(ms, pts, 1) - ex)) <= 1e-12 * (1.0 + np.max(np.abs(ex))), name
+            assert np.array_equal(eval_explicit(ms, pts.real + 0j), eval_explicit(ms, pts.real)), name
+
     @pytest.mark.parametrize("count", [1, 7, 64])
     def test_batch_equals_rows(self, all_monospecs, rng, count):
         for name, ms in all_monospecs.items():
@@ -218,21 +238,21 @@ class TestBatchedExplicit:
         assert eval_explicit(ms, empty, order=np.zeros(0, dtype=int)).shape == (0, spec.n)
 
     def test_cr_residual_default_path_is_one_batch(self, all_monospecs, monkeypatch):
+        # One call on the 13 samples: Phi' at the point and 6 on each circle.
         calls = []
         pointwise = monogenic.eval_explicit
 
-        def recording(ms, p):
+        def recording(ms, p, order=0):
             calls.append(np.shape(p))
-            return pointwise(ms, p)
+            return pointwise(ms, p, order)
 
         monkeypatch.setattr(monogenic, "eval_explicit", recording)
         for name, ms in all_monospecs.items():
             p = (0.35, -0.2, 0.45)
             calls.clear()
             ry, rz = cr_residual(ms, p)
-            assert calls == [(6, 3)], name
-            stencil = monogenic.cr_stencil(p, 1e-5)
-            ey, ez = cr_residual(ms, p, values=np.array([pointwise(ms, tuple(q)) for q in stencil]))
+            assert calls == [(13, 3)], name
+            ey, ez = cr_residual(ms, p, values=circle_values(ms, p, lambda q, r: pointwise(ms, q, r)))
             assert max(np.max(np.abs(ry - ey)), np.max(np.abs(rz - ez))) <= 1e-12, name
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -427,7 +447,8 @@ class TestIntegral:
         with pytest.raises(ValueError, match=r"takes one point \(x, y, z\), got \[0\.1, \[0\.2, 0\.3\], 0\.4\]"):
             eval_integral(all_monospecs["alg_t4"], [0.1, [0.2, 0.3], 0.4])
 
-    @pytest.mark.parametrize("p", [("0.3", 0.4, -0.2), (0.3, None, -0.2), (0.3, 0.4, 10**400)])
+    @pytest.mark.parametrize("p", [("0.3", 0.4, -0.2), (0.3, None, -0.2), (0.3, 0.4, 10**400),
+                                   (0.3 + 0j, 0.4, -0.2)])
     def test_a_point_that_is_not_three_numbers_is_refused(self, all_monospecs, p):
         # Refused by its type, not parsed: a string coordinate is no number.
         with pytest.raises(ValueError, match=re.escape(f"takes one point (x, y, z), got {p!r}")):
@@ -615,15 +636,19 @@ class TestGateaux:
                 assert np.max(np.abs(d2 - fd)) < 1e-4, (name, method)
 
     def test_derivative_is_monogenic(self, all_monospecs):
+        # The explicit route's Phi' at the circle samples, which are complex;
+        # the contour route takes real points only, so its partials are the
+        # oracle's central differences (step 1e-4).
+        partials = [PdeSpec.create(1, [(*e, 1.0)]) for e in monogenic.CR_TERMS]
         for name, ms in all_monospecs.items():
             p = (0.35, -0.2, 0.45)
-            for method, derivative in ROUTES.items():
-                deriv_at = lambda q: derivative(ms, q, 1)
-                stencil = monogenic.cr_stencil(p, 1e-4)
-                ry, rz = cr_residual(ms, p, h=1e-4,
-                                     values=np.array([deriv_at(tuple(q)) for q in stencil]))
-                scale = 1.0 + float(np.max(np.abs(deriv_at(p))))
-                assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, (name, method)
+            scale = 1.0 + float(np.max(np.abs(gateaux_derivative(ms, p, 1))))
+            values = circle_values(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1))
+            ry, rz = cr_residual(ms, p, values=values)
+            assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-9 * scale, name
+            dx, dy, dz = (apply_operator(lambda q: eval_integral(ms, q, 1), d, p, 1e-4) for d in partials)
+            ry, rz = (dq - ms.algebra.multiply(dx, e) for dq, e in ((dy, ms.triad.a_vec), (dz, ms.triad.b_vec)))
+            assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-5 * scale, name
 
     def test_order_must_be_positive(self, all_monospecs):
         with pytest.raises(ValueError):
@@ -662,14 +687,6 @@ class TestGateaux:
 
 
 class TestCauchyRiemann:
-    @pytest.mark.parametrize("h", BAD_STEPS)
-    def test_step_must_be_a_real_above_zero(self, all_monospecs, h):
-        # A step of 0 samples the point itself: every quotient would be 0/0.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="the step h must be above 0|not a finite number"):
-                cr_residual(all_monospecs["alg_t4"], (0.3, 0.4, -0.2), h)
-
     def test_polynomial_data_tight(self, alg_t4):
         triad = fixture_triad("alg_t4")
         ms = MonogenicSpec.create(
@@ -695,14 +712,24 @@ class TestCauchyRiemann:
                 res = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
                 assert res <= 1e-6 * scale, (name, p, res)
 
+    def test_series_near_its_safe_radius(self, alg_ss2):
+        # xi_1 = 0.3 lies 0.01 inside the series' safe disc (0.9 of its
+        # radius): the circles shrink with that margin, so every sample stays
+        # inside the disc, where a radius of 1/32 would leave it.
+        series = HoloFn.series(0.0, [1.0, 0.5, 0.25, 0.125, 0.0625], 0.31 / 0.9)
+        ms = MonogenicSpec.create(alg_ss2, fixture_triad("alg_ss2"), [series, HoloFn.exp()])
+        ry, rz = cr_residual(ms, (0.3, 0.0, 0.0))
+        assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-9
+        with pytest.raises(HoloDomainError, match="series evaluated at distance"):
+            eval_explicit(ms, (0.3 + 1 / 32, 0.0, 0.0))
+
     def test_negative_control_wrong_xi_index(self, alg_p2):
         # Evaluate G_s at the other idempotent's xi: residual must blow up.
         triad = fixture_triad("alg_p2")
         F = [HoloFn.exp(), HoloFn.sin()]
         G = [HoloFn.sin(), HoloFn.cos()]
         ms = MonogenicSpec.create(alg_p2, triad, F, G)
-        stencil = monogenic.cr_stencil((0.4, 0.8, -0.3), 1e-5)
-        values = np.array([wrong_xi_values(ms, tuple(q)) for q in stencil])
+        values = circle_values(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
         ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
         assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) > 1e-3
 

@@ -1,6 +1,6 @@
 import math
 import re
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from monogenica import (
     TriadSpec,
     ZeroAt,
     characteristic_residual,
+    cr_residual,
     eval_explicit,
     operator_identity_check,
     p_nonvanishing_scan,
@@ -24,10 +25,11 @@ from monogenica import (
 
 from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
-from monogenica.pde import LAPLACE, central_stencil, definite_sign, p_poly
+from monogenica.pde import LAPLACE, definite_sign, p_poly
 
 from conftest import fixture_triad
-from oracles import EXTREMES, apply_operator, functional_f, nonvanishing_scan, xi
+from oracles import (EXTREMES, apply_operator, central_stencil, circle_values, functional_f,
+                     nonvanishing_scan, xi)
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
 
@@ -331,23 +333,49 @@ class TestStencils:
 
 
 class TestPdeResidual:
-    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
-    def test_step_must_be_a_real_above_zero(self, alg_ss2, h):
-        # A step of 0 samples the point itself and divides by h^N = 0.
+    @pytest.mark.parametrize("p", [("0.3", 0.4, -0.2), (0.3, None, -0.2)], ids=["string", "none"])
+    def test_a_point_that_is_not_numbers_is_refused(self, alg_ss2, p):
         ms = MonogenicSpec.create(alg_ss2, fixture_triad("alg_ss2"), [HoloFn.exp(), HoloFn.exp()])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="the step h must be above 0|not a finite number"):
-                pde_residual(ms, LAPLACE, (0.3, 0.4, -0.2), h)
+        with pytest.raises(ValueError, match=re.escape(f"a point is three numbers (x, y, z), got {p!r}")):
+            pde_residual(ms, LAPLACE, p)
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (1, 1, 2),
+                                                     (0, 3, 1)])
+    def test_polynomial_data_give_exact_partials(self, alg_t4, alpha, beta, gamma):
+        # Degree-5 data: every component is a polynomial of degree 5 in y
+        # and z, below the circles' K = 6 nodes, so the trapezoid rule
+        # aliases nothing and the partial is Phi^(4) e2^beta e3^gamma up to
+        # rounding, of order eps |Phi| 4! / rho^4 with rho = 1/16, a y^4
+        # term and mixed ones included.
+        triad = TriadSpec.create([0.3j, 0.2, 0.1, -0.4j], [0.5, 0.1j, 0.3, 0.2])
+        data = [HoloFn.poly([1.0, 0.5j, -0.25, 0.125, 0.3j, -0.2]), HoloFn.poly([0.0, 1.0, 0.0, 0.0, 0.0, 0.5])]
+        ms = MonogenicSpec.create(alg_t4, triad, data[:1], data + data[:1])
+        p = (0.4, -0.2, 0.7)
+        partial = pde_residual(ms, PdeSpec.create(4, [(alpha, beta, gamma, 1.0)]), p)
+        spec = ms.algebra
+        exact = spec.multiply(eval_explicit(ms, p, order=4),
+                              spec.multiply(spec.power(triad.a_vec, beta), spec.power(triad.b_vec, gamma)))
+        assert np.max(np.abs(partial - exact)) <= 1e-9 * (1.0 + np.max(np.abs(eval_explicit(ms, p))))
+
+    def test_clean_residuals_on_eps16(self):
+        # Laplace data on C[eps]/eps^16: both residuals far below the tolerances.
+        from monogenica import cli
+
+        job = cli.load_job(str(Path(__file__).parent / "data" / "job_laplace_eps16.json"))
+        ms, pts = cli.build_spec(job), np.array(job["points"])
+        scale = 1.0 + np.max(np.abs(eval_explicit(ms, pts)), axis=-1)
+        cr = np.maximum(*(np.max(np.abs(r), axis=-1) for r in cr_residual(ms, pts)))
+        assert np.all(cr <= 1e-10 * scale)
+        assert np.all(np.max(np.abs(pde_residual(ms, LAPLACE, pts)), axis=-1) <= 1e-9 * scale)
 
     def test_polynomial_data_tight(self, alg_ss2):
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(
             alg_ss2, triad, [HoloFn.poly([1.0, 2.0, 0.5, -0.25]), HoloFn.poly([0.0, 1j, 1.0])]
         )
-        # Degree-3 data is differentiated exactly by the stencil, so the
-        # residual is pure roundoff; h = 1e-2 keeps the 1/h^2 amplification low.
-        res = pde_residual(ms, LAPLACE, (0.4, -0.2, 0.7), h=1e-2)
+        # Degree-3 data is differentiated exactly by the circle rule, so the
+        # residual is pure roundoff.
+        res = pde_residual(ms, LAPLACE, (0.4, -0.2, 0.7))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_exp_data(self, alg_ss2, alg_d2, alg_t4):
@@ -368,14 +396,14 @@ class TestPdeResidual:
         triad = fixture_triad("alg_ss2")
         ms = MonogenicSpec.create(alg_ss2, triad, [HoloFn.exp(), HoloFn.sin()])
         res = pde_residual(ms, ORDER3, (0.2, 0.3, -0.1))
-        assert np.max(np.abs(res)) < 1e-4
+        assert np.max(np.abs(res)) < 1e-9
 
     def test_order5_residual(self, alg_ss2):
         ms = MonogenicSpec.create(
             alg_ss2, ORDER5_TRIAD, [HoloFn.sin(scale=0.7), HoloFn.exp(scale=0.5)]
         )
-        res = pde_residual(ms, ORDER5, (0.1, 0.4, 0.2), h=2e-2)
-        assert np.max(np.abs(res)) < 1e-4
+        res = pde_residual(ms, ORDER5, (0.1, 0.4, 0.2))
+        assert np.max(np.abs(res)) < 1e-9
 
     def test_noncharacteristic_triad_fails(self, alg_ss2):
         # exp data on a non-characteristic triad leaves a visible residual.
@@ -387,24 +415,27 @@ class TestPdeResidual:
 
 
     def test_batched_default_path(self, all_monospecs, monkeypatch):
-        # One eval_explicit call on the distinct stencil points, agreeing
-        # with the pointwise operator.
+        # One eval_explicit call on the distinct samples, Cauchy-Riemann's 13
+        # first, agreeing with the values of one point at a time and, to the
+        # central differences' error, with the oracle's operator.
         calls = []
         pointwise = pde_mod.eval_explicit
 
-        def recording(ms, p):
+        def recording(ms, p, order=0):
             calls.append(np.shape(p))
-            return pointwise(ms, p)
+            return pointwise(ms, p, order)
 
         monkeypatch.setattr(pde_mod, "eval_explicit", recording)
         for name, ms in all_monospecs.items():
             p = (0.3, 0.5, -0.4)
-            for pde, distinct in ((LAPLACE, 7), (ORDER3, 12)):
+            for pde, distinct in ((LAPLACE, 14), (ORDER3, 26)):
                 calls.clear()
                 res = pde_residual(ms, pde, p)
                 assert calls == [(distinct, 3)], name
+                values = circle_values(ms, p, lambda q, r: pointwise(ms, q, r), pde.exponents)
+                assert np.max(np.abs(res - pde_residual(ms, pde, p, values=values))) <= 1e-12, name
                 ref = apply_operator(lambda q: pointwise(ms, q), pde, p, 1e-3)
-                assert np.max(np.abs(res - ref)) <= 1e-12, name
+                assert np.max(np.abs(res - ref)) <= 1e-4 * (1.0 + np.max(np.abs(ref))), name
 
     @pytest.mark.parametrize("count", [1, 5])
     def test_rows_match_points(self, all_monospecs, rng, count):
@@ -433,7 +464,7 @@ class TestOperatorIdentity:
         p = (0.2, 0.1, 0.3)
         scale = 1.0 + float(np.max(np.abs(eval_explicit(ms, p))))
         diff = operator_identity_check(ms, LAPLACE, p)
-        assert np.max(np.abs(diff)) < 1e-3 * scale
+        assert np.max(np.abs(diff)) < 1e-9 * scale
 
     def test_functional_projection(self, alg_ss2):
         # f_u of the characteristic element is the scalar symbol evaluated
