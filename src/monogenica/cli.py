@@ -27,11 +27,11 @@ pages instead of faulting them in again.  This policy holds for the rest
 of the process; it adds no option, changes no output byte, and does
 nothing where libc has no mallopt.
 
-check evaluates a job's points, the samples of their exact partials
-(monogenic.circle_stencil: Cauchy-Riemann's and, on a characteristic
-triad, the PDE's) and Phi^(N) of the operator identity in one
-eval_explicit call, with one derivative order per point: one call and one
-derivative table per job, made before check prints its first status line.
+check takes every point's value, its exact partials (Cauchy-Riemann's
+and, on a characteristic triad, the PDE's) and Phi^(N) of the operator
+identity from one monogenic.circle_stencil: one eval_explicit call, with
+one derivative order per sample, and one derivative table per job, made
+before check prints its first status line.
 
 eval --order r gives the r-th Gateaux derivative by the route --method
 names, on any algebra: explicit (the default) shifts every derivative
@@ -349,46 +349,38 @@ def cmd_grid(args) -> int:
 
 
 def check_samples(ms: MonogenicSpec, pts: np.ndarray, pde: pde_mod.PdeSpec | None = None):
-    """Values, CR residuals and (with a pde) PDE residuals and Phi^(N) from one eval_explicit call.
+    """Values, CR residuals and (with a pde) PDE residuals and the identity's partials from one stencil.
 
-    The batch is the points, then the circle_samples of every point
-    (Cauchy-Riemann's stencil, or pde.exponents', which starts with it) at
-    their orders, then, with a pde, pts[0] at order pde.N, the Phi^(N) of the
-    operator identity.  A row of a batch equals the same point evaluated
-    alone at its order, so each result equals its own separate call bit for
+    The exponents of monogenic.circle_stencil are (0, 0, 0), the value, then
+    CR_TERMS and, with a pde, pde.exponents and (N, 0, 0), Phi^(N): one
+    radius, one eval_explicit call on every sample at its order and one
+    circle_partials sum, so each result equals its own separate call bit for
     bit.  A value that is not finite raises HoloDomainError (require_finite)
-    naming its job point, and the circle's radius for a sample on one.
-    Returns (values, (ry, rz), pde residual, Phi^(N) at pts[0]), the last
-    two None without a pde.
+    naming its job point, each point's value first, and the circle's radius
+    for a sample on one.  Returns (values, (ry, rz), pde residuals, the
+    partials of pde.exponents then Phi^(N) at every point), the last two
+    None without a pde.
     """
-    exponents = monogenic.CR_TERMS if pde is None else pde.exponents
+    exponents = ((0, 0, 0),) + monogenic.CR_TERMS + (() if pde is None else pde.exponents + ((pde.N, 0, 0),))
     rho = monogenic.circle_radius(ms, pts, exponents)
     samples, orders = monogenic.circle_samples(pts, rho, exponents)
     offsets = monogenic.circle_stencil(exponents)[0]
-    blocks, order = [pts, samples], [np.zeros(len(pts), dtype=int), orders]
-    if pde is not None:
-        blocks.append(pts[:1])
-        order.append([pde.N])
-    order = np.concatenate(order)
 
     def name(k: int) -> str:
-        # Row k is a job point's value, one of its samples, or Phi^(N) at the first.
-        if k < len(pts):
-            return f"the value at {tuple(pts[k].tolist())}"
-        i, s = divmod(k - len(pts), len(offsets))
-        i, s = (0, None) if i == len(pts) else (i, s)
-        what = f"Phi^({order[k]})" if order[k] else "the value"
-        where = "at" if s is None or not offsets[s].any() else f"on the circle of radius {float(rho[i])!r} about"
+        i, s = divmod(k, len(offsets))
+        what = f"Phi^({orders[k]})" if orders[k] else "the value"
+        where = "at" if not offsets[s].any() else f"on the circle of radius {float(rho[i])!r} about"
         return f"{what} {where} the job point {tuple(pts[i].tolist())}"
 
-    batch = np.concatenate(blocks)
-    values = monogenic.eval_explicit(ms, batch, order=order)
-    require_finite(values, batch, name)
-    at_samples = values[len(pts) : len(pts) + len(samples)]
-    cr = monogenic.cr_residual(ms, pts, values=at_samples)
+    values = monogenic.eval_explicit(ms, samples, order=orders)
+    require_finite(values[:: len(offsets)], pts)
+    require_finite(values, samples, name)
+    partials = monogenic.circle_partials(exponents, values, rho)
+    cr = monogenic.cr_residual(ms, pts, partials=partials[:, 1:4])
     if pde is None:
-        return values[: len(pts)], cr, None, None
-    return values[: len(pts)], cr, pde_mod.pde_residual(ms, pde, pts, values=at_samples), values[-1]
+        return partials[:, 0], cr, None, None
+    rest = partials[:, 4:]
+    return partials[:, 0], cr, pde_mod.pde_residual(ms, pde, pts, partials=rest[:, :-1]), rest
 
 
 def cmd_check(args) -> int:
@@ -406,13 +398,12 @@ def cmd_check(args) -> int:
     cres = None if char is None else float(np.max(np.abs(char)))
     characteristic = cres is not None and cres <= CHARACTERISTIC_TOL
 
-    # One batched call for the values and the samples of the CR and PDE
-    # partials of all points and Phi^(N) at the first, before the first
-    # status line: a value that is not finite, or a circle lost in rounding,
-    # exits 3 with no PASS or FAIL line.  1 + max |Phi(p)| scales every
-    # tolerance at p.
+    # One stencil for the values, the CR and PDE partials and Phi^(N) of
+    # every point, before the first status line: a value that is not finite,
+    # or a circle lost in rounding, exits 3 with no PASS or FAIL line.
+    # 1 + max |Phi(p)| scales every tolerance at p.
     pts = np.array(points)
-    values, (ry, rz), r, phi_n = check_samples(ms, pts, pde if characteristic else None)
+    values, (ry, rz), r, partials = check_samples(ms, pts, pde if characteristic else None)
     print("PASS algebra axioms")  # always PASS (see cmd_validate)
     ok = _status(triad_ok, "triad")
     scales = 1.0 + np.max(np.abs(values), axis=-1)
@@ -432,8 +423,7 @@ def cmd_check(args) -> int:
         if characteristic:
             for p, scale, rmax in zip(points, scales, np.max(np.abs(r), axis=-1)):
                 ok &= _status(rmax <= args.tol_pde * scale, f"PDE residual at {p}", f"{rmax:.3e}")
-            d = pde_mod.operator_identity_check(ms, pde, points[0], discrete=r[0], char=char,
-                                                derivative=phi_n)
+            d = pde_mod.operator_identity_check(ms, pde, points[0], partials=partials[0], char=char)
             dmax = float(np.max(np.abs(d)))
             ok &= _status(dmax <= IDENTITY_TOL * scales[0], "operator identity", f"{dmax:.3e}")
     return EXIT_OK if ok else EXIT_FAIL

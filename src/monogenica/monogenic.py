@@ -155,12 +155,13 @@ def read_order(order, least: int = 0) -> int:
     return order
 
 
-def read_points(p, takes: str = "a point is three numbers (x, y, z)") -> np.ndarray:
+def read_points(p, takes: str = "a point is three numbers (x, y, z)", shape: tuple | None = None) -> np.ndarray:
     """Points, the routes' one reader: bool, int or float numbers as float64, complex ones as complex128.
 
     Any other array (a string or None coordinate, an int beyond int64, a
-    ragged sequence) is a ValueError naming p, f"{takes}, got {p!r}".  The
-    shape is the caller's to test.
+    ragged sequence) is a ValueError naming p, f"{takes}, got {p!r}", and
+    one whose shape is not shape, if that is given, a ValueError naming its
+    shape.
     """
     try:
         pts = np.asarray(p)
@@ -168,6 +169,8 @@ def read_points(p, takes: str = "a point is three numbers (x, y, z)") -> np.ndar
         pts = np.array(None)
     if pts.dtype.kind not in "biufc":
         raise ValueError(f"{takes}, got {p!r}")
+    if shape is not None and pts.shape != shape:
+        raise ValueError(f"{takes}, got an array of shape {pts.shape}")
     return pts.astype(np.complex128 if pts.dtype.kind == "c" else np.float64, copy=False)
 
 
@@ -311,10 +314,9 @@ def eval_integral(ms: MonogenicSpec, p: Point, order: int = 0) -> Element:
     m, n, d = spec.m, spec.n, spec.n - spec.m
     power = order + 1
     takes = "the contour route takes one point (x, y, z)"
-    pts = read_points(p, takes)
-    if pts.shape != (3,) or pts.dtype.kind == "c":
-        got = repr(p) if pts.dtype.kind == "c" else f"an array of shape {pts.shape}"
-        raise ValueError(f"{takes}, got {got}")
+    pts = read_points(p, takes, (3,))
+    if pts.dtype.kind == "c":
+        raise ValueError(f"{takes}, got {p!r}")
     point = tuple(pts.tolist())
     if not all(map(math.isfinite, point)):
         raise ValueError(f"the contour route needs a finite point, got {point}")
@@ -418,10 +420,10 @@ def circle_stencil(exponents: tuple) -> tuple[np.ndarray, ...]:
     (1967)), on a circle in y, in z, or the K^2 nodes of both for a mixed
     partial, K = max(CIRCLE_NODES, e + 2) for its largest y or z exponent e.
     A sample, an offset (dy, dz) in units of rho and a Gateaux order, shared
-    by several partials is taken once, where the first needs it: a stencil
-    whose exponents start with CR_TERMS starts with their samples.  Returns
-    the (S, 2) offsets, (S,) orders, (partials, S) weights and the powers
-    beta + gamma of 1 / rho, read-only.
+    by several partials is taken once, where the first needs it, so
+    exponents that start with (0, 0, 0), the value, put the point at order 0
+    first.  Returns the (S, 2) offsets, (S,) orders, (partials, S) weights
+    and the powers beta + gamma of 1 / rho, read-only.
     """
     index: dict[tuple[complex, complex, int], int] = {}
     rows = []
@@ -446,11 +448,15 @@ def circle_radius(ms: MonogenicSpec, pts: np.ndarray, exponents: tuple) -> np.nd
 
     c = max(1, |a_k|, |b_k|) and tau = max(1, |scale| of every F and G,
     1 / the point's margin in each series' safe disc), so a sample moves
-    every xi_u by at most 1 / (8 tau).  HoloDomainError naming the point
+    every xi_u by at most 1 / (8 tau).  ValueError naming the first point
+    with a NaN or infinite coordinate.  HoloDomainError naming the point
     and rho if y + rho or z + rho rounds to y or z, or rho to the stencil's
     largest power beta + gamma underflows to 0, so 1 / rho^(beta + gamma)
     overflows.
     """
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        raise ValueError(f"exact partials need a finite point, got {tuple(pts[bad.argmax()].tolist())}")
     rho0, c16, owner, centre, reach = ms._circle
     rho = np.full(len(pts), rho0)
     if len(owner):  # each series' margin, where the point lies inside its disc
@@ -475,39 +481,47 @@ def circle_samples(pts: np.ndarray, rho: np.ndarray, exponents: tuple) -> tuple[
 
 
 def circle_partials(exponents: tuple, values: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The (N, partials, n) partials from the values at circle_samples (or at more per point, starting with them).
+    """The (N, partials, n) partials from the (N S, n) values at circle_samples.
 
     The sums are elementwise in a fixed order: a point's partials do not
     depend on the batch.
     """
     _, orders, weights, powers = circle_stencil(exponents)
     values = np.asarray(values)
-    v = values.reshape(len(rho), -1 if len(rho) else len(orders), values.shape[-1])[:, : len(orders)]
+    v = values.reshape(len(rho), len(orders), values.shape[-1])
     return np.einsum("ts,psn->ptn", weights, v) / rho[:, None, None] ** powers[:, None]
 
 
-def cr_residual(ms: MonogenicSpec, p: Union[Point, np.ndarray], *, values=None) -> tuple[Element, Element]:
+def stencil_partials(ms: MonogenicSpec, pts: np.ndarray, exponents: tuple) -> np.ndarray:
+    """circle_partials at pts (N, 3) from one eval_explicit call on every point's circle_samples."""
+    rho = circle_radius(ms, pts, exponents)
+    return circle_partials(exponents, eval_explicit(ms, *circle_samples(pts, rho, exponents)), rho)
+
+
+def read_partials(partials, shape: tuple) -> np.ndarray:
+    """partials as numbers of the given shape (read_points); ValueError naming that shape otherwise."""
+    return read_points(partials, f"partials are numbers of shape {shape}", shape)
+
+
+def cr_residual(ms: MonogenicSpec, p: Union[Point, np.ndarray], *, partials=None) -> tuple[Element, Element]:
     """Cauchy-Riemann residuals (dPhi/dy - dPhi/dx * e2, dPhi/dz - dPhi/dx * e3), by exact partials.
 
-    circle_stencil(CR_TERMS): one eval_explicit call on the samples of every
-    point, unless values, the values at its circle_samples (or at a longer
-    stencil's that starts with them), come from a larger call or from
-    another evaluator.  p is one point (read_points), giving two (n,)
-    residuals, or an (N, 3) array, giving two (N, n) arrays.  Near-zero
-    certifies monogenicity at the point, a large value is a broken-data
-    signal.
+    p is one point (read_points), giving two (n,) residuals, or an (N, 3)
+    array, giving two (N, n) arrays.  partials are d/dx, d/dy and d/dz at
+    each point, (3, n) or (N, 3, n) (read_partials), from a larger stencil
+    or another evaluator; by default stencil_partials(CR_TERMS), one
+    eval_explicit call.  Near-zero certifies monogenicity at the point, a
+    large value is a broken-data signal.
     """
     pts = read_points(p)
-    shape, pts = pts.shape[:-1], pts.reshape(-1, 3)
-    rho = circle_radius(ms, pts, CR_TERMS)
-    if values is None:
-        values = eval_explicit(ms, *circle_samples(pts, rho, CR_TERMS))
-    dx, dy, dz = circle_partials(CR_TERMS, values, rho).transpose(1, 0, 2)
+    shape, n = pts.shape[:-1], ms.algebra.n
+    if partials is None:
+        partials = stencil_partials(ms, pts.reshape(-1, 3), CR_TERMS).reshape(shape + (3, n))
+    dx, dy, dz = read_partials(partials, shape + (3, n)).reshape(-1, 3, n).transpose(1, 0, 2)
     # Row-wise products dx * e2 and dx * e3 by the multiplication matrices.
-    spec = ms.algebra
-    ry = dy - dx @ spec.mult_matrix(ms.triad.a_vec).T
-    rz = dz - dx @ spec.mult_matrix(ms.triad.b_vec).T
-    return ry.reshape(shape + (spec.n,)), rz.reshape(shape + (spec.n,))
+    ry = dy - dx @ ms.algebra.mult_matrix(ms.triad.a_vec).T
+    rz = dz - dx @ ms.algebra.mult_matrix(ms.triad.b_vec).T
+    return ry.reshape(shape + (n,)), rz.reshape(shape + (n,))
 
 
 # -- JSON form ---------------------------------------------------------------

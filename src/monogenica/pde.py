@@ -27,18 +27,8 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element
 from .holo import parse_int, parse_list, parse_real
-from .monogenic import (
-    CR_TERMS,
-    MonogenicSpec,
-    Point,
-    TriadSpec,
-    circle_partials,
-    circle_radius,
-    circle_samples,
-    eval_explicit,
-    gateaux_derivative,
-    read_points,
-)
+from .monogenic import MonogenicSpec, Point, TriadSpec, read_partials, read_points, stencil_partials
+from .monogenic import eval_explicit, gateaux_derivative  # noqa: F401  (perfbench/spans.py wraps them here)
 
 
 @dataclass(frozen=True)
@@ -66,8 +56,8 @@ class PdeSpec:
 
     @cached_property
     def exponents(self) -> tuple[tuple[int, int, int], ...]:
-        """CR_TERMS, then each term's (alpha, beta, gamma): one circle_stencil gives check both residuals."""
-        return CR_TERMS + tuple(term[:3] for term in self.terms)
+        """Each term's (alpha, beta, gamma), the partials of monogenic.circle_stencil that L_N combines."""
+        return tuple(term[:3] for term in self.terms)
 
 
 LAPLACE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, 1.0), (0, 0, 2, 1.0)])
@@ -215,47 +205,44 @@ def _bisect(pde: PdeSpec, lo: np.ndarray, hi: np.ndarray, keeps_lo) -> ZeroAt:
 # -- exact partials ---------------------------------------------------------------
 
 
-def pde_residual(ms: MonogenicSpec, pde: PdeSpec, p: Union[Point, np.ndarray], *, values=None) -> Element:
+def pde_residual(ms: MonogenicSpec, pde: PdeSpec, p: Union[Point, np.ndarray], *, partials=None) -> Element:
     """L_N applied to the components of the monogenic function, by exact partials.
 
-    Each term's partial comes from monogenic.circle_stencil(pde.exponents),
-    by one eval_explicit call on the samples of every point, unless values,
-    the values at its circle_samples, are given.  p is one point
-    (read_points), giving an (n,) residual, or an (N, 3) array, giving (N, n).
+    p is one point (read_points), giving an (n,) residual, or an (N, 3)
+    array, giving (N, n).  partials are the partials of pde.exponents at
+    each point, (terms, n) or (N, terms, n) (monogenic.read_partials), from
+    a larger stencil or another evaluator; by default
+    monogenic.stencil_partials(pde.exponents), one eval_explicit call.
     """
     pts = read_points(p)
-    shape, pts = pts.shape[:-1], pts.reshape(-1, 3)
-    rho = circle_radius(ms, pts, pde.exponents)
-    if values is None:
-        values = eval_explicit(ms, *circle_samples(pts, rho, pde.exponents))
-    partials = circle_partials(pde.exponents, values, rho)[:, len(CR_TERMS):]
-    return (np.array([c for *_, c in pde.terms]) @ partials).reshape(shape + (ms.algebra.n,))
+    shape, size = pts.shape[:-1], (len(pde.terms), ms.algebra.n)
+    if partials is None:
+        partials = stencil_partials(ms, pts.reshape(-1, 3), pde.exponents).reshape(shape + size)
+    # A batch of (terms, n) partials for one point too, so its residual has a batch row's bits.
+    partials = read_partials(partials, shape + size).reshape((-1,) + size)
+    return (np.array([c for *_, c in pde.terms]) @ partials).reshape(shape + size[1:])
 
 
-def operator_identity_check(
-    ms: MonogenicSpec,
-    pde: PdeSpec,
-    p: Point,
-    discrete: Element | None = None,
-    char: Element | None = None,
-    derivative: Element | None = None,
-) -> Element:
-    """Difference Phi^(N) * (sum C e2^b e3^g) - L_N(Phi); near zero on valid data.
+def operator_identity_check(ms: MonogenicSpec, pde: PdeSpec, p: Point, *, partials=None,
+                            char: Element | None = None) -> Element:
+    """Difference Phi^(N) * (sum C e2^b e3^g) - L_N(Phi) at one point p; near zero on valid data.
 
-    Phi^(N) comes from the explicit route, so no quadrature runs here.
-    discrete is pde_residual(ms, pde, p), char is
-    characteristic_residual(ms.algebra, ms.triad, pde) and derivative is
-    Phi^(N) at p, if the caller already has them.
+    p is one point (read_points), any other shape a ValueError.  partials
+    are the partials of pde.exponents, then Phi^(N), at p,
+    (terms + 1, n) (monogenic.read_partials); by default
+    monogenic.stencil_partials of pde.exponents and (N, 0, 0), one
+    eval_explicit call, so no quadrature runs.  char is
+    characteristic_residual(ms.algebra, ms.triad, pde), if the caller
+    already has it.
     """
     spec = ms.algebra
+    pts = read_points(p, "the identity takes one point (x, y, z)", (3,))
+    if partials is None:
+        partials = stencil_partials(ms, pts[None], pde.exponents + ((pde.N, 0, 0),))[0]
+    partials = read_partials(partials, (len(pde.terms) + 1, spec.n))
     if char is None:
         char = characteristic_residual(spec, ms.triad, pde)
-    if derivative is None:
-        derivative = gateaux_derivative(ms, p, pde.N)
-    analytic = spec.multiply(derivative, char)
-    if discrete is None:
-        discrete = pde_residual(ms, pde, p)
-    return analytic - discrete
+    return spec.multiply(partials[-1], char) - pde_residual(ms, pde, pts, partials=partials[:-1])
 
 
 def pde_from_dict(data: Mapping) -> PdeSpec:

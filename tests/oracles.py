@@ -4,9 +4,9 @@ Each computes something that monogenica computes another way, so the tests
 compare the two: the resolvent (t e1 - zeta)^(-1) by its coefficient
 recurrence and by the closed form at one t, inversion in the algebra by a
 dense linear system, zeta and xi_u at one point, L_N applied to a
-function by central differences, one point at a time, the values of an
-evaluator at the samples of a circle stencil, and the derivatives of one
-holomorphic function by a one-row DerivativeStack.  nonvanishing_scan is
+function by central differences, one point at a time, the partials of a
+circle stencil from an evaluator of one sample at a time, and the
+derivatives of one holomorphic function by a one-row DerivativeStack.  nonvanishing_scan is
 the symbol scan by |P| on a zero-filled grid, whose results
 pde.p_nonvanishing_scan must match bit for bit.  Three take the
 floating-point operations of a package function in another arrangement,
@@ -22,7 +22,8 @@ import numpy as np
 
 from monogenica.algebra import AlgebraError, AlgebraSpec, Element
 from monogenica.holo import DerivativeStack, HoloFn
-from monogenica.monogenic import CR_TERMS, MonogenicSpec, Point, TriadSpec, circle_radius, circle_samples
+from monogenica.monogenic import (CR_TERMS, MonogenicSpec, Point, TriadSpec, circle_partials, circle_radius,
+                                  circle_samples)
 from monogenica.pde import NoZeroFound, PdeSpec, ZeroAt, p_poly
 from monogenica.resolvent import assemble_closed, b_coeffs, coordinates, q_table, t_coeffs
 
@@ -108,15 +109,19 @@ def wrong_xi_values(ms: MonogenicSpec, q: Point, order: int = 0) -> Element:
     return out
 
 
-def circle_values(ms: MonogenicSpec, p: Point, evaluate, exponents=CR_TERMS) -> np.ndarray:
-    """evaluate(q, r) at each sample q, Gateaux order r, of monogenic.circle_stencil(exponents) about p.
+def pointwise_partials(ms: MonogenicSpec, p: Point, evaluate, exponents=CR_TERMS) -> np.ndarray:
+    """The (partials, n) partials of monogenic.circle_stencil(exponents) at p from evaluate(q, r).
 
-    One call per sample: the values that cr_residual and pde_residual take
-    as values= from an evaluator of one point at a time.
+    evaluate takes one sample q, at Gateaux order r, at a time; its values
+    are summed by circle_partials.  These are the partials that cr_residual
+    and pde_residual take as partials= from an evaluator of one point at a
+    time.
     """
     pts = np.array([p], dtype=float)
-    samples, orders = circle_samples(pts, circle_radius(ms, pts, exponents), exponents)
-    return np.array([evaluate(tuple(q), int(r)) for q, r in zip(samples, orders)])
+    rho = circle_radius(ms, pts, exponents)
+    samples, orders = circle_samples(pts, rho, exponents)
+    values = np.array([evaluate(tuple(q), int(r)) for q, r in zip(samples, orders)])
+    return circle_partials(exponents, values, rho)[0]
 
 
 def stacked_inverse_powers(xi: np.ndarray, t, power: int, d: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from monogenica.pde import LAPLACE
 from monogenica.resolvent import b_coeffs, q_table, t_coeffs
 
 from conftest import fixture_triad, random_triad
-from oracles import (circle_values, embed, invert, resolvent_closed, resolvent_recurrence, spectrum,
+from oracles import (embed, invert, pointwise_partials, resolvent_closed, resolvent_recurrence, spectrum,
                      wrong_xi_values)
 from test_monogenic import truncated_poly
 from test_pde import ORDER3, ORDER5, ORDER5_TRIAD
@@ -176,8 +176,8 @@ def test_criterion_5_cauchy_riemann(all_monospecs, alg_p2):
     F = [HoloFn.exp(), HoloFn.sin()]
     G = [HoloFn.sin(), HoloFn.cos()]
     ms = MonogenicSpec.create(alg_p2, triad, F, G)
-    values = circle_values(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
-    ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
+    partials = pointwise_partials(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
+    ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), partials=partials)
     control = max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz))))
     report(
         "criterion 5: Cauchy-Riemann residuals plus negative control",
@@ -206,7 +206,8 @@ def test_criterion_6_derivative_definition(all_monospecs):
             dev = float(np.max(np.abs(quotient - spec.multiply(h_vec, deriv))))
             worst_quot = max(worst_quot, dev / scale)
         dscale = 1.0 + float(np.max(np.abs(deriv)))
-        ry, rz = cr_residual(ms, p, values=circle_values(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1)))
+        partials = pointwise_partials(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1))
+        ry, rz = cr_residual(ms, p, partials=partials)
         worst_cr = max(
             worst_cr,
             max(float(np.max(np.abs(ry))), float(np.max(np.abs(rz)))) / dscale,

@@ -1733,10 +1733,9 @@ def test_bad_numeric_options_exit_2(capsys, monkeypatch, tmp_path, argv):
     ids=["ss2", "ss2-1pt", "ss2-5pt", "t4", "t4-5pt"],
 )
 def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points, rows):
-    # One call per job: every point's value at order 0, then its samples:
+    # One call per job on one stencil, point by point: the value at order 0,
     # Phi' at the point and 6 on each of the circles in y and z, and with a
-    # pde Phi'' at the point, then the first point once more at order N = 2
-    # for the operator identity.
+    # pde Phi'' at the point, which is also Phi^(N) of the operator identity.
     from monogenica import monogenic, pde
 
     seen = []
@@ -1767,9 +1766,9 @@ def test_check_batches_explicit_calls(capsys, monkeypatch, tmp_path, job, points
     npts = len(data["points"])
     assert len(seen) == 1
     shape, order = seen[0]
-    samples = [1] + [0] * 12 + [2] * ("pde" in data)
-    assert shape == (npts * rows + ("pde" in data), 3)
-    assert np.array_equal(order, [0] * npts + samples * npts + [2] * ("pde" in data))
+    samples = [0, 1] + [0] * 12 + [2] * ("pde" in data)
+    assert shape == (npts * rows, 3)
+    assert np.array_equal(order, samples * npts)
     # One derivative table, from order 0, N = 2 orders wider with a pde, 1 without.
     K = build_spec(load_job(job)).algebra.explicit_plan.orders
     assert len(stacks) == 1 and stacks[0][1] == 0
@@ -1811,9 +1810,10 @@ def laplace_c16_job():
 
 @pytest.mark.parametrize("name", ["ss2", "t4", "c16"])
 def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
-    # check's one batched call gives the residuals of separate calls, bit for bit.
+    # check's one stencil gives the values, residuals, Phi^(N) and identity
+    # of separate calls, bit for bit.
     from monogenica import cli
-    from monogenica.pde import LAPLACE, pde_residual
+    from monogenica.pde import LAPLACE, operator_identity_check, pde_residual
 
     if name == "c16":
         job = laplace_c16_job()
@@ -1825,12 +1825,15 @@ def test_merged_samples_match_separate_calls(capsys, tmp_path, name):
         ms = cli.build_spec(cli.load_job(JOB_OK if name == "ss2" else JOB_T4))
         job = {"points": [[0.3, 0.4, -0.2], [-0.5, 0.1, 0.7], [0.9, -0.6, 0.2]]}
     pts = np.array(job["points"])
-    values, (ry, rz), r, phi_n = cli.check_samples(ms, pts, LAPLACE)
+    values, (ry, rz), r, partials = cli.check_samples(ms, pts, LAPLACE)
     assert np.array_equal(values, monogenic.eval_explicit(ms, pts))
     sy, sz = monogenic.cr_residual(ms, pts)
     assert np.array_equal(ry, sy) and np.array_equal(rz, sz)
     assert np.array_equal(r, pde_residual(ms, LAPLACE, pts))
-    assert np.array_equal(phi_n, monogenic.gateaux_derivative(ms, tuple(pts[0]), LAPLACE.N))
-    values_cr, cr, none, no_phi = cli.check_samples(ms, pts)
-    assert none is None and no_phi is None and np.array_equal(values_cr, values)
+    assert np.array_equal(partials[:, -1], monogenic.gateaux_derivative(ms, pts, LAPLACE.N))
+    for p, row in zip(pts, partials):
+        assert np.array_equal(operator_identity_check(ms, LAPLACE, p, partials=row),
+                              operator_identity_check(ms, LAPLACE, p))
+    values_cr, cr, none, no_partials = cli.check_samples(ms, pts)
+    assert none is None and no_partials is None and np.array_equal(values_cr, values)
     assert np.array_equal(cr[0], sy) and np.array_equal(cr[1], sz)

@@ -27,8 +27,8 @@ from monogenica.monogenic import extract_components
 from monogenica.resolvent import t_coeffs
 
 from conftest import fixture_triad, most_terms_per_b, random_triad
-from oracles import (apply_operator, basis, circle_values, embed, functional_f, spectrum, wrong_xi_values,
-                     xi)
+from oracles import (apply_operator, basis, embed, functional_f, pointwise_partials, spectrum,
+                     wrong_xi_values, xi)
 from test_algebra import direct_sum_truncated, skewed_basis
 
 # A coordinate of a point and a value that is not finite for it.
@@ -252,7 +252,7 @@ class TestBatchedExplicit:
             calls.clear()
             ry, rz = cr_residual(ms, p)
             assert calls == [(13, 3)], name
-            ey, ez = cr_residual(ms, p, values=circle_values(ms, p, lambda q, r: pointwise(ms, q, r)))
+            ey, ez = cr_residual(ms, p, partials=pointwise_partials(ms, p, lambda q, r: pointwise(ms, q, r)))
             assert max(np.max(np.abs(ry - ey)), np.max(np.abs(rz - ez))) <= 1e-12, name
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -643,8 +643,8 @@ class TestGateaux:
         for name, ms in all_monospecs.items():
             p = (0.35, -0.2, 0.45)
             scale = 1.0 + float(np.max(np.abs(gateaux_derivative(ms, p, 1))))
-            values = circle_values(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1))
-            ry, rz = cr_residual(ms, p, values=values)
+            derived = pointwise_partials(ms, p, lambda q, r: gateaux_derivative(ms, q, r + 1))
+            ry, rz = cr_residual(ms, p, partials=derived)
             assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) < 1e-9 * scale, name
             dx, dy, dz = (apply_operator(lambda q: eval_integral(ms, q, 1), d, p, 1e-4) for d in partials)
             ry, rz = (dq - ms.algebra.multiply(dx, e) for dq, e in ((dy, ms.triad.a_vec), (dz, ms.triad.b_vec)))
@@ -729,8 +729,8 @@ class TestCauchyRiemann:
         F = [HoloFn.exp(), HoloFn.sin()]
         G = [HoloFn.sin(), HoloFn.cos()]
         ms = MonogenicSpec.create(alg_p2, triad, F, G)
-        values = circle_values(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
-        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), values=values)
+        partials = pointwise_partials(ms, (0.4, 0.8, -0.3), lambda q, r: wrong_xi_values(ms, q, r))
+        ry, rz = cr_residual(ms, (0.4, 0.8, -0.3), partials=partials)
         assert max(np.max(np.abs(ry)), np.max(np.abs(rz))) > 1e-3
 
 

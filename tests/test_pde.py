@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,14 @@ from monogenica import (
     pde_residual,
 )
 
+from monogenica import monogenic
 from monogenica import pde as pde_mod
 from monogenica.algebra import AlgebraSpec
 from monogenica.pde import LAPLACE, definite_sign, p_poly
 
 from conftest import fixture_triad
-from oracles import (EXTREMES, apply_operator, central_stencil, circle_values, functional_f,
-                     nonvanishing_scan, xi)
+from oracles import (EXTREMES, apply_operator, central_stencil, functional_f, nonvanishing_scan,
+                     pointwise_partials, xi)
 
 WAVE = PdeSpec.create(2, [(2, 0, 0, 1.0), (0, 2, 0, -1.0)])
 
@@ -415,25 +417,26 @@ class TestPdeResidual:
 
 
     def test_batched_default_path(self, all_monospecs, monkeypatch):
-        # One eval_explicit call on the distinct samples, Cauchy-Riemann's 13
-        # first, agreeing with the values of one point at a time and, to the
-        # central differences' error, with the oracle's operator.
+        # One eval_explicit call on the distinct samples of the operator's
+        # own partials, 13 for both: d^N/dx^N at the point and 6 on each
+        # circle.  They agree with the partials of one point at a time and,
+        # to the central differences' error, with the oracle's operator.
         calls = []
-        pointwise = pde_mod.eval_explicit
+        pointwise = monogenic.eval_explicit
 
         def recording(ms, p, order=0):
             calls.append(np.shape(p))
             return pointwise(ms, p, order)
 
-        monkeypatch.setattr(pde_mod, "eval_explicit", recording)
+        monkeypatch.setattr(monogenic, "eval_explicit", recording)
         for name, ms in all_monospecs.items():
             p = (0.3, 0.5, -0.4)
-            for pde, distinct in ((LAPLACE, 14), (ORDER3, 26)):
+            for pde in (LAPLACE, ORDER3):
                 calls.clear()
                 res = pde_residual(ms, pde, p)
-                assert calls == [(distinct, 3)], name
-                values = circle_values(ms, p, lambda q, r: pointwise(ms, q, r), pde.exponents)
-                assert np.max(np.abs(res - pde_residual(ms, pde, p, values=values))) <= 1e-12, name
+                assert calls == [(13, 3)], name
+                partials = pointwise_partials(ms, p, lambda q, r: pointwise(ms, q, r), pde.exponents)
+                assert np.max(np.abs(res - pde_residual(ms, pde, p, partials=partials))) <= 1e-12, name
                 ref = apply_operator(lambda q: pointwise(ms, q), pde, p, 1e-3)
                 assert np.max(np.abs(res - ref)) <= 1e-4 * (1.0 + np.max(np.abs(ref))), name
 
@@ -477,6 +480,62 @@ class TestOperatorIdentity:
                 c * a_u**beta * b_u**gamma for _, beta, gamma, c in LAPLACE.terms
             )
             assert abs(functional_f(alg_ss2, u, res) - scalar) < 1e-13
+
+
+    def test_one_point_only(self, all_monospecs):
+        for partials in (None, np.zeros((4, 4))):
+            with pytest.raises(ValueError, match=r"the identity takes one point \(x, y, z\), got an array of shape"):
+                operator_identity_check(all_monospecs["alg_t4"], LAPLACE, np.zeros((2, 3)), partials=partials)
+
+    def test_default_path_is_one_call(self, all_monospecs, monkeypatch):
+        # The terms' partials and Phi^(N) come from one stencil, and Phi^(N)
+        # shares the d^N/dx^N sample of both operators: 13 samples.
+        calls = []
+        explicit = monogenic.eval_explicit
+
+        def recording(ms, p, order=0):
+            calls.append(np.shape(p))
+            return explicit(ms, p, order)
+
+        monkeypatch.setattr(monogenic, "eval_explicit", recording)
+        for name, ms in all_monospecs.items():
+            for pde in (LAPLACE, ORDER3):
+                calls.clear()
+                operator_identity_check(ms, pde, (0.3, 0.5, -0.4))
+                assert calls == [(13, 3)], name
+
+
+# The three checks at one point of alg_t4 (n = 4), each with the number of
+# partials it combines.
+CHECKS = {
+    "cr": (cr_residual, 3),
+    "pde": (lambda ms, p, **kw: pde_residual(ms, LAPLACE, p, **kw), 3),
+    "identity": (lambda ms, p, **kw: operator_identity_check(ms, LAPLACE, p, **kw), 4),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("coordinate, value", [(c, v) for c in range(3) for v in (math.nan, math.inf, -math.inf)])
+def test_checks_refuse_a_non_finite_point(all_monospecs, check, coordinate, value):
+    # One ValueError naming the point, not a NaN residual, numpy's warning
+    # or a circle said to round away.
+    p = [0.3, 0.4, -0.2]
+    p[coordinate] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"exact partials need a finite point, got {tuple(p)}")):
+            CHECKS[check][0](all_monospecs["alg_t4"], p)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize("bad", ["shape", "string", "none", "ragged"])
+def test_checks_refuse_partials_they_cannot_combine(all_monospecs, check, bad):
+    fn, k = CHECKS[check]
+    n = 4
+    partials = {"shape": np.zeros((k + 1, n)), "string": "abc", "none": [[None] * n] * k,
+                "ragged": [[0.0] * n] * (k - 1) + [[0.0]]}[bad]
+    with pytest.raises(ValueError, match=re.escape(f"partials are numbers of shape {(k, n)}, got ")):
+        fn(all_monospecs["alg_t4"], (0.3, 0.4, -0.2), partials=partials)
 
 
 class TestHarmonicComponents:
